@@ -17,7 +17,7 @@ from enum import Enum
 from . import oracle, tl
 from .bracket import BracketVec2, bracket_vector, c_invariant
 from .rationals import ExtRational, parity
-from .ring import LaurentPoly, RatFunc
+from .ring import DELTA, RatFunc, as_ratfunc, delta_power
 from .tangles import (
     PlanarTangleDiagram,
     RationalTangle,
@@ -45,15 +45,7 @@ __all__ = [
     "solid_torus_closure",
 ]
 
-_DELTA = LaurentPoly({2: -1, -2: -1})
-_DELTA_RF = RatFunc.from_laurent(_DELTA)
-
-
-def _as_ratfunc(c) -> RatFunc:
-    out = RatFunc._coerce(c)
-    if out is NotImplemented:
-        raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
-    return out
+_DELTA_RF = RatFunc.from_laurent(DELTA)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +67,7 @@ class AnnulusElement:
             for k, c in coeffs.items():
                 if k < 0:
                     raise ValueError("negative power of the core curve")
-                c = _as_ratfunc(c)
+                c = as_ratfunc(c)
                 if not c.is_zero:
                     clean[int(k)] = c
         self.coeffs = clean
@@ -151,7 +143,7 @@ class AnnulusElement:
         return self + (-other)
 
     def scale(self, c) -> "AnnulusElement":
-        c = _as_ratfunc(c)
+        c = as_ratfunc(c)
         result = AnnulusElement()
         if not c.is_zero:
             result.coeffs = {k: v * c for k, v in self.coeffs.items()}
@@ -258,34 +250,10 @@ def element_closure(x) -> AnnulusElement:
         raise ValueError("closure needs a 2-tangle element with even width")
     m = x.top
     bond_to, bond_w = _closure_bonds(m)
-    delta = RatFunc.from_laurent(_DELTA)
     out = AnnulusElement.zero()
     for partner, coeff in x.terms.items():
-        visited = [False] * (2 * m)
-        contractible = 0
-        essential = 0
-        for start in range(2 * m):
-            if visited[start]:
-                continue
-            winding = 0
-            cur = start
-            while not visited[cur]:
-                visited[cur] = True
-                j = partner[cur]
-                visited[j] = True
-                winding += bond_w[j]
-                cur = bond_to[j]
-            if winding == 0:
-                contractible += 1
-            else:
-                if abs(winding) != 1:
-                    raise AssertionError(
-                        f"embedded circle with winding {winding} cannot occur"
-                    )
-                essential += 1
-        term = coeff
-        for _ in range(contractible):
-            term = term * delta
+        contractible, essential = tl._loop_counts(partner, bond_to, bond_w)
+        term = coeff * delta_power(contractible)
         out = out + AnnulusElement.core_power(essential, term)
     return out
 
@@ -304,7 +272,7 @@ def closure_bracket(t) -> AnnulusElement:
         return AnnulusElement.from_laurent_map(oracle.closure_coefficients(closed))
     vec = bracket_vector(t)
     return AnnulusElement(
-        {0: RatFunc.from_laurent(vec.alpha * _DELTA), 2: RatFunc.from_laurent(vec.beta)}
+        {0: RatFunc.from_laurent(vec.alpha * DELTA), 2: RatFunc.from_laurent(vec.beta)}
     )
 
 

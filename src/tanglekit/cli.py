@@ -18,6 +18,7 @@ drive shell scripts.
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -293,13 +294,25 @@ def _read_batch(path):
     return [line.strip() for line in data.splitlines() if line.strip()]
 
 
+def _worker_count(jobs: int, lines: int, cpus) -> int:
+    """Processes for a batch: never more than its lines or the CPUs.
+
+    The pool may start all of its workers on the first submit, so the
+    requested --jobs alone must not size it.
+    """
+    return max(1, min(jobs, lines, cpus or 1))
+
+
 def _cmd_single(args) -> int:
     fn = _PAYLOAD_FNS[args.command]
     opts = _opts_from_args(args)
+    if getattr(args, "jobs", 1) < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if getattr(args, "batch", None):
         items = [(args.command, line, opts) for line in _read_batch(args.batch)]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        workers = _worker_count(args.jobs, len(items), os.cpu_count())
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_batch_worker, items))
         else:
             results = [_batch_worker(item) for item in items]

@@ -9,7 +9,7 @@ crossing count beyond which 2^c enumeration is unreasonable.
 from __future__ import annotations
 
 from . import kernel
-from .ring import LaurentPoly
+from .ring import DELTA, LaurentPoly, delta_power
 from .tangles import CORNERS, PlanarTangleDiagram
 
 __all__ = [
@@ -21,16 +21,6 @@ __all__ = [
 ]
 
 MAX_ORACLE_CROSSINGS = 16
-
-_DELTA = LaurentPoly({2: -1, -2: -1})
-_delta_powers = [LaurentPoly.one()]
-
-
-def _delta_power(k: int) -> LaurentPoly:
-    while len(_delta_powers) <= k:
-        _delta_powers.append(_delta_powers[-1] * _DELTA)
-    return _delta_powers[k]
-
 
 def _check_size(d: PlanarTangleDiagram):
     if d.crossing_count > MAX_ORACLE_CROSSINGS:
@@ -51,7 +41,7 @@ def _disk_loop_factor(d: PlanarTangleDiagram) -> LaurentPoly:
     for w in d.free_loops:
         if w != 0:
             raise ValueError("disk diagram contains an essential loop")
-        factor = factor * _DELTA
+        factor = factor * DELTA
     return factor
 
 
@@ -68,7 +58,7 @@ def bracket_of_diagram(d: PlanarTangleDiagram):
     for (pairing, exp, ncon, ness), count in _resolve(d, ends).items():
         if ness:
             raise ValueError("tangle diagram produced an essential loop")
-        term = LaurentPoly.monomial(exp) * _delta_power(ncon) * count
+        term = LaurentPoly.monomial(exp) * delta_power(ncon) * count
         if pairing == ((0, 1), (2, 3)):
             beta += term
         elif pairing == ((0, 2), (1, 3)):
@@ -97,7 +87,7 @@ def matchings_of_diagram(d: PlanarTangleDiagram, top_labels, bottom_labels):
         for i, j in pairing:
             partner[i], partner[j] = j, i
         key = tuple(partner)
-        term = loops * LaurentPoly.monomial(exp) * _delta_power(ncon) * count
+        term = loops * LaurentPoly.monomial(exp) * delta_power(ncon) * count
         out[key] = out[key] + term if key in out else term
     return out
 
@@ -115,14 +105,14 @@ def closure_coefficients(d: PlanarTangleDiagram):
     factor = LaurentPoly.one()
     for w in d.free_loops:
         if w == 0:
-            factor = factor * _DELTA
+            factor = factor * DELTA
         elif w in (1, -1):
             shift += 1
         else:
             raise ValueError(f"free loop winds {w} times around the annulus core")
     out = {}
     for (pairing, exp, ncon, ness), count in _resolve(d, []).items():
-        term = factor * LaurentPoly.monomial(exp) * _delta_power(ncon) * count
+        term = factor * LaurentPoly.monomial(exp) * delta_power(ncon) * count
         key = ness + shift
         out[key] = out.get(key, LaurentPoly.zero()) + term
     return {k: v for k, v in out.items() if not v.is_zero}

@@ -20,9 +20,12 @@ from fractions import Fraction
 from math import gcd
 
 __all__ = [
+    "DELTA",
     "LaurentPoly",
     "RatFunc",
     "Zeta8",
+    "as_ratfunc",
+    "delta_power",
     "eval_zeta8",
 ]
 
@@ -439,6 +442,31 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self})"
+
+
+def as_ratfunc(c) -> RatFunc:
+    """Coerce an int, Fraction, LaurentPoly or RatFunc coefficient."""
+    out = RatFunc._coerce(c)
+    if out is NotImplemented:
+        raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The loop value
+# ---------------------------------------------------------------------------
+
+#: Value of a contractible closed loop in the Kauffman bracket skein.
+DELTA = LaurentPoly({2: -1, -2: -1})
+
+_delta_powers = [LaurentPoly.one()]
+
+
+def delta_power(k: int) -> LaurentPoly:
+    """DELTA^k, cached: the value of k disjoint contractible loops."""
+    while len(_delta_powers) <= k:
+        _delta_powers.append(_delta_powers[-1] * DELTA)
+    return _delta_powers[k]
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from .rationals import ExtRational, TwistVector, continued_fraction
 
 __all__ = [
+    "MAX_TWIST_TOTAL",
     "RationalTangle",
     "TwistWord",
     "PlanarTangleDiagram",
@@ -53,6 +54,10 @@ __all__ = [
 ]
 
 CORNERS = ("NW", "NE", "SW", "SE")
+
+#: Largest total |entry| of a twist vector expanded into a twist word;
+#: every half twist becomes one move, and replaying moves is quadratic.
+MAX_TWIST_TOTAL = 2000
 
 TYPE_0 = "TYPE_0"
 TYPE_INF = "TYPE_INF"
@@ -167,11 +172,17 @@ def to_twist_word(t: RationalTangle) -> TwistWord:
     (right) twist regions, the others vertical (bottom) regions.  The
     start tangle is [0] for odd vector length and [inf] for even
     length, which keeps the replayed fraction equal to the continued
-    fraction of the vector.
+    fraction of the vector.  Vectors whose entries total more than
+    MAX_TWIST_TOTAL half twists are refused with ValueError.
     """
     if t.is_infinity:
         return TwistWord("inf", ())
     entries = t.tv.entries
+    total = sum(abs(a) for a in entries)
+    if total > MAX_TWIST_TOTAL:
+        raise ValueError(
+            f"twist word too long: {total} half twists exceed the bound {MAX_TWIST_TOTAL}"
+        )
     m = len(entries)
     moves = []
     for k, a in enumerate(entries, start=1):

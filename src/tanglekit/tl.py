@@ -18,7 +18,15 @@ from fractions import Fraction
 from math import comb
 
 from . import oracle
-from .ring import LaurentPoly, RatFunc, poly_exact_div, poly_lcm
+from .ring import (
+    DELTA,
+    LaurentPoly,
+    RatFunc,
+    as_ratfunc,
+    delta_power,
+    poly_exact_div,
+    poly_lcm,
+)
 from .tangles import (
     CORNERS,
     PlanarTangleDiagram,
@@ -63,15 +71,6 @@ __all__ = [
 
 #: Largest strand count for which Jones-Wenzl projectors are built.
 MAX_PROJECTOR_STRANDS = 6
-
-_DELTA = LaurentPoly({2: -1, -2: -1})
-
-
-def _as_ratfunc(c) -> RatFunc:
-    out = RatFunc._coerce(c)
-    if out is NotImplemented:
-        raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +151,7 @@ class TLElement:
         clean = {}
         if terms:
             for partner, c in terms.items():
-                c = _as_ratfunc(c)
+                c = as_ratfunc(c)
                 if c.is_zero:
                     continue
                 partner = tuple(partner)
@@ -221,7 +220,7 @@ class TLElement:
         return self + (-other)
 
     def scale(self, c) -> "TLElement":
-        c = _as_ratfunc(c)
+        c = as_ratfunc(c)
         result = TLElement(self.top, self.bottom)
         if not c.is_zero:
             result.terms = {k: v * c for k, v in self.terms.items()}
@@ -290,13 +289,6 @@ def unit_element(n: int, kind: str) -> TLElement:
 # of the inner loop is what makes projector-sized products feasible.
 
 _ONE_POLY = LaurentPoly.one()
-_delta_lp_powers = [_ONE_POLY]
-
-
-def _delta_lp(k: int) -> LaurentPoly:
-    while len(_delta_lp_powers) <= k:
-        _delta_lp_powers.append(_delta_lp_powers[-1] * _DELTA)
-    return _delta_lp_powers[k]
 
 
 class _Split:
@@ -348,7 +340,7 @@ def _compose_split(x: _Split, y: _Split) -> _Split:
             m, loops = _glue_matchings(ma, mb, x.top, x.bottom, y.bottom)
             c = ca * cb
             if loops:
-                c = c * _delta_lp(loops)
+                c = c * delta_power(loops)
             prev = acc.get(m)
             acc[m] = c if prev is None else prev + c
     return _Split(x.top, y.bottom, acc, x.den * y.den)
@@ -380,23 +372,45 @@ def _tensor_split(x: _Split, y: _Split) -> _Split:
     return _Split(top, bottom, acc, x.den * y.den)
 
 
+def _loop_counts(partner, bond_to, bond_w):
+    """Count the closed loops made by joining a matching's points in pairs.
+
+    Each loop alternates matching strands and fixed bonds: point j is
+    bonded to bond_to[j], picking up winding bond_w[j] around the
+    annulus core.  Returns (contractible, essential), the numbers of
+    loops of total winding 0 and +-1.
+    """
+    visited = [False] * len(partner)
+    contractible = 0
+    essential = 0
+    for start in range(len(partner)):
+        if visited[start]:
+            continue
+        winding = 0
+        cur = start
+        while not visited[cur]:
+            visited[cur] = True
+            j = partner[cur]
+            visited[j] = True
+            winding += bond_w[j]
+            cur = bond_to[j]
+        if winding == 0:
+            contractible += 1
+        elif winding in (1, -1):
+            essential += 1
+        else:
+            raise AssertionError(f"embedded circle with winding {winding} cannot occur")
+    return contractible, essential
+
+
 def _trace_split(s: _Split) -> RatFunc:
     m = s.top
+    bond_to = [k + m for k in range(m)] + list(range(m))
+    bond_w = [0] * (2 * m)
     total = LaurentPoly.zero()
     for partner, coeff in s.terms.items():
-        visited = [False] * (2 * m)
-        cycles = 0
-        for st in range(2 * m):
-            if visited[st]:
-                continue
-            cycles += 1
-            cur = st
-            while not visited[cur]:
-                visited[cur] = True
-                j = partner[cur]
-                visited[j] = True
-                cur = j + m if j < m else j - m
-        total = total + coeff * _delta_lp(cycles)
+        loops, _ = _loop_counts(partner, bond_to, bond_w)
+        total = total + coeff * delta_power(loops)
     return RatFunc.normalized(total, s.den)
 
 
@@ -655,13 +669,13 @@ class JonesWenzl:
     element: TLElement
 
 
-_delta_polys = [LaurentPoly.one(), _DELTA]
+_delta_polys = [LaurentPoly.one(), DELTA]
 
 
 def _delta_poly(k: int) -> LaurentPoly:
     """Loop value of the closed k-strand projector (Chebyshev recurrence)."""
     while len(_delta_polys) <= k:
-        _delta_polys.append(_DELTA * _delta_polys[-1] - _delta_polys[-2])
+        _delta_polys.append(DELTA * _delta_polys[-1] - _delta_polys[-2])
     return _delta_polys[k]
 
 
@@ -892,7 +906,7 @@ def colored_ratios(gammas: list) -> list:
     When the top coordinate vanishes the list is normalized by the last
     nonzero one instead (a projective reading, flagged by a warning).
     """
-    gammas = [_as_ratfunc(g) for g in gammas]
+    gammas = [as_ratfunc(g) for g in gammas]
     k = next((j for j in range(len(gammas) - 1, -1, -1) if not gammas[j].is_zero), None)
     if k is None:
         raise ValueError("zero skein element")

@@ -6,12 +6,14 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from tanglekit.cli import (
     INFINITY_TANGLE,
     TangleNotationError,
+    _worker_count,
     main,
     parse_tangle_notation,
 )
@@ -245,6 +247,15 @@ def test_missing_tangle_argument_exits_two():
     assert "error" in json.loads(out)
 
 
+def test_oversized_twist_run_is_refused_at_once():
+    start = time.perf_counter()
+    code, out = run_cli("bracket", "[100000]")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    [line] = out.splitlines()
+    assert "bound 2000" in json.loads(line)["error"]
+
+
 # ---------------------------------------------------------------------------
 # Batch mode
 # ---------------------------------------------------------------------------
@@ -267,6 +278,24 @@ def test_batch_worker_pool_matches_serial(tmp_path):
     code_b, pooled = run_cli("classify", "--batch", str(batch), "--jobs", "2")
     assert code_a == 0 and code_b == 0
     assert pooled == serial
+
+
+def test_batch_rejects_jobs_below_one(tmp_path):
+    batch = tmp_path / "tangles.txt"
+    batch.write_text("[1]\n[2 2]\n", encoding="utf-8")
+    for jobs in ("0", "-3"):
+        code, out = run_cli("fraction", "--batch", str(batch), "--jobs", jobs)
+        assert code == 2
+        [line] = out.splitlines()
+        assert "--jobs" in json.loads(line)["error"]
+
+
+def test_worker_count_is_capped_by_lines_and_cpus():
+    assert _worker_count(5000, 2, 8) == 2
+    assert _worker_count(5000, 100, 2) == 2
+    assert _worker_count(3, 100, 8) == 3
+    assert _worker_count(4, 0, 8) == 1
+    assert _worker_count(4, 10, None) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from tanglekit import kernel
 from tanglekit.oracle import (
     annular_closure,
     bracket_of_diagram,
@@ -336,6 +337,13 @@ def test_closure_pins():
         annular_closure(rational_to_diagram(RationalTangle.from_entries(1)))
     )
     assert one == {0: A * DELTA, 2: AINV}
+
+
+def test_enumerator_rejects_overwound_loops():
+    # one crossing whose two arcs each wind once: every smoothing closes
+    # a loop that circles the core twice
+    with pytest.raises(ValueError, match="winds"):
+        kernel.resolve_states(4, [(0, 1, 2, 3)], [(1, 2, 1), (3, 0, 1)], [])
 
 
 # ---------------------------------------------------------------------------
