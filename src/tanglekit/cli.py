@@ -34,7 +34,7 @@ from .annulus import (
     solid_torus_closure,
 )
 from .bracket import bracket_vector, c_invariant, ratio_invariant
-from .oracle import MAX_ORACLE_CROSSINGS, bracket_of_diagram
+from .oracle import MAX_ORACLE_COUNT, MAX_ORACLE_CROSSINGS, bracket_of_diagram
 from .rationals import TwistVector, canonical_form, parity, schubert_equivalent
 from .tangles import (
     RationalTangle,
@@ -357,6 +357,10 @@ def _cmd_oracle_check(args) -> int:
     budget = args.max_crossings
     if not 1 <= budget <= MAX_ORACLE_CROSSINGS:
         raise ValueError(f"crossing budget must be between 1 and {MAX_ORACLE_CROSSINGS}")
+    if not 1 <= args.count <= MAX_ORACLE_COUNT:
+        raise ValueError(
+            f"--count must be between 1 and {MAX_ORACLE_COUNT}, got {args.count}"
+        )
     rng = random.Random(args.seed)
     failures = []
     checked = 0
@@ -473,7 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-crossings", type=int, default=10,
                     help=f"crossing budget per diagram (1..{MAX_ORACLE_CROSSINGS})")
     sp.add_argument("--count", type=int, default=25,
-                    help="number of random diagrams to check")
+                    help=f"number of random diagrams to check (1..{MAX_ORACLE_COUNT})")
     sp.add_argument("--seed", type=int, default=2026,
                     help="seed for the diagram sampler")
     _format_flags(sp, "json")

@@ -13,6 +13,7 @@ from .ring import DELTA, LaurentPoly, delta_power
 from .tangles import CORNERS, PlanarTangleDiagram
 
 __all__ = [
+    "MAX_ORACLE_COUNT",
     "MAX_ORACLE_CROSSINGS",
     "bracket_of_diagram",
     "matchings_of_diagram",
@@ -21,6 +22,10 @@ __all__ = [
 ]
 
 MAX_ORACLE_CROSSINGS = 16
+
+#: Most diagrams one oracle-check run may sample, so that its time stays
+#: bounded.
+MAX_ORACLE_COUNT = 10000
 
 def _check_size(d: PlanarTangleDiagram):
     if d.crossing_count > MAX_ORACLE_CROSSINGS:

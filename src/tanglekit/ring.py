@@ -4,20 +4,26 @@ Three towers, each immutable and canonical so that ``==`` is true value
 equality:
 
 * ``LaurentPoly``: sparse Laurent polynomials in one variable ``A`` with
-  ``Fraction`` coefficients.
+  rational coefficients.
 * ``RatFunc``: the fraction field of ``LaurentPoly`` with a normalized
   representative (denominator an integer-primitive ordinary polynomial
   with positive constant term, coprime to the numerator).
 * ``Zeta8``: the quotient ring Q[A] / (A^4 + 1), i.e. rational
   combinations of an eighth root of unity.  Used to evaluate bracket
   ratios at the special point where the ratio becomes a number.
+
+A rational coefficient is stored as an ``int`` when it is integral and as
+a ``Fraction`` only when it is not, so the integer arithmetic that nearly
+every skein computation does never builds a ``Fraction``.  Every
+coefficient division goes through ``_div``, which keeps that rule and
+never gives a float, as a bare ``int / int`` would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "DELTA",
@@ -31,11 +37,62 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
+# Coefficients
+# ---------------------------------------------------------------------------
+
+def _coeff(c):
+    """A rational coefficient in stored form: int if integral, else Fraction."""
+    if type(c) is not int:
+        c = c if isinstance(c, Fraction) else Fraction(c)
+        if c.denominator == 1:
+            return c.numerator
+    return c
+
+
+def _div(a, b):
+    """The exact quotient a / b of two coefficients, in stored form.
+
+    Never a float: an exact integer division gives an int, anything else
+    a Fraction.
+    """
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _coeff(Fraction(a, b))
+
+
+def _store_integral(coeffs: dict) -> dict:
+    """Turn integral Fraction values of a coefficient dict into ints."""
+    # The sum is an int exactly when every value is, so one pass in C
+    # skips the loop for the all-integer dicts nearly every product gives.
+    if type(sum(coeffs.values())) is not int:
+        for e, c in coeffs.items():
+            if type(c) is not int and c.denominator == 1:
+                coeffs[e] = c.numerator
+    return coeffs
+
+
+def _content(values):
+    """Positive rational c such that values/c are coprime integers
+    (1 when there are no values)."""
+    num, den = 0, 1
+    for c in values:
+        num = gcd(num, c.numerator)
+        den = lcm(den, c.denominator)
+    return _div(num, den) if num else 1
+
+
+# ---------------------------------------------------------------------------
 # Laurent polynomials
 # ---------------------------------------------------------------------------
 
 class LaurentPoly:
-    """A sparse Laurent polynomial: dict {exponent: nonzero Fraction}."""
+    """A sparse Laurent polynomial: dict {exponent: nonzero coefficient}.
+
+    A coefficient is an ``int`` when integral and a ``Fraction`` otherwise;
+    the constructor converts any rational input to that form.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -43,7 +100,8 @@ class LaurentPoly:
         clean = {}
         if coeffs:
             for e, c in coeffs.items():
-                c = c if isinstance(c, Fraction) else Fraction(c)
+                if type(c) is not int:
+                    c = _coeff(c)
                 if c:
                     clean[int(e)] = c
         self.coeffs = clean
@@ -80,10 +138,6 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    @property
-    def is_monomial(self) -> bool:
-        return len(self.coeffs) == 1
-
     def min_exp(self) -> int:
         if not self.coeffs:
             raise ValueError("zero polynomial has no exponents")
@@ -93,14 +147,6 @@ class LaurentPoly:
         if not self.coeffs:
             raise ValueError("zero polynomial has no exponents")
         return max(self.coeffs)
-
-    def constant_value(self):
-        """Return the Fraction value if constant, else None."""
-        if not self.coeffs:
-            return Fraction(0)
-        if self.coeffs.keys() == {0}:
-            return self.coeffs[0]
-        return None
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -130,7 +176,7 @@ class LaurentPoly:
             else:
                 out.pop(e, None)
         result = LaurentPoly.__new__(LaurentPoly)
-        result.coeffs = out
+        result.coeffs = _store_integral(out)
         return result
 
     __radd__ = __add__
@@ -162,7 +208,7 @@ class LaurentPoly:
                 else:
                     del out[e]
         result = LaurentPoly.__new__(LaurentPoly)
-        result.coeffs = out
+        result.coeffs = _store_integral(out)
         return result
 
     __rmul__ = __mul__
@@ -187,17 +233,10 @@ class LaurentPoly:
         """Substitute A -> A^-1 (the mirror-image substitution)."""
         return LaurentPoly({-e: c for e, c in self.coeffs.items()})
 
-    def content(self) -> Fraction:
+    def content(self):
         """Positive rational c such that self/c has coprime integer
         coefficients.  Zero polynomial has content 1."""
-        if not self.coeffs:
-            return Fraction(1)
-        num = 0
-        den = 1
-        for c in self.coeffs.values():
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
+        return _content(self.coeffs.values())
 
     # -- rendering ----------------------------------------------------------
 
@@ -237,7 +276,7 @@ def _poly_divmod(a: dict, b: dict):
     q = {}
     while a and max(a) >= db:
         da = max(a)
-        f = a[da] / lead
+        f = _div(a[da], lead)
         q[da - db] = f
         for e, c in b.items():
             k = e + da - db
@@ -249,16 +288,49 @@ def _poly_divmod(a: dict, b: dict):
     return q, a
 
 
+def _primitive(a: dict) -> dict:
+    """a divided by its content: coprime integer coefficients."""
+    c = _content(a.values())
+    return {e: _div(v, c) for e, v in a.items()}
+
+
+def _prem(a: dict, b: dict) -> dict:
+    """Pseudo-remainder of integer polynomials: the remainder of m * a
+    divided by b, for some nonzero integer m, with integer coefficients
+    throughout."""
+    a = dict(a)
+    db = max(b)
+    lead = b[db]
+    while a and max(a) >= db:
+        da = max(a)
+        g = gcd(a[da], lead)
+        f, m = a[da] // g, lead // g
+        if m != 1:
+            a = {e: m * c for e, c in a.items()}
+        for e, c in b.items():
+            k = e + da - db
+            s = a.get(k, 0) - f * c
+            if s:
+                a[k] = s
+            else:
+                a.pop(k, None)
+    return a
+
+
 def _poly_gcd(a: dict, b: dict) -> dict:
-    """Monic gcd over Q of two ordinary polynomials."""
-    a, b = dict(a), dict(b)
+    """Gcd of two ordinary polynomials over Q, as the primitive integer
+    polynomial with positive leading coefficient ({} when both are zero).
+
+    Primitive polynomial remainder sequence (Collins 1967; Brown & Traub
+    1971): pseudo-remainders stay in Z[A], and dividing each by its
+    content keeps the coefficients from growing along the sequence.
+    """
+    a, b = _primitive(a), _primitive(b)
     while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return {}
-    lead = a[max(a)]
-    return {e: c / lead for e, c in a.items()}
+        a, b = b, _primitive(_prem(a, b))
+    if a and a[max(a)] < 0:
+        a = {e: -c for e, c in a.items()}
+    return a
 
 
 def poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -293,7 +365,7 @@ def poly_lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 # Rational functions
 # ---------------------------------------------------------------------------
 
-_ONE_COEFFS = {0: Fraction(1)}
+_ONE_COEFFS = {0: 1}
 
 
 def _is_poly_one(p: LaurentPoly) -> bool:
@@ -325,16 +397,15 @@ class RatFunc:
         n = {e - sn: c for e, c in num.coeffs.items()}
         d = {e - sd: c for e, c in den.coeffs.items()}
         g = _poly_gcd(n, d)
-        if g and (len(g) > 1 or 0 not in g):
+        if len(g) > 1:
             n, rn = _poly_divmod(n, g)
             d, rd = _poly_divmod(d, g)
             assert not rn and not rd, "gcd division must be exact"
-        dpoly = LaurentPoly(d)
-        scale = dpoly.content()
-        if dpoly.coeffs[dpoly.min_exp()] < 0:
+        scale = _content(d.values())
+        if d[min(d)] < 0:
             scale = -scale
-        n = {e + sn - sd: c / scale for e, c in n.items()}
-        d = {e: c / scale for e, c in d.items()}
+        n = {e + sn - sd: _div(c, scale) for e, c in n.items()}
+        d = {e: _div(c, scale) for e, c in d.items()}
         return RatFunc(LaurentPoly(n), LaurentPoly(d))
 
     # -- constructors -------------------------------------------------------
@@ -366,7 +437,7 @@ class RatFunc:
 
     def as_laurent(self) -> LaurentPoly:
         """Return the numerator if the denominator is 1, else raise."""
-        if self.den == LaurentPoly.one():
+        if _is_poly_one(self.den):
             return self.num
         raise ValueError(f"not a Laurent polynomial: {self}")
 
@@ -436,7 +507,7 @@ class RatFunc:
     # -- rendering ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.den == LaurentPoly.one():
+        if _is_poly_one(self.den):
             return str(self.num)
         return f"({self.num})/({self.den})"
 
@@ -481,7 +552,7 @@ class Zeta8:
 
     @staticmethod
     def of(c0=0, c1=0, c2=0, c3=0) -> "Zeta8":
-        return Zeta8((Fraction(c0), Fraction(c1), Fraction(c2), Fraction(c3)))
+        return Zeta8((_coeff(c0), _coeff(c1), _coeff(c2), _coeff(c3)))
 
     @classmethod
     def zero(cls) -> "Zeta8":
@@ -496,8 +567,8 @@ class Zeta8:
         """z^k for any integer k, using z^4 = -1 and z^-1 = -z^3."""
         k %= 8
         sign = 1 if k < 4 else -1
-        coords = [Fraction(0)] * 4
-        coords[k % 4] = Fraction(sign)
+        coords = [0] * 4
+        coords[k % 4] = sign
         return cls(tuple(coords))
 
     @property
@@ -516,7 +587,7 @@ class Zeta8:
     def __mul__(self, other) -> "Zeta8":
         if isinstance(other, (int, Fraction)):
             return Zeta8(tuple(a * other for a in self.coords))
-        out = [Fraction(0)] * 4
+        out = [0] * 4
         for i, a in enumerate(self.coords):
             if not a:
                 continue
@@ -534,7 +605,7 @@ class Zeta8:
 
     def galois(self, k: int) -> "Zeta8":
         """Apply the field map z -> z^k (k odd)."""
-        out = [Fraction(0)] * 4
+        out = [0] * 4
         for i, a in enumerate(self.coords):
             if not a:
                 continue
@@ -552,10 +623,10 @@ class Zeta8:
         norm = self * conj
         rat = norm.as_rational()
         assert rat is not None and rat != 0, "norm must be a nonzero rational"
-        return conj * (1 / rat)
+        return conj * _div(1, rat)
 
     def as_rational(self):
-        """Return the Fraction value if the element is rational, else None."""
+        """Return the rational value if the element is rational, else None."""
         c0, c1, c2, c3 = self.coords
         if c1 == 0 and c2 == 0 and c3 == 0:
             return c0
@@ -569,7 +640,11 @@ class Zeta8:
 
 def eval_zeta8(p: LaurentPoly) -> Zeta8:
     """Ring map sending A to an eighth root of unity (A^4 -> -1)."""
-    total = Zeta8.zero()
+    coords = [0, 0, 0, 0]
     for e, c in p.coeffs.items():
-        total = total + Zeta8.generator_power(e) * c
-    return total
+        e %= 8
+        if e < 4:
+            coords[e] += c
+        else:
+            coords[e - 4] -= c
+    return Zeta8(tuple(coords))

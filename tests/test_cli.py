@@ -4,6 +4,7 @@ batch fan-out, and the user-invocable oracle suite."""
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 import time
@@ -299,6 +300,60 @@ def test_worker_count_is_capped_by_lines_and_cpus():
 
 
 # ---------------------------------------------------------------------------
+# Error contract under random input
+# ---------------------------------------------------------------------------
+
+_FUZZ_TOKENS = (
+    "0", "1", "-1", "2", "-3", "+4", "7", "-12", "00", "-0", "+-2", "--1",
+    "9" * 25, "-" + "8" * 40, "1000000", "1" + "0" * 5000, "inf", "-inf",
+    "Inf", "nan", "1.5", "1e3", "0x1f", "\u0663", "\uff15", "\u00b2", "x",
+    "[", "]", "[]", "", "\u2212" + "3", "\U0001d7d9",
+)
+_FUZZ_SPACES = (" ", "  ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "")
+
+
+def _fuzz_notation(rng):
+    """Mostly well-formed bracket notation, with hostile tokens, spacing,
+    brackets and trailing text mixed in."""
+    space = lambda: rng.choice(_FUZZ_SPACES) if rng.random() < 0.3 else ""
+    sep = lambda: rng.choice(_FUZZ_SPACES) if rng.random() < 0.2 else " "
+    tokens = [rng.choice(_FUZZ_TOKENS) if rng.random() < 0.1
+              else str(rng.randint(-6, 6) or 1) for _ in range(rng.randint(0, 6))]
+    if rng.random() < 0.05:
+        tokens = ["inf"]
+    body = "".join(sep() + t for t in tokens).lstrip(" ")
+    opening, closing, tail = "[", "]", ""
+    if rng.random() < 0.15:
+        opening = rng.choice(("", "[[", "(", "]"))
+    if rng.random() < 0.15:
+        closing = rng.choice(("", "]]", ")", "["))
+    if rng.random() < 0.1:
+        tail = rng.choice(("x", " [1]", "\x00", "inf"))
+    return space() + opening + space() + body + space() + closing + tail
+
+
+_FUZZ_COMMANDS = (
+    ("fraction",), ("canonical",), ("bracket",), ("closure",), ("colored", "--n", "1"),
+)
+
+
+def test_random_notation_keeps_the_error_contract():
+    rng = random.Random(20261018)
+    notations = [_fuzz_notation(rng) for _ in range(300)]
+    for notation in notations:
+        for command in _FUZZ_COMMANDS:
+            code, out = run_cli(*command, "--", notation)
+            lines = out.splitlines()
+            assert len(lines) == 1, (command, notation, out)
+            payload = json.loads(lines[0])
+            assert isinstance(payload, dict)
+            if code == 0:
+                assert "error" not in payload, (command, notation)
+            else:
+                assert code == 2 and list(payload) == ["error"], (command, notation)
+
+
+# ---------------------------------------------------------------------------
 # Oracle suite and rendering
 # ---------------------------------------------------------------------------
 
@@ -317,6 +372,17 @@ def test_oracle_check_validates_budget():
     code, out = run_cli("oracle-check", "--max-crossings", "99")
     assert code == 2
     assert "16" in json.loads(out)["error"]
+
+
+def test_oracle_check_bounds_count():
+    for count in ("-5", "0", str(10 ** 9)):
+        start = time.perf_counter()
+        code, out = run_cli("oracle-check", "--count", count, "--max-crossings", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        [line] = out.splitlines()
+        error = json.loads(line)["error"]
+        assert "10000" in error and count in error
 
 
 def test_render_ascii_shows_twist_runs():

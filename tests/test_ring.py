@@ -5,7 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from tanglekit.ring import LaurentPoly, RatFunc, Zeta8, eval_zeta8
+from tanglekit.ring import (
+    LaurentPoly,
+    RatFunc,
+    Zeta8,
+    _div,
+    _poly_gcd,
+    eval_zeta8,
+    poly_exact_div,
+    poly_lcm,
+)
 
 A = LaurentPoly.variable()
 DELTA = -(A ** 2) - LaurentPoly.monomial(-2)
@@ -128,6 +137,149 @@ def test_as_laurent():
     assert RatFunc.from_laurent(A ** 2).as_laurent() == A ** 2
     with pytest.raises(ValueError):
         (RatFunc.one() / RatFunc.from_laurent(A + 1)).as_laurent()
+
+
+# ---------------------------------------------------------------------------
+# Referee: monic Euclid over Q with Fraction coefficients
+# ---------------------------------------------------------------------------
+
+def _ref_divmod(a, b):
+    a = {e: Fraction(c) for e, c in a.items()}
+    db = max(b)
+    q = {}
+    while a and max(a) >= db:
+        da = max(a)
+        f = a[da] / Fraction(b[db])
+        q[da - db] = f
+        for e, c in b.items():
+            k = e + da - db
+            s = a.get(k, 0) - f * c
+            if s:
+                a[k] = s
+            else:
+                a.pop(k, None)
+    return q, a
+
+
+def _ref_gcd(a, b):
+    """Monic gcd over Q by Euclid's algorithm."""
+    a, b = dict(a), dict(b)
+    while b:
+        _, r = _ref_divmod(a, b)
+        a, b = b, r
+    if not a:
+        return {}
+    lead = Fraction(a[max(a)])
+    return {e: c / lead for e, c in a.items()}
+
+
+def _ref_normalized(num, den):
+    """Canonical (num, den) coefficient dicts, computed over Q."""
+    sn, sd = num.min_exp(), den.min_exp()
+    n = {e - sn: c for e, c in num.coeffs.items()}
+    d = {e - sd: c for e, c in den.coeffs.items()}
+    g = _ref_gcd(n, d)
+    n, _ = _ref_divmod(n, g)
+    d, _ = _ref_divmod(d, g)
+    scale = LaurentPoly(d).content() * (1 if d[min(d)] > 0 else -1)
+    return (
+        {e + sn - sd: c / scale for e, c in n.items()},
+        {e: c / scale for e, c in d.items()},
+    )
+
+
+def _ordinary(rng, integer, degree=4):
+    coeffs = {}
+    for e in range(rng.randint(0, degree) + 1):
+        c = rng.randint(-9, 9)
+        if not integer:
+            c = Fraction(c, rng.randint(1, 6))
+        if c:
+            coeffs[e] = c
+    return coeffs
+
+
+def _times(a, b):
+    return (LaurentPoly(a) * LaurentPoly(b)).coeffs
+
+
+def _assert_stored_form(p):
+    for c in p.coeffs.values():
+        assert type(c) in (int, Fraction)
+        assert type(c) is int or c.denominator != 1
+
+
+@pytest.mark.parametrize("integer", [True, False])
+def test_gcd_matches_monic_euclid_up_to_a_unit(integer):
+    rng = random.Random(30 + integer)
+    for _ in range(150):
+        f = _ordinary(rng, integer, 3)
+        a = _times(f, _ordinary(rng, integer))
+        b = _times(f, _ordinary(rng, integer))
+        if not a and not b:
+            continue
+        g = _poly_gcd(a, b)
+        ref = _ref_gcd(a, b)
+        assert g.keys() == ref.keys()
+        lead = g[max(g)]
+        assert lead > 0
+        assert all(type(c) is int for c in g.values())
+        assert LaurentPoly(g).content() == 1
+        assert {e: Fraction(c, lead) for e, c in g.items()} == ref
+
+
+def test_normalized_matches_fraction_reference():
+    rng = random.Random(31)
+    checked = 0
+    while checked < 150:
+        integer = rng.random() < 0.7
+        f = LaurentPoly(_ordinary(rng, integer, 2)).shift(rng.randint(-3, 3))
+        num = f * LaurentPoly(_ordinary(rng, integer)).shift(rng.randint(-3, 3))
+        den = f * LaurentPoly(_ordinary(rng, integer)).shift(rng.randint(-3, 3))
+        if num.is_zero or den.is_zero:
+            continue
+        checked += 1
+        r = RatFunc.normalized(num, den)
+        ref_num, ref_den = _ref_normalized(num, den)
+        assert (r.num.coeffs, r.den.coeffs) == (ref_num, ref_den)
+        _assert_stored_form(r.num)
+        _assert_stored_form(r.den)
+
+
+def test_coefficients_keep_the_stored_form():
+    rng = random.Random(32)
+    assert type(LaurentPoly({0: Fraction(6, 2)}).coeffs[0]) is int
+    assert LaurentPoly({0: 0.5}).coeffs[0] == Fraction(1, 2)
+    assert type(LaurentPoly({0: 0.5}).coeffs[0]) is Fraction
+    for _ in range(100):
+        p, q = random_poly(rng), random_poly(rng)
+        results = [p + q, p - q, p * q, -p, 2 * p, p * Fraction(1, 3)]
+        if not (p.is_zero or q.is_zero):
+            results.append(poly_lcm(p, q))
+        if not q.is_zero:
+            results.append(poly_exact_div(p * q, q))
+            x = RatFunc.normalized(p, q)
+            results += [x.num, x.den, (x * x).num, (x + RatFunc.one()).num]
+        for r in results:
+            _assert_stored_form(r)
+
+
+def test_exact_division_rule():
+    assert _div(7, 2) == Fraction(7, 2)
+    assert type(_div(7, 2)) is Fraction
+    assert _div(6, 2) == 3 and type(_div(6, 2)) is int
+    assert type(_div(Fraction(3, 2), Fraction(1, 2))) is int
+    with pytest.raises(ZeroDivisionError):
+        _div(1, 0)
+
+
+def test_normalize_with_non_unit_leading_coefficients():
+    # Neither leading coefficient is a unit, so a float quotient step
+    # would keep the gcd loop from ever reaching a zero remainder.
+    common = 2 * A + 1
+    r = RatFunc.normalized(common * (3 * A + 2), common * (5 * A + 7))
+    assert (r.num, r.den) == (3 * A + 2, 5 * A + 7)
+    assert str(r) == "(3*A + 2)/(5*A + 7)"
 
 
 # ---------------------------------------------------------------------------
