@@ -10,19 +10,24 @@ Subcommands fall into four groups:
 
 Tangles are written in bracket notation, ``"[3 2 -3]"`` or ``"[inf]"``.
 Output is compact JSON by default and ``--text`` switches to a readable
-rendering; the output is a pure function of the arguments.  Errors are
-reported on stdout as ``{"error": "..."}`` with exit code 2.  The two
+rendering; the output is a pure function of the arguments.  Errors,
+argument errors included, are reported on stdout as one JSON line
+``{"error": "..."}`` with exit code 2, under ``--text`` too.  The two
 equivalence commands exit 0 when equivalent and 1 when not, so they can
 drive shell scripts.
+
+A single-tangle subcommand reads either one tangle argument or, with
+``--batch FILE``, one tangle per line; a single tangle is a batch of one.
+Lines are evaluated in this process, in input order, one output line
+each, and a bad line prints its error line and sets exit code 2 without
+stopping the batch.
 """
 
 import argparse
 import json
-import os
 import random
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .annulus import (
     chebyshev_convert,
@@ -43,7 +48,7 @@ from .tangles import (
     rational_to_diagram,
     to_twist_word,
 )
-from .tl import MAX_PROJECTOR_STRANDS, colored_expand, colored_ratios
+from .tl import MAX_PROJECTOR_STRANDS, check_cable_width, colored_expand, colored_ratios
 
 
 # ---------------------------------------------------------------------------
@@ -138,21 +143,15 @@ def _chebyshev_text(coords) -> str:
 def _closure_payload(e, basis):
     """JSON payload and text form of an annulus element, in the requested
     basis (both when basis is None)."""
-    z = {str(k): str(e.coefficient(k)) for k in sorted(e.coeffs)}
-    cheb = [str(c) for c in chebyshev_convert(e)]
-    payload = {}
-    if basis in (None, "z"):
-        payload["z"] = z
-    if basis in (None, "chebyshev"):
-        payload["chebyshev"] = cheb
-    text = _chebyshev_text(chebyshev_convert(e)) if basis == "chebyshev" else str(e)
+    payload, text = {}, str(e)
+    if basis != "chebyshev":
+        payload["z"] = {str(k): str(e.coefficient(k)) for k in sorted(e.coeffs)}
+    if basis != "z":
+        cheb = chebyshev_convert(e)
+        payload["chebyshev"] = [str(c) for c in cheb]
+        if basis == "chebyshev":
+            text = _chebyshev_text(cheb)
     return payload, text
-
-
-def _check_color(n: int) -> int:
-    if n < 1:
-        raise ValueError("cable width must be a positive integer")
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +205,7 @@ def _classify_payload(notation, opts):
 
 
 def _colored_payload(notation, opts):
-    n = _check_color(opts["n"])
+    n = opts["n"]
     gammas = colored_expand(_parse_tangle_arg(notation), n)
     ratios = colored_ratios(gammas)
     payload = {
@@ -220,7 +219,7 @@ def _colored_payload(notation, opts):
 
 
 def _colored_closure_payload(notation, opts):
-    n = _check_color(opts["n"])
+    n = opts["n"]
     e = colored_closure(_parse_tangle_arg(notation), n)
     payload, text = _closure_payload(e, opts.get("basis"))
     return {"n": n, **payload}, text
@@ -270,19 +269,14 @@ def _emit(args, payload, text):
     print(text if args.fmt == "text" else _dump(payload))
 
 
-def _opts_from_args(args) -> dict:
-    return {"n": getattr(args, "n", 1), "basis": getattr(args, "basis", None)}
-
-
-def _batch_worker(item):
-    """Evaluate one batch line; errors ride back as payloads so a bad line
-    cannot take down the worker pool."""
-    name, notation, opts = item
+def _evaluate(command, notation, opts, fmt):
+    """Exit code and output line for one tangle.  Any failure becomes the
+    JSON error line, so one bad line cannot stop a batch."""
     try:
-        payload, text = _PAYLOAD_FNS[name](notation, opts)
-        return 0, payload, text
+        payload, text = _PAYLOAD_FNS[command](notation, opts)
     except Exception as exc:
-        return 2, {"error": str(exc)}, f"error: {exc}"
+        return 2, _dump({"error": str(exc)})
+    return 0, text if fmt == "text" else _dump(payload)
 
 
 def _read_batch(path):
@@ -294,38 +288,24 @@ def _read_batch(path):
     return [line.strip() for line in data.splitlines() if line.strip()]
 
 
-def _worker_count(jobs: int, lines: int, cpus) -> int:
-    """Processes for a batch: never more than its lines or the CPUs.
-
-    The pool may start all of its workers on the first submit, so the
-    requested --jobs alone must not size it.
-    """
-    return max(1, min(jobs, lines, cpus or 1))
-
-
 def _cmd_single(args) -> int:
-    fn = _PAYLOAD_FNS[args.command]
-    opts = _opts_from_args(args)
-    if getattr(args, "jobs", 1) < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    if getattr(args, "batch", None):
-        items = [(args.command, line, opts) for line in _read_batch(args.batch)]
-        workers = _worker_count(args.jobs, len(items), os.cpu_count())
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_batch_worker, items))
-        else:
-            results = [_batch_worker(item) for item in items]
-        code = 0
-        for rc, payload, text in results:
-            print(text if args.fmt == "text" else _dump(payload))
-            code = max(code, rc)
-        return code
-    if args.tangle is None:
+    batch = getattr(args, "batch", None)
+    if batch is not None:
+        if args.tangle is not None:
+            raise ValueError("give either a tangle argument or --batch FILE, not both")
+        lines = _read_batch(batch)
+    elif args.tangle is None:
         raise ValueError("a tangle argument or --batch FILE is required")
-    payload, text = fn(args.tangle, opts)
-    _emit(args, payload, text)
-    return 0
+    else:
+        lines = [args.tangle]
+    opts = {"n": check_cable_width(getattr(args, "n", 1)),
+            "basis": getattr(args, "basis", None)}
+    code = 0
+    for line in lines:
+        rc, out = _evaluate(args.command, line, opts, args.fmt)
+        print(out)
+        code = max(code, rc)
+    return code
 
 
 def _cmd_schubert(args) -> int:
@@ -409,8 +389,17 @@ def _format_flags(sp, default):
     sp.set_defaults(fmt=default)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors as ValueError, so that main reports them as one
+    JSON error line instead of usage text on stderr.  Subparsers inherit
+    the class."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="tanglekit",
         description="Exact invariants of rational 2-tangles and their "
                     "solid-torus closures.",
@@ -424,8 +413,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if batch:
             sp.add_argument("--batch", metavar="FILE",
                             help="read one tangle per line from FILE ('-' for stdin)")
-            sp.add_argument("--jobs", type=int, default=1,
-                            help="worker processes for --batch")
         _format_flags(sp, fmt)
         sp.set_defaults(handler=_cmd_single)
         return sp
@@ -489,9 +476,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         return args.handler(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(_dump({"error": str(exc)}))

@@ -65,6 +65,7 @@ __all__ = [
     "jones_wenzl",
     "quantum_coeffs",
     "bni_basis",
+    "check_cable_width",
     "colored_expand",
     "colored_ratios",
 ]
@@ -791,6 +792,19 @@ def quantum_coeffs(n: int, i: int) -> QuantumCoeffs:
 _bni_cache = {}
 
 
+def check_cable_width(n: int) -> int:
+    """Return n if it is a usable cable width, else raise ValueError.
+
+    A width-n cable needs a projector on 2n strands, so n runs from 1 to
+    MAX_PROJECTOR_STRANDS // 2.
+    """
+    if not 1 <= n <= MAX_PROJECTOR_STRANDS // 2:
+        raise ValueError(
+            f"cable width must be between 1 and {MAX_PROJECTOR_STRANDS // 2}, got {n}"
+        )
+    return n
+
+
 def bni_basis(n: int) -> list:
     """Basis of the cabled 2-tangle subspace of TL_2n, one element per
     through-color 2i.
@@ -801,11 +815,7 @@ def bni_basis(n: int) -> list:
     nothing across) to n (full bridge).  Built upright and then turned
     a quarter turn so the bridge runs horizontally.
     """
-    if 2 * n > MAX_PROJECTOR_STRANDS:
-        raise ValueError(
-            f"cable width {n} needs a projector on {2 * n} strands, "
-            f"beyond the bound {MAX_PROJECTOR_STRANDS}"
-        )
+    check_cable_width(n)
     if n not in _bni_cache:
         frame = _frame_split(n)
         basis = []
@@ -846,11 +856,7 @@ def colored_element(t, n: int) -> TLElement:
     n-strand projector (the projector absorbs its own copies, so where
     along the strand it sits does not matter).
     """
-    if 2 * n > MAX_PROJECTOR_STRANDS:
-        raise ValueError(
-            f"cable width {n} needs a projector on {2 * n} strands, "
-            f"beyond the bound {MAX_PROJECTOR_STRANDS}"
-        )
+    check_cable_width(n)
     if isinstance(t, PlanarTangleDiagram):
         base = _diagram_element(t, n)
     else:

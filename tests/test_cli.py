@@ -1,9 +1,10 @@
 """Command-line interface: notation parsing, golden outputs, exit codes,
-batch fan-out, and the user-invocable oracle suite."""
+batch mode, argument errors, and the user-invocable oracle suite."""
 
 import contextlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -11,10 +12,10 @@ import time
 
 import pytest
 
+from tanglekit import cli
 from tanglekit.cli import (
     INFINITY_TANGLE,
     TangleNotationError,
-    _worker_count,
     main,
     parse_tangle_notation,
 )
@@ -23,12 +24,18 @@ from tanglekit.tangles import build_rational
 from tanglekit.tl import colored_expand
 
 
+def run_cli_streams(*argv):
+    """Invoke main() in-process, capturing stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
 def run_cli(*argv):
     """Invoke main() in-process, capturing stdout."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main(list(argv))
-    return code, buf.getvalue()
+    code, out, _ = run_cli_streams(*argv)
+    return code, out
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +210,16 @@ def test_colored_closure_matches_bracket_closure_at_width_one():
     assert colored["chebyshev"] == plain["chebyshev"]
 
 
-def test_colored_rejects_bad_width():
+def test_colored_rejects_bad_width(tmp_path):
+    batch = tmp_path / "tangles.txt"
+    batch.write_text("[1]\n[2 2]\n", encoding="utf-8")
     for n in ("0", "4"):
-        code, out = run_cli("colored", "[1]", "--n", n)
-        assert code == 2
-        assert "error" in json.loads(out)
+        for command in ("colored", "colored-closure"):
+            for source in (("[1]",), ("--batch", str(batch))):
+                code, out = run_cli(command, *source, "--n", n)
+                assert code == 2
+                [line] = out.splitlines()
+                assert "between 1 and 3" in json.loads(line)["error"]
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +282,21 @@ def test_batch_preserves_order_and_flags_bad_lines(tmp_path):
     assert len(lines) == 4
     assert [json.loads(s).get("p") for s in lines[:3]] == [1, 5, 12]
     assert "error" in json.loads(lines[3])
+    code, out = run_cli("fraction", "--batch", str(batch), "--text")
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[:3] == ["1 (parity o/o)", "5/2 (parity o/e)", "12/5 (parity e/o)"]
+    assert list(json.loads(lines[3])) == ["error"]
 
 
-def test_batch_worker_pool_matches_serial(tmp_path):
+def test_single_tangle_prints_what_a_batch_of_one_prints(tmp_path):
     batch = tmp_path / "tangles.txt"
-    batch.write_text("[1]\n[2 2]\n[-2 3 2]\n[3 2 -3]\n", encoding="utf-8")
-    code_a, serial = run_cli("classify", "--batch", str(batch))
-    code_b, pooled = run_cli("classify", "--batch", str(batch), "--jobs", "2")
-    assert code_a == 0 and code_b == 0
-    assert pooled == serial
+    for notation in ("[3 2 -3]", "[inf]", "[3 0 2]"):
+        batch.write_text(notation + "\n", encoding="utf-8")
+        for command in ("fraction", "bracket", "closure", "classify"):
+            for fmt in ("--json", "--text"):
+                single = run_cli(command, notation, fmt)
+                assert single == run_cli(command, "--batch", str(batch), fmt)
 
 
 def test_batch_rejects_jobs_below_one(tmp_path):
@@ -291,12 +309,45 @@ def test_batch_rejects_jobs_below_one(tmp_path):
         assert "--jobs" in json.loads(line)["error"]
 
 
-def test_worker_count_is_capped_by_lines_and_cpus():
-    assert _worker_count(5000, 2, 8) == 2
-    assert _worker_count(5000, 100, 2) == 2
-    assert _worker_count(3, 100, 8) == 3
-    assert _worker_count(4, 0, 8) == 1
-    assert _worker_count(4, 10, None) == 1
+# ---------------------------------------------------------------------------
+# Argument errors and process state
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, named", [
+    (("fraction", "-inf"), "-inf"),
+    (("colored", "--n", "abc", "[1]"), "--n"),
+    ((), "command"),
+    (("frobnicate", "[1]"), "frobnicate"),
+    (("fraction", "[1]", "[2]"), "[2]"),
+    (("fraction", "--json", "--text", "[1]"), "--text"),
+    (("bracket", "--jobs", "2", "[1]"), "--jobs"),
+    (("fraction", "--batch", os.devnull, "[1]"), "--batch"),
+])
+def test_argument_errors_are_one_json_line(argv, named):
+    code, out, err = run_cli_streams(*argv)
+    assert (code, err) == (2, "")
+    [line] = out.splitlines()
+    payload = json.loads(line)
+    assert list(payload) == ["error"] and named in payload["error"]
+
+
+def test_consecutive_calls_share_no_state(monkeypatch):
+    monkeypatch.setattr(cli, "_build_parser", lambda: pytest.fail("parser rebuilt"))
+    code, out = run_cli("closure", "[1]", "--basis", "z")
+    assert code == 0 and set(json.loads(out)) == {"z"}
+    code, out = run_cli("closure", "[1]")
+    assert code == 0 and set(json.loads(out)) == {"z", "chebyshev"}
+    code, out = run_cli("colored", "[1]", "--n", "2", "--text")
+    assert code == 0 and out.startswith("gamma:")
+    code, out = run_cli("colored", "[1]")
+    assert code == 0 and json.loads(out)["n"] == 1
+
+
+def test_cli_import_loads_no_process_pool():
+    probe = ("import sys, tanglekit.cli; "
+             "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +375,7 @@ def _fuzz_notation(rng):
     body = "".join(sep() + t for t in tokens).lstrip(" ")
     opening, closing, tail = "[", "]", ""
     if rng.random() < 0.15:
-        opening = rng.choice(("", "[[", "(", "]"))
+        opening = rng.choice(("", "[[", "(", "]", "-[", "--"))
     if rng.random() < 0.15:
         closing = rng.choice(("", "]]", ")", "["))
     if rng.random() < 0.1:
@@ -340,9 +391,13 @@ _FUZZ_COMMANDS = (
 def test_random_notation_keeps_the_error_contract():
     rng = random.Random(20261018)
     notations = [_fuzz_notation(rng) for _ in range(300)]
-    for notation in notations:
+    for i, notation in enumerate(notations):
+        # Every other notation comes without "--", so one that starts
+        # with "-" is read as an option and must fail as an argument error.
+        separator = ("--",) if i % 2 else ()
         for command in _FUZZ_COMMANDS:
-            code, out = run_cli(*command, "--", notation)
+            code, out, err = run_cli_streams(*command, *separator, notation)
+            assert err == "", (command, notation, err)
             lines = out.splitlines()
             assert len(lines) == 1, (command, notation, out)
             payload = json.loads(lines[0])

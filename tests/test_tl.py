@@ -7,6 +7,7 @@ import warnings
 import pytest
 
 from tanglekit import tl
+from tanglekit.annulus import colored_closure
 from tanglekit.bracket import bracket_vector
 from tanglekit.ring import LaurentPoly, RatFunc
 from tanglekit.tangles import (
@@ -363,8 +364,12 @@ def test_colored_element_replay_matches_cabled_state_sum():
 
 
 def test_colored_cable_width_bound():
-    with pytest.raises(ValueError):
-        tl.colored_element(RationalTangle.from_entries(1), 4)
+    t = RationalTangle.from_entries(1)
+    for n in (4, 0, -1):
+        for call in (tl.bni_basis, lambda n: tl.colored_element(t, n),
+                     lambda n: tl.colored_expand(t, n), lambda n: colored_closure(t, n)):
+            with pytest.raises(ValueError, match="between 1 and 3"):
+                call(n)
 
 
 def test_ratio_invariants_quotients():
