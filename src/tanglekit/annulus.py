@@ -244,18 +244,20 @@ def element_closure(x) -> AnnulusElement:
 
     Every matching strand becomes part of a circle alternating through
     closure bonds; a circle of total winding 0 is contractible (factor
-    delta) and winding +-1 makes one essential circle (factor z).
+    delta) and winding +-1 makes one essential circle (factor z).  The
+    numerators are summed per power of z and each sum is reduced once
+    over the element's denominator.
     """
     if x.top != x.bottom or x.top % 2:
         raise ValueError("closure needs a 2-tangle element with even width")
-    m = x.top
-    bond_to, bond_w = _closure_bonds(m)
-    out = AnnulusElement.zero()
-    for partner, coeff in x.terms.items():
+    bond_to, bond_w = _closure_bonds(x.top)
+    sums = {}
+    for partner, num in x.nums.items():
         contractible, essential = tl._loop_counts(partner, bond_to, bond_w)
-        term = coeff * delta_power(contractible)
-        out = out + AnnulusElement.core_power(essential, term)
-    return out
+        term = num * delta_power(contractible)
+        prev = sums.get(essential)
+        sums[essential] = term if prev is None else prev + term
+    return AnnulusElement({k: RatFunc.normalized(v, x.den) for k, v in sums.items()})
 
 
 def closure_bracket(t) -> AnnulusElement:
@@ -338,20 +340,8 @@ def homotopy_type(link: SolidTorusRationalLink) -> HomotopyType:
 # ---------------------------------------------------------------------------
 
 def colored_closure(t, n: int) -> AnnulusElement:
-    """Closure of the n-cabled, projector-dressed tangle.
-
-    Expands the colored tangle over the through-color basis and closes
-    basis element i into (theta(n,n,2i)/Delta_2i) * S_2i.
-    """
-    gammas = tl.colored_expand(t, n)
-    total = AnnulusElement.zero()
-    for i, g in enumerate(gammas):
-        if g.is_zero:
-            continue
-        q = tl.quantum_coeffs(n, i)
-        bridge = RatFunc.from_laurent(tl._delta_poly(2 * i))
-        total = total + chebyshev_polynomial(2 * i).scale(g * q.theta / bridge)
-    return total
+    """Closure of the n-cabled, projector-dressed tangle."""
+    return element_closure(tl.colored_element(t, n))
 
 
 def gamma_ratio_invariants(e: AnnulusElement) -> list:

@@ -28,6 +28,7 @@ import json
 import random
 import re
 import sys
+import warnings
 
 from .annulus import (
     chebyshev_convert,
@@ -49,6 +50,10 @@ from .tangles import (
     to_twist_word,
 )
 from .tl import MAX_PROJECTOR_STRANDS, check_cable_width, colored_expand, colored_ratios
+
+
+#: Largest --batch input read, in bytes; longer input is refused whole.
+MAX_BATCH_BYTES = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +212,12 @@ def _classify_payload(notation, opts):
 def _colored_payload(notation, opts):
     n = opts["n"]
     gammas = colored_expand(_parse_tangle_arg(notation), n)
-    ratios = colored_ratios(gammas)
+    # A vanishing top coordinate is reported in the payload instead of
+    # as the library's warning on stderr: the ratios then divide by
+    # gamma_k, k = len(ratios), the last nonzero coordinate.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ratios = colored_ratios(gammas)
     payload = {
         "n": n,
         "gamma": [str(g) for g in gammas],
@@ -215,6 +225,9 @@ def _colored_payload(notation, opts):
     }
     text = "gamma:  " + ", ".join(payload["gamma"])
     text += "\nratios: " + ", ".join(payload["ratios"])
+    if len(ratios) < n:
+        payload["normalized_by"] = len(ratios)
+        text += f"\nnormalized by gamma_{len(ratios)} (top coordinate vanishes)"
     return payload, text
 
 
@@ -281,11 +294,14 @@ def _evaluate(command, notation, opts, fmt):
 
 def _read_batch(path):
     if path == "-":
-        data = sys.stdin.read()
+        data = sys.stdin.buffer.read(MAX_BATCH_BYTES + 1)
     else:
-        with open(path, encoding="utf-8") as fh:
-            data = fh.read()
-    return [line.strip() for line in data.splitlines() if line.strip()]
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_BATCH_BYTES + 1)
+    if len(data) > MAX_BATCH_BYTES:
+        raise ValueError(f"batch input exceeds the bound of {MAX_BATCH_BYTES} bytes")
+    text = data.decode("utf-8")
+    return [line.strip() for line in text.splitlines() if line.strip()]
 
 
 def _cmd_single(args) -> int:

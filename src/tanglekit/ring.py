@@ -33,6 +33,7 @@ __all__ = [
     "as_ratfunc",
     "delta_power",
     "eval_zeta8",
+    "normalize_over",
 ]
 
 
@@ -372,6 +373,50 @@ def _is_poly_one(p: LaurentPoly) -> bool:
     return p.coeffs == _ONE_COEFFS
 
 
+_ZERO_POLY = LaurentPoly.zero()
+_ONE_POLY = LaurentPoly.one()
+
+
+def normalize_over(nums: dict, den: LaurentPoly):
+    """Reduce a dict of numerators over one shared denominator.
+
+    Returns (nums, den) in canonical form, with every quotient
+    nums[k] / den unchanged: zero numerators dropped, den an ordinary
+    polynomial with coprime integer coefficients and positive constant
+    term, and no polynomial factor common to den and all the numerators
+    together (den is 1 when no numerator is left).  With one numerator
+    this is the canonical form of a RatFunc.
+    """
+    if den.is_zero:
+        raise ZeroDivisionError("rational function with zero denominator")
+    nums = {k: v for k, v in nums.items() if v.coeffs}
+    if not nums:
+        return nums, _ONE_POLY
+    if _is_poly_one(den):
+        return nums, den
+    sd = min(den.coeffs)
+    g = {e - sd: c for e, c in den.coeffs.items()}
+    for v in nums.values():
+        if len(g) == 1:
+            break
+        sn = min(v.coeffs)
+        g = _poly_gcd(g, {e - sn: c for e, c in v.coeffs.items()})
+    if len(g) > 1:
+        g = LaurentPoly(g)
+        den = poly_exact_div(den, g)
+        nums = {k: poly_exact_div(v, g) for k, v in nums.items()}
+    scale = _content(den.coeffs.values())
+    if den.coeffs[sd] < 0:
+        scale = -scale
+    if scale != 1 or sd:
+        nums = {
+            k: LaurentPoly({e - sd: _div(c, scale) for e, c in v.coeffs.items()})
+            for k, v in nums.items()
+        }
+        den = LaurentPoly({e - sd: _div(c, scale) for e, c in den.coeffs.items()})
+    return nums, den
+
+
 @dataclass(frozen=True)
 class RatFunc:
     """A quotient of Laurent polynomials in canonical form.
@@ -387,26 +432,8 @@ class RatFunc:
 
     @staticmethod
     def normalized(num: LaurentPoly, den: LaurentPoly) -> "RatFunc":
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            return RatFunc(LaurentPoly.zero(), LaurentPoly.one())
-        if _is_poly_one(den):
-            return RatFunc(num, den)
-        sn, sd = num.min_exp(), den.min_exp()
-        n = {e - sn: c for e, c in num.coeffs.items()}
-        d = {e - sd: c for e, c in den.coeffs.items()}
-        g = _poly_gcd(n, d)
-        if len(g) > 1:
-            n, rn = _poly_divmod(n, g)
-            d, rd = _poly_divmod(d, g)
-            assert not rn and not rd, "gcd division must be exact"
-        scale = _content(d.values())
-        if d[min(d)] < 0:
-            scale = -scale
-        n = {e + sn - sd: _div(c, scale) for e, c in n.items()}
-        d = {e: _div(c, scale) for e, c in d.items()}
-        return RatFunc(LaurentPoly(n), LaurentPoly(d))
+        nums, den = normalize_over({0: num}, den)
+        return RatFunc(nums.get(0, _ZERO_POLY), den)
 
     # -- constructors -------------------------------------------------------
 

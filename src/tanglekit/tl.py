@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from types import MappingProxyType
 
 from . import oracle
 from .ring import (
@@ -24,6 +25,7 @@ from .ring import (
     RatFunc,
     as_ratfunc,
     delta_power,
+    normalize_over,
     poly_exact_div,
     poly_lcm,
 )
@@ -139,37 +141,68 @@ def enumerate_matchings(top: int, bottom: int = None) -> list:
 class TLElement:
     """Linear combination of crossingless matchings with RatFunc weights.
 
-    top and bottom give the number of boundary points on each edge; the
-    terms dict maps partner tuples to nonzero coefficients.
+    top and bottom give the number of boundary points on each edge.  The
+    element is stored in one canonical form: nums maps partner tuples to
+    nonzero LaurentPoly numerators over the one shared denominator den,
+    an ordinary, integer-primitive polynomial with positive constant
+    term that shares no factor with all the numerators together.  Equal
+    elements therefore have equal fields.  terms is a read-only view of
+    the reduced weight nums[k] / den of each matching.
     """
 
-    __slots__ = ("top", "bottom", "terms")
+    __slots__ = ("top", "bottom", "nums", "den", "_terms")
 
     def __init__(self, top: int, bottom: int, terms=None):
         self.top = int(top)
         self.bottom = int(bottom)
         m = self.top + self.bottom
-        clean = {}
-        if terms:
-            for partner, c in terms.items():
-                c = as_ratfunc(c)
-                if c.is_zero:
-                    continue
-                partner = tuple(partner)
-                if len(partner) != m or any(
-                    partner[partner[i]] != i or partner[i] == i for i in range(m)
-                ):
-                    raise ValueError(f"not a perfect matching of {m} points: {partner}")
-                if not _is_planar_matching(partner, self.top, self.bottom):
-                    raise ValueError(f"matching is not crossingless: {partner}")
-                clean[partner] = c
-        self.terms = clean
+        weights = {}
+        den = LaurentPoly.one()
+        for partner, c in (terms or {}).items():
+            c = as_ratfunc(c)
+            if c.is_zero:
+                continue
+            partner = tuple(partner)
+            if len(partner) != m or any(
+                partner[partner[i]] != i or partner[i] == i for i in range(m)
+            ):
+                raise ValueError(f"not a perfect matching of {m} points: {partner}")
+            if not _is_planar_matching(partner, self.top, self.bottom):
+                raise ValueError(f"matching is not crossingless: {partner}")
+            weights[partner] = c
+            if c.den != den:
+                den = poly_lcm(den, c.den)
+        nums = {
+            k: c.num if c.den == den else c.num * poly_exact_div(den, c.den)
+            for k, c in weights.items()
+        }
+        self.nums, self.den = normalize_over(nums, den)
+        self._terms = None
+
+    @classmethod
+    def _of(cls, top: int, bottom: int, nums: dict, den: LaurentPoly) -> "TLElement":
+        """Element from numerators and a denominator already in canonical form."""
+        x = cls.__new__(cls)
+        x.top, x.bottom, x.nums, x.den, x._terms = top, bottom, nums, den, None
+        return x
+
+    @classmethod
+    def _reduced(cls, top: int, bottom: int, nums: dict, den: LaurentPoly) -> "TLElement":
+        return cls._of(top, bottom, *normalize_over(nums, den))
 
     # -- structure ------------------------------------------------------
 
     @property
+    def terms(self):
+        if self._terms is None:
+            self._terms = MappingProxyType(
+                {k: RatFunc.normalized(v, self.den) for k, v in self.nums.items()}
+            )
+        return self._terms
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def coefficient(self, partner) -> RatFunc:
         return self.terms.get(tuple(partner), RatFunc.zero())
@@ -180,11 +213,12 @@ class TLElement:
         return (
             self.top == other.top
             and self.bottom == other.bottom
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.top, self.bottom, frozenset(self.terms.items())))
+        return hash((self.top, self.bottom, self.den, frozenset(self.nums.items())))
 
     # -- linear operations ------------------------------------------------
 
@@ -199,21 +233,21 @@ class TLElement:
         if not isinstance(other, TLElement):
             return NotImplemented
         self._require_same_shape(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, RatFunc.zero()) + c
-            if s.is_zero:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        result = TLElement(self.top, self.bottom)
-        result.terms = out
-        return result
+        den, xs, ys = self.den, self.nums, other.nums
+        if other.den != den:
+            den = poly_lcm(self.den, other.den)
+            fx, fy = poly_exact_div(den, self.den), poly_exact_div(den, other.den)
+            xs = {k: v * fx for k, v in xs.items()}
+            ys = {k: v * fy for k, v in ys.items()}
+        out = dict(xs)
+        for k, v in ys.items():
+            prev = out.get(k)
+            out[k] = v if prev is None else prev + v
+        return TLElement._reduced(self.top, self.bottom, out, den)
 
     def __neg__(self) -> "TLElement":
-        result = TLElement(self.top, self.bottom)
-        result.terms = {k: -c for k, c in self.terms.items()}
-        return result
+        nums = {k: -v for k, v in self.nums.items()}
+        return TLElement._of(self.top, self.bottom, nums, self.den)
 
     def __sub__(self, other) -> "TLElement":
         if not isinstance(other, TLElement):
@@ -222,15 +256,13 @@ class TLElement:
 
     def scale(self, c) -> "TLElement":
         c = as_ratfunc(c)
-        result = TLElement(self.top, self.bottom)
-        if not c.is_zero:
-            result.terms = {k: v * c for k, v in self.terms.items()}
-        return result
+        nums = {k: v * c.num for k, v in self.nums.items()}
+        return TLElement._reduced(self.top, self.bottom, nums, self.den * c.den)
 
     # -- rendering --------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
         for k in sorted(self.terms):
@@ -282,96 +314,14 @@ def unit_element(n: int, kind: str) -> TLElement:
 # The glue engine
 # ---------------------------------------------------------------------------
 #
-# Gluing is done over a common denominator: an element is split into a
-# dict of LaurentPoly numerators plus one shared denominator, the whole
-# double loop then runs in plain polynomial arithmetic, and each output
-# coefficient is reduced exactly once at the end.  Exact gcd reduction
-# of rational functions is by far the dominant cost, so keeping it out
-# of the inner loop is what makes projector-sized products feasible.
-
-_ONE_POLY = LaurentPoly.one()
-
-
-class _Split:
-    """Internal form of an element: polynomial numerators / one denominator."""
-
-    __slots__ = ("top", "bottom", "terms", "den")
-
-    def __init__(self, top, bottom, terms, den):
-        self.top = top
-        self.bottom = bottom
-        self.terms = terms
-        self.den = den
-
-
-def _split(x: TLElement) -> _Split:
-    den = _ONE_POLY
-    for c in x.terms.values():
-        if c.den.coeffs != _ONE_POLY.coeffs and c.den.coeffs != den.coeffs:
-            den = c.den if den.coeffs == _ONE_POLY.coeffs else poly_lcm(den, c.den)
-    if den.coeffs == _ONE_POLY.coeffs:
-        terms = {k: c.num for k, c in x.terms.items()}
-    else:
-        terms = {
-            k: c.num * poly_exact_div(den, c.den) for k, c in x.terms.items()
-        }
-    return _Split(x.top, x.bottom, terms, den)
-
-
-def _unsplit(s: _Split) -> TLElement:
-    result = TLElement(s.top, s.bottom)
-    if s.den.coeffs == _ONE_POLY.coeffs:
-        result.terms = {
-            k: RatFunc(v, _ONE_POLY) for k, v in s.terms.items() if not v.is_zero
-        }
-    else:
-        result.terms = {}
-        for k, v in s.terms.items():
-            if not v.is_zero:
-                c = RatFunc.normalized(v, s.den)
-                if not c.is_zero:
-                    result.terms[k] = c
-    return result
-
-
-def _compose_split(x: _Split, y: _Split) -> _Split:
-    acc = {}
-    for ma, ca in x.terms.items():
-        for mb, cb in y.terms.items():
-            m, loops = _glue_matchings(ma, mb, x.top, x.bottom, y.bottom)
-            c = ca * cb
-            if loops:
-                c = c * delta_power(loops)
-            prev = acc.get(m)
-            acc[m] = c if prev is None else prev + c
-    return _Split(x.top, y.bottom, acc, x.den * y.den)
-
-
-def _tensor_split(x: _Split, y: _Split) -> _Split:
-    top = x.top + y.top
-    bottom = x.bottom + y.bottom
-
-    def remap_x(i):
-        return i if i < x.top else top + (i - x.top)
-
-    def remap_y(i):
-        return x.top + i if i < y.top else top + x.bottom + (i - y.top)
-
-    acc = {}
-    for ma, ca in x.terms.items():
-        base = [0] * (top + bottom)
-        for i, j in enumerate(ma):
-            base[remap_x(i)] = remap_x(j)
-        for mb, cb in y.terms.items():
-            partner = list(base)
-            for i, j in enumerate(mb):
-                partner[remap_y(i)] = remap_y(j)
-            key = tuple(partner)
-            c = ca * cb
-            prev = acc.get(key)
-            acc[key] = c if prev is None else prev + c
-    return _Split(top, bottom, acc, x.den * y.den)
-
+# Every operation works on the stored form directly: the double loop of
+# a product runs in plain polynomial arithmetic on the numerators, the
+# denominators multiply once, and normalize_over reduces the result
+# once at the end, with one gcd chain over all the numerators that stops
+# as soon as the gcd is a constant.  Exact gcd reduction of rational
+# functions is by far the dominant cost, so keeping it out of the inner
+# loop, and to one chain per product, is what makes projector-sized
+# products feasible.
 
 def _loop_counts(partner, bond_to, bond_w):
     """Count the closed loops made by joining a matching's points in pairs.
@@ -402,17 +352,6 @@ def _loop_counts(partner, bond_to, bond_w):
         else:
             raise AssertionError(f"embedded circle with winding {winding} cannot occur")
     return contractible, essential
-
-
-def _trace_split(s: _Split) -> RatFunc:
-    m = s.top
-    bond_to = [k + m for k in range(m)] + list(range(m))
-    bond_w = [0] * (2 * m)
-    total = LaurentPoly.zero()
-    for partner, coeff in s.terms.items():
-        loops, _ = _loop_counts(partner, bond_to, bond_w)
-        total = total + coeff * delta_power(loops)
-    return RatFunc.normalized(total, s.den)
 
 
 def _glue_matchings(a, b, p: int, q: int, r: int):
@@ -469,7 +408,16 @@ def compose(x: TLElement, y: TLElement) -> TLElement:
             f"size mismatch: cannot join a {x.bottom}-point bottom "
             f"to a {y.top}-point top"
         )
-    return _unsplit(_compose_split(_split(x), _split(y)))
+    acc = {}
+    for ma, ca in x.nums.items():
+        for mb, cb in y.nums.items():
+            m, loops = _glue_matchings(ma, mb, x.top, x.bottom, y.bottom)
+            c = ca * cb
+            if loops:
+                c = c * delta_power(loops)
+            prev = acc.get(m)
+            acc[m] = c if prev is None else prev + c
+    return TLElement._reduced(x.top, y.bottom, acc, x.den * y.den)
 
 
 def tl_multiply(x: TLElement, y: TLElement, n: int = None) -> TLElement:
@@ -486,7 +434,26 @@ def tl_multiply(x: TLElement, y: TLElement, n: int = None) -> TLElement:
 
 def tensor(x: TLElement, y: TLElement) -> TLElement:
     """Place x and y side by side (x on the left)."""
-    return _unsplit(_tensor_split(_split(x), _split(y)))
+    top = x.top + y.top
+    bottom = x.bottom + y.bottom
+
+    def remap_x(i):
+        return i if i < x.top else top + (i - x.top)
+
+    def remap_y(i):
+        return x.top + i if i < y.top else top + x.bottom + (i - y.top)
+
+    acc = {}
+    for ma, ca in x.nums.items():
+        base = [0] * (top + bottom)
+        for i, j in enumerate(ma):
+            base[remap_x(i)] = remap_x(j)
+        for mb, cb in y.nums.items():
+            partner = list(base)
+            for i, j in enumerate(mb):
+                partner[remap_y(i)] = remap_y(j)
+            acc[tuple(partner)] = ca * cb
+    return TLElement._reduced(top, bottom, acc, x.den * y.den)
 
 
 def trace_close(x: TLElement) -> RatFunc:
@@ -497,7 +464,14 @@ def trace_close(x: TLElement) -> RatFunc:
     """
     if x.top != x.bottom:
         raise ValueError("trace closure needs equal top and bottom counts")
-    return _trace_split(_split(x))
+    m = x.top
+    bond_to = [k + m for k in range(m)] + list(range(m))
+    bond_w = [0] * (2 * m)
+    total = LaurentPoly.zero()
+    for partner, num in x.nums.items():
+        loops, _ = _loop_counts(partner, bond_to, bond_w)
+        total = total + num * delta_power(loops)
+    return RatFunc.normalized(total, x.den)
 
 
 # ---------------------------------------------------------------------------
@@ -523,14 +497,12 @@ def _rotate_cw_map(n: int):
 
 def _apply_point_map(x: TLElement, phi) -> TLElement:
     acc = {}
-    for partner, coeff in x.terms.items():
+    for partner, num in x.nums.items():
         out = [0] * len(partner)
         for i, j in enumerate(partner):
             out[phi[i]] = phi[j]
-        acc[tuple(out)] = coeff
-    result = TLElement(x.top, x.bottom)
-    result.terms = acc
-    return result
+        acc[tuple(out)] = num
+    return TLElement._of(x.top, x.bottom, acc, x.den)
 
 
 def _require_cabled_square(x: TLElement) -> int:
@@ -590,28 +562,22 @@ def _braid_labels(d: PlanarTangleDiagram):
     return [lab for _, lab in sorted(tops)], [lab for _, lab in sorted(bottoms)]
 
 
-def state_sum(d: PlanarTangleDiagram, top_labels=None, bottom_labels=None):
-    """Evaluate a diagram by smoothing enumeration.
+def state_sum(d: PlanarTangleDiagram) -> TLElement:
+    """Expand a diagram with boundary over the crossingless matchings of
+    its boundary points by smoothing enumeration.
 
-    Closed diagrams evaluate in the annulus and return an
-    AnnulusElement; diagrams with boundary expand over crossingless
-    matchings of their boundary points and return a TLElement.  The
-    top/bottom reading of the boundary is inferred for 2-tangle corner
-    labels (cabled or not) and t*/b* braid labels, or may be forced by
-    passing explicit label lists.
+    The top/bottom reading of the boundary is inferred for 2-tangle
+    corner labels (cabled or not) and t*/b* braid labels.  Closed
+    diagrams are evaluated by annulus.closure_bracket.
     """
     if not d.boundary:
-        from .annulus import AnnulusElement
-
-        return AnnulusElement.from_laurent_map(oracle.closure_coefficients(d))
-    if top_labels is None or bottom_labels is None:
-        split = _cluster_labels(d) or _braid_labels(d)
-        if split is None:
-            raise ValueError("cannot infer a top/bottom reading of the boundary")
-        top_labels, bottom_labels = split
+        raise ValueError("state_sum needs a diagram with boundary points")
+    split = _cluster_labels(d) or _braid_labels(d)
+    if split is None:
+        raise ValueError("cannot infer a top/bottom reading of the boundary")
+    top_labels, bottom_labels = split
     raw = oracle.matchings_of_diagram(d, top_labels, bottom_labels)
-    terms = {k: RatFunc.from_laurent(v) for k, v in raw.items()}
-    return TLElement(len(top_labels), len(bottom_labels), terms)
+    return TLElement(len(top_labels), len(bottom_labels), raw)
 
 
 _tile_cache = {}
@@ -703,15 +669,6 @@ def _projector(n: int) -> TLElement:
     return _jw_cache[n]
 
 
-_jw_split_cache = {}
-
-
-def _projector_split(n: int) -> _Split:
-    if n not in _jw_split_cache:
-        _jw_split_cache[n] = _split(_projector(n))
-    return _jw_split_cache[n]
-
-
 def jones_wenzl(n: int) -> JonesWenzl:
     """Projector on n strands, built by peeling one strand at a time."""
     if n < 1:
@@ -719,19 +676,14 @@ def jones_wenzl(n: int) -> JonesWenzl:
     return JonesWenzl(n, _projector(n))
 
 
-_frame_split_cache = {}
-
-
-def _frame_split(n: int) -> _Split:
-    if n not in _frame_split_cache:
-        s = _projector_split(n)
-        _frame_split_cache[n] = _tensor_split(s, s)
-    return _frame_split_cache[n]
+_frame_cache = {}
 
 
 def projector_frame(n: int) -> TLElement:
     """Two side-by-side n-strand projectors in TL_2n."""
-    return _unsplit(_frame_split(n))
+    if n not in _frame_cache:
+        _frame_cache[n] = tensor(_projector(n), _projector(n))
+    return _frame_cache[n]
 
 
 # ---------------------------------------------------------------------------
@@ -775,12 +727,10 @@ def quantum_coeffs(n: int, i: int) -> QuantumCoeffs:
     """Loop, bubble, and kink coefficients for colors (n, 2i)."""
     if not 0 <= i <= n:
         raise ValueError(f"edge color index {i} outside 0..{n}")
-    delta = _trace_split(_projector_split(n))
+    delta = trace_close(_projector(n))
     narrow, widen = _pinch_wires(n, i)
-    bubble = _compose_split(
-        _compose_split(_split(widen), _frame_split(n)), _split(narrow)
-    )
-    theta = _trace_split(_compose_split(_projector_split(2 * i), bubble))
+    bubble = compose(compose(widen, projector_frame(n)), narrow)
+    theta = trace_close(compose(_projector(2 * i), bubble))
     mu = LaurentPoly.monomial(-n * n - 2 * n, 1 if n % 2 == 0 else -1)
     return QuantumCoeffs(delta=delta, theta=theta, mu=mu)
 
@@ -817,16 +767,12 @@ def bni_basis(n: int) -> list:
     """
     check_cable_width(n)
     if n not in _bni_cache:
-        frame = _frame_split(n)
+        frame = projector_frame(n)
         basis = []
         for i in range(n + 1):
             narrow, widen = _pinch_wires(n, i)
-            core = _compose_split(
-                _compose_split(_split(narrow), _projector_split(2 * i)),
-                _split(widen),
-            )
-            upright = _compose_split(_compose_split(frame, core), frame)
-            basis.append(rotate_cw(_unsplit(upright)))
+            core = compose(compose(narrow, _projector(2 * i)), widen)
+            basis.append(rotate_cw(compose(compose(frame, core), frame)))
         _bni_cache[n] = basis
     return _bni_cache[n]
 
@@ -862,8 +808,8 @@ def colored_element(t, n: int) -> TLElement:
     else:
         word = t if isinstance(t, TwistWord) else to_twist_word(t)
         base = _word_element(word, n)
-    frame = _frame_split(n)
-    return _unsplit(_compose_split(frame, _compose_split(_split(base), frame)))
+    frame = projector_frame(n)
+    return compose(frame, compose(base, frame))
 
 
 def _solve_in_span(columns, target):

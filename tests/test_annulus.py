@@ -222,11 +222,27 @@ def test_colored_closure_single_cable_is_bracket_closure():
         assert colored_closure(t, 1) == closure_bracket(t)
 
 
-def test_colored_closure_matches_direct_element_closure():
-    for entries in [(1,), (2, 1), (-2, -2)]:
-        t = RationalTangle.from_entries(*entries)
-        direct = element_closure(tl.colored_element(t, 2))
-        assert colored_closure(t, 2) == direct
+def _theta_referee(t, n):
+    """The colored closure assembled from the colored expansion: basis
+    element i closes into (theta(n,n,2i)/Delta_2i) * S_2i."""
+    total = AnnulusElement.zero()
+    for i, g in enumerate(tl.colored_expand(t, n)):
+        q = tl.quantum_coeffs(n, i)
+        bridge = RatFunc.from_laurent(tl._delta_poly(2 * i))
+        total = total + chebyshev_polynomial(2 * i).scale(g * q.theta / bridge)
+    return total
+
+
+def test_colored_closure_matches_theta_referee():
+    rng = random.Random(47)
+    cases = [(INF, 1), (ZERO_T, 2)]
+    while len(cases) < 14:
+        t = build_rational(random_twist_vector(rng, 3, 3))
+        if sum(abs(a) for a in t.tv.entries) <= 5:
+            cases.append((t, 1 + len(cases) % 2))
+    cases += [(RationalTangle.from_entries(2), 3), (RationalTangle.from_entries(1, -1), 3)]
+    for t, n in cases:
+        assert colored_closure(t, n) == _theta_referee(t, n), (t, n)
 
 
 def test_gamma_ratios_pins():

@@ -199,6 +199,25 @@ def test_colored_matches_library():
     assert len(payload["ratios"]) == 1
 
 
+def test_colored_vanishing_top_coordinate_is_reported_in_the_payload():
+    # In a subprocess, because pytest's warning capture would hide a
+    # warning leaking to stderr in-process.
+    for n in ("1", "2"):
+        for fmt in ("--json", "--text"):
+            run = subprocess.run(
+                [sys.executable, "-m", "tanglekit.cli", "colored", "[inf]", "--n", n, fmt],
+                capture_output=True, text=True,
+            )
+            assert (run.returncode, run.stderr) == (0, "")
+            if fmt == "--json":
+                payload = json.loads(run.stdout)
+                assert payload["ratios"] == [] and payload["normalized_by"] == 0
+            else:
+                assert run.stdout.splitlines()[-1].startswith("normalized by gamma_0")
+    code, out = run_cli("colored", "[2 1]", "--n", "2")
+    assert code == 0 and "normalized_by" not in json.loads(out)
+
+
 def test_colored_closure_matches_bracket_closure_at_width_one():
     code_c, out_c = run_cli("colored-closure", "[-2 3 2]", "--n", "1")
     code_z, out_z = run_cli("closure", "[-2 3 2]")
@@ -297,6 +316,38 @@ def test_single_tangle_prints_what_a_batch_of_one_prints(tmp_path):
             for fmt in ("--json", "--text"):
                 single = run_cli(command, notation, fmt)
                 assert single == run_cli(command, "--batch", str(batch), fmt)
+
+
+def test_endless_batch_input_is_refused_at_once():
+    start = time.perf_counter()
+    code, out, err = run_cli_streams("fraction", "--batch", "/dev/zero")
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (2, "")
+    [line] = out.splitlines()
+    assert str(cli.MAX_BATCH_BYTES) in json.loads(line)["error"]
+    with open("/dev/zero", "rb") as zeros:
+        run = subprocess.run([sys.executable, "-m", "tanglekit.cli", "fraction", "--batch", "-"],
+                             stdin=zeros, capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stderr) == (2, "")
+    assert str(cli.MAX_BATCH_BYTES) in json.loads(run.stdout)["error"]
+    run = subprocess.run([sys.executable, "-m", "tanglekit.cli", "fraction", "--batch", "-"],
+                         input="[1]\n[2 2]\n", capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0
+    assert [json.loads(s)["p"] for s in run.stdout.splitlines()] == [1, 5]
+
+
+def test_batch_bound_counts_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_BATCH_BYTES", 64)
+    batch = tmp_path / "tangles.txt"
+    body = "[1]\n" * 16
+    batch.write_text(body, encoding="utf-8")
+    code, out = run_cli("fraction", "--batch", str(batch))
+    assert code == 0 and len(out.splitlines()) == 16
+    batch.write_text(body + "\n", encoding="utf-8")
+    code, out = run_cli("fraction", "--batch", str(batch))
+    assert code == 2
+    [line] = out.splitlines()
+    assert "64 bytes" in json.loads(line)["error"]
 
 
 def test_batch_rejects_jobs_below_one(tmp_path):
@@ -406,6 +457,25 @@ def test_random_notation_keeps_the_error_contract():
                 assert "error" not in payload, (command, notation)
             else:
                 assert code == 2 and list(payload) == ["error"], (command, notation)
+
+
+def test_random_notation_pairs_keep_the_error_contract():
+    rng = random.Random(20261019)
+    for i in range(150):
+        left = _fuzz_notation(rng)
+        right = left if rng.random() < 0.2 else _fuzz_notation(rng)
+        separator = ("--",) if i % 2 else ()
+        for command in ("equiv", "schubert"):
+            code, out, err = run_cli_streams(command, *separator, left, right)
+            assert err == "", (command, left, right, err)
+            lines = out.splitlines()
+            assert len(lines) == 1, (command, left, right, out)
+            payload = json.loads(lines[0])
+            assert isinstance(payload, dict)
+            if code in (0, 1):
+                assert payload["equivalent"] is (code == 0), (command, left, right)
+            else:
+                assert code == 2 and list(payload) == ["error"], (command, left, right)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from tanglekit.ring import (
     _div,
     _poly_gcd,
     eval_zeta8,
+    normalize_over,
     poly_exact_div,
     poly_lcm,
 )
@@ -280,6 +281,42 @@ def test_normalize_with_non_unit_leading_coefficients():
     r = RatFunc.normalized(common * (3 * A + 2), common * (5 * A + 7))
     assert (r.num, r.den) == (3 * A + 2, 5 * A + 7)
     assert str(r) == "(3*A + 2)/(5*A + 7)"
+
+
+def test_normalize_over_is_canonical_and_keeps_every_quotient():
+    rng = random.Random(33)
+    for _ in range(60):
+        integer = rng.random() < 0.7
+        f = LaurentPoly(_ordinary(rng, integer, 2))
+        den = f * LaurentPoly(_ordinary(rng, integer)).shift(rng.randint(-3, 3))
+        if den.is_zero:
+            continue
+        # sometimes every numerator shares the factor f with den
+        shared = f if rng.random() < 0.5 else LaurentPoly.one()
+        nums = {k: shared * LaurentPoly(_ordinary(rng, integer)).shift(rng.randint(-3, 3))
+                for k in range(rng.randint(1, 4))}
+        nums[99] = LaurentPoly.zero()
+        out, d = normalize_over(nums, den)
+        assert set(out) == {k for k, v in nums.items() if not v.is_zero}
+        for k, v in out.items():
+            assert RatFunc.normalized(v, d) == RatFunc.normalized(nums[k], den)
+            _assert_stored_form(v)
+        if not out:
+            assert d == LaurentPoly.one()
+            continue
+        assert min(d.coeffs) == 0 and d.coeffs[0] > 0
+        assert all(type(c) is int for c in d.coeffs.values()) and d.content() == 1
+        g = dict(d.coeffs)
+        for v in out.values():
+            g = _ref_gcd(g, {e - v.min_exp(): c for e, c in v.coeffs.items()})
+        assert len(g) == 1
+        # the one-numerator case is RatFunc.normalized
+        k = next(iter(out))
+        single, sd = normalize_over({k: nums[k]}, den)
+        r = RatFunc.normalized(nums[k], den)
+        assert (single[k], sd) == (r.num, r.den)
+    with pytest.raises(ZeroDivisionError):
+        normalize_over({0: A}, LaurentPoly.zero())
 
 
 # ---------------------------------------------------------------------------

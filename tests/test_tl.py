@@ -9,7 +9,7 @@ import pytest
 from tanglekit import tl
 from tanglekit.annulus import colored_closure
 from tanglekit.bracket import bracket_vector
-from tanglekit.ring import LaurentPoly, RatFunc
+from tanglekit.ring import LaurentPoly, RatFunc, _poly_gcd
 from tanglekit.tangles import (
     RationalTangle,
     build_rational,
@@ -52,6 +52,71 @@ def test_matching_validation():
     # every enumerated matching is accepted
     for m in tl.enumerate_matchings(4, 4):
         tl.TLElement(4, 4, {m: ONE})
+
+
+# ---------------------------------------------------------------------------
+# The stored form
+# ---------------------------------------------------------------------------
+
+def _assert_canonical(x):
+    den = x.den.coeffs
+    assert min(den) == 0 and den[0] > 0
+    assert all(type(c) is int for c in den.values()) and x.den.content() == 1
+    g = dict(den)
+    for v in x.nums.values():
+        assert not v.is_zero
+        g = _poly_gcd(g, {e - v.min_exp(): c for e, c in v.coeffs.items()})
+    assert len(g) == 1
+
+
+def _rational_elements():
+    rng = random.Random(61)
+    out = [tl.jones_wenzl(n).element for n in (2, 3, 4)]
+    out += [tl.projector_frame(2), tl.bni_basis(2)[1], tl.random_element(rng, 3)]
+    out.append(tl.colored_element(RationalTangle.from_entries(2, 1), 2))
+    out.append(tl.random_element(rng, 4).scale(RatFunc.normalized(A.num + 2, A.num ** 3 - 3)))
+    return out
+
+
+def test_elements_are_stored_in_canonical_form():
+    for x in _rational_elements():
+        _assert_canonical(x)
+        _assert_canonical(x + x.scale(A))
+        _assert_canonical(tl.tensor(x, tl.identity_element(1)))
+    assert tl.TLElement(2, 2).den == LaurentPoly.one()
+
+
+def test_same_element_built_two_ways_has_equal_fields():
+    f2 = tl.jones_wenzl(2).element
+    formula = tl.identity_element(2) - tl.e_generator(2, 1).scale(DELTA.inverse())
+    f3 = tl.jones_wenzl(3).element
+    square = tl.compose(f3, f3)
+    for x, y in ((f2, formula), (f3, square), (f3, tl.TLElement(3, 3, f3.terms)),
+                 (f2 - f2, tl.TLElement(2, 2))):
+        assert (x.nums, x.den) == (y.nums, y.den)
+
+
+def test_scaling_round_trip_restores_every_field():
+    rng = random.Random(67)
+    for x in _rational_elements():
+        for _ in range(3):
+            p = LaurentPoly({e: rng.randint(-3, 3) for e in range(-2, 3)})
+            q = LaurentPoly({e: rng.randint(-3, 3) for e in range(0, 3)})
+            if p.is_zero or q.is_zero:
+                continue
+            c = RatFunc.normalized(p, q)
+            y = x.scale(c).scale(c.inverse())
+            assert (y.top, y.bottom, y.nums, y.den) == (x.top, x.bottom, x.nums, x.den)
+
+
+def test_terms_are_the_reduced_weights():
+    for x in _rational_elements():
+        assert set(x.terms) == set(x.nums)
+        for k, v in x.nums.items():
+            assert x.terms[k] == RatFunc.normalized(v, x.den)
+        assert x.terms is x.terms
+        with pytest.raises(TypeError):
+            x.terms[k] = ONE
 
 
 # ---------------------------------------------------------------------------
