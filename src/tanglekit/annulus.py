@@ -83,10 +83,6 @@ class AnnulusElement:
         return cls({k: RatFunc.from_laurent(p) for k, p in coeffs.items()})
 
     @classmethod
-    def core_power(cls, k: int, coeff=1) -> "AnnulusElement":
-        return cls({k: coeff})
-
-    @classmethod
     def from_chebyshev(cls, coords) -> "AnnulusElement":
         """Assemble an element from Chebyshev coordinates (low to high)."""
         total = cls.zero()

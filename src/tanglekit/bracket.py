@@ -11,9 +11,10 @@ same pair independently for verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .rationals import ExtRational
-from .ring import LaurentPoly, RatFunc, Zeta8, eval_zeta8
+from .ring import LaurentPoly, RatFunc
 from .tangles import RationalTangle, TwistWord, to_twist_word
 
 __all__ = [
@@ -94,24 +95,38 @@ def ratio_invariant(v: BracketVec2):
     return RatFunc.normalized(v.alpha, v.beta)
 
 
-_MINUS_ZETA2 = -Zeta8.generator_power(2)
+def _root_coords(p: LaurentPoly) -> tuple:
+    """Coordinates of p(zeta) over 1, zeta, zeta^2, zeta^3, where zeta is
+    a primitive eighth root of unity: A^e folds onto zeta^(e mod 4),
+    negated when e mod 8 >= 4, since zeta^4 = -1."""
+    coords = [0, 0, 0, 0]
+    for e, c in p.coeffs.items():
+        e %= 8
+        if e < 4:
+            coords[e] += c
+        else:
+            coords[e - 4] -= c
+    return tuple(coords)
 
 
 def c_invariant(v: BracketVec2) -> ExtRational:
     """Fraction of the tangle recovered from its bracket coordinates.
 
-    Evaluates both coordinates at the primitive eighth root of unity
-    and forms -zeta^2 alpha(zeta) / beta(zeta), which lands in the
-    rationals extended by infinity.
+    The fraction is -zeta^2 alpha(zeta) / beta(zeta) at a primitive
+    eighth root of unity zeta, a rational number or infinity.  With
+    u = -zeta^2 alpha(zeta), a rotation of the coordinates of
+    alpha(zeta), and v = beta(zeta), it is u_k / v_k at the first
+    nonzero v_k, provided u is that multiple of v in every coordinate.
     """
-    za = eval_zeta8(v.alpha)
-    zb = eval_zeta8(v.beta)
-    if zb.is_zero:
-        if za.is_zero:
-            raise ValueError("indeterminate fraction: bracket vanishes at the root")
-        return ExtRational.infinity()
-    c = _MINUS_ZETA2 * za * zb.inverse()
-    r = c.as_rational()
-    if r is None:
+    a0, a1, a2, a3 = _root_coords(v.alpha)
+    u = (a2, a3, -a0, -a1)
+    w = _root_coords(v.beta)
+    k = next((i for i in range(4) if w[i]), None)
+    if k is None:
+        if any(u):
+            return ExtRational.infinity()
+        raise ValueError("indeterminate fraction: bracket vanishes at the root")
+    r = Fraction(u[k], w[k])
+    if any(uj != r * wj for uj, wj in zip(u, w)):
         raise ArithmeticError("bracket ratio is not rational at the root")
     return ExtRational(r.numerator, r.denominator)

@@ -1,6 +1,6 @@
 """Exact scalar arithmetic for skein computations.
 
-Three towers, each immutable and canonical so that ``==`` is true value
+Two towers, each immutable and canonical so that ``==`` is true value
 equality:
 
 * ``LaurentPoly``: sparse Laurent polynomials in one variable ``A`` with
@@ -8,9 +8,6 @@ equality:
 * ``RatFunc``: the fraction field of ``LaurentPoly`` with a normalized
   representative (denominator an integer-primitive ordinary polynomial
   with positive constant term, coprime to the numerator).
-* ``Zeta8``: the quotient ring Q[A] / (A^4 + 1), i.e. rational
-  combinations of an eighth root of unity.  Used to evaluate bracket
-  ratios at the special point where the ratio becomes a number.
 
 A rational coefficient is stored as an ``int`` when it is integral and as
 a ``Fraction`` only when it is not, so the integer arithmetic that nearly
@@ -29,10 +26,8 @@ __all__ = [
     "DELTA",
     "LaurentPoly",
     "RatFunc",
-    "Zeta8",
     "as_ratfunc",
     "delta_power",
-    "eval_zeta8",
     "normalize_over",
 ]
 
@@ -565,113 +560,3 @@ def delta_power(k: int) -> LaurentPoly:
     while len(_delta_powers) <= k:
         _delta_powers.append(_delta_powers[-1] * DELTA)
     return _delta_powers[k]
-
-
-# ---------------------------------------------------------------------------
-# The cyclotomic quotient Q[A] / (A^4 + 1)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Zeta8:
-    """An element c0 + c1*z + c2*z^2 + c3*z^3 with z^4 = -1."""
-
-    coords: tuple
-
-    @staticmethod
-    def of(c0=0, c1=0, c2=0, c3=0) -> "Zeta8":
-        return Zeta8((_coeff(c0), _coeff(c1), _coeff(c2), _coeff(c3)))
-
-    @classmethod
-    def zero(cls) -> "Zeta8":
-        return cls.of()
-
-    @classmethod
-    def one(cls) -> "Zeta8":
-        return cls.of(1)
-
-    @classmethod
-    def generator_power(cls, k: int) -> "Zeta8":
-        """z^k for any integer k, using z^4 = -1 and z^-1 = -z^3."""
-        k %= 8
-        sign = 1 if k < 4 else -1
-        coords = [0] * 4
-        coords[k % 4] = sign
-        return cls(tuple(coords))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def __add__(self, other: "Zeta8") -> "Zeta8":
-        return Zeta8(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Zeta8") -> "Zeta8":
-        return Zeta8(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Zeta8":
-        return Zeta8(tuple(-a for a in self.coords))
-
-    def __mul__(self, other) -> "Zeta8":
-        if isinstance(other, (int, Fraction)):
-            return Zeta8(tuple(a * other for a in self.coords))
-        out = [0] * 4
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            for j, b in enumerate(other.coords):
-                if not b:
-                    continue
-                k = i + j
-                if k < 4:
-                    out[k] += a * b
-                else:
-                    out[k - 4] -= a * b
-        return Zeta8(tuple(out))
-
-    __rmul__ = __mul__
-
-    def galois(self, k: int) -> "Zeta8":
-        """Apply the field map z -> z^k (k odd)."""
-        out = [0] * 4
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            e = (i * k) % 8
-            if e < 4:
-                out[e] += a
-            else:
-                out[e - 4] -= a
-        return Zeta8(tuple(out))
-
-    def inverse(self) -> "Zeta8":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero")
-        conj = self.galois(3) * self.galois(5) * self.galois(7)
-        norm = self * conj
-        rat = norm.as_rational()
-        assert rat is not None and rat != 0, "norm must be a nonzero rational"
-        return conj * _div(1, rat)
-
-    def as_rational(self):
-        """Return the rational value if the element is rational, else None."""
-        c0, c1, c2, c3 = self.coords
-        if c1 == 0 and c2 == 0 and c3 == 0:
-            return c0
-        return None
-
-    def __str__(self) -> str:
-        names = ["1", "z", "z^2", "z^3"]
-        parts = [f"{c}*{n}" for c, n in zip(self.coords, names) if c]
-        return " + ".join(parts) if parts else "0"
-
-
-def eval_zeta8(p: LaurentPoly) -> Zeta8:
-    """Ring map sending A to an eighth root of unity (A^4 -> -1)."""
-    coords = [0, 0, 0, 0]
-    for e, c in p.coeffs.items():
-        e %= 8
-        if e < 4:
-            coords[e] += c
-        else:
-            coords[e - 4] -= c
-    return Zeta8(tuple(coords))

@@ -31,6 +31,7 @@ from .ring import (
 )
 from .tangles import (
     CORNERS,
+    MAX_TWIST_TOTAL,
     PlanarTangleDiagram,
     RationalTangle,
     TwistWord,
@@ -42,6 +43,7 @@ from .tangles import (
 )
 
 __all__ = [
+    "MAX_COLORED_TWISTS",
     "MAX_PROJECTOR_STRANDS",
     "TLElement",
     "JonesWenzl",
@@ -51,7 +53,6 @@ __all__ = [
     "identity_element",
     "e_generator",
     "unit_element",
-    "tl_multiply",
     "compose",
     "tensor",
     "trace_close",
@@ -74,6 +75,14 @@ __all__ = [
 
 #: Largest strand count for which Jones-Wenzl projectors are built.
 MAX_PROJECTOR_STRANDS = 6
+
+#: Largest total twist, per cable width, of a twist word that
+#: colored_element replays.  The replay grows faster than quadratically
+#: in the twist count, and steeply with the width.  Width 1 keeps the
+#: bracket's bound; the others keep the slowest input found, all entries
+#: 1, to under a minute through `colored` (44 s at width 2, 52 s at
+#: width 3, on a 2-vCPU x86 host under CPython 3.11).
+MAX_COLORED_TWISTS = {1: MAX_TWIST_TOTAL, 2: 150, 3: 26}
 
 
 # ---------------------------------------------------------------------------
@@ -420,18 +429,6 @@ def compose(x: TLElement, y: TLElement) -> TLElement:
     return TLElement._reduced(x.top, y.bottom, acc, x.den * y.den)
 
 
-def tl_multiply(x: TLElement, y: TLElement, n: int = None) -> TLElement:
-    """Product in TL_n by diagram stacking (x above y)."""
-    if n is not None:
-        for z in (x, y):
-            if z.top != n or z.bottom != n:
-                raise ValueError(
-                    f"size mismatch: expected an element of TL_{n}, "
-                    f"got shape ({z.top},{z.bottom})"
-                )
-    return compose(x, y)
-
-
 def tensor(x: TLElement, y: TLElement) -> TLElement:
     """Place x and y side by side (x on the left)."""
     top = x.top + y.top
@@ -763,18 +760,23 @@ def bni_basis(n: int) -> list:
     pinches them together across a horizontal 2i-strand bridge wearing
     its own projector; i runs from 0 (cables joined left and right,
     nothing across) to n (full bridge).  Built upright and then turned
-    a quarter turn so the bridge runs horizontally.
+    a quarter turn so the bridge runs horizontally.  The cache also
+    keeps the pinch matching p_i of each element, its narrow and widen
+    wires joined with no projector and turned the same way: p_i has
+    coefficient 1 in b_i and 0 in every b_j with j < i.
     """
     check_cable_width(n)
     if n not in _bni_cache:
         frame = projector_frame(n)
-        basis = []
+        basis, pinches = [], []
         for i in range(n + 1):
             narrow, widen = _pinch_wires(n, i)
             core = compose(compose(narrow, _projector(2 * i)), widen)
             basis.append(rotate_cw(compose(compose(frame, core), frame)))
-        _bni_cache[n] = basis
-    return _bni_cache[n]
+            (pinch,) = rotate_cw(compose(narrow, widen)).nums
+            pinches.append(pinch)
+        _bni_cache[n] = basis, pinches
+    return _bni_cache[n][0]
 
 
 # ---------------------------------------------------------------------------
@@ -797,57 +799,67 @@ def colored_element(t, n: int) -> TLElement:
     """The n-cabled, projector-dressed 2-tangle as an element of TL_2n.
 
     Rational tangles are replayed twist by twist through precomputed
-    crossing tiles; raw diagrams are cabled and fed to the state-sum
-    enumerator.  Either way both open strands end up dressed with an
-    n-strand projector (the projector absorbs its own copies, so where
-    along the strand it sits does not matter).
+    crossing tiles, and a twist word longer than MAX_COLORED_TWISTS[n]
+    is refused before any tile is built; raw diagrams are cabled and fed
+    to the state-sum enumerator.  Either way both open strands end up
+    dressed with an n-strand projector (the projector absorbs its own
+    copies, so where along the strand it sits does not matter).
     """
     check_cable_width(n)
     if isinstance(t, PlanarTangleDiagram):
         base = _diagram_element(t, n)
     else:
         word = t if isinstance(t, TwistWord) else to_twist_word(t)
+        bound = MAX_COLORED_TWISTS[n]
+        if len(word.moves) > bound:
+            raise ValueError(
+                f"colored twist word too long: {len(word.moves)} half twists exceed "
+                f"the bound {bound} at cable width {n}"
+            )
         base = _word_element(word, n)
     frame = projector_frame(n)
     return compose(frame, compose(base, frame))
 
 
-def _solve_in_span(columns, target):
-    """Exact coordinates of target in the span of the given elements."""
-    keys = set(target.terms)
-    for col in columns:
-        keys.update(col.terms)
-    keys = sorted(keys)
-    rows = [
-        [col.terms.get(k, RatFunc.zero()) for col in columns]
-        + [target.terms.get(k, RatFunc.zero())]
-        for k in keys
-    ]
-    width = len(columns)
-    pivot_row_of = {}
-    r = 0
-    for j in range(width):
-        piv = next((i for i in range(r, len(rows)) if not rows[i][j].is_zero), None)
-        if piv is None:
-            raise ValueError("basis failure: singular system")
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][j].inverse()
-        rows[r] = [c * inv for c in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][j].is_zero:
-                f = rows[i][j]
-                rows[i] = [c - f * d for c, d in zip(rows[i], rows[r])]
-        pivot_row_of[j] = r
-        r += 1
-    for i in range(r, len(rows)):
-        if not rows[i][-1].is_zero:
+def _read_coordinates(x: TLElement, n: int) -> list:
+    """Coordinates of x over bni_basis(n), read off and checked exactly.
+
+    The pinch matching p_i has coefficient 1 in b_i and 0 in every b_j
+    with j < i, so gamma_n = x[p_n] and gamma_i = x[p_i] minus the sum
+    of gamma_j b_j[p_i] over j > i.  Then the sum of gamma_j b_j must
+    equal x on every matching; both sides are compared as numerators
+    over one common denominator.
+    """
+    basis = bni_basis(n)
+    pinches = _bni_cache[n][1]
+    zero = LaurentPoly.zero()
+    gammas = [None] * (n + 1)
+    for i in range(n, -1, -1):
+        p = pinches[i]
+        g = RatFunc.normalized(x.nums.get(p, zero), x.den)
+        for j in range(i + 1, n + 1):
+            g = g - gammas[j] * basis[j].coefficient(p)
+        gammas[i] = g
+    dens = [g.den * b.den for g, b in zip(gammas, basis)]
+    common = dens[0]
+    for d in dens[1:]:
+        if d != common:
+            common = poly_lcm(common, d)
+    factors = [g.num * poly_exact_div(common, d) for g, d in zip(gammas, dens)]
+    for k in set(x.nums).union(*(b.nums for b in basis)):
+        total = zero
+        for f, b in zip(factors, basis):
+            v = b.nums.get(k)
+            if v is not None:
+                total = total + f * v
+        if total * x.den != x.nums.get(k, zero) * common:
             raise ValueError("basis failure: element outside the basis span")
-    return [rows[pivot_row_of[j]][-1] for j in range(width)]
+    return gammas
 
 
 def colored_expand(t, n: int) -> list:
     """Coordinates of the n-cabled, projector-dressed tangle over bni_basis."""
-    return _solve_in_span(bni_basis(n), colored_element(t, n))
+    return _read_coordinates(colored_element(t, n), n)
 
 
 def colored_ratios(gammas: list) -> list:

@@ -2,11 +2,13 @@
 smoothing oracle."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from tanglekit.bracket import (
     BracketVec2,
+    _root_coords,
     bracket_vector,
     c_invariant,
     mirror_transport,
@@ -26,6 +28,7 @@ from tanglekit.tangles import (
 A = LaurentPoly.variable()
 Z = LaurentPoly.zero()
 ONE = LaurentPoly.one()
+DELTA = -(A ** 2) - LaurentPoly.monomial(-2)
 
 
 def vec(t):
@@ -105,3 +108,64 @@ def test_c_invariant_equals_fraction_random():
 def test_c_invariant_rejects_degenerate():
     with pytest.raises(ValueError):
         c_invariant(BracketVec2(Z, Z))
+
+
+def test_c_invariant_rejects_irrational_ratio():
+    # -zeta^2 zeta / 1 = -zeta^3 is not rational
+    with pytest.raises(ArithmeticError, match="not rational at the root"):
+        c_invariant(BracketVec2(A, ONE))
+    with pytest.raises(ArithmeticError, match="not rational at the root"):
+        c_invariant(BracketVec2(ONE, ONE + A))
+
+
+def test_c_invariant_vanishing_bracket_names_the_root():
+    # DELTA vanishes at the root although it is not zero
+    with pytest.raises(ValueError, match="bracket vanishes at the root"):
+        c_invariant(BracketVec2(DELTA, DELTA * A))
+    assert c_invariant(BracketVec2(A, DELTA)) == ExtRational.infinity()
+
+
+# ---------------------------------------------------------------------------
+# Coordinates at the primitive eighth root of unity
+# ---------------------------------------------------------------------------
+
+def _root_product(x, y):
+    """Product of two coordinate tuples, using zeta^4 = -1."""
+    out = [0, 0, 0, 0]
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            if i + j < 4:
+                out[i + j] += a * b
+            else:
+                out[i + j - 4] -= a * b
+    return tuple(out)
+
+
+def test_defining_relation():
+    assert _root_coords(A ** 4) == (-1, 0, 0, 0)
+    assert _root_coords(ONE) == (1, 0, 0, 0)
+
+
+def test_loop_value_vanishes():
+    # A^2 maps to i and A^-2 to -i, so delta maps to zero.
+    assert _root_coords(DELTA) == (0, 0, 0, 0)
+
+
+def test_negative_exponents():
+    # A^-1 = -A^3 at the root.
+    assert _root_coords(LaurentPoly.monomial(-1)) == (0, 0, 0, -1)
+
+
+def test_homomorphism_random():
+    rng = random.Random(7)
+    for _ in range(60):
+        p, q = (
+            LaurentPoly({
+                rng.randint(-4, 4): Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                for _ in range(rng.randint(0, 4))
+            })
+            for _ in range(2)
+        )
+        sums = tuple(a + b for a, b in zip(_root_coords(p), _root_coords(q)))
+        assert _root_coords(p + q) == sums
+        assert _root_coords(p * q) == _root_product(_root_coords(p), _root_coords(q))

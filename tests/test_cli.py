@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from tanglekit import cli
+from tanglekit import cli, tl
 from tanglekit.cli import (
     INFINITY_TANGLE,
     TangleNotationError,
@@ -20,7 +20,7 @@ from tanglekit.cli import (
     parse_tangle_notation,
 )
 from tanglekit.rationals import ExtRational, TwistVector, canonical_form
-from tanglekit.tangles import build_rational
+from tanglekit.tangles import PlanarTangleDiagram, build_rational
 from tanglekit.tl import colored_expand
 
 
@@ -288,6 +288,35 @@ def test_oversized_twist_run_is_refused_at_once():
     assert "bound 2000" in json.loads(line)["error"]
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_colored_twist_bound_refuses_long_words_at_once(n):
+    bound = tl.MAX_COLORED_TWISTS[n]
+    assert bound < tl.MAX_COLORED_TWISTS[1]
+    for command in ("colored", "colored-closure"):
+        for notation in (f"[{bound + 1}]", "[1000 1000]"):
+            start = time.perf_counter()
+            code, out, err = run_cli_streams(command, "--n", str(n), notation)
+            assert time.perf_counter() - start < 1.0
+            assert (code, err) == (2, "")
+            [line] = out.splitlines()
+            assert f"bound {bound} at cable width {n}" in json.loads(line)["error"]
+
+
+@pytest.mark.parametrize("n, bound, accepted, refused", [
+    (2, 3, "[2 1]", "[2 2]"),
+    (3, 1, "[-1]", "[1 1]"),
+])
+def test_colored_twist_bound_accepts_words_at_the_bound(monkeypatch, n, bound,
+                                                        accepted, refused):
+    monkeypatch.setitem(tl.MAX_COLORED_TWISTS, n, bound)
+    for command in ("colored", "colored-closure"):
+        code, out = run_cli(command, "--n", str(n), accepted)
+        assert code == 0 and "error" not in json.loads(out)
+        code, out = run_cli(command, "--n", str(n), refused)
+        assert code == 2
+        assert f"bound {bound} at cable width {n}" in json.loads(out)["error"]
+
+
 # ---------------------------------------------------------------------------
 # Batch mode
 # ---------------------------------------------------------------------------
@@ -491,6 +520,23 @@ def test_oracle_check_reports_clean_run():
     assert payload["checked"] == 6
     assert payload["ok"] is True
     assert payload["failures"] == []
+
+
+def test_oracle_check_reports_a_colored_mismatch(monkeypatch):
+    # a state-sum side that disagrees must surface as its own check
+    def skewed(t, n):
+        gammas = colored_expand(t, n)
+        if isinstance(t, PlanarTangleDiagram):
+            gammas[0] = gammas[0] + 1
+        return gammas
+
+    monkeypatch.setattr(cli, "colored_expand", skewed)
+    code, out = run_cli(
+        "oracle-check", "--count", "4", "--max-crossings", "3", "--seed", "7"
+    )
+    payload = json.loads(out)
+    assert code == 1 and payload["checked"] == 4
+    assert [f["check"] for f in payload["failures"]] == ["colored"] * 4
 
 
 def test_oracle_check_validates_budget():

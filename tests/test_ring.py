@@ -1,4 +1,4 @@
-"""Scalar tower: Laurent polynomials, rational functions, eighth roots."""
+"""Scalar tower: Laurent polynomials and rational functions."""
 
 import random
 from fractions import Fraction
@@ -8,10 +8,8 @@ import pytest
 from tanglekit.ring import (
     LaurentPoly,
     RatFunc,
-    Zeta8,
     _div,
     _poly_gcd,
-    eval_zeta8,
     normalize_over,
     poly_exact_div,
     poly_lcm,
@@ -317,51 +315,3 @@ def test_normalize_over_is_canonical_and_keeps_every_quotient():
         assert (single[k], sd) == (r.num, r.den)
     with pytest.raises(ZeroDivisionError):
         normalize_over({0: A}, LaurentPoly.zero())
-
-
-# ---------------------------------------------------------------------------
-# Zeta8
-# ---------------------------------------------------------------------------
-
-def test_defining_relation():
-    assert eval_zeta8(A ** 4) == Zeta8.of(-1)
-    assert eval_zeta8(LaurentPoly.one()) == Zeta8.one()
-
-
-def test_loop_value_vanishes():
-    # A^2 maps to i and A^-2 to -i, so delta maps to zero.
-    assert eval_zeta8(DELTA).is_zero
-
-
-def test_negative_exponents():
-    # A^-1 = -A^3 in the quotient.
-    assert eval_zeta8(LaurentPoly.monomial(-1)) == -Zeta8.generator_power(3)
-
-
-def test_homomorphism_random():
-    rng = random.Random(7)
-    for _ in range(60):
-        p, q = random_poly(rng), random_poly(rng)
-        assert eval_zeta8(p + q) == eval_zeta8(p) + eval_zeta8(q)
-        assert eval_zeta8(p * q) == eval_zeta8(p) * eval_zeta8(q)
-
-
-def test_inverse():
-    rng = random.Random(13)
-    found = 0
-    while found < 20:
-        z = Zeta8.of(
-            rng.randint(-3, 3), rng.randint(-3, 3),
-            rng.randint(-3, 3), rng.randint(-3, 3),
-        )
-        if z.is_zero:
-            continue
-        found += 1
-        assert z * z.inverse() == Zeta8.one()
-    with pytest.raises(ZeroDivisionError):
-        Zeta8.zero().inverse()
-
-
-def test_as_rational():
-    assert Zeta8.of(Fraction(3, 2)).as_rational() == Fraction(3, 2)
-    assert Zeta8.of(1, 1).as_rational() is None

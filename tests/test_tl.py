@@ -125,7 +125,7 @@ def test_terms_are_the_reduced_weights():
 
 def test_hook_square_makes_loop():
     e1 = tl.e_generator(2, 1)
-    assert tl.tl_multiply(e1, e1, 2) == e1.scale(DELTA)
+    assert tl.compose(e1, e1) == e1.scale(DELTA)
 
 
 def test_identity_is_unit():
@@ -134,19 +134,19 @@ def test_identity_is_unit():
         ident = tl.identity_element(n)
         for _ in range(5):
             x = tl.random_element(rng, n)
-            assert tl.tl_multiply(ident, x, n) == x
-            assert tl.tl_multiply(x, ident, n) == x
+            assert tl.compose(ident, x) == x
+            assert tl.compose(x, ident) == x
 
 
 def test_hook_sandwich():
     e1, e2 = tl.e_generator(3, 1), tl.e_generator(3, 2)
-    assert tl.tl_multiply(tl.tl_multiply(e1, e2, 3), e1, 3) == e1
-    assert tl.tl_multiply(tl.tl_multiply(e2, e1, 3), e2, 3) == e2
+    assert tl.compose(tl.compose(e1, e2), e1) == e1
+    assert tl.compose(tl.compose(e2, e1), e2) == e2
 
 
 def test_distant_hooks_commute():
     e1, e3 = tl.e_generator(4, 1), tl.e_generator(4, 3)
-    assert tl.tl_multiply(e1, e3, 4) == tl.tl_multiply(e3, e1, 4)
+    assert tl.compose(e1, e3) == tl.compose(e3, e1)
 
 
 def test_multiplication_is_associative():
@@ -154,8 +154,8 @@ def test_multiplication_is_associative():
     for n in (2, 3, 4):
         for _ in range(4):
             x, y, z = (tl.random_element(rng, n) for _ in range(3))
-            left = tl.tl_multiply(tl.tl_multiply(x, y, n), z, n)
-            right = tl.tl_multiply(x, tl.tl_multiply(y, z, n), n)
+            left = tl.compose(tl.compose(x, y), z)
+            right = tl.compose(x, tl.compose(y, z))
             assert left == right
 
 
@@ -163,9 +163,7 @@ def test_size_mismatch_rejected():
     e1 = tl.e_generator(2, 1)
     ident3 = tl.identity_element(3)
     with pytest.raises(ValueError, match="size mismatch"):
-        tl.tl_multiply(e1, ident3)
-    with pytest.raises(ValueError, match="size mismatch"):
-        tl.tl_multiply(e1, e1, 3)
+        tl.compose(e1, ident3)
     with pytest.raises(ValueError, match="size mismatch"):
         e1 + ident3
 
@@ -210,7 +208,7 @@ def test_crossing_tile_is_skein_combination():
 def test_opposite_tiles_cancel():
     # Reidemeister II at the cabled-tile level
     for n in (1, 2, 3):
-        prod = tl.tl_multiply(tl.tile_element(n, +1), tl.tile_element(n, -1), 2 * n)
+        prod = tl.compose(tl.tile_element(n, +1), tl.tile_element(n, -1))
         assert prod == tl.identity_element(2 * n)
 
 
@@ -239,11 +237,11 @@ def test_projector_two_strands_formula():
 def test_projector_defining_properties():
     for n in (2, 3, 4):
         f = tl.jones_wenzl(n).element
-        assert tl.tl_multiply(f, f, n) == f
+        assert tl.compose(f, f) == f
         for i in range(1, n):
             hook = tl.e_generator(n, i)
-            assert tl.tl_multiply(hook, f, n).is_zero
-            assert tl.tl_multiply(f, hook, n).is_zero
+            assert tl.compose(hook, f).is_zero
+            assert tl.compose(f, hook).is_zero
 
 
 def test_projector_identity_coefficient_is_one():
@@ -360,9 +358,34 @@ def test_basis_is_linearly_independent():
     for n in (1, 2, 3):
         basis = tl.bni_basis(n)
         for i, b in enumerate(basis):
-            coords = tl._solve_in_span(basis, b)
+            coords = tl._read_coordinates(b, n)
             for j, c in enumerate(coords):
                 assert c == (ONE if j == i else RatFunc.zero())
+
+
+def test_pinch_matchings_are_unit_triangular():
+    # p_i has coefficient 1 in b_i and 0 in every earlier b_j, which is
+    # what lets colored_expand read coordinates off by back-substitution
+    for n in (1, 2, 3):
+        basis = tl.bni_basis(n)
+        pinches = tl._bni_cache[n][1]
+        assert len(set(pinches)) == n + 1
+        for i, p in enumerate(pinches):
+            narrow, widen = tl._pinch_wires(n, i)
+            assert tl.rotate_cw(tl.compose(narrow, widen)) == tl.TLElement(
+                2 * n, 2 * n, {p: ONE}
+            )
+            assert basis[i].coefficient(p) == ONE
+            for j in range(i):
+                assert basis[j].coefficient(p).is_zero
+
+
+def test_element_outside_the_span_is_refused():
+    # the undressed cables carry no projectors, so they leave the span
+    for x in (tl.unit_element(2, "0"), tl.unit_element(2, "inf"),
+              tl.tile_element(2, 1)):
+        with pytest.raises(ValueError, match="element outside the basis span"):
+            tl._read_coordinates(x, 2)
 
 
 def test_basis_gram_matrix_diagonal():
@@ -370,7 +393,7 @@ def test_basis_gram_matrix_diagonal():
         basis = tl.bni_basis(n)
         for i in range(n + 1):
             for j in range(n + 1):
-                pairing = tl.trace_close(tl.tl_multiply(basis[i], basis[j], 2 * n))
+                pairing = tl.trace_close(tl.compose(basis[i], basis[j]))
                 if i != j:
                     assert pairing.is_zero
                 else:
@@ -382,6 +405,39 @@ def test_basis_gram_matrix_diagonal():
 # ---------------------------------------------------------------------------
 # Colored expansion
 # ---------------------------------------------------------------------------
+
+def _solve_in_span(columns, target):
+    """Referee: Gauss-Jordan elimination over every matching row."""
+    keys = set(target.terms)
+    for col in columns:
+        keys.update(col.terms)
+    rows = [
+        [col.coefficient(k) for col in columns] + [target.coefficient(k)]
+        for k in sorted(keys)
+    ]
+    width = len(columns)
+    for j in range(width):
+        piv = next(i for i in range(j, len(rows)) if not rows[i][j].is_zero)
+        rows[j], rows[piv] = rows[piv], rows[j]
+        inv = rows[j][j].inverse()
+        rows[j] = [c * inv for c in rows[j]]
+        for i in range(len(rows)):
+            if i != j and not rows[i][j].is_zero:
+                f = rows[i][j]
+                rows[i] = [c - f * d for c, d in zip(rows[i], rows[j])]
+    assert all(row[-1].is_zero for row in rows[width:])
+    return [rows[j][-1] for j in range(width)]
+
+
+def test_colored_expand_matches_gauss_jordan_referee():
+    rng = random.Random(83)
+    cases = [(build_rational(random_twist_vector(rng, 3, 3)), n)
+             for n in (1, 2) for _ in range(6)]
+    cases += [(RationalTangle.from_entries(*e), 3) for e in ((1,), (2, -1))]
+    cases.append((rational_to_diagram(RationalTangle.from_entries(2, 1)), 2))
+    for t, n in cases:
+        referee = _solve_in_span(tl.bni_basis(n), tl.colored_element(t, n))
+        assert tl.colored_expand(t, n) == referee
 
 def test_colored_infinity_is_first_basis_vector():
     for n in (1, 2):
@@ -416,8 +472,8 @@ def test_single_cable_reduces_to_bracket():
 def test_projector_frame_absorbed():
     frame = tl.projector_frame(2)
     x = tl.colored_element(RationalTangle.from_entries(2, 1), 2)
-    assert tl.tl_multiply(frame, x, 4) == x
-    assert tl.tl_multiply(x, frame, 4) == x
+    assert tl.compose(frame, x) == x
+    assert tl.compose(x, frame) == x
 
 
 def test_colored_element_replay_matches_cabled_state_sum():
