@@ -2,10 +2,10 @@
 
 Every 2-tangle expands over the two crossingless tangles as
 <T> = alpha.<vertical pair> + beta.<horizontal pair>; for rational
-tangles the pair (alpha, beta) is computed by replaying the twist word
-through four fixed 2x2 matrices, one per elementary twist.  This is
-the fast path; the brute-force smoothing enumerator recomputes the
-same pair independently for verification.
+tangles the pair (alpha, beta) is computed from the twist word by one
+closed-form 2x2 step per run of half twists.  This is the fast path;
+the brute-force smoothing enumerator recomputes the same pair
+independently for verification.
 """
 
 from __future__ import annotations
@@ -38,20 +38,27 @@ class BracketVec2:
         return f"alpha = {self.alpha}; beta = {self.beta}"
 
 
-_A = LaurentPoly.monomial(1)
-_Ainv = LaurentPoly.monomial(-1)
-_A3 = LaurentPoly.monomial(3)
-_A3inv = LaurentPoly.monomial(-3)
+def _twist_run(alpha, beta, kind, a):
+    """Add a run of |a| half twists of sign a on the right (kind "R") or
+    at the bottom ("B").
 
-
-def _step(alpha, beta, kind, s):
-    if kind == "R":
-        if s > 0:
-            return -_A3 * alpha + _A * beta, _Ainv * beta
-        return -_A3inv * alpha + _Ainv * beta, _A * beta
-    if s > 0:
-        return _A * alpha, _Ainv * alpha - _A3inv * beta
-    return _Ainv * alpha, _A * alpha - _A3 * beta
+    One right half twist of sign e maps (alpha, beta) by the triangular
+    matrix [[x, A^e], [0, d]] with x = -A^(3e) and d = A^(-e); a bottom
+    half twist of sign -e is the same map with the two coordinates
+    swapped.  The k-th power of that matrix has diagonal x^k, d^k and
+    off-diagonal A^e (x^(k-1) + x^(k-2) d + ... + d^(k-1)), a sum of
+    k monomials written down directly.
+    """
+    k = abs(a)
+    e = 1 if (a > 0) == (kind == "R") else -1
+    if kind == "B":
+        alpha, beta = beta, alpha
+    g = LaurentPoly({e * (4 * j - k + 2): -1 if j % 2 else 1 for j in range(k)})
+    alpha = LaurentPoly.monomial(3 * e * k, -1 if k % 2 else 1) * alpha + g * beta
+    beta = LaurentPoly.monomial(-e * k) * beta
+    if kind == "B":
+        alpha, beta = beta, alpha
+    return alpha, beta
 
 
 def bracket_vector(t) -> BracketVec2:
@@ -61,8 +68,8 @@ def bracket_vector(t) -> BracketVec2:
         alpha, beta = LaurentPoly.zero(), LaurentPoly.one()
     else:
         alpha, beta = LaurentPoly.one(), LaurentPoly.zero()
-    for kind, s in word.moves:
-        alpha, beta = _step(alpha, beta, kind, s)
+    for kind, a in word.runs:
+        alpha, beta = _twist_run(alpha, beta, kind, a)
     return BracketVec2(alpha, beta)
 
 

@@ -252,16 +252,10 @@ def _render_payload(notation, opts):
     else:
         word = to_twist_word(build_rational(parsed))
         lines = [f"tangle {parsed}", f"start  [{word.start}]"]
-        runs = []
-        for kind, s in word.moves:
-            if runs and runs[-1][0] == kind and runs[-1][1] == s:
-                runs[-1][2] += 1
-            else:
-                runs.append([kind, s, 1])
-        for kind, s, count in runs:
+        for kind, a in word.runs:
             label = "right" if kind == "R" else "bottom"
-            glyph = "/" if s > 0 else "\\"
-            lines.append(f"{label:<6} {s * count:+d}  {glyph * count}")
+            glyph = "/" if a > 0 else "\\"
+            lines.append(f"{label:<6} {a:+d}  {glyph * abs(a)}")
     art = "\n".join(lines)
     return {"ascii": art}, art
 
@@ -505,10 +499,12 @@ _PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
+    """Run one command line; any exception ends as the JSON error line
+    with exit code 2, as a bad line of a batch does."""
     try:
         args = _PARSER.parse_args(argv)
         return args.handler(args)
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except Exception as exc:
         print(_dump({"error": str(exc)}))
         return 2
 

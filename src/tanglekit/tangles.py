@@ -55,8 +55,10 @@ __all__ = [
 
 CORNERS = ("NW", "NE", "SW", "SE")
 
-#: Largest total |entry| of a twist vector expanded into a twist word;
-#: every half twist becomes one move, and replaying moves is quadratic.
+#: Largest total |entry| of a twist vector turned into a twist word.
+#: The bracket applies each run in closed form; the bound keeps output
+#: size in check, and keeps the width-1 colored replay, which builds one
+#: crossing tile per half twist, to seconds.
 MAX_TWIST_TOTAL = 2000
 
 TYPE_0 = "TYPE_0"
@@ -149,31 +151,39 @@ def tangle_invert(t: RationalTangle) -> RationalTangle:
 
 @dataclass(frozen=True)
 class TwistWord:
-    """A sequence of elementary twists applied to a start tangle.
+    """Runs of half twists applied to a start tangle.
 
-    start is "0" or "inf"; each move is ("R", s) for a half twist added
-    on the right or ("B", s) for one added at the bottom, s = +-1.
+    start is "0" or "inf"; each run is ("R", a) for a half twists added
+    on the right or ("B", a) for a added at the bottom, a a nonzero
+    integer whose sign is the sign of every half twist in the run.
     """
 
     start: str
-    moves: tuple
+    runs: tuple
+
+    @property
+    def moves(self) -> tuple:
+        """The word one half twist at a time: ("R" or "B", +-1) each."""
+        return tuple((kind, 1 if a > 0 else -1)
+                     for kind, a in self.runs for _ in range(abs(a)))
 
     def fraction(self) -> ExtRational:
         value = ExtRational.zero() if self.start == "0" else ExtRational.infinity()
-        for kind, s in self.moves:
-            value = value + s if kind == "R" else value.bottom_twist(s)
+        for kind, a in self.runs:
+            value = value + a if kind == "R" else value.bottom_twist(a)
         return value
 
 
 def to_twist_word(t: RationalTangle) -> TwistWord:
     """Twist word realizing the tangle, innermost entry applied first.
 
-    Entries sharing the parity of the last position become horizontal
-    (right) twist regions, the others vertical (bottom) regions.  The
-    start tangle is [0] for odd vector length and [inf] for even
-    length, which keeps the replayed fraction equal to the continued
-    fraction of the vector.  Vectors whose entries total more than
-    MAX_TWIST_TOTAL half twists are refused with ValueError.
+    Each nonzero entry becomes one run.  Entries sharing the parity of
+    the last position become horizontal (right) twist regions, the
+    others vertical (bottom) regions.  The start tangle is [0] for odd
+    vector length and [inf] for even length, which keeps the replayed
+    fraction equal to the continued fraction of the vector.  Vectors
+    whose entries total more than MAX_TWIST_TOTAL half twists are
+    refused with ValueError.
     """
     if t.is_infinity:
         return TwistWord("inf", ())
@@ -184,12 +194,9 @@ def to_twist_word(t: RationalTangle) -> TwistWord:
             f"twist word too long: {total} half twists exceed the bound {MAX_TWIST_TOTAL}"
         )
     m = len(entries)
-    moves = []
-    for k, a in enumerate(entries, start=1):
-        kind = "R" if (m - k) % 2 == 0 else "B"
-        s = 1 if a > 0 else -1
-        moves.extend([(kind, s)] * abs(a))
-    return TwistWord("0" if m % 2 == 1 else "inf", tuple(moves))
+    runs = tuple(("R" if (m - k) % 2 == 0 else "B", a)
+                 for k, a in enumerate(entries, start=1) if a)
+    return TwistWord("0" if m % 2 == 1 else "inf", runs)
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +352,8 @@ def _attach(live, arcs, corner, port):
 def rational_to_diagram(t: RationalTangle) -> PlanarTangleDiagram:
     """Crossing diagram realizing the twist word of the tangle.
 
-    Boundary ends 0..3 are NW, NE, SW, SE; each move appends one
-    crossing on the east side (R) or the south side (B).
+    Boundary ends 0..3 are NW, NE, SW, SE; each half twist of a run
+    appends one crossing on the east side (R) or the south side (B).
     """
     word = to_twist_word(t)
     crossings = []
@@ -358,27 +365,28 @@ def rational_to_diagram(t: RationalTangle) -> PlanarTangleDiagram:
     else:
         live = {"NW": ("pair", "SW"), "SW": ("pair", "NW"),
                 "NE": ("pair", "SE"), "SE": ("pair", "NE")}
-    for kind, s in word.moves:
-        x = (counter, counter + 1, counter + 2, counter + 3)
-        counter += 4
-        crossings.append(x)
-        if kind == "R":
-            # counterclockwise with the understrand at entries 0 and 2
-            if s > 0:
-                w_top, w_bot, e_bot, e_top = x
+    for kind, a in word.runs:
+        for _ in range(abs(a)):
+            x = (counter, counter + 1, counter + 2, counter + 3)
+            counter += 4
+            crossings.append(x)
+            if kind == "R":
+                # counterclockwise with the understrand at entries 0 and 2
+                if a > 0:
+                    w_top, w_bot, e_bot, e_top = x
+                else:
+                    w_bot, e_bot, e_top, w_top = x
+                _attach(live, arcs, "NE", w_top)
+                _attach(live, arcs, "SE", w_bot)
+                live["NE"], live["SE"] = e_top, e_bot
             else:
-                w_bot, e_bot, e_top, w_top = x
-            _attach(live, arcs, "NE", w_top)
-            _attach(live, arcs, "SE", w_bot)
-            live["NE"], live["SE"] = e_top, e_bot
-        else:
-            if s > 0:
-                n_left, s_left, s_right, n_right = x
-            else:
-                s_left, s_right, n_right, n_left = x
-            _attach(live, arcs, "SW", n_left)
-            _attach(live, arcs, "SE", n_right)
-            live["SW"], live["SE"] = s_left, s_right
+                if a > 0:
+                    n_left, s_left, s_right, n_right = x
+                else:
+                    s_left, s_right, n_right, n_left = x
+                _attach(live, arcs, "SW", n_left)
+                _attach(live, arcs, "SE", n_right)
+                live["SW"], live["SE"] = s_left, s_right
     for corner, end in (("NW", 0), ("NE", 1), ("SW", 2), ("SE", 3)):
         _attach(live, arcs, corner, end)
     boundary = [("NW", 0), ("NE", 1), ("SW", 2), ("SE", 3)]

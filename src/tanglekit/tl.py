@@ -14,7 +14,6 @@ basis together with the resulting ratio invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from types import MappingProxyType
 
@@ -33,7 +32,6 @@ from .tangles import (
     CORNERS,
     MAX_TWIST_TOTAL,
     PlanarTangleDiagram,
-    RationalTangle,
     TwistWord,
     cable_diagram,
     cabled_crossing_grid,
@@ -785,8 +783,10 @@ def bni_basis(n: int) -> list:
 
 def _word_element(word: TwistWord, n: int) -> TLElement:
     x = unit_element(n, word.start)
-    for kind, s in word.moves:
-        x = add_right_twist(x, s) if kind == "R" else add_bottom_twist(x, s)
+    for kind, a in word.runs:
+        s = 1 if a > 0 else -1
+        for _ in range(abs(a)):
+            x = add_right_twist(x, s) if kind == "R" else add_bottom_twist(x, s)
     return x
 
 
@@ -811,9 +811,10 @@ def colored_element(t, n: int) -> TLElement:
     else:
         word = t if isinstance(t, TwistWord) else to_twist_word(t)
         bound = MAX_COLORED_TWISTS[n]
-        if len(word.moves) > bound:
+        total = sum(abs(a) for _, a in word.runs)
+        if total > bound:
             raise ValueError(
-                f"colored twist word too long: {len(word.moves)} half twists exceed "
+                f"colored twist word too long: {total} half twists exceed "
                 f"the bound {bound} at cable width {n}"
             )
         base = _word_element(word, n)
@@ -883,26 +884,3 @@ def colored_ratios(gammas: list) -> list:
         )
     top = gammas[k]
     return [g / top for g in gammas[:k]]
-
-
-# ---------------------------------------------------------------------------
-# Convenience for tests and callers
-# ---------------------------------------------------------------------------
-
-def tangle_element(t: RationalTangle, n: int = 1) -> TLElement:
-    """Undressed cabled 2-tangle element (no projectors)."""
-    if isinstance(t, PlanarTangleDiagram):
-        return _diagram_element(t, n)
-    word = t if isinstance(t, TwistWord) else to_twist_word(t)
-    return _word_element(word, n)
-
-
-def random_element(rng, n: int, max_terms: int = 3) -> TLElement:
-    """Small random element of TL_n for property tests."""
-    pool = enumerate_matchings(n, n)
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        m = pool[rng.randrange(len(pool))]
-        c = LaurentPoly.monomial(rng.randint(-2, 2), Fraction(rng.randint(-3, 3)))
-        terms[m] = terms.get(m, RatFunc.zero()) + c
-    return TLElement(n, n, terms)

@@ -29,6 +29,7 @@ from tanglekit.tangles import (
     build_rational,
     random_twist_vector,
     rational_to_diagram,
+    to_twist_word,
 )
 
 ONE = RatFunc.one()
@@ -93,7 +94,7 @@ def test_closure_formula_matches_state_sum_oracle():
 
 def test_closure_of_elements_matches_formula():
     for t in (INF, ZERO_T, ONE_T, RationalTangle.from_entries(2, 1)):
-        assert element_closure(tl.tangle_element(t, 1)) == closure_bracket(t)
+        assert element_closure(tl._word_element(to_twist_word(t), 1)) == closure_bracket(t)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from tanglekit.tangles import (
     rational_to_diagram,
     tangle_invert,
     tangle_negate,
+    to_twist_word,
 )
 
 A = LaurentPoly.variable()
@@ -59,6 +60,54 @@ def test_bracket_matches_oracle_random():
         v = vec(t)
         alpha, beta = bracket_of_diagram(rational_to_diagram(t))
         assert (v.alpha, v.beta) == (alpha, beta), f"mismatch for {tv}"
+
+
+# ---------------------------------------------------------------------------
+# Closed-form twist runs against the replay one half twist at a time
+# ---------------------------------------------------------------------------
+
+def per_move_bracket(word):
+    """The bracket replayed one half twist at a time, each through one of
+    four fixed 2x2 matrices: the referee for the closed-form runs."""
+    a, a_inv = LaurentPoly.monomial(1), LaurentPoly.monomial(-1)
+    a3, a3_inv = LaurentPoly.monomial(3), LaurentPoly.monomial(-3)
+    alpha, beta = (Z, ONE) if word.start == "0" else (ONE, Z)
+    for kind, s in word.moves:
+        if kind == "R" and s > 0:
+            alpha, beta = -a3 * alpha + a * beta, a_inv * beta
+        elif kind == "R":
+            alpha, beta = -a3_inv * alpha + a_inv * beta, a * beta
+        elif s > 0:
+            alpha, beta = a * alpha, a_inv * alpha - a3_inv * beta
+        else:
+            alpha, beta = a_inv * alpha, a * alpha - a3 * beta
+    return BracketVec2(alpha, beta)
+
+
+def _run_test_tangles():
+    """300 seeded vectors of entries up to 12 in size, a quarter each with
+    a zero first entry, a zero last entry or both, then long single and
+    split runs and the infinity tangle."""
+    rng = random.Random(20261018)
+    out = []
+    for i in range(300):
+        entries = list(random_twist_vector(rng, max_len=6, max_entry=12).entries)
+        if i % 4 in (1, 3):
+            entries[0] = 0
+        if i % 4 in (2, 3):
+            entries[-1] = 0
+        out.append(RationalTangle.from_entries(*entries))
+    for entries in ((150,), (75, -75), (40, 40, 40), (2000,)):
+        out.append(RationalTangle.from_entries(*entries))
+    out.append(RationalTangle.infinity())
+    return out
+
+
+def test_twist_runs_match_the_per_move_replay():
+    for t in _run_test_tangles():
+        word = to_twist_word(t)
+        assert vec(t) == per_move_bracket(word), f"mismatch for {t}"
+        assert word.fraction() == t.fraction, f"mismatch for {t}"
 
 
 def test_mirror_transport_negate():

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,23 @@ from tanglekit.cli import (
 from tanglekit.rationals import ExtRational, TwistVector, canonical_form
 from tanglekit.tangles import PlanarTangleDiagram, build_rational
 from tanglekit.tl import colored_expand
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def source_env():
+    """The environment with this checkout's source tree first on
+    PYTHONPATH, so that a fresh interpreter imports the package from it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_module(*argv, **kwargs):
+    """Run `python -m tanglekit.cli` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "tanglekit.cli", *argv],
+                          env=source_env(), capture_output=True, **kwargs)
 
 
 def run_cli_streams(*argv):
@@ -130,8 +148,7 @@ def test_bracket_ratio_of_infinity_tangle():
 
 
 def test_output_bytes_are_reproducible():
-    cmd = [sys.executable, "-m", "tanglekit.cli", "fraction", "[-2 3 2]"]
-    runs = [subprocess.run(cmd, capture_output=True, check=True) for _ in range(2)]
+    runs = [run_module("fraction", "[-2 3 2]", check=True) for _ in range(2)]
     assert runs[0].stdout == b'{"p":12,"q":5,"parity":"e/o"}\n'
     assert runs[0].stdout == runs[1].stdout
 
@@ -204,10 +221,7 @@ def test_colored_vanishing_top_coordinate_is_reported_in_the_payload():
     # warning leaking to stderr in-process.
     for n in ("1", "2"):
         for fmt in ("--json", "--text"):
-            run = subprocess.run(
-                [sys.executable, "-m", "tanglekit.cli", "colored", "[inf]", "--n", n, fmt],
-                capture_output=True, text=True,
-            )
+            run = run_module("colored", "[inf]", "--n", n, fmt, text=True)
             assert (run.returncode, run.stderr) == (0, "")
             if fmt == "--json":
                 payload = json.loads(run.stdout)
@@ -355,12 +369,10 @@ def test_endless_batch_input_is_refused_at_once():
     [line] = out.splitlines()
     assert str(cli.MAX_BATCH_BYTES) in json.loads(line)["error"]
     with open("/dev/zero", "rb") as zeros:
-        run = subprocess.run([sys.executable, "-m", "tanglekit.cli", "fraction", "--batch", "-"],
-                             stdin=zeros, capture_output=True, text=True, timeout=60)
+        run = run_module("fraction", "--batch", "-", stdin=zeros, text=True, timeout=60)
     assert (run.returncode, run.stderr) == (2, "")
     assert str(cli.MAX_BATCH_BYTES) in json.loads(run.stdout)["error"]
-    run = subprocess.run([sys.executable, "-m", "tanglekit.cli", "fraction", "--batch", "-"],
-                         input="[1]\n[2 2]\n", capture_output=True, text=True, timeout=60)
+    run = run_module("fraction", "--batch", "-", input="[1]\n[2 2]\n", text=True, timeout=60)
     assert run.returncode == 0
     assert [json.loads(s)["p"] for s in run.stdout.splitlines()] == [1, 5]
 
@@ -426,7 +438,8 @@ def test_consecutive_calls_share_no_state(monkeypatch):
 def test_cli_import_loads_no_process_pool():
     probe = ("import sys, tanglekit.cli; "
              "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
-    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    run = subprocess.run([sys.executable, "-c", probe], env=source_env(),
+                         capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n"
 
 
@@ -568,3 +581,31 @@ def test_render_ascii_infinity():
     code, out = run_cli("render-ascii", "[inf]")
     assert code == 0
     assert "[inf]" in out
+
+
+@pytest.mark.parametrize("notation, art", [
+    ("[2 0]", "tangle [2 0]\nstart  [inf]\nbottom +2  //"),
+    ("[0 2]", "tangle [0 2]\nstart  [inf]\nright  +2  //"),
+    ("[0 0]", "tangle [0 0]\nstart  [inf]"),
+    ("[-3]", "tangle [-3]\nstart  [0]\nright  -3  \\\\\\"),
+])
+def test_render_ascii_pins(notation, art):
+    assert run_cli("render-ascii", notation) == (0, art + "\n")
+    line = json.dumps({"ascii": art}, separators=(",", ":"))
+    assert run_cli("render-ascii", "--json", notation) == (0, line + "\n")
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("schubert_equivalent", ("schubert", "[2 2]", "[2 1 1]")),
+    ("links_equivalent", ("equiv", "[2]", "[3]")),
+    ("bracket_of_diagram", ("oracle-check", "--count", "1", "--max-crossings", "4")),
+])
+def test_any_exception_is_one_error_line(monkeypatch, name, argv):
+    def broken(*args):
+        raise TypeError("broken on purpose")
+
+    monkeypatch.setattr(cli, name, broken)
+    code, out, err = run_cli_streams(*argv)
+    assert (code, err) == (2, "")
+    [line] = out.splitlines()
+    assert json.loads(line) == {"error": "broken on purpose"}

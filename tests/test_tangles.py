@@ -83,13 +83,20 @@ def test_twist_word_replay_matches_fraction():
 def test_twist_word_shape():
     w = to_twist_word(RationalTangle.from_entries(1, 1))
     assert w.start == "inf"
+    assert w.runs == (("B", 1), ("R", 1))
     assert w.moves == (("B", 1), ("R", 1))
     w = to_twist_word(RationalTangle.from_entries(-2, 3, 2))
     assert w.start == "0"
+    assert w.runs == (("R", -2), ("B", 3), ("R", 2))
     assert w.moves == (
         ("R", -1), ("R", -1), ("B", 1), ("B", 1), ("B", 1), ("R", 1), ("R", 1)
     )
-    assert to_twist_word(RationalTangle.infinity()).moves == ()
+    w = to_twist_word(RationalTangle.from_entries(0, 2, -1, 0))
+    assert w.start == "inf"
+    assert w.runs == (("R", 2), ("B", -1))
+    assert w.moves == (("R", 1), ("R", 1), ("B", -1))
+    w = to_twist_word(RationalTangle.infinity())
+    assert (w.start, w.runs, w.moves) == ("inf", (), ())
 
 
 # ---------------------------------------------------------------------------
