@@ -17,7 +17,15 @@ from enum import Enum
 from . import oracle, tl
 from .bracket import BracketVec2, bracket_vector, c_invariant
 from .rationals import ExtRational, parity
-from .ring import DELTA, RatFunc, as_ratfunc, delta_power
+from .ring import (
+    DELTA,
+    LaurentPoly,
+    RatFunc,
+    as_ratfunc,
+    common_denominator,
+    delta_power,
+    normalize_over,
+)
 from .tangles import (
     PlanarTangleDiagram,
     RationalTangle,
@@ -46,6 +54,7 @@ __all__ = [
 ]
 
 _DELTA_RF = RatFunc.from_laurent(DELTA)
+_ZERO = LaurentPoly.zero()
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +344,45 @@ def homotopy_type(link: SolidTorusRationalLink) -> HomotopyType:
 # Colored closures
 # ---------------------------------------------------------------------------
 
+_basis_closure_cache = {}
+
+
+def _basis_closures(n: int):
+    """Closures of bni_basis(n) over one denominator: (nums, den) with
+    nums[i, k] / den the coefficient of z^k in the closure of b_i."""
+    if n not in _basis_closure_cache:
+        fracs = {
+            (i, k): c
+            for i, b in enumerate(tl.bni_basis(n))
+            for k, c in element_closure(b).coeffs.items()
+        }
+        _basis_closure_cache[n] = normalize_over(*common_denominator(fracs))
+    return _basis_closure_cache[n]
+
+
 def colored_closure(t, n: int) -> AnnulusElement:
-    """Closure of the n-cabled, projector-dressed tangle."""
-    return element_closure(tl.colored_element(t, n))
+    """Closure of the n-cabled, projector-dressed tangle.
+
+    For a rational tangle or twist word this is the sum of gamma_i times
+    the closure of b_i over the colored coordinates of
+    tl.transfer_vector, reduced once per power of z; at width 1, where
+    the cable is the tangle itself, it is closure_bracket.  A raw
+    diagram is cabled, expanded by the state sum and closed.
+    """
+    if isinstance(t, PlanarTangleDiagram):
+        return element_closure(tl.colored_element(t, n))
+    word = tl.colored_twist_word(t, n)
+    if n == 1:
+        return closure_bracket(word)
+    gammas, den = tl.transfer_vector(word, n)
+    closures, closures_den = _basis_closures(n)
+    sums = {}
+    for (i, k), c in closures.items():
+        g = gammas.get(i)
+        if g is not None:
+            sums[k] = sums.get(k, _ZERO) + g * c
+    den = den * closures_den
+    return AnnulusElement({k: RatFunc.normalized(v, den) for k, v in sums.items()})
 
 
 def gamma_ratio_invariants(e: AnnulusElement) -> list:

@@ -49,16 +49,23 @@ from .tangles import (
     rational_to_diagram,
     to_twist_word,
 )
-from .tl import MAX_PROJECTOR_STRANDS, check_cable_width, colored_expand, colored_ratios
+from .tl import (
+    MAX_PROJECTOR_STRANDS,
+    _read_coordinates,
+    check_cable_width,
+    colored_element,
+    colored_expand,
+    colored_ratios,
+)
 
 
 #: Largest --batch input read, in bytes; longer input is refused whole.
 MAX_BATCH_BYTES = 1 << 24
 
 #: oracle-check also compares the width-2 colored coordinates of the
-#: twist replay with those of the cabled state sum on diagrams of at
-#: most this many crossings; the cabled state sum takes about 0.04 s
-#: at 3 crossings and 0.6 s at 4.
+#: transfer replay with those of the cabled state sum and with those of
+#: the crossing-tile replay, on diagrams of at most this many crossings;
+#: the cabled state sum takes about 0.04 s at 3 crossings and 0.6 s at 4.
 ORACLE_COLORED_CROSSINGS = 3
 
 
@@ -375,9 +382,12 @@ def _cmd_oracle_check(args) -> int:
             failures.append({"tangle": str(tv), "check": "bracket"})
         if closure_bracket(t) != closure_bracket(d):
             failures.append({"tangle": str(tv), "check": "closure"})
-        if (d.crossing_count <= ORACLE_COLORED_CROSSINGS
-                and colored_expand(t, 2) != colored_expand(d, 2)):
-            failures.append({"tangle": str(tv), "check": "colored"})
+        if d.crossing_count <= ORACLE_COLORED_CROSSINGS:
+            gammas = colored_expand(t, 2)
+            if gammas != colored_expand(d, 2):
+                failures.append({"tangle": str(tv), "check": "colored"})
+            if gammas != _read_coordinates(colored_element(t, 2), 2):
+                failures.append({"tangle": str(tv), "check": "transfer"})
         checked += 1
     payload = {
         "checked": checked,

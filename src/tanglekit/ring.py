@@ -27,6 +27,7 @@ __all__ = [
     "LaurentPoly",
     "RatFunc",
     "as_ratfunc",
+    "common_denominator",
     "delta_power",
     "normalize_over",
 ]
@@ -409,6 +410,24 @@ def normalize_over(nums: dict, den: LaurentPoly):
             for k, v in nums.items()
         }
         den = LaurentPoly({e - sd: _div(c, scale) for e, c in den.coeffs.items()})
+    return nums, den
+
+
+def common_denominator(fracs: dict):
+    """Write a dict of RatFuncs as numerators over one denominator.
+
+    Returns (nums, den) with nums[k] / den equal to fracs[k] and den the
+    least common multiple of the denominators; pass the pair to
+    normalize_over for the canonical form.
+    """
+    den = _ONE_POLY
+    for c in fracs.values():
+        if c.den != den:
+            den = poly_lcm(den, c.den)
+    nums = {
+        k: c.num if c.den == den else c.num * poly_exact_div(den, c.den)
+        for k, c in fracs.items()
+    }
     return nums, den
 
 

@@ -57,8 +57,8 @@ CORNERS = ("NW", "NE", "SW", "SE")
 
 #: Largest total |entry| of a twist vector turned into a twist word.
 #: The bracket applies each run in closed form; the bound keeps output
-#: size in check, and keeps the width-1 colored replay, which builds one
-#: crossing tile per half twist, to seconds.
+#: size in check.  The colored commands have tighter bounds per cable
+#: width (tl.MAX_COLORED_TWISTS).
 MAX_TWIST_TOTAL = 2000
 
 TYPE_0 = "TYPE_0"

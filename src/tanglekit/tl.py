@@ -9,6 +9,13 @@ Jones-Wenzl projectors, their loop and bubble evaluations, the basis
 of the four-cluster subspace used for cabled 2-tangles, and the
 expansion of a cabled, projector-dressed rational tangle over that
 basis together with the resulting ratio invariants.
+
+The expansion of a twist word never builds the tangle in TL_2n: it
+replays the word on the n+1 basis coordinates, from the coordinates of
+the dressed crossingless tangle, with each run of half twists applied
+in closed form (transfer_vector).  Diagrams are cabled and expanded by
+the state sum.  colored_element, which glues one cabled crossing tile
+per half twist, is kept as the referee of the replay.
 """
 
 from __future__ import annotations
@@ -18,11 +25,13 @@ from math import comb
 from types import MappingProxyType
 
 from . import oracle
+from .bracket import bracket_vector
 from .ring import (
     DELTA,
     LaurentPoly,
     RatFunc,
     as_ratfunc,
+    common_denominator,
     delta_power,
     normalize_over,
     poly_exact_div,
@@ -30,7 +39,6 @@ from .ring import (
 )
 from .tangles import (
     CORNERS,
-    MAX_TWIST_TOTAL,
     PlanarTangleDiagram,
     TwistWord,
     cable_diagram,
@@ -67,6 +75,8 @@ __all__ = [
     "quantum_coeffs",
     "bni_basis",
     "check_cable_width",
+    "colored_twist_word",
+    "transfer_vector",
     "colored_expand",
     "colored_ratios",
 ]
@@ -74,13 +84,14 @@ __all__ = [
 #: Largest strand count for which Jones-Wenzl projectors are built.
 MAX_PROJECTOR_STRANDS = 6
 
-#: Largest total twist, per cable width, of a twist word that
-#: colored_element replays.  The replay grows faster than quadratically
-#: in the twist count, and steeply with the width.  Width 1 keeps the
-#: bracket's bound; the others keep the slowest input found, all entries
-#: 1, to under a minute through `colored` (44 s at width 2, 52 s at
-#: width 3, on a 2-vCPU x86 host under CPython 3.11).
-MAX_COLORED_TWISTS = {1: MAX_TWIST_TOTAL, 2: 150, 3: 26}
+#: Largest total twist, per cable width, of a twist word whose colored
+#: coordinates or closure are computed.  Each bound keeps the slowest
+#: input found, all entries 1, to under a minute through `colored` (on a
+#: 2-vCPU x86 host under CPython 3.11).  At width 1 the time goes to the
+#: polynomial gcds of colored_ratios: 41 s for 480 ones and 52 s for
+#: 500, against 0.4 s for `colored-closure`.  The bounds at widths 2 and
+#: 3 were set on the crossing-tile replay (44 s and 52 s) and are kept.
+MAX_COLORED_TWISTS = {1: 500, 2: 150, 3: 26}
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +175,6 @@ class TLElement:
         self.bottom = int(bottom)
         m = self.top + self.bottom
         weights = {}
-        den = LaurentPoly.one()
         for partner, c in (terms or {}).items():
             c = as_ratfunc(c)
             if c.is_zero:
@@ -177,13 +187,7 @@ class TLElement:
             if not _is_planar_matching(partner, self.top, self.bottom):
                 raise ValueError(f"matching is not crossingless: {partner}")
             weights[partner] = c
-            if c.den != den:
-                den = poly_lcm(den, c.den)
-        nums = {
-            k: c.num if c.den == den else c.num * poly_exact_div(den, c.den)
-            for k, c in weights.items()
-        }
-        self.nums, self.den = normalize_over(nums, den)
+        self.nums, self.den = normalize_over(*common_denominator(weights))
         self._terms = None
 
     @classmethod
@@ -780,6 +784,34 @@ def bni_basis(n: int) -> list:
 # ---------------------------------------------------------------------------
 # Colored expansion of 2-tangles
 # ---------------------------------------------------------------------------
+#
+# The dressed tangle of a twist word lies in the (n+1)-dimensional span
+# of bni_basis(n), and both twists act on that span.  A right half twist
+# of sign s scales b_i by its twist eigenvalue (-1)^(n-i) A^(s(n^2 + 2n
+# - 2i^2 - 2i)) (Kauffman & Lins, Temperley-Lieb Recoupling Theory,
+# 1994).  A bottom half twist is a right one seen after a quarter turn:
+# with Q the matrix of rotate_cw on the span, which is its own inverse,
+# a bottom run of a half twists is Q D(-a) Q, where D(a) is the diagonal
+# right run.  colored_expand and colored_closure replay twist words on
+# these n+1 coordinates; colored_element, which glues one cabled
+# crossing tile per half twist in TL_2n, is the referee they are tested
+# against.
+
+def colored_twist_word(t, n: int) -> TwistWord:
+    """The twist word of a rational tangle (or of a twist word) to be
+    cabled at width n; a bad width, or a word longer than
+    MAX_COLORED_TWISTS[n], is refused before any work."""
+    check_cable_width(n)
+    word = t if isinstance(t, TwistWord) else to_twist_word(t)
+    bound = MAX_COLORED_TWISTS[n]
+    total = sum(abs(a) for _, a in word.runs)
+    if total > bound:
+        raise ValueError(
+            f"colored twist word too long: {total} half twists exceed "
+            f"the bound {bound} at cable width {n}"
+        )
+    return word
+
 
 def _word_element(word: TwistWord, n: int) -> TLElement:
     x = unit_element(n, word.start)
@@ -798,26 +830,21 @@ def _diagram_element(d: PlanarTangleDiagram, n: int) -> TLElement:
 def colored_element(t, n: int) -> TLElement:
     """The n-cabled, projector-dressed 2-tangle as an element of TL_2n.
 
-    Rational tangles are replayed twist by twist through precomputed
-    crossing tiles, and a twist word longer than MAX_COLORED_TWISTS[n]
-    is refused before any tile is built; raw diagrams are cabled and fed
-    to the state-sum enumerator.  Either way both open strands end up
-    dressed with an n-strand projector (the projector absorbs its own
-    copies, so where along the strand it sits does not matter).
+    For rational tangles and twist words this is the referee of the
+    transfer replay behind colored_expand and colored_closure: the word
+    is replayed twist by twist through precomputed crossing tiles, and a
+    word longer than MAX_COLORED_TWISTS[n] is refused before any tile is
+    built.  Raw diagrams are cabled and fed to the state-sum enumerator,
+    which is also how colored_expand treats them.  Either way both open
+    strands end up dressed with an n-strand projector (the projector
+    absorbs its own copies, so where along the strand it sits does not
+    matter).
     """
     check_cable_width(n)
     if isinstance(t, PlanarTangleDiagram):
         base = _diagram_element(t, n)
     else:
-        word = t if isinstance(t, TwistWord) else to_twist_word(t)
-        bound = MAX_COLORED_TWISTS[n]
-        total = sum(abs(a) for _, a in word.runs)
-        if total > bound:
-            raise ValueError(
-                f"colored twist word too long: {total} half twists exceed "
-                f"the bound {bound} at cable width {n}"
-            )
-        base = _word_element(word, n)
+        base = _word_element(colored_twist_word(t, n), n)
     frame = projector_frame(n)
     return compose(frame, compose(base, frame))
 
@@ -858,9 +885,105 @@ def _read_coordinates(x: TLElement, n: int) -> list:
     return gammas
 
 
+_transfer_cache = {}
+
+
+def _transfer_data(n: int):
+    """Start vectors and quarter-turn matrix of the replay at width n.
+
+    Returns (starts, q, q_den).  starts maps "0" and "inf" to the
+    coordinates of the dressed crossingless tangle, as numerators over
+    one denominator.  q[i][j] / q_den is coordinate i of rotate_cw(b_j),
+    with None for a zero entry.  Cached per n; no crossing tile is built.
+    """
+    if n not in _transfer_cache:
+        frame = projector_frame(n)
+        starts = {}
+        for kind in ("0", "inf"):
+            x = compose(frame, compose(unit_element(n, kind), frame))
+            gammas = dict(enumerate(_read_coordinates(x, n)))
+            starts[kind] = normalize_over(*common_denominator(gammas))
+        entries = {}
+        for j, b in enumerate(bni_basis(n)):
+            for i, c in enumerate(_read_coordinates(rotate_cw(b), n)):
+                entries[i, j] = c
+        q_nums, q_den = normalize_over(*common_denominator(entries))
+        q = [[q_nums.get((i, j)) for j in range(n + 1)] for i in range(n + 1)]
+        _transfer_cache[n] = starts, q, q_den
+    return _transfer_cache[n]
+
+
+def _twist_diagonal(nums: dict, n: int, a: int) -> dict:
+    """A right run of a half twists: coordinate i times its eigenvalue
+    (-1)^((n-i)|a|) A^(a(n^2 + 2n - 2i^2 - 2i)), a monomial."""
+    out = {}
+    for i, v in nums.items():
+        shift = a * (n * n + 2 * n - 2 * i * i - 2 * i)
+        sign = -1 if (n - i) * a % 2 else 1
+        out[i] = LaurentPoly({e + shift: sign * c for e, c in v.coeffs.items()})
+    return out
+
+
+def _quarter_turn(q, nums: dict) -> dict:
+    """Numerators of Q times a vector, over the vector's denominator
+    times q_den."""
+    out = {}
+    for i, row in enumerate(q):
+        total = LaurentPoly.zero()
+        for j, v in nums.items():
+            if row[j] is not None:
+                total = total + row[j] * v
+        if total:
+            out[i] = total
+    return out
+
+
+# delta = -A^2 - A^-2 = -(A^4 + 1) / A^2
+_DELTA_NUM = LaurentPoly({0: 1, 4: 1})
+
+
+def transfer_vector(t, n: int):
+    """Colored coordinates of a rational tangle or twist word over
+    bni_basis(n), as numerators over one denominator.
+
+    Returns (nums, den) in the canonical form of normalize_over:
+    nums[i] / den is the coordinate of b_i, and zero coordinates are
+    left out.  At width 1 the coordinates are the bracket's, changed to
+    the basis (b_0, b_1): gamma = (alpha + beta/delta, beta).  At wider
+    cables the replay starts from the dressed crossingless tangle and
+    applies each run of half twists in closed form, a right run as
+    monomials and a bottom run as Q D(-a) Q, with one reduction per
+    bottom run.  A word longer than MAX_COLORED_TWISTS[n] is refused
+    before any precompute.
+    """
+    word = colored_twist_word(t, n)
+    if n == 1:
+        vec = bracket_vector(word)
+        nums = {0: vec.alpha * _DELTA_NUM - vec.beta.shift(2), 1: vec.beta * _DELTA_NUM}
+        return normalize_over(nums, _DELTA_NUM)
+    starts, q, q_den = _transfer_data(n)
+    nums, den = starts[word.start]
+    for kind, a in word.runs:
+        if kind == "R":
+            nums = _twist_diagonal(nums, n, a)
+        else:
+            nums = _quarter_turn(q, _twist_diagonal(_quarter_turn(q, nums), n, -a))
+            nums, den = normalize_over(nums, den * q_den * q_den)
+    return nums, den
+
+
 def colored_expand(t, n: int) -> list:
-    """Coordinates of the n-cabled, projector-dressed tangle over bni_basis."""
-    return _read_coordinates(colored_element(t, n), n)
+    """Coordinates of the n-cabled, projector-dressed tangle over bni_basis.
+
+    Rational tangles and twist words go through transfer_vector; raw
+    diagrams through the cabled state sum, whose coordinates are read
+    off the basis and checked exactly.
+    """
+    if isinstance(t, PlanarTangleDiagram):
+        return _read_coordinates(colored_element(t, n), n)
+    nums, den = transfer_vector(t, n)
+    zero = LaurentPoly.zero()
+    return [RatFunc.normalized(nums.get(i, zero), den) for i in range(n + 1)]
 
 
 def colored_ratios(gammas: list) -> list:

@@ -246,6 +246,18 @@ def test_colored_closure_matches_theta_referee():
         assert colored_closure(t, n) == _theta_referee(t, n), (t, n)
 
 
+def test_colored_closure_matches_the_tile_replay():
+    rng = random.Random(97)
+    cases = [(build_rational(random_twist_vector(rng, 4, 3)), 1) for _ in range(200)]
+    cases += [(build_rational(random_twist_vector(rng, 3, 3)), 2) for _ in range(40)]
+    fixed = [RationalTangle.from_entries(*e) for e in ((1,), (-1,), (2, -1), (1, 1), (0,))]
+    fixed.append(INF)
+    cases += [(t, 3) for t in fixed]
+    for t, n in cases:
+        referee = element_closure(tl.colored_element(t, n))
+        assert colored_closure(t, n) == referee, (t, n)
+
+
 def test_gamma_ratios_pins():
     assert gamma_ratio_invariants(AnnulusElement({0: DELTA})) == []
     assert gamma_ratio_invariants(AnnulusElement({2: ONE})) == [ONE, ZERO]

@@ -316,6 +316,19 @@ def test_colored_twist_bound_refuses_long_words_at_once(n):
             assert f"bound {bound} at cable width {n}" in json.loads(line)["error"]
 
 
+def test_colored_width_one_bound_refuses_long_words_at_once():
+    bound = tl.MAX_COLORED_TWISTS[1]
+    assert bound < 1000
+    for command in ("colored", "colored-closure"):
+        for notation in (f"[{bound + 1}]", "[1000 1000]"):
+            start = time.perf_counter()
+            code, out, err = run_cli_streams(command, "--n", "1", notation)
+            assert time.perf_counter() - start < 1.0
+            assert (code, err) == (2, "")
+            [line] = out.splitlines()
+            assert f"bound {bound} at cable width 1" in json.loads(line)["error"]
+
+
 @pytest.mark.parametrize("n, bound, accepted, refused", [
     (2, 3, "[2 1]", "[2 2]"),
     (3, 1, "[-1]", "[1 1]"),
@@ -550,6 +563,21 @@ def test_oracle_check_reports_a_colored_mismatch(monkeypatch):
     payload = json.loads(out)
     assert code == 1 and payload["checked"] == 4
     assert [f["check"] for f in payload["failures"]] == ["colored"] * 4
+
+
+def test_oracle_check_reports_a_transfer_mismatch(monkeypatch):
+    # a tile replay that disagrees with the transfer replay surfaces as
+    # its own check; doubling the element keeps it in the basis span
+    def skewed(t, n):
+        return tl.colored_element(t, n).scale(2)
+
+    monkeypatch.setattr(cli, "colored_element", skewed)
+    code, out = run_cli(
+        "oracle-check", "--count", "4", "--max-crossings", "3", "--seed", "7"
+    )
+    payload = json.loads(out)
+    assert code == 1 and payload["checked"] == 4
+    assert [f["check"] for f in payload["failures"]] == ["transfer"] * 4
 
 
 def test_oracle_check_validates_budget():

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from tanglekit import tl
+from tanglekit import annulus, tl
 from tanglekit.annulus import colored_closure
 from tanglekit.bracket import bracket_vector
 from tanglekit.ring import LaurentPoly, RatFunc, _poly_gcd
@@ -494,6 +494,79 @@ def test_colored_element_replay_matches_cabled_state_sum():
         replay = tl.colored_element(t, 2)
         direct = tl.colored_element(rational_to_diagram(t), 2)
         assert replay == direct
+
+
+# ---------------------------------------------------------------------------
+# Transfer replay on the n+1 basis coordinates
+# ---------------------------------------------------------------------------
+
+def _coords(n, nums, den):
+    zero = LaurentPoly.zero()
+    return [RatFunc.normalized(nums.get(i, zero), den) for i in range(n + 1)]
+
+
+def test_transfer_replay_matches_the_tile_replay():
+    rng = random.Random(89)
+    cases = [(build_rational(random_twist_vector(rng, 4, 3)), 1) for _ in range(200)]
+    cases += [(build_rational(random_twist_vector(rng, 3, 3)), 2) for _ in range(40)]
+    fixed = [RationalTangle.from_entries(*e) for e in ((1,), (-1,), (2, -1), (1, 1), (0,))]
+    fixed.append(RationalTangle.infinity())
+    cases += [(t, 3) for t in fixed]
+    for t, n in cases:
+        referee = tl._read_coordinates(tl.colored_element(t, n), n)
+        assert tl.colored_expand(t, n) == referee, (t, n)
+
+
+def test_quarter_turn_is_an_involution():
+    # Q is rotate_cw on the span; two quarter turns of a dressed
+    # 2-tangle, a half turn, fix every basis element
+    for n in (1, 2, 3):
+        _, q, q_den = tl._transfer_data(n)
+        for j in range(n + 1):
+            twice = tl._quarter_turn(q, tl._quarter_turn(q, {j: LaurentPoly.one()}))
+            assert twice == {j: q_den * q_den}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_half_twists_act_on_basis_coordinates(n):
+    # a right half twist scales b_i by its closed-form eigenvalue; a
+    # bottom one is Q D(-s) Q (checked below width 3, where the tile
+    # replay of the bottom twists alone takes seconds)
+    _, q, q_den = tl._transfer_data(n)
+    one = LaurentPoly.one()
+    for i, b in enumerate(tl.bni_basis(n)):
+        for s in (1, -1):
+            right = tl._twist_diagonal({i: one}, n, s)
+            assert tl._read_coordinates(tl.add_right_twist(b, s), n) == _coords(n, right, one)
+            if n < 3:
+                turned = tl._twist_diagonal(tl._quarter_turn(q, {i: one}), n, -s)
+                bottom = tl._quarter_turn(q, turned)
+                assert tl._read_coordinates(tl.add_bottom_twist(b, s), n) == _coords(
+                    n, bottom, q_den * q_den
+                )
+
+
+def test_width_one_eigenvalues_are_the_bracket_step():
+    # the diagonal of one right half twist in the bracket's transfer map
+    one = LaurentPoly.one()
+    assert tl._twist_diagonal({0: one, 1: one}, 1, 1) == {
+        0: LaurentPoly.monomial(3, -1), 1: LaurentPoly.monomial(-1)
+    }
+
+
+def test_transfer_replay_builds_no_crossing_tile(monkeypatch):
+    for cache in ("_tile_cache", "_bni_cache", "_transfer_cache"):
+        monkeypatch.setattr(tl, cache, {})
+    monkeypatch.setattr(annulus, "_basis_closure_cache", {})
+    # a word over the bound is refused before any precompute
+    too_long = RationalTangle.from_entries(tl.MAX_COLORED_TWISTS[3] + 1)
+    with pytest.raises(ValueError, match="at cable width 3"):
+        tl.colored_expand(too_long, 3)
+    assert tl._bni_cache == {} and tl._transfer_cache == {}
+    t = RationalTangle.from_entries(2, -1)
+    tl.colored_expand(t, 3)
+    colored_closure(t, 3)
+    assert tl._tile_cache == {}
 
 
 def test_colored_cable_width_bound():
