@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from . import kernel
 from .ring import DELTA, LaurentPoly, delta_power
-from .tangles import CORNERS, PlanarTangleDiagram
+from .tangles import CORNERS, PlanarTangleDiagram, corner_clusters
 
 __all__ = [
     "MAX_ORACLE_COUNT",
@@ -128,20 +128,13 @@ def annular_closure(d: PlanarTangleDiagram) -> PlanarTangleDiagram:
 
     The two top corners are joined over the annulus core and likewise
     the two bottom corners, each closure arc crossing the marked ray
-    once.  Cabled diagrams with boundary labels "NW:k" etc. are closed
-    by nested arcs.  Closure arcs are merged with the strand arcs they
-    extend; strands that meet no crossing become free loops.
+    once.  Cabled diagrams (labels read by tangles.corner_clusters) are
+    closed by nested arcs.  Closure arcs are merged with the strand arcs
+    they extend; strands that meet no crossing become free loops.
     """
-    labs = dict((lab, e) for lab, e in d.boundary)
-    if set(labs) == set(CORNERS):
-        clusters = {c: [labs[c]] for c in CORNERS}
-    else:
-        clusters = {c: [] for c in CORNERS}
-        for lab, e in d.boundary:
-            corner, _, idx = lab.partition(":")
-            clusters[corner].append((int(idx), e))
-        for c in CORNERS:
-            clusters[c] = [e for _, e in sorted(clusters[c])]
+    end_of = dict(d.boundary)
+    clusters = {c: [end_of[lab] for lab in labs]
+                for c, labs in corner_clusters(d).items()}
     n = len(clusters["NW"])
     if any(len(v) != n for v in clusters.values()):
         raise ValueError("boundary is not a cabled 2-tangle boundary")

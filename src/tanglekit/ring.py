@@ -264,19 +264,26 @@ class LaurentPoly:
 # ---------------------------------------------------------------------------
 
 def _poly_divmod(a: dict, b: dict):
-    """Long division of ordinary polynomials given as exponent dicts."""
+    """Long division of ordinary polynomials given as exponent dicts.
+
+    The degree steps down once from deg a to deg b, so each step costs
+    the length of b, not of the remainder.
+    """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     a = dict(a)
     db = max(b)
     lead = b[db]
+    tail = [(e - db, c) for e, c in b.items() if e != db]
     q = {}
-    while a and max(a) >= db:
-        da = max(a)
-        f = _div(a[da], lead)
+    for da in range(max(a, default=db - 1), db - 1, -1):
+        top = a.pop(da, 0)
+        if not top:
+            continue
+        f = _div(top, lead)
         q[da - db] = f
-        for e, c in b.items():
-            k = e + da - db
+        for e, c in tail:
+            k = da + e
             s = a.get(k, 0) - f * c
             if s:
                 a[k] = s
@@ -294,18 +301,21 @@ def _primitive(a: dict) -> dict:
 def _prem(a: dict, b: dict) -> dict:
     """Pseudo-remainder of integer polynomials: the remainder of m * a
     divided by b, for some nonzero integer m, with integer coefficients
-    throughout."""
+    throughout.  The degree steps down as in _poly_divmod."""
     a = dict(a)
     db = max(b)
     lead = b[db]
-    while a and max(a) >= db:
-        da = max(a)
-        g = gcd(a[da], lead)
-        f, m = a[da] // g, lead // g
+    tail = [(e - db, c) for e, c in b.items() if e != db]
+    for da in range(max(a, default=db - 1), db - 1, -1):
+        top = a.pop(da, 0)
+        if not top:
+            continue
+        g = gcd(top, lead)
+        f, m = top // g, lead // g
         if m != 1:
             a = {e: m * c for e, c in a.items()}
-        for e, c in b.items():
-            k = e + da - db
+        for e, c in tail:
+            k = da + e
             s = a.get(k, 0) - f * c
             if s:
                 a[k] = s

@@ -8,9 +8,10 @@ We store it as half-edges ("ends", small integers):
 
 * each crossing owns four ends, listed counterclockwise with the
   understrand occupying entries 0 and 2;
-* each boundary point owns one end and carries a label (the corner
-  names NW, NE, SW, SE for a 2-tangle, or port names for cabled
-  pieces);
+* each boundary point owns one end and carries a label: a corner name
+  NW, NE, SW, SE, or "<corner>:<k>" for the k-th copy of a corner in
+  an n-cable (cable_diagram writes these and corner_clusters reads
+  them);
 * arcs join ends in pairs; an arc may carry an integer winding weight,
   the signed number of times its traversal (first end to second end)
   crosses a fixed ray out of the annulus puncture.  Weights matter only
@@ -47,9 +48,9 @@ __all__ = [
     "clasp_single",
     "clasp_double",
     "clasp_around_right",
-    "cabled_crossing_grid",
     "curl_diagram",
     "cable_diagram",
+    "corner_clusters",
     "random_twist_vector",
 ]
 
@@ -613,15 +614,28 @@ def clasp_around_right() -> PlanarTangleDiagram:
 
 
 # ---------------------------------------------------------------------------
-# Cabled pieces: n x n crossing grids and curls
+# Cabling
 # ---------------------------------------------------------------------------
 
-def _grid(n, sign, base=0):
+def curl_diagram(sign: int) -> PlanarTangleDiagram:
+    """One strand from SW to NW making one kink.
+
+    For sign +1 the kink evaluates to -1/A^3, the direction the cabling
+    correction factor tracks; sign -1 gives its inverse.  Cabled by
+    cable_diagram, it is the n-strand kink.
+    """
+    loop, exit_end = (1, 3) if sign > 0 else (3, 1)
+    return PlanarTangleDiagram(
+        [(0, 1, 2, 3)], [(4, 0), (2, loop), (exit_end, 5)], [("SW", 4), ("NW", 5)]
+    )
+
+
+def _grid(n, base):
     """n x n grid of crossings for two n-strand cables crossing once.
 
-    One cable runs south to north through the columns, the other east
-    to west through the rows.  For sign +1 the vertical cable passes
-    under.  Returns (crossings, arcs, ports) where ports maps side name
+    One cable runs south to north through the columns, passing under
+    the other, which runs east to west through the rows.  Returns
+    (crossings, arcs, ports, next free end) where ports maps side name
     S/E/N/W to the list of ends along that side (S and N indexed by
     column left to right, E and W by row top to bottom).
     """
@@ -634,10 +648,7 @@ def _grid(n, sign, base=0):
             s, e, nn, w = counter, counter + 1, counter + 2, counter + 3
             counter += 4
             end[i, j] = {"S": s, "E": e, "N": nn, "W": w}
-            if sign > 0:
-                crossings.append((s, e, nn, w))    # vertical strand under
-            else:
-                crossings.append((e, nn, w, s))    # horizontal strand under
+            crossings.append((s, e, nn, w))
     for i in range(n):
         for j in range(n):
             if i > 0:
@@ -653,69 +664,13 @@ def _grid(n, sign, base=0):
     return crossings, arcs, ports, counter
 
 
-def cabled_crossing_grid(n: int, sign: int) -> PlanarTangleDiagram:
-    """Two n-strand cables crossing once, as a 2n-point braid piece.
-
-    Boundary labels t0..t{2n-1} (top, left to right) and b0..b{2n-1}
-    (bottom).  The cable entering at the bottom left leaves at the top
-    right passing over for sign +1 (under for -1).
-    """
-    crossings, arcs, ports, counter = _grid(n, sign)
-    boundary = []
-    # bottom left cluster = grid W side, bottom right = grid S side,
-    # top left = grid N side, top right = grid E side
-    for k in range(n):
-        boundary.append((f"b{k}", counter))
-        arcs.append((ports["W"][k], counter, 0))
-        counter += 1
-    for j in range(n):
-        boundary.append((f"b{n + j}", counter))
-        arcs.append((ports["S"][j], counter, 0))
-        counter += 1
-    for j in range(n):
-        boundary.append((f"t{j}", counter))
-        arcs.append((ports["N"][j], counter, 0))
-        counter += 1
-    for i in range(n):
-        boundary.append((f"t{n + i}", counter))
-        arcs.append((ports["E"][i], counter, 0))
-        counter += 1
-    return PlanarTangleDiagram(crossings, arcs, boundary)
-
-
-def curl_diagram(n: int, sign: int) -> PlanarTangleDiagram:
-    """An n-strand cable making one kink, as an n-point braid piece.
-
-    The cable enters at the bottom (b0..b{n-1}), loops once through an
-    n x n self-crossing grid, and exits at the top (t0..t{n-1}).  For
-    sign +1 the single-strand kink evaluates to -1/A^3, the direction
-    the cabling correction factor tracks; sign -1 gives its inverse.
-    """
-    crossings, arcs, ports, counter = _grid(n, sign)
-    # nested corner arcs on the upper right: grid top port j turns back
-    # into grid right port n-1-j
-    for j in range(n):
-        arcs.append((ports["N"][j], ports["E"][n - 1 - j], 0))
-    boundary = []
-    for j in range(n):
-        boundary.append((f"b{j}", counter))
-        arcs.append((ports["S"][j], counter, 0))
-        counter += 1
-    # exiting westward then turning up reverses the row order
-    for j in range(n):
-        boundary.append((f"t{j}", counter))
-        arcs.append((ports["W"][n - 1 - j], counter, 0))
-        counter += 1
-    return PlanarTangleDiagram(crossings, arcs, boundary)
-
-
 def cable_diagram(d: PlanarTangleDiagram, n: int) -> PlanarTangleDiagram:
     """Replace every strand by n parallel copies (blackboard framing).
 
-    Crossings become n x n grids, arcs become n parallel arcs carrying
-    the same winding weight, and each boundary point becomes n points
-    labeled "<label>:<k>" ordered left to right as seen from outside
-    the diagram with north up.
+    Crossings become n x n grids, arcs and free loops become n parallel
+    copies carrying the same winding weight, and each boundary point
+    becomes n points labeled "<label>:<k>" ordered left to right as seen
+    from outside the diagram with north up (corner_clusters reads them).
     """
     crossings = []
     arcs = []
@@ -723,7 +678,7 @@ def cable_diagram(d: PlanarTangleDiagram, n: int) -> PlanarTangleDiagram:
     # counterclockwise port lists around each original crossing
     cross_ports = []
     for c in d.crossings:
-        gc, ga, ports, counter = _grid(n, +1, base=counter)
+        gc, ga, ports, counter = _grid(n, counter)
         crossings.extend(gc)
         arcs.extend(ga)
         cross_ports.append({
@@ -761,7 +716,26 @@ def cable_diagram(d: PlanarTangleDiagram, n: int) -> PlanarTangleDiagram:
         pa, pb = ccw_ports(a), ccw_ports(b)
         for k in range(n):
             arcs.append((pa[k], pb[n - 1 - k], w))
-    return PlanarTangleDiagram(crossings, arcs, boundary)
+    free_loops = [w for w in d.free_loops for _ in range(n)]
+    return PlanarTangleDiagram(crossings, arcs, boundary, free_loops)
+
+
+def corner_clusters(d: PlanarTangleDiagram) -> dict:
+    """The boundary labels of a 2-tangle diagram, cabled or not, by corner.
+
+    Maps each of NW, NE, SW, SE to its labels ordered left to right in
+    the north-up view: a plain corner label is a cluster of one, and the
+    labels "<corner>:<k>" written by cable_diagram count k left to right
+    as seen from outside the disk, so they are listed by decreasing k.
+    Any other label raises ValueError.
+    """
+    clusters = {c: [] for c in CORNERS}
+    for lab, _ in d.boundary:
+        corner, sep, idx = lab.partition(":")
+        if corner not in clusters or (sep and not idx.isdecimal()):
+            raise ValueError("cannot infer a top/bottom reading of the boundary")
+        clusters[corner].append((int(idx) if sep else 0, lab))
+    return {c: [lab for _, lab in sorted(v, reverse=True)] for c, v in clusters.items()}
 
 
 # ---------------------------------------------------------------------------

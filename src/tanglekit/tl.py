@@ -38,11 +38,11 @@ from .ring import (
     poly_lcm,
 )
 from .tangles import (
-    CORNERS,
     PlanarTangleDiagram,
+    RationalTangle,
     TwistWord,
     cable_diagram,
-    cabled_crossing_grid,
+    corner_clusters,
     curl_diagram,
     rational_to_diagram,
     to_twist_word,
@@ -530,51 +530,21 @@ def rotate_ccw(x: TLElement) -> TLElement:
 # State sums of planar diagrams
 # ---------------------------------------------------------------------------
 
-def _cluster_labels(d: PlanarTangleDiagram):
-    """Top and bottom label lists for a 2-tangle or cabled boundary."""
-    labels = [lab for lab, _ in d.boundary]
-    if set(labels) == set(CORNERS):
-        return ["NW", "NE"], ["SW", "SE"]
-    clusters = {c: [] for c in CORNERS}
-    for lab in labels:
-        corner, sep, idx = lab.partition(":")
-        if not sep or corner not in clusters:
-            return None
-        clusters[corner].append((int(idx), lab))
-    # cable indices count left to right as seen from outside the disk,
-    # which is right to left in the usual north-up view of every corner
-    ordered = {
-        c: [lab for _, lab in sorted(v, reverse=True)] for c, v in clusters.items()
-    }
-    return ordered["NW"] + ordered["NE"], ordered["SW"] + ordered["SE"]
-
-
-def _braid_labels(d: PlanarTangleDiagram):
-    tops, bottoms = [], []
-    for lab, _ in d.boundary:
-        if lab.startswith("t"):
-            tops.append((int(lab[1:]), lab))
-        elif lab.startswith("b"):
-            bottoms.append((int(lab[1:]), lab))
-        else:
-            return None
-    return [lab for _, lab in sorted(tops)], [lab for _, lab in sorted(bottoms)]
-
-
 def state_sum(d: PlanarTangleDiagram) -> TLElement:
     """Expand a diagram with boundary over the crossingless matchings of
     its boundary points by smoothing enumeration.
 
-    The top/bottom reading of the boundary is inferred for 2-tangle
-    corner labels (cabled or not) and t*/b* braid labels.  Closed
-    diagrams are evaluated by annulus.closure_bracket.
+    The boundary is read through tangles.corner_clusters, so labels are
+    corner names or the "<corner>:<k>" labels of cable_diagram: the NW
+    then NE labels are the top row and the SW then SE labels the bottom
+    row, left to right.  Closed diagrams are evaluated by
+    annulus.closure_bracket.
     """
     if not d.boundary:
         raise ValueError("state_sum needs a diagram with boundary points")
-    split = _cluster_labels(d) or _braid_labels(d)
-    if split is None:
-        raise ValueError("cannot infer a top/bottom reading of the boundary")
-    top_labels, bottom_labels = split
+    clusters = corner_clusters(d)
+    top_labels = clusters["NW"] + clusters["NE"]
+    bottom_labels = clusters["SW"] + clusters["SE"]
     raw = oracle.matchings_of_diagram(d, top_labels, bottom_labels)
     return TLElement(len(top_labels), len(bottom_labels), raw)
 
@@ -585,13 +555,14 @@ _tile_cache = {}
 def tile_element(n: int, sign: int) -> TLElement:
     """Two n-cables crossing once, as an element of TL_2n.
 
-    Precomputed by a 2^(n^2) state sum of the cabled crossing grid and
-    cached; composition chains of these tiles replace the infeasible
-    one-shot state sum of a whole cabled tangle.
+    The cabled state sum of the one-crossing tangle [sign], computed
+    once per key and cached; the referee colored_element glues one of
+    these tiles per half twist.
     """
     key = (n, 1 if sign > 0 else -1)
     if key not in _tile_cache:
-        _tile_cache[key] = state_sum(cabled_crossing_grid(n, key[1]))
+        one_crossing = rational_to_diagram(RationalTangle.from_entries(key[1]))
+        _tile_cache[key] = state_sum(cable_diagram(one_crossing, n))
     return _tile_cache[key]
 
 
@@ -599,10 +570,11 @@ _kink_cache = {}
 
 
 def kink_element(n: int, sign: int) -> TLElement:
-    """An n-cable making one kink, as an element of TL_n."""
+    """An n-cable making one kink, as an element of TL_n: the cabled
+    state sum of curl_diagram(sign), its NW points on top."""
     key = (n, 1 if sign > 0 else -1)
     if key not in _kink_cache:
-        _kink_cache[key] = state_sum(curl_diagram(n, key[1]))
+        _kink_cache[key] = state_sum(cable_diagram(curl_diagram(key[1]), n))
     return _kink_cache[key]
 
 
@@ -822,11 +794,6 @@ def _word_element(word: TwistWord, n: int) -> TLElement:
     return x
 
 
-def _diagram_element(d: PlanarTangleDiagram, n: int) -> TLElement:
-    cabled = cable_diagram(d, n) if n > 1 else d
-    return state_sum(cabled)
-
-
 def colored_element(t, n: int) -> TLElement:
     """The n-cabled, projector-dressed 2-tangle as an element of TL_2n.
 
@@ -842,7 +809,7 @@ def colored_element(t, n: int) -> TLElement:
     """
     check_cable_width(n)
     if isinstance(t, PlanarTangleDiagram):
-        base = _diagram_element(t, n)
+        base = state_sum(cable_diagram(t, n))
     else:
         base = _word_element(colored_twist_word(t, n), n)
     frame = projector_frame(n)

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from tanglekit import cli, tl
+from tanglekit.annulus import colored_closure
 from tanglekit.cli import (
     INFINITY_TANGLE,
     TangleNotationError,
@@ -414,6 +415,39 @@ def test_batch_rejects_jobs_below_one(tmp_path):
         assert "--jobs" in json.loads(line)["error"]
 
 
+def test_closed_stdout_ends_the_batch_quietly(tmp_path):
+    # far more output than the pipe holds, so the batch is still
+    # printing when the reader goes away
+    batch = tmp_path / "tangles.txt"
+    batch.write_text("[3 2 -3]\n" * 5000, encoding="utf-8")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tanglekit.cli", "fraction", "--batch", str(batch)],
+        env=source_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        assert json.loads(proc.stdout.readline())["p"] == -18
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
+
+
+def test_broken_redirected_stdout_leaves_the_process_stdout_alone():
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    before = os.fstat(1)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(ClosedPipe()), contextlib.redirect_stderr(err):
+        code = main(["fraction", "[1]"])
+    assert (code, err.getvalue()) == (2, "")
+    assert os.path.samestat(os.fstat(1), before)
+
+
 # ---------------------------------------------------------------------------
 # Argument errors and process state
 # ---------------------------------------------------------------------------
@@ -578,6 +612,24 @@ def test_oracle_check_reports_a_transfer_mismatch(monkeypatch):
     payload = json.loads(out)
     assert code == 1 and payload["checked"] == 4
     assert [f["check"] for f in payload["failures"]] == ["transfer"] * 4
+
+
+def test_oracle_check_reports_a_colored_closure_mismatch(monkeypatch):
+    # a closure of the cabled state sum that disagrees with the transfer
+    # closure surfaces as its own check
+    def skewed(t, n):
+        closure = colored_closure(t, n)
+        if isinstance(t, PlanarTangleDiagram):
+            closure = closure + closure
+        return closure
+
+    monkeypatch.setattr(cli, "colored_closure", skewed)
+    code, out = run_cli(
+        "oracle-check", "--count", "4", "--max-crossings", "3", "--seed", "7"
+    )
+    payload = json.loads(out)
+    assert code == 1 and payload["checked"] == 4
+    assert [f["check"] for f in payload["failures"]] == ["colored-closure"] * 4
 
 
 def test_oracle_check_validates_budget():

@@ -1,6 +1,8 @@
 """The package's public namespace."""
 
+import importlib
 import inspect
+import pkgutil
 
 import tanglekit
 
@@ -12,3 +14,14 @@ def test_every_public_name_is_exported():
     }
     assert public <= set(tanglekit.__all__)
     assert all(hasattr(tanglekit, name) for name in tanglekit.__all__)
+
+
+def test_every_module_all_entry_resolves():
+    modules = [
+        importlib.import_module(f"tanglekit.{info.name}")
+        for info in pkgutil.iter_modules(tanglekit.__path__)
+    ]
+    assert modules
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.__all__ names {name}"

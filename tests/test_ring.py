@@ -9,6 +9,7 @@ from tanglekit.ring import (
     LaurentPoly,
     RatFunc,
     _div,
+    _poly_divmod,
     _poly_gcd,
     normalize_over,
     poly_exact_div,
@@ -270,6 +271,20 @@ def test_exact_division_rule():
     assert type(_div(Fraction(3, 2), Fraction(1, 2))) is int
     with pytest.raises(ZeroDivisionError):
         _div(1, 0)
+
+
+def test_long_products_divide_exactly():
+    rng = random.Random(34)
+    f = LaurentPoly({e: rng.randint(-9, 9) or 1 for e in range(3000)}).shift(-1500)
+    binomial = A ** 4 + 1
+    dense = LaurentPoly({e: rng.randint(-9, 9) for e in range(40)}) + 3 * A ** 40
+    for b in (binomial, dense):
+        assert poly_exact_div(f * b, b) == f
+    # with a remainder, against the monic referee
+    g = LaurentPoly({e: rng.randint(-9, 9) for e in range(300)})
+    a = g * dense + LaurentPoly({e: rng.randint(-9, 9) for e in range(40)})
+    q, r = _poly_divmod(a.coeffs, dense.coeffs)
+    assert (q, r) == _ref_divmod(a.coeffs, dense.coeffs)
 
 
 def test_normalize_with_non_unit_leading_coefficients():

@@ -406,7 +406,7 @@ def test_cable_of_crossingless_tangles():
 
 
 def test_curl_single_strand():
-    plus = matchings_of_diagram(curl_diagram(1, +1), ["t0"], ["b0"])
+    plus = matchings_of_diagram(curl_diagram(+1), ["NW"], ["SW"])
     assert plus == {(1, 0): -LaurentPoly.monomial(-3)}
-    minus = matchings_of_diagram(curl_diagram(1, -1), ["t0"], ["b0"])
+    minus = matchings_of_diagram(curl_diagram(-1), ["NW"], ["SW"])
     assert minus == {(1, 0): -LaurentPoly.monomial(3)}

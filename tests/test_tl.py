@@ -11,8 +11,12 @@ from tanglekit.annulus import colored_closure
 from tanglekit.bracket import bracket_vector
 from tanglekit.ring import LaurentPoly, RatFunc, _poly_gcd
 from tanglekit.tangles import (
+    PlanarTangleDiagram,
     RationalTangle,
     build_rational,
+    cable_diagram,
+    clasp_double,
+    clasp_single,
     random_twist_vector,
     rational_to_diagram,
     to_twist_word,
@@ -211,6 +215,28 @@ def test_state_sum_single_crossing():
     assert tl.state_sum(d) == expected
 
 
+def test_one_strand_cable_has_the_state_sum_of_the_diagram():
+    rng = random.Random(38)
+    diagrams = [rational_to_diagram(build_rational(random_twist_vector(rng, 4, 3)))
+                for _ in range(20)]
+    zero = rational_to_diagram(RationalTangle.from_entries(0))
+    with_loop = PlanarTangleDiagram(zero.crossings, zero.arcs, zero.boundary, (0,))
+    diagrams += [clasp_single(), clasp_double(), with_loop]
+    for d in diagrams:
+        assert tl.state_sum(cable_diagram(d, 1)) == tl.state_sum(d)
+    assert tl.state_sum(with_loop) == tl.state_sum(zero).scale(DELTA)
+    assert cable_diagram(with_loop, 2).free_loops == (0, 0)
+
+
+def test_unknown_boundary_labels_are_refused():
+    zero = rational_to_diagram(RationalTangle.from_entries(0))
+    for labels in (("t0", "t1", "b0", "b1"), ("NW", "NE", "SW:x", "SE")):
+        d = PlanarTangleDiagram(zero.crossings, zero.arcs,
+                                [(lab, e) for lab, (_, e) in zip(labels, zero.boundary)])
+        with pytest.raises(ValueError, match="top/bottom reading"):
+            tl.state_sum(d)
+
+
 def test_crossing_tile_is_skein_combination():
     ident, hook = tl.identity_element(2), tl.e_generator(2, 1)
     assert tl.tile_element(1, +1) == ident.scale(A) + hook.scale(AINV)
@@ -222,6 +248,33 @@ def test_opposite_tiles_cancel():
     for n in (1, 2, 3):
         prod = tl.compose(tl.tile_element(n, +1), tl.tile_element(n, -1))
         assert prod == tl.identity_element(2 * n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("s", [1, -1])
+def test_tile_is_the_skein_expanded_cable_braid(n, s):
+    # the n-cable crossing as a braid on 2n strands, read top to bottom:
+    # the product over k = 0..n-1 of sigma_{n+k} sigma_{n+k-1} ... sigma_{k+1}
+    m = 2 * n
+    ident = tl.identity_element(m)
+    a, b = (A, AINV) if s > 0 else (AINV, A)
+    braid = ident
+    for k in range(n):
+        for i in range(n + k, k, -1):
+            braid = tl.compose(braid, ident.scale(a) + tl.e_generator(m, i).scale(b))
+    assert tl.tile_element(n, s) == braid
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("s", [1, -1])
+def test_kink_is_the_tile_closed_on_its_right(n, s):
+    # NE point k joins SE point k by nested arcs around the right side
+    cup = tl._wire(n, 3 * n, [(i, n + i) for i in range(n)]
+                   + [(2 * n + j, 4 * n - 1 - j) for j in range(n)])
+    cap = tl._wire(3 * n, n, [(i, 3 * n + i) for i in range(n)]
+                   + [(n + j, 3 * n - 1 - j) for j in range(n)])
+    widened = tl.tensor(tl.tile_element(n, -s), tl.identity_element(n))
+    assert tl.kink_element(n, s) == tl.compose(tl.compose(cup, widened), cap)
 
 
 def test_word_replay_matches_state_sum():
