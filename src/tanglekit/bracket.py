@@ -46,16 +46,41 @@ def _twist_run(alpha, beta, kind, a):
     matrix [[x, A^e], [0, d]] with x = -A^(3e) and d = A^(-e); a bottom
     half twist of sign -e is the same map with the two coordinates
     swapped.  The k-th power of that matrix has diagonal x^k, d^k and
-    off-diagonal A^e (x^(k-1) + x^(k-2) d + ... + d^(k-1)), a sum of
-    k monomials written down directly.
+    off-diagonal g = A^e (x^(k-1) + x^(k-2) d + ... + d^(k-1)), so
+
+        alpha <- (-1)^k A^(3ek) alpha + g beta,   beta <- A^(-ek) beta.
+
+    g is the alternating sum of the k monomials A^(e(2-k) + 4ej), so with
+    b the coefficients of beta, (g beta)(E + e(2-k)) is
+    S(E) = sum over j < k of (-1)^j b(E - 4ej), and S satisfies
+    S(E) = b(E) - (-1)^k b(E - 4ek) - S(E - 4e).  One pass per exponent
+    class mod 4, in the direction of e, gives g beta with integer adds
+    only, in time linear in |beta| + k; the diagonal terms are shifts.
     """
     k = abs(a)
     e = 1 if (a > 0) == (kind == "R") else -1
     if kind == "B":
         alpha, beta = beta, alpha
-    g = LaurentPoly({e * (4 * j - k + 2): -1 if j % 2 else 1 for j in range(k)})
-    alpha = LaurentPoly.monomial(3 * e * k, -1 if k % 2 else 1) * alpha + g * beta
-    beta = LaurentPoly.monomial(-e * k) * beta
+    sign = -1 if k % 2 else 1
+    b = beta.coeffs
+    step, lag, shift = 4 * e, 4 * e * k, e * (2 - k)
+    out = {}
+    if b:
+        first, last = (min(b), max(b)) if e > 0 else (max(b), min(b))
+    for r in {E % 4 for E in b}:
+        s = 0
+        for E in range(first + e * (e * (r - first) % 4), last + lag, step):
+            s = b.get(E, 0) - sign * b.get(E - lag, 0) - s
+            if s:
+                out[E + shift] = s
+    for E, c in alpha.coeffs.items():
+        E += 3 * e * k
+        s = out.get(E, 0) + sign * c
+        if s:
+            out[E] = s
+        else:
+            del out[E]
+    alpha, beta = LaurentPoly(out), LaurentPoly({E - e * k: c for E, c in b.items()})
     if kind == "B":
         alpha, beta = beta, alpha
     return alpha, beta

@@ -36,6 +36,7 @@ from .annulus import (
     chebyshev_convert,
     closure_bracket,
     colored_closure,
+    element_closure,
     homotopy_type,
     link_fraction,
     links_equivalent,
@@ -387,12 +388,14 @@ def _cmd_oracle_check(args) -> int:
         if closure_bracket(t) != closure_bracket(d):
             failures.append({"tangle": str(tv), "check": "closure"})
         if d.crossing_count <= ORACLE_COLORED_CROSSINGS:
+            # the cabled state sum is built once and read twice
+            x = colored_element(d, 2)
             gammas = colored_expand(t, 2)
-            if gammas != colored_expand(d, 2):
+            if gammas != _read_coordinates(x, 2):
                 failures.append({"tangle": str(tv), "check": "colored"})
             if gammas != _read_coordinates(colored_element(t, 2), 2):
                 failures.append({"tangle": str(tv), "check": "transfer"})
-            if colored_closure(t, 2) != colored_closure(d, 2):
+            if colored_closure(t, 2) != element_closure(x):
                 failures.append({"tangle": str(tv), "check": "colored-closure"})
         checked += 1
     payload = {

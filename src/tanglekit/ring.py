@@ -14,12 +14,18 @@ a ``Fraction`` only when it is not, so the integer arithmetic that nearly
 every skein computation does never builds a ``Fraction``.  Every
 coefficient division goes through ``_div``, which keeps that rule and
 never gives a float, as a bare ``int / int`` would.
+
+A polynomial gcd with integer coefficients is an integer gcd at one
+evaluation point, certified by exact division (``_heuristic_gcd``); the
+primitive remainder sequence (``_poly_gcd``) takes rational inputs and
+the rare integer ones the heuristic gives up on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 
 __all__ = [
@@ -331,6 +337,8 @@ def _poly_gcd(a: dict, b: dict) -> dict:
     Primitive polynomial remainder sequence (Collins 1967; Brown & Traub
     1971): pseudo-remainders stay in Z[A], and dividing each by its
     content keeps the coefficients from growing along the sequence.
+    This is the fallback of _gcd_cofactors and the referee of
+    _heuristic_gcd in the tests.
     """
     a, b = _primitive(a), _primitive(b)
     while b:
@@ -338,6 +346,158 @@ def _poly_gcd(a: dict, b: dict) -> dict:
     if a and a[max(a)] < 0:
         a = {e: -c for e, c in a.items()}
     return a
+
+
+def _exact_quotient(a: dict, b: dict):
+    """a / b for integer polynomials when b divides a in Z[A], else None.
+
+    Integer long division as in _poly_divmod that stops at the first
+    leading coefficient b does not divide, or at a nonzero remainder.
+    """
+    a = dict(a)
+    db = max(b)
+    lead = b[db]
+    tail = [(e - db, c) for e, c in b.items() if e != db]
+    q = {}
+    for da in range(max(a), db - 1, -1):
+        top = a.pop(da, 0)
+        if not top:
+            continue
+        f, r = divmod(top, lead)
+        if r:
+            return None
+        q[da - db] = f
+        for e, c in tail:
+            k = da + e
+            s = a.get(k, 0) - f * c
+            if s:
+                a[k] = s
+            else:
+                a.pop(k, None)
+    return None if a else q
+
+
+def _pack(p: dict, b: int) -> int:
+    """p(xi) at xi = 2^(8b), for an ordinary integer polynomial p.
+
+    Each coefficient plus the offset H = xi^w / 2, with w digits enough
+    for every |c| < H, is written as w little-endian b-byte digits; digit
+    t of every coefficient is joined into one byte string and read with
+    int.from_bytes.  Subtracting H (1 + xi + ... + xi^deg) leaves p(xi),
+    in time linear in the size of p (Horner's rule is quadratic on big
+    integers).
+    """
+    bits = 8 * b
+    w = max(abs(c) for c in p.values()).bit_length() // bits + 1
+    half = 1 << (bits * w - 1)
+    rows = [(p.get(e, 0) + half).to_bytes(b * w, "little") for e in range(max(p) + 1)]
+    ones = int.from_bytes(b"\x01".ljust(b, b"\x00") * len(rows), "little")
+    value = -(ones << (bits * w - 1))
+    for t in range(0, b * w, b):
+        value += int.from_bytes(b"".join(r[t:t + b] for r in rows), "little") << (8 * t)
+    return value
+
+
+def _unpack(v: int, b: int) -> dict:
+    """The polynomial h with h(xi) = v, xi = 2^(8b), in balanced digits:
+    every coefficient lies in [-xi/2, xi/2).  Adding xi/2 to every digit
+    position turns the balanced digits into the bytes of one integer."""
+    n = v.bit_length() // (8 * b) + 2
+    half = 1 << (8 * b - 1)
+    raw = (v + int.from_bytes((b"\x00" * (b - 1) + b"\x80") * n, "little")).to_bytes(
+        b * n, "little"
+    )
+    h = {}
+    for e in range(n):
+        d = int.from_bytes(raw[e * b:(e + 1) * b], "little") - half
+        if d:
+            h[e] = d
+    return h
+
+
+def _heuristic_gcd(polys: list):
+    """Gcd of nonzero ordinary integer polynomials by evaluation at one
+    integer point (GCDHEU: Char, Geddes & Gonnet, J. Symbolic Comput. 7,
+    1989), certified by exact division.
+
+    Returns (g, [p / g for p in polys]) with g primitive and its leading
+    coefficient positive, or None when three points in a row give no
+    certified candidate.  The point is xi = 2^(8b) with
+    xi >= 2 m + 2, m the least max-norm |p| of an input p0; gamma is the
+    integer gcd of the p(xi), starting with p0, and g the primitive part
+    of the polynomial h read off gamma in balanced digits.
+
+    Certificate.  Suppose g divides every input exactly, and let G be
+    their primitive gcd.  g is primitive, so G = g c with c in Z[A]
+    (Gauss).  By the Cauchy bound every root r of p0 has
+    |r| < 1 + m <= xi / 2, so p0(xi) != 0 and gamma != 0.  G(xi) divides
+    every p(xi), hence gamma = h(xi) = +-content(h) g(xi), so c(xi)
+    divides content(h) and |c(xi)| <= |content(h)| <= xi / 2.  If c had
+    degree d >= 1, its roots would be roots of p0, and
+    |c(xi)| >= prod over them of (xi - |r|) > (xi / 2)^d >= xi / 2, a
+    contradiction.  So c is a unit and g = +-G.  The argument needs only
+    one input with xi >= 2 |p0| + 2, so it holds for any number of
+    inputs, and for every prefix of them that starts with p0: when gamma
+    drops below xi / 2, h is a constant, g = 1 divides everything, and
+    no further input need be evaluated.
+    """
+    # When every exponent is a multiple of d, the gcd and the quotients
+    # are polynomials in A^d (a Bezout identity over Q shows it), so the
+    # inputs are evaluated as polynomials in A^d, at a quarter of the
+    # length for the brackets of twist words.
+    d = 0
+    for p in polys:
+        d = reduce(gcd, p, d)
+    if d > 1:
+        found = _heuristic_gcd([{e // d: c for e, c in p.items()} for p in polys])
+        if found is None:
+            return None
+        g, quotients = found
+        return ({e * d: c for e, c in g.items()},
+                [{e * d: c for e, c in q.items()} for q in quotients])
+    norms = [max(abs(c) for c in p.values()) for p in polys]
+    first = norms.index(min(norms))
+    order = [polys[first]] + polys[:first] + polys[first + 1:]
+    b = ((2 * norms[first] + 1).bit_length() + 7) // 8
+    for _ in range(3):
+        gamma = 0
+        for p in order:
+            gamma = gcd(gamma, _pack(p, b))
+            if gamma.bit_length() < 8 * b:
+                return {0: 1}, polys
+        # gamma > 0, and the top balanced digit outweighs all the lower
+        # ones, so g has a positive leading coefficient.
+        g = _primitive(_unpack(gamma, b))
+        quotients = []
+        for p in polys:
+            q = _exact_quotient(p, g)
+            if q is None:
+                break
+            quotients.append(q)
+        else:
+            return g, quotients
+        b *= 2
+    return None
+
+
+def _gcd_cofactors(polys: list):
+    """(g, [p / g for p in polys]) for nonzero ordinary polynomials, with
+    g their gcd over Q as a primitive integer polynomial with positive
+    leading coefficient.
+
+    Integer inputs go through _heuristic_gcd; rational inputs, and
+    integer ones the heuristic gives up on, through the primitive PRS.
+    """
+    if all(type(c) is int for p in polys for c in p.values()):
+        found = _heuristic_gcd(polys)
+        if found is not None:
+            return found
+    g = {}
+    for p in polys:
+        g = _poly_gcd(g, p)
+        if len(g) == 1:
+            return g, polys
+    return g, [_poly_divmod(p, g)[0] for p in polys]
 
 
 def poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -361,11 +521,11 @@ def poly_lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     if a.is_zero or b.is_zero:
         raise ZeroDivisionError("lcm with zero polynomial")
     sa, sb = a.min_exp(), b.min_exp()
-    g = _poly_gcd(
+    _, (_, b_over_g) = _gcd_cofactors([
         {e - sa: c for e, c in a.coeffs.items()},
         {e - sb: c for e, c in b.coeffs.items()},
-    )
-    return a * poly_exact_div(b, LaurentPoly({e + sb: c for e, c in g.items()}))
+    ])
+    return a * LaurentPoly(b_over_g)
 
 
 # ---------------------------------------------------------------------------
@@ -400,26 +560,22 @@ def normalize_over(nums: dict, den: LaurentPoly):
         return nums, _ONE_POLY
     if _is_poly_one(den):
         return nums, den
-    sd = min(den.coeffs)
-    g = {e - sd: c for e, c in den.coeffs.items()}
-    for v in nums.values():
-        if len(g) == 1:
-            break
-        sn = min(v.coeffs)
-        g = _poly_gcd(g, {e - sn: c for e, c in v.coeffs.items()})
-    if len(g) > 1:
-        g = LaurentPoly(g)
-        den = poly_exact_div(den, g)
-        nums = {k: poly_exact_div(v, g) for k, v in nums.items()}
-    scale = _content(den.coeffs.values())
-    if den.coeffs[sd] < 0:
+    keys = list(nums)
+    shifts = [min(den.coeffs)] + [min(nums[k].coeffs) for k in keys]
+    _, (den, *quotients) = _gcd_cofactors([
+        {e - s: c for e, c in p.coeffs.items()}
+        for s, p in zip(shifts, [den] + [nums[k] for k in keys])
+    ])
+    # den / g is ordinary with a nonzero constant term, since den is.
+    scale = _content(den.values())
+    if den[0] < 0:
         scale = -scale
-    if scale != 1 or sd:
-        nums = {
-            k: LaurentPoly({e - sd: _div(c, scale) for e, c in v.coeffs.items()})
-            for k, v in nums.items()
-        }
-        den = LaurentPoly({e - sd: _div(c, scale) for e, c in den.coeffs.items()})
+    sd = shifts[0]
+    nums = {
+        k: LaurentPoly({e + s - sd: _div(c, scale) for e, c in q.items()})
+        for k, s, q in zip(keys, shifts[1:], quotients)
+    }
+    den = LaurentPoly({e: _div(c, scale) for e, c in den.items()})
     return nums, den
 
 

@@ -85,12 +85,13 @@ __all__ = [
 MAX_PROJECTOR_STRANDS = 6
 
 #: Largest total twist, per cable width, of a twist word whose colored
-#: coordinates or closure are computed.  Each bound keeps the slowest
-#: input found, all entries 1, to under a minute through `colored` (on a
-#: 2-vCPU x86 host under CPython 3.11).  At width 1 the time goes to the
-#: polynomial gcds of colored_ratios: 41 s for 480 ones and 52 s for
-#: 500, against 0.4 s for `colored-closure`.  The bounds at widths 2 and
-#: 3 were set on the crossing-tile replay (44 s and 52 s) and are kept.
+#: coordinates or closure are computed.  The bounds were set when the
+#: slowest input found, all entries 1, took under a minute through
+#: `colored`: 52 s for 500 ones at width 1, nearly all in the polynomial
+#: gcds of colored_ratios, and 44 s and 52 s on the crossing-tile replay
+#: at widths 2 and 3.  With the heuristic gcd of ring.py, `colored` on
+#: 500 ones at width 1 takes 0.5 s and on 150 ones at width 2 2.0 s (on a
+#: 2-vCPU x86 host under CPython 3.11); the bounds are kept.
 MAX_COLORED_TWISTS = {1: 500, 2: 150, 3: 26}
 
 

@@ -2,6 +2,7 @@
 batch mode, argument errors, and the user-invocable oracle suite."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -14,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from tanglekit import cli, tl
-from tanglekit.annulus import colored_closure
 from tanglekit.cli import (
     INFINITY_TANGLE,
     TangleNotationError,
@@ -152,6 +152,34 @@ def test_output_bytes_are_reproducible():
     runs = [run_module("fraction", "[-2 3 2]", check=True) for _ in range(2)]
     assert runs[0].stdout == b'{"p":12,"q":5,"parity":"e/o"}\n'
     assert runs[0].stdout == runs[1].stdout
+
+
+PINNED_CORPUS = ("[0]", "[inf]", "[1]", "[-2]", "[3 2]", "[2 -1 2]", "[3 2 -3]",
+                 "[1 1 1 1 1 1]", "[4 -3 0]", "[-5 3 2]", "[7 -6 7]", "[12 -11]")
+
+# SHA-256 of stdout for PINNED_CORPUS as one --batch file, one digest per
+# command line.  Every polynomial gcd is unique only up to a unit, so a
+# reduction that kept a different unit would change these bytes.
+PINNED_DIGESTS = {
+    ("bracket",): "b2cff93f1b98c6443d9c27d85414f32fc9900494656eb9215deed1afc2f0975e",
+    ("invariant",): "6fb53f6c0305a83eaccf04144de1d98bdf32bb125fb84d4c9dcd5e764d20a114",
+    ("closure",): "61741fdac5576adf304ea1d027bac9f3d2f978c0290bc8a4ae0c9cc28ffe65e1",
+    ("colored", "--n", "1"): "e894d4059b714df3eff86d4449d8871d7df60317128046498ed5e2c0b32318f9",
+    ("colored", "--n", "2"): "8bdff8c9c33c61e45059c2a5efefe71c3f6169939036b46a1854f5f75721384b",
+    ("colored", "--n", "3"): "05fa3d224751279ae2c37ecd4a2aa086b8cc369adb15dfb6f19c018cd6dbcf85",
+    ("colored-closure", "--n", "1"): "a832bfd7e30651654014df44c13c6bd1ae06296507e6213d79b0eb49661bcb53",
+    ("colored-closure", "--n", "2"): "3acd2cd12a5ac2c2de88374e6d91daf782aadc27c2b59650b3330e2588c291dd",
+    ("colored-closure", "--n", "3"): "79de0d316a9d6ce18e03a6143c36782ba72d25c97c15b5078c19bac657a131b8",
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED_DIGESTS), ids=" ".join)
+def test_stdout_is_pinned_on_a_fixed_corpus(tmp_path, command):
+    batch = tmp_path / "corpus.txt"
+    batch.write_text("\n".join(PINNED_CORPUS) + "\n")
+    code, out = run_cli(command[0], "--batch", str(batch), *command[1:])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[command]
 
 
 # ---------------------------------------------------------------------------
@@ -582,54 +610,44 @@ def test_oracle_check_reports_clean_run():
     assert payload["failures"] == []
 
 
-def test_oracle_check_reports_a_colored_mismatch(monkeypatch):
-    # a state-sum side that disagrees must surface as its own check
-    def skewed(t, n):
-        gammas = colored_expand(t, n)
-        if isinstance(t, PlanarTangleDiagram):
-            gammas[0] = gammas[0] + 1
-        return gammas
-
-    monkeypatch.setattr(cli, "colored_expand", skewed)
+def _oracle_failures(monkeypatch, skew):
+    """The failed checks of oracle-check on four diagrams of at most three
+    crossings, with colored_element replaced by skew(t, x) of its value x."""
+    monkeypatch.setattr(cli, "colored_element", lambda t, n: skew(t, tl.colored_element(t, n)))
     code, out = run_cli(
         "oracle-check", "--count", "4", "--max-crossings", "3", "--seed", "7"
     )
     payload = json.loads(out)
     assert code == 1 and payload["checked"] == 4
-    assert [f["check"] for f in payload["failures"]] == ["colored"] * 4
+    return [f["check"] for f in payload["failures"]]
+
+
+def test_oracle_check_reports_a_colored_mismatch(monkeypatch):
+    # the cabled state sum is built once per diagram and read by both the
+    # colored and the colored-closure check, so a state-sum side that
+    # disagrees surfaces in both; adding b_0 keeps it in the basis span
+    def skewed(t, x):
+        return x + tl.bni_basis(2)[0] if isinstance(t, PlanarTangleDiagram) else x
+
+    assert _oracle_failures(monkeypatch, skewed) == ["colored", "colored-closure"] * 4
 
 
 def test_oracle_check_reports_a_transfer_mismatch(monkeypatch):
     # a tile replay that disagrees with the transfer replay surfaces as
     # its own check; doubling the element keeps it in the basis span
-    def skewed(t, n):
-        return tl.colored_element(t, n).scale(2)
+    def skewed(t, x):
+        return x if isinstance(t, PlanarTangleDiagram) else x.scale(2)
 
-    monkeypatch.setattr(cli, "colored_element", skewed)
-    code, out = run_cli(
-        "oracle-check", "--count", "4", "--max-crossings", "3", "--seed", "7"
-    )
-    payload = json.loads(out)
-    assert code == 1 and payload["checked"] == 4
-    assert [f["check"] for f in payload["failures"]] == ["transfer"] * 4
+    assert _oracle_failures(monkeypatch, skewed) == ["transfer"] * 4
 
 
 def test_oracle_check_reports_a_colored_closure_mismatch(monkeypatch):
-    # a closure of the cabled state sum that disagrees with the transfer
-    # closure surfaces as its own check
-    def skewed(t, n):
-        closure = colored_closure(t, n)
-        if isinstance(t, PlanarTangleDiagram):
-            closure = closure + closure
-        return closure
+    # a doubled state sum changes every coordinate and so the closure
+    # too: both checks that read it fire
+    def skewed(t, x):
+        return x.scale(2) if isinstance(t, PlanarTangleDiagram) else x
 
-    monkeypatch.setattr(cli, "colored_closure", skewed)
-    code, out = run_cli(
-        "oracle-check", "--count", "4", "--max-crossings", "3", "--seed", "7"
-    )
-    payload = json.loads(out)
-    assert code == 1 and payload["checked"] == 4
-    assert [f["check"] for f in payload["failures"]] == ["colored-closure"] * 4
+    assert _oracle_failures(monkeypatch, skewed) == ["colored", "colored-closure"] * 4
 
 
 def test_oracle_check_validates_budget():

@@ -1,16 +1,22 @@
 """Scalar tower: Laurent polynomials and rational functions."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from tanglekit import ring
 from tanglekit.ring import (
     LaurentPoly,
     RatFunc,
     _div,
+    _gcd_cofactors,
+    _heuristic_gcd,
+    _pack,
     _poly_divmod,
     _poly_gcd,
+    _unpack,
     normalize_over,
     poly_exact_div,
     poly_lcm,
@@ -330,3 +336,147 @@ def test_normalize_over_is_canonical_and_keeps_every_quotient():
         assert (single[k], sd) == (r.num, r.den)
     with pytest.raises(ZeroDivisionError):
         normalize_over({0: A}, LaurentPoly.zero())
+
+
+# ---------------------------------------------------------------------------
+# Heuristic gcd against monic Euclid and the primitive PRS
+# ---------------------------------------------------------------------------
+
+def _non_monic(rng, degree, size=9):
+    """A random integer polynomial of the given degree whose leading
+    coefficient is not a unit and whose constant term is nonzero."""
+    p = {e: rng.randint(-size, size) for e in range(1, degree)}
+    p[0] = rng.choice((-2, -1, 1, 3))
+    p[degree] = rng.choice((-7, -5, -3, -2, 2, 3, 4, 6, 8))
+    return {e: c for e, c in p.items() if c}
+
+
+def _prs_gcd(polys):
+    g = {}
+    for p in polys:
+        g = _poly_gcd(g, p)
+    return g
+
+
+def test_pack_evaluates_and_unpack_reads_balanced_digits():
+    rng = random.Random(35)
+    for b in (1, 2, 3):
+        xi = 1 << (8 * b)
+        for _ in range(40):
+            # coefficients up to xi^3, so that some take several digits
+            p = {e: rng.randint(-xi ** 3, xi ** 3) or 1 for e in range(rng.randint(0, 12))}
+            p[0] = p.get(0) or 1
+            assert _pack(p, b) == sum(c * xi ** e for e, c in p.items())
+            small = {e: rng.randint(-xi // 2, xi // 2 - 1) for e in range(rng.randint(1, 12))}
+            small = {e: c for e, c in small.items() if c}
+            value = _pack(small, b) if small else 0
+            if value > 0:
+                assert _unpack(value, b) == small
+
+
+def test_heuristic_gcd_matches_euclid_and_the_prs():
+    rng = random.Random(36)
+    for _ in range(12):
+        f = _non_monic(rng, rng.randint(20, 80))
+        polys = [_times(f, _non_monic(rng, rng.randint(1, 30)))
+                 for _ in range(rng.randint(2, 5))]
+        found = _heuristic_gcd(polys)
+        assert found is not None
+        g, quotients = found
+        assert g == _prs_gcd(polys)
+        ref = {}
+        for p in polys:
+            ref = _ref_gcd(ref, p)
+        lead = g[max(g)]
+        assert lead > 0 and LaurentPoly(g).content() == 1
+        assert {e: Fraction(c, lead) for e, c in g.items()} == ref
+        assert [_times(g, q) for q in quotients] == polys
+
+
+def test_heuristic_gcd_picks_its_point_from_the_least_norm(monkeypatch):
+    # every point evaluated must satisfy xi >= 2 min |p| + 2, the premise
+    # of the certificate
+    points = []
+    real_pack = ring._pack
+
+    def spy(p, b):
+        points.append(b)
+        return real_pack(p, b)
+
+    monkeypatch.setattr(ring, "_pack", spy)
+    rng = random.Random(37)
+    cases = []
+    for _ in range(30):
+        f = _non_monic(rng, rng.randint(1, 6), size=rng.choice((1, 9, 300)))
+        cases.append([_times(f, _non_monic(rng, rng.randint(0, 6), size=rng.choice((1, 9, 10 ** 6))))
+                      for _ in range(rng.randint(2, 4))])
+    # least norms on both sides of the byte boundaries
+    for least in (127, 128, 200, 255, 256, 40000, 70000):
+        cases.append([{0: 3, 1: 10 ** 9, 2: 7}, {0: 1, 1: least}, {0: least, 2: -1}])
+    for polys in cases:
+        points.clear()
+        g, _ = _heuristic_gcd(polys)
+        assert g == _prs_gcd(polys)
+        least = min(max(abs(c) for c in p.values()) for p in polys)
+        assert points and all((1 << (8 * b)) >= 2 * least + 2 for b in points)
+
+
+def test_a_candidate_that_does_not_divide_is_refused(monkeypatch):
+    # a candidate read off wrongly must fail the division certificate,
+    # and after three refused points the PRS answers
+    monkeypatch.setattr(ring, "_unpack", lambda v, b: {0: 1, 1: 1})
+    f = {0: 2, 1: -1, 2: 3}
+    polys = [_times(f, {0: 1, 1: 0, 2: 1}), _times(f, {0: 5, 1: 2})]
+    assert _heuristic_gcd(polys) is None
+    g, quotients = _gcd_cofactors(polys)
+    assert g == f and quotients == [{0: 1, 2: 1}, {0: 5, 1: 2}]
+
+
+def _normal_forms(rng, integer):
+    """normalize_over on seeded inputs: a shared factor of degree 20 to
+    80, one to four numerators and a zero one, non-monic leading terms."""
+    out = []
+    for _ in range(8):
+        f = LaurentPoly(_non_monic(rng, rng.randint(20, 80)))
+        if not integer:
+            f = f * Fraction(1, rng.randint(2, 5))
+        den = f * LaurentPoly(_non_monic(rng, rng.randint(0, 20))).shift(rng.randint(-3, 3))
+        nums = {k: f * LaurentPoly(_non_monic(rng, rng.randint(0, 20))).shift(rng.randint(-3, 3))
+                for k in range(rng.randint(1, 4))}
+        nums[99] = LaurentPoly.zero()
+        out.append(normalize_over(nums, den))
+        r = RatFunc.normalized(nums[0], den)
+        assert (r.num.coeffs, r.den.coeffs) == _ref_normalized(nums[0], den)
+        out.append(r)
+    return out
+
+
+def test_normal_forms_do_not_depend_on_the_gcd_path(monkeypatch):
+    heuristic = _normal_forms(random.Random(38), integer=True)
+    monkeypatch.setattr(ring, "_heuristic_gcd", lambda polys: None)
+    assert _normal_forms(random.Random(38), integer=True) == heuristic
+
+
+def test_rational_coefficients_take_the_prs(monkeypatch):
+    def refuse(polys):
+        raise AssertionError("the heuristic gcd saw rational coefficients")
+
+    monkeypatch.setattr(ring, "_heuristic_gcd", refuse)
+    _normal_forms(random.Random(39), integer=False)
+    common = LaurentPoly({0: Fraction(1, 2), 1: 3})
+    r = RatFunc.normalized(common * (A + 2), common * LaurentPoly({0: Fraction(2, 3), 2: 1}))
+    assert (r.num, r.den) == (3 * A + 6, LaurentPoly({0: 2, 2: 3}))
+
+
+def test_long_gcd_with_a_non_monic_factor_is_fast():
+    # a shared factor with leading coefficient 3 made the pseudo-remainder
+    # chain of the PRS grow its coefficients over every step (3.7 s on a
+    # 2-vCPU x86 host); the heuristic gcd takes milliseconds
+    rng = random.Random(27)
+    f = LaurentPoly({2: 3, 1: -1, 0: 2})
+    a = LaurentPoly({e: rng.randint(-9, 9) or 1 for e in range(400)}) * f
+    b = LaurentPoly({e: rng.randint(-9, 9) or 1 for e in range(300)}) * f
+    start = time.perf_counter()
+    r = RatFunc.normalized(a, b)
+    assert time.perf_counter() - start < 0.5
+    assert r.num * b == r.den * a and len(r.den.coeffs) == 300
