@@ -349,13 +349,21 @@ _basis_closure_cache = {}
 
 def _basis_closures(n: int):
     """Closures of bni_basis(n) over one denominator: (nums, den) with
-    nums[i, k] / den the coefficient of z^k in the closure of b_i."""
+    nums[i, k] / den the coefficient of z^k in the closure of b_i.
+
+    b_i closes to theta(n,n,2i) / Delta_2i times S_2i(z) (Kauffman &
+    Lins 1994; Masbaum & Vogel 1994), so the coefficients are that ratio,
+    from recoupling.py, times the integer table of S_2i; no basis element
+    is built.
+    """
     if n not in _basis_closure_cache:
-        fracs = {
-            (i, k): c
-            for i, b in enumerate(tl.bni_basis(n))
-            for k, c in element_closure(b).coeffs.items()
-        }
+        from . import recoupling  # loaded on first use, see its docstring
+
+        fracs = {}
+        for i in range(n + 1):
+            ratio = recoupling.bubble_ratio(n, i)
+            for k, c in _chebyshev_coeffs(2 * i).items():
+                fracs[i, k] = RatFunc(ratio.num * c, ratio.den)
         _basis_closure_cache[n] = normalize_over(*common_denominator(fracs))
     return _basis_closure_cache[n]
 

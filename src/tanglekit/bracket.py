@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rationals import ExtRational
-from .ring import LaurentPoly, RatFunc
+from .ring import LaurentPoly, RatFunc, _div
 from .tangles import RationalTangle, TwistWord, to_twist_word
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "bracket_vector",
     "mirror_transport",
     "ratio_invariant",
+    "coprime_ratio",
     "c_invariant",
 ]
 
@@ -125,6 +126,27 @@ def ratio_invariant(v: BracketVec2):
             raise ValueError("degenerate bracket: both coordinates vanish")
         return None
     return RatFunc.normalized(v.alpha, v.beta)
+
+
+def coprime_ratio(v: BracketVec2):
+    """ratio_invariant of the bracket coordinates of a twist word, with
+    no gcd.
+
+    (alpha, beta) is a start vector (1, 0) or (0, 1) times run matrices
+    of determinant +-A^m, so a common factor of alpha and beta would
+    divide the start vector: they are coprime.  The canonical form only
+    moves the power of A onto the numerator and divides both sides by
+    the signed content of beta.  ratio_invariant is the referee.
+    """
+    alpha, beta = v.alpha.coeffs, v.beta.coeffs
+    if not beta or not alpha:
+        return ratio_invariant(v)
+    shift = min(beta)
+    scale = v.beta.content()
+    if beta[shift] < 0:
+        scale = -scale
+    return RatFunc(LaurentPoly({e - shift: _div(c, scale) for e, c in alpha.items()}),
+                   LaurentPoly({e - shift: _div(c, scale) for e, c in beta.items()}))
 
 
 def _root_coords(p: LaurentPoly) -> tuple:

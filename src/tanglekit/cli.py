@@ -42,7 +42,7 @@ from .annulus import (
     links_equivalent,
     solid_torus_closure,
 )
-from .bracket import bracket_vector, c_invariant, ratio_invariant
+from .bracket import bracket_vector, c_invariant, coprime_ratio
 from .oracle import MAX_ORACLE_COUNT, MAX_ORACLE_CROSSINGS, bracket_of_diagram
 from .rationals import TwistVector, canonical_form, parity, schubert_equivalent
 from .tangles import (
@@ -53,7 +53,7 @@ from .tangles import (
     to_twist_word,
 )
 from .tl import (
-    MAX_PROJECTOR_STRANDS,
+    MAX_TWIST_WIDTH,
     _read_coordinates,
     check_cable_width,
     colored_element,
@@ -70,7 +70,9 @@ MAX_BATCH_BYTES = 1 << 24
 #: the crossing-tile replay, and the width-2 colored closure with the
 #: closure of the cabled state sum, on diagrams of at most this many
 #: crossings; the cabled state sum takes about 0.04 s at 3 crossings and
-#: 0.6 s at 4.
+#: 0.6 s at 4.  The replay reads its start vectors, quarter turn and
+#: basis closures from the recoupling closed forms, so the `transfer` and
+#: `colored-closure` checks also referee those closed forms at width 2.
 ORACLE_COLORED_CROSSINGS = 3
 
 
@@ -199,7 +201,7 @@ def _parity_payload(notation, opts):
 
 def _bracket_payload(notation, opts):
     vec = bracket_vector(_parse_tangle_arg(notation))
-    ratio = ratio_invariant(vec)
+    ratio = coprime_ratio(vec)
     payload = {
         "alpha": str(vec.alpha),
         "beta": str(vec.beta),
@@ -326,7 +328,7 @@ def _cmd_single(args) -> int:
         raise ValueError("a tangle argument or --batch FILE is required")
     else:
         lines = [args.tangle]
-    opts = {"n": check_cable_width(getattr(args, "n", 1)),
+    opts = {"n": check_cable_width(getattr(args, "n", 1), MAX_TWIST_WIDTH),
             "basis": getattr(args, "basis", None)}
     code = 0
     for line in lines:
@@ -455,8 +457,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(handler=_cmd_single)
         return sp
 
-    max_cable = MAX_PROJECTOR_STRANDS // 2
-
     tangle_command("fraction", "continued fraction p/q of a tangle, with parity")
     tangle_command("canonical", "canonical odd-length uniform-sign twist vector")
     tangle_command("parity", "parity class of the tangle fraction")
@@ -487,12 +487,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = tangle_command("colored", "colored coordinates gamma_i and their ratios")
     sp.add_argument("--n", type=int, default=1,
-                    help=f"cable width (1..{max_cable})")
+                    help=f"cable width (1..{MAX_TWIST_WIDTH})")
 
     sp = tangle_command("colored-closure",
                         "colored solid-torus closure in the z and Chebyshev bases")
     sp.add_argument("--n", type=int, default=1,
-                    help=f"cable width (1..{max_cable})")
+                    help=f"cable width (1..{MAX_TWIST_WIDTH})")
     sp.add_argument("--basis", choices=("z", "chebyshev"),
                     help="restrict output to one basis")
 

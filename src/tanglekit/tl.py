@@ -13,9 +13,12 @@ basis together with the resulting ratio invariants.
 The expansion of a twist word never builds the tangle in TL_2n: it
 replays the word on the n+1 basis coordinates, from the coordinates of
 the dressed crossingless tangle, with each run of half twists applied
-in closed form (transfer_vector).  Diagrams are cabled and expanded by
-the state sum.  colored_element, which glues one cabled crossing tile
-per half twist, is kept as the referee of the replay.
+in closed form (transfer_vector).  The start coordinates and the
+quarter turn come from the recoupling formulas for theta and Tet
+(recoupling.py), so no projector is built and twist words reach cable
+widths past the projectors' bound.  Diagrams are cabled and expanded
+by the state sum.  colored_element, which glues one cabled crossing
+tile per half twist, is kept as the referee of the replay.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .tangles import (
 __all__ = [
     "MAX_COLORED_TWISTS",
     "MAX_PROJECTOR_STRANDS",
+    "MAX_TWIST_WIDTH",
     "TLElement",
     "JonesWenzl",
     "QuantumCoeffs",
@@ -85,14 +89,27 @@ __all__ = [
 MAX_PROJECTOR_STRANDS = 6
 
 #: Largest total twist, per cable width, of a twist word whose colored
-#: coordinates or closure are computed.  The bounds were set when the
-#: slowest input found, all entries 1, took under a minute through
-#: `colored`: 52 s for 500 ones at width 1, nearly all in the polynomial
-#: gcds of colored_ratios, and 44 s and 52 s on the crossing-tile replay
-#: at widths 2 and 3.  With the heuristic gcd of ring.py, `colored` on
-#: 500 ones at width 1 takes 0.5 s and on 150 ones at width 2 2.0 s (on a
-#: 2-vCPU x86 host under CPython 3.11); the bounds are kept.
-MAX_COLORED_TWISTS = {1: 500, 2: 150, 3: 26}
+#: coordinates or closure are computed.  From width 2 on, each bound is
+#: the largest round total at which the slowest shape found, all entries
+#: 1, runs within a minute through `colored` and through
+#: `colored-closure`, each in a fresh process (2-vCPU x86 host, CPython
+#: 3.11); the slower time and the larger stdout of the two:
+#:
+#:     width      2       3       4       5       6       7       8
+#:     bound    800     400     200     110      70      45      30
+#:     time     43 s    50 s    50 s    47 s    48 s    52 s    50 s
+#:     output  3.1 MB  3.6 MB  2.5 MB  1.8 MB  1.4 MB  1.1 MB  0.8 MB
+#:
+#: 900 ones took 57 s at width 2.  The width-1 bound was set when 500
+#: ones took 52 s, nearly all in the polynomial-remainder gcds of
+#: colored_ratios; it now takes 0.5 s, and the bound is kept.  The widths
+#: stop at 8: at width 9 a word of 20 ones already takes 44 to 50 s.
+MAX_COLORED_TWISTS = {1: 500, 2: 800, 3: 400, 4: 200, 5: 110, 6: 70, 7: 45, 8: 30}
+
+#: Largest cable width of a twist word.  Its colored coordinates and
+#: closure come from closed forms, with no projector, so the bound is
+#: set by the time of the replay alone.
+MAX_TWIST_WIDTH = max(MAX_COLORED_TWISTS)
 
 
 # ---------------------------------------------------------------------------
@@ -714,16 +731,15 @@ def quantum_coeffs(n: int, i: int) -> QuantumCoeffs:
 _bni_cache = {}
 
 
-def check_cable_width(n: int) -> int:
+def check_cable_width(n: int, bound: int = MAX_PROJECTOR_STRANDS // 2) -> int:
     """Return n if it is a usable cable width, else raise ValueError.
 
-    A width-n cable needs a projector on 2n strands, so n runs from 1 to
-    MAX_PROJECTOR_STRANDS // 2.
+    A cabled diagram, a basis element or a crossing tile needs a
+    projector on 2n strands, so by default n runs from 1 to
+    MAX_PROJECTOR_STRANDS // 2; twist words pass MAX_TWIST_WIDTH.
     """
-    if not 1 <= n <= MAX_PROJECTOR_STRANDS // 2:
-        raise ValueError(
-            f"cable width must be between 1 and {MAX_PROJECTOR_STRANDS // 2}, got {n}"
-        )
+    if not 1 <= n <= bound:
+        raise ValueError(f"cable width must be between 1 and {bound}, got {n}")
     return n
 
 
@@ -761,20 +777,27 @@ def bni_basis(n: int) -> list:
 # The dressed tangle of a twist word lies in the (n+1)-dimensional span
 # of bni_basis(n), and both twists act on that span.  A right half twist
 # of sign s scales b_i by its twist eigenvalue (-1)^(n-i) A^(s(n^2 + 2n
-# - 2i^2 - 2i)) (Kauffman & Lins, Temperley-Lieb Recoupling Theory,
-# 1994).  A bottom half twist is a right one seen after a quarter turn:
-# with Q the matrix of rotate_cw on the span, which is its own inverse,
-# a bottom run of a half twists is Q D(-a) Q, where D(a) is the diagonal
-# right run.  colored_expand and colored_closure replay twist words on
-# these n+1 coordinates; colored_element, which glues one cabled
-# crossing tile per half twist in TL_2n, is the referee they are tested
-# against.
+# - 2i^2 - 2i)).  A bottom half twist is a right one seen after a quarter
+# turn: with Q the matrix of rotate_cw on the span, which is its own
+# inverse, a bottom run of a half twists is Q D(-a) Q, where D(a) is the
+# diagonal right run.  Recoupling theory gives the rest in closed form
+# (Kauffman & Lins, Temperley-Lieb Recoupling Theory and Invariants of
+# 3-Manifolds, 1994; Masbaum & Vogel, Pacific J. Math. 164, 1994):
+# Q_ij = Tet Delta_2i / theta(n,n,2i)^2, the start vectors e_0 of [inf]
+# and (Delta_2i / theta(n,n,2i))_i of [0], and the closure
+# theta(n,n,2i) / Delta_2i S_2i(z) of b_i (annulus._basis_closures),
+# all evaluated in recoupling.py.  colored_expand and colored_closure
+# therefore replay and close a twist word at every width up to
+# MAX_TWIST_WIDTH without building a projector, a basis element or a
+# crossing tile.  Their referees, at widths up to 3, are
+# colored_element, which glues one cabled crossing tile per half twist
+# in TL_2n, and the same data read off bni_basis(n).
 
 def colored_twist_word(t, n: int) -> TwistWord:
     """The twist word of a rational tangle (or of a twist word) to be
     cabled at width n; a bad width, or a word longer than
     MAX_COLORED_TWISTS[n], is refused before any work."""
-    check_cable_width(n)
+    check_cable_width(n, MAX_TWIST_WIDTH)
     word = t if isinstance(t, TwistWord) else to_twist_word(t)
     bound = MAX_COLORED_TWISTS[n]
     total = sum(abs(a) for _, a in word.runs)
@@ -861,20 +884,21 @@ def _transfer_data(n: int):
 
     Returns (starts, q, q_den).  starts maps "0" and "inf" to the
     coordinates of the dressed crossingless tangle, as numerators over
-    one denominator.  q[i][j] / q_den is coordinate i of rotate_cw(b_j),
-    with None for a zero entry.  Cached per n; no crossing tile is built.
+    one denominator: [inf] is b_0, and [0] is the fusion of two parallel
+    n-cables, (Delta_2i / theta(n,n,2i))_i.  q[i][j] / q_den is
+    coordinate i of rotate_cw(b_j), Tet Delta_2i / theta(n,n,2i)^2, with
+    None for a zero entry (Kauffman & Lins 1994; Masbaum & Vogel 1994).
+    All of it comes from the closed forms of recoupling.py, cached per n;
+    no projector, basis element or crossing tile is built.
     """
     if n not in _transfer_cache:
-        frame = projector_frame(n)
-        starts = {}
-        for kind in ("0", "inf"):
-            x = compose(frame, compose(unit_element(n, kind), frame))
-            gammas = dict(enumerate(_read_coordinates(x, n)))
-            starts[kind] = normalize_over(*common_denominator(gammas))
-        entries = {}
-        for j, b in enumerate(bni_basis(n)):
-            for i, c in enumerate(_read_coordinates(rotate_cw(b), n)):
-                entries[i, j] = c
+        from . import recoupling  # loaded on first use, see its docstring
+
+        fusion = {i: recoupling.bubble_ratio(n, i).inverse() for i in range(n + 1)}
+        starts = {"0": normalize_over(*common_denominator(fusion)),
+                  "inf": ({0: LaurentPoly.one()}, LaurentPoly.one())}
+        entries = {(i, j): recoupling.quarter_turn_entry(n, i, j)
+                   for i in range(n + 1) for j in range(n + 1)}
         q_nums, q_den = normalize_over(*common_denominator(entries))
         q = [[q_nums.get((i, j)) for j in range(n + 1)] for i in range(n + 1)]
         _transfer_cache[n] = starts, q, q_den

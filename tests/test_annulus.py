@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from tanglekit import tl
+from tanglekit import annulus, tl
 from tanglekit.annulus import (
     AnnulusElement,
     HomotopyType,
@@ -23,7 +23,7 @@ from tanglekit.annulus import (
     solid_torus_closure,
 )
 from tanglekit.rationals import ExtRational, canonical_form
-from tanglekit.ring import LaurentPoly, RatFunc
+from tanglekit.ring import LaurentPoly, RatFunc, common_denominator, normalize_over
 from tanglekit.tangles import (
     RationalTangle,
     build_rational,
@@ -203,6 +203,14 @@ def test_basis_closure_is_bubble_ratio_times_chebyshev():
             bridge = RatFunc.from_laurent(tl._delta_poly(2 * i))
             expected = chebyshev_polynomial(2 * i).scale(q.theta / bridge)
             assert element_closure(basis[i]) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_closed_form_basis_closures_equal_the_engine(n):
+    # the referee closes every basis element of TL_2n around the core
+    fracs = {(i, k): c for i, b in enumerate(tl.bni_basis(n))
+             for k, c in element_closure(b).coeffs.items()}
+    assert annulus._basis_closures(n) == normalize_over(*common_denominator(fracs))
 
 
 def test_colored_closure_of_infinity():

@@ -12,6 +12,7 @@ from tanglekit.bracket import (
     _root_coords,
     bracket_vector,
     c_invariant,
+    coprime_ratio,
     mirror_transport,
     ratio_invariant,
 )
@@ -153,6 +154,17 @@ def test_ratio_invariant():
     assert r == RatFunc.normalized(A, LaurentPoly.monomial(-1))
     with pytest.raises(ValueError):
         ratio_invariant(BracketVec2(Z, Z))
+
+
+def test_coprime_ratio_is_the_reduced_ratio():
+    rng = random.Random(2718)
+    tangles = [RationalTangle(random_twist_vector(rng, 6, 8)) for _ in range(200)]
+    tangles += [RationalTangle.from_entries(*e) for e in ((0,), (1,), (-3,), (2, 0))]
+    tangles += [RationalTangle.infinity()]
+    tangles += [RationalTangle.from_entries(*[1] * k) for k in (500, 1000)]
+    for t in tangles:
+        v = vec(t)
+        assert coprime_ratio(v) == ratio_invariant(v), t
 
 
 def test_c_invariant_pins():

@@ -273,15 +273,27 @@ def test_colored_closure_matches_bracket_closure_at_width_one():
 
 
 def test_colored_rejects_bad_width(tmp_path):
+    # a tangle argument is a twist word, so --n runs to the twist-word bound
     batch = tmp_path / "tangles.txt"
     batch.write_text("[1]\n[2 2]\n", encoding="utf-8")
-    for n in ("0", "4"):
+    bound = tl.MAX_TWIST_WIDTH
+    for n in ("0", str(bound + 1), "1000000000"):
         for command in ("colored", "colored-closure"):
             for source in (("[1]",), ("--batch", str(batch))):
-                code, out = run_cli(command, *source, "--n", n)
-                assert code == 2
+                start = time.perf_counter()
+                code, out, err = run_cli_streams(command, *source, "--n", n)
+                assert time.perf_counter() - start < 1.0
+                assert (code, err) == (2, "")
                 [line] = out.splitlines()
-                assert "between 1 and 3" in json.loads(line)["error"]
+                assert f"between 1 and {bound}, got {n}" in json.loads(line)["error"]
+
+
+def test_width_help_names_the_twist_word_bound():
+    for command in ("colored", "colored-closure"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert f"cable width (1..{tl.MAX_TWIST_WIDTH})" in out.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +343,10 @@ def test_oversized_twist_run_is_refused_at_once():
     assert "bound 2000" in json.loads(line)["error"]
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", range(2, tl.MAX_TWIST_WIDTH + 1))
 def test_colored_twist_bound_refuses_long_words_at_once(n):
     bound = tl.MAX_COLORED_TWISTS[n]
-    assert bound < tl.MAX_COLORED_TWISTS[1]
+    assert bound < 2000
     for command in ("colored", "colored-closure"):
         for notation in (f"[{bound + 1}]", "[1000 1000]"):
             start = time.perf_counter()

@@ -2,14 +2,21 @@
 colored expansion of cabled 2-tangles."""
 
 import random
+import time
 import warnings
 
 import pytest
 
 from tanglekit import annulus, tl
-from tanglekit.annulus import colored_closure
+from tanglekit.annulus import colored_closure, gamma_ratio_invariants
 from tanglekit.bracket import bracket_vector
-from tanglekit.ring import LaurentPoly, RatFunc, _poly_gcd
+from tanglekit.ring import (
+    LaurentPoly,
+    RatFunc,
+    _poly_gcd,
+    common_denominator,
+    normalize_over,
+)
 from tanglekit.tangles import (
     PlanarTangleDiagram,
     RationalTangle,
@@ -570,10 +577,53 @@ def test_transfer_replay_matches_the_tile_replay():
         assert tl.colored_expand(t, n) == referee, (t, n)
 
 
+def _engine_transfer_data(n):
+    """The referee of _transfer_data: the start vectors read off the
+    projector-dressed crossingless tangles, and Q read off the quarter
+    turns of bni_basis(n), all in TL_2n."""
+    frame = tl.projector_frame(n)
+    starts = {}
+    for kind in ("0", "inf"):
+        x = tl.compose(frame, tl.compose(tl.unit_element(n, kind), frame))
+        gammas = dict(enumerate(tl._read_coordinates(x, n)))
+        starts[kind] = normalize_over(*common_denominator(gammas))
+    entries = {}
+    for j, b in enumerate(tl.bni_basis(n)):
+        for i, c in enumerate(tl._read_coordinates(tl.rotate_cw(b), n)):
+            entries[i, j] = c
+    q_nums, q_den = normalize_over(*common_denominator(entries))
+    q = [[q_nums.get((i, j)) for j in range(n + 1)] for i in range(n + 1)]
+    return starts, q, q_den
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_closed_form_transfer_data_equals_the_engine(n):
+    # Q, both start vectors and their shared denominators, field by field
+    assert tl._transfer_data(n) == _engine_transfer_data(n)
+
+
+def _mirror(r):
+    return RatFunc.normalized(r.num.invert_variable(), r.den.invert_variable())
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_closed_forms_past_the_engine(n):
+    # beyond the projectors: fraction-equal words share their ratios, and
+    # the mirror maps each ratio by A -> 1/A
+    left, right, mirror = (RationalTangle.from_entries(*e)
+                           for e in ((-2, 3, 2), (3, -2, 3), (2, -3, -2)))
+    ratios = tl.colored_ratios(tl.colored_expand(left, n))
+    assert len(ratios) == n
+    assert tl.colored_ratios(tl.colored_expand(right, n)) == ratios
+    assert tl.colored_ratios(tl.colored_expand(mirror, n)) == [_mirror(r) for r in ratios]
+    closure_ratios = gamma_ratio_invariants(colored_closure(left, n))
+    assert gamma_ratio_invariants(colored_closure(right, n)) == closure_ratios
+
+
 def test_quarter_turn_is_an_involution():
     # Q is rotate_cw on the span; two quarter turns of a dressed
     # 2-tangle, a half turn, fix every basis element
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4, 5):
         _, q, q_den = tl._transfer_data(n)
         for j in range(n + 1):
             twice = tl._quarter_turn(q, tl._quarter_turn(q, {j: LaurentPoly.one()}))
@@ -607,8 +657,11 @@ def test_width_one_eigenvalues_are_the_bracket_step():
     }
 
 
+ENGINE_CACHES = ("_jw_cache", "_frame_cache", "_bni_cache", "_tile_cache")
+
+
 def test_transfer_replay_builds_no_crossing_tile(monkeypatch):
-    for cache in ("_tile_cache", "_bni_cache", "_transfer_cache"):
+    for cache in ENGINE_CACHES + ("_transfer_cache",):
         monkeypatch.setattr(tl, cache, {})
     monkeypatch.setattr(annulus, "_basis_closure_cache", {})
     # a word over the bound is refused before any precompute
@@ -616,19 +669,44 @@ def test_transfer_replay_builds_no_crossing_tile(monkeypatch):
     with pytest.raises(ValueError, match="at cable width 3"):
         tl.colored_expand(too_long, 3)
     assert tl._bni_cache == {} and tl._transfer_cache == {}
+    # the closed forms build no projector, frame, basis or crossing tile
     t = RationalTangle.from_entries(2, -1)
+    for n in (3, tl.MAX_TWIST_WIDTH):
+        tl.colored_expand(t, n)
+        colored_closure(t, n)
+        assert all(getattr(tl, cache) == {} for cache in ENGINE_CACHES)
+
+
+def test_width_three_set_up_is_quick(monkeypatch):
+    # through the projectors on 6 strands this took about 0.5 s
+    monkeypatch.setattr(tl, "_transfer_cache", {})
+    monkeypatch.setattr(annulus, "_basis_closure_cache", {})
+    t = RationalTangle.from_entries(3, 2, -3)
+    start = time.perf_counter()
     tl.colored_expand(t, 3)
     colored_closure(t, 3)
-    assert tl._tile_cache == {}
+    assert time.perf_counter() - start < 0.15
 
 
 def test_colored_cable_width_bound():
+    # diagrams and the TL engine need projectors on 2n strands
     t = RationalTangle.from_entries(1)
+    d = rational_to_diagram(t)
     for n in (4, 0, -1):
         for call in (tl.bni_basis, lambda n: tl.colored_element(t, n),
-                     lambda n: tl.colored_expand(t, n), lambda n: colored_closure(t, n)):
+                     lambda n: tl.colored_expand(d, n), lambda n: colored_closure(d, n)):
             with pytest.raises(ValueError, match="between 1 and 3"):
                 call(n)
+
+
+def test_twist_word_cable_width_bound():
+    t = RationalTangle.from_entries(1)
+    bound = tl.MAX_TWIST_WIDTH
+    assert bound >= 6 and set(tl.MAX_COLORED_TWISTS) == set(range(1, bound + 1))
+    for n in (bound + 1, 0, -1):
+        for call in (tl.colored_expand, colored_closure, tl.transfer_vector):
+            with pytest.raises(ValueError, match=f"between 1 and {bound}"):
+                call(t, n)
 
 
 def test_ratio_invariants_quotients():
