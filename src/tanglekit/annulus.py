@@ -204,7 +204,11 @@ def chebyshev_convert(e: AnnulusElement) -> list:
     """Coordinates of an element in the basis S_0, S_1, ..., S_deg.
 
     Back-substitution from the top degree down; each S_k is monic of
-    degree k, so the conversion is exact and round-trips.
+    degree k, so the conversion is exact and round-trips, and the top
+    term of S_k, which cancels c exactly, is skipped.  This is the
+    general path, for diagram closures and colored closures at n >= 2;
+    on the closure alpha*delta + beta*z^2 of a twist word it is one
+    integer multiple and one sum of polynomials, with no gcd.
     """
     if e.is_zero:
         return []
@@ -216,6 +220,8 @@ def chebyshev_convert(e: AnnulusElement) -> list:
             continue
         coords[k] = c
         for exp, s in _chebyshev_coeffs(k).items():
+            if exp == k:
+                continue
             v = work.get(exp, RatFunc.zero()) - c * s
             if v.is_zero:
                 work.pop(exp, None)
@@ -278,8 +284,10 @@ def closure_bracket(t) -> AnnulusElement:
         closed = t if not t.boundary else oracle.annular_closure(t)
         return AnnulusElement.from_laurent_map(oracle.closure_coefficients(closed))
     vec = bracket_vector(t)
+    # alpha * delta as shifts, delta = -A^2 - A^-2
+    alpha_delta = -(vec.alpha.shift(2) + vec.alpha.shift(-2))
     return AnnulusElement(
-        {0: RatFunc.from_laurent(vec.alpha * DELTA), 2: RatFunc.from_laurent(vec.beta)}
+        {0: RatFunc.from_laurent(alpha_delta), 2: RatFunc.from_laurent(vec.beta)}
     )
 
 

@@ -81,7 +81,9 @@ def _twist_run(alpha, beta, kind, a):
             out[E] = s
         else:
             del out[E]
-    alpha, beta = LaurentPoly(out), LaurentPoly({E - e * k: c for E, c in b.items()})
+    # Integer coefficients stay integers and zero sums were dropped above,
+    # so out is in stored form.
+    alpha, beta = LaurentPoly._of(out), beta.shift(-e * k)
     if kind == "B":
         alpha, beta = beta, alpha
     return alpha, beta
@@ -136,7 +138,9 @@ def coprime_ratio(v: BracketVec2):
     of determinant +-A^m, so a common factor of alpha and beta would
     divide the start vector: they are coprime.  The canonical form only
     moves the power of A onto the numerator and divides both sides by
-    the signed content of beta.  ratio_invariant is the referee.
+    the signed content of beta, which holds for any coprime pair
+    (tl._width_one_ratios passes the width-1 colored ratio).
+    ratio_invariant is the referee.
     """
     alpha, beta = v.alpha.coeffs, v.beta.coeffs
     if not beta or not alpha:
@@ -145,6 +149,8 @@ def coprime_ratio(v: BracketVec2):
     scale = v.beta.content()
     if beta[shift] < 0:
         scale = -scale
+    if scale == 1:
+        return RatFunc(v.alpha.shift(-shift), v.beta.shift(-shift))
     return RatFunc(LaurentPoly({e - shift: _div(c, scale) for e, c in alpha.items()}),
                    LaurentPoly({e - shift: _div(c, scale) for e, c in beta.items()}))
 

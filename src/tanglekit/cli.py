@@ -55,6 +55,7 @@ from .tangles import (
 from .tl import (
     MAX_TWIST_WIDTH,
     _read_coordinates,
+    _width_one_ratios,
     check_cable_width,
     colored_element,
     colored_expand,
@@ -237,7 +238,7 @@ def _colored_payload(notation, opts):
     # gamma_k, k = len(ratios), the last nonzero coordinate.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ratios = colored_ratios(gammas)
+        ratios = (_width_one_ratios if n == 1 else colored_ratios)(gammas)
     payload = {
         "n": n,
         "gamma": [str(g) for g in gammas],

@@ -112,6 +112,14 @@ class LaurentPoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _of(cls, coeffs: dict) -> "LaurentPoly":
+        """Wrap a dict already in stored form (int exponents, nonzero int
+        or non-integral Fraction values), without a copy or a check."""
+        p = cls.__new__(cls)
+        p.coeffs = coeffs
+        return p
+
+    @classmethod
     def zero(cls) -> "LaurentPoly":
         return cls()
 
@@ -164,7 +172,7 @@ class LaurentPoly:
         return hash(frozenset(self.coeffs.items()))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
+        return LaurentPoly._of({e: -c for e, c in self.coeffs.items()})
 
     def __add__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
@@ -178,9 +186,7 @@ class LaurentPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        result = LaurentPoly.__new__(LaurentPoly)
-        result.coeffs = _store_integral(out)
-        return result
+        return LaurentPoly._of(_store_integral(out))
 
     __radd__ = __add__
 
@@ -210,9 +216,7 @@ class LaurentPoly:
                     out[e] = s
                 else:
                     del out[e]
-        result = LaurentPoly.__new__(LaurentPoly)
-        result.coeffs = _store_integral(out)
-        return result
+        return LaurentPoly._of(_store_integral(out))
 
     __rmul__ = __mul__
 
@@ -230,11 +234,11 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by A^k."""
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
+        return LaurentPoly._of({e + k: c for e, c in self.coeffs.items()})
 
     def invert_variable(self) -> "LaurentPoly":
         """Substitute A -> A^-1 (the mirror-image substitution)."""
-        return LaurentPoly({-e: c for e, c in self.coeffs.items()})
+        return LaurentPoly._of({-e: c for e, c in self.coeffs.items()})
 
     def content(self):
         """Positive rational c such that self/c has coprime integer
@@ -246,20 +250,23 @@ class LaurentPoly:
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
-        parts = []
+        # Each term carries its sign in its separator, " + " or " - "; the
+        # first term's separator is cut to "" or "-" at the end.
+        out = []
         for e in sorted(self.coeffs, reverse=True):
             c = self.coeffs[e]
-            mag = abs(c)
+            if c < 0:
+                sep, c = " - ", -c
+            else:
+                sep = " + "
             if e == 0:
-                body = str(mag)
+                out.append(f"{sep}{c}")
+            elif e == 1:
+                out.append(f"{sep}A" if c == 1 else f"{sep}{c}*A")
             else:
-                var = "A" if e == 1 else f"A^{e}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
+                out.append(f"{sep}A^{e}" if c == 1 else f"{sep}{c}*A^{e}")
+        s = "".join(out)
+        return s[3:] if s[1] == "+" else "-" + s[3:]
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
@@ -572,10 +579,10 @@ def normalize_over(nums: dict, den: LaurentPoly):
         scale = -scale
     sd = shifts[0]
     nums = {
-        k: LaurentPoly({e + s - sd: _div(c, scale) for e, c in q.items()})
+        k: LaurentPoly._of({e + s - sd: _div(c, scale) for e, c in q.items()})
         for k, s, q in zip(keys, shifts[1:], quotients)
     }
-    den = LaurentPoly({e: _div(c, scale) for e, c in den.items()})
+    den = LaurentPoly._of({e: _div(c, scale) for e, c in den.items()})
     return nums, den
 
 
@@ -685,6 +692,10 @@ class RatFunc:
         return (-self) + other
 
     def __mul__(self, other) -> "RatFunc":
+        if type(other) is int:
+            # Canonical as it stands: den is unchanged, and an integer
+            # shares no polynomial factor with it.
+            return RatFunc(self.num * other, self.den) if other else RatFunc.zero()
         other = RatFunc._coerce(other)
         if other is NotImplemented:
             return NotImplemented

@@ -28,7 +28,7 @@ from math import comb
 from types import MappingProxyType
 
 from . import oracle
-from .bracket import bracket_vector
+from .bracket import BracketVec2, bracket_vector, coprime_ratio
 from .ring import (
     DELTA,
     LaurentPoly,
@@ -102,7 +102,8 @@ MAX_PROJECTOR_STRANDS = 6
 #:
 #: 900 ones took 57 s at width 2.  The width-1 bound was set when 500
 #: ones took 52 s, nearly all in the polynomial-remainder gcds of
-#: colored_ratios; it now takes 0.5 s, and the bound is kept.  The widths
+#: colored_ratios; the CLI now takes the ratio with no gcd
+#: (_width_one_ratios) in about 0.3 s, and the bound is kept.  The widths
 #: stop at 8: at width 9 a word of 20 ones already takes 44 to 50 s.
 MAX_COLORED_TWISTS = {1: 500, 2: 800, 3: 400, 4: 200, 5: 110, 6: 70, 7: 45, 8: 30}
 
@@ -912,7 +913,7 @@ def _twist_diagonal(nums: dict, n: int, a: int) -> dict:
     for i, v in nums.items():
         shift = a * (n * n + 2 * n - 2 * i * i - 2 * i)
         sign = -1 if (n - i) * a % 2 else 1
-        out[i] = LaurentPoly({e + shift: sign * c for e, c in v.coeffs.items()})
+        out[i] = LaurentPoly._of({e + shift: sign * c for e, c in v.coeffs.items()})
     return out
 
 
@@ -999,3 +1000,26 @@ def colored_ratios(gammas: list) -> list:
         )
     top = gammas[k]
     return [g / top for g in gammas[:k]]
+
+
+def _width_one_ratios(gammas: list) -> list:
+    """colored_ratios(gammas) for gammas = colored_expand(t, 1) of a
+    rational tangle or twist word t, with no gcd; colored_ratios is the
+    referee.
+
+    With X = A^4 + 1, delta = -X / A^2, so gamma_1 = beta and
+    gamma_0 = alpha + beta / delta = (alpha X - beta A^2) / X.  alpha and
+    beta are coprime (bracket.coprime_ratio) and X is the irreducible
+    cyclotomic polynomial Phi_8, so the two sides of
+    gamma_0 / gamma_1 = (alpha X - beta A^2) / (beta X) can share only a
+    power of X.  They share X when X divides beta, and then only once,
+    since alpha - (beta / X) A^2 = alpha mod X is prime to X.  The
+    canonical form of gamma_0 has already cancelled that X, so
+    gamma_0.num over gamma_0.den * beta is the ratio, up to the content
+    and the power of A that coprime_ratio moves.  A vanishing coordinate
+    is left to colored_ratios, which then needs no gcd either.
+    """
+    g0, g1 = gammas
+    if g0.is_zero or g1.is_zero:
+        return colored_ratios(gammas)
+    return [coprime_ratio(BracketVec2(g0.num, g0.den * g1.num))]

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from tanglekit import annulus, tl
+from tanglekit.bracket import bracket_vector
 from tanglekit.annulus import (
     AnnulusElement,
     HomotopyType,
@@ -127,6 +128,56 @@ def test_chebyshev_round_trip():
                 coeffs[k] = RatFunc.from_laurent(c)
         e = AnnulusElement(coeffs)
         assert AnnulusElement.from_chebyshev(chebyshev_convert(e)) == e
+
+
+def _full_chebyshev_convert(e):
+    """chebyshev_convert as it was before it skipped the top term of S_k."""
+    if e.is_zero:
+        return []
+    work = dict(e.coeffs)
+    coords = [ZERO] * (max(work) + 1)
+    for k in range(len(coords) - 1, -1, -1):
+        c = work.get(k)
+        if c is None:
+            continue
+        coords[k] = c
+        for exp, s in annulus._chebyshev_coeffs(k).items():
+            v = work.get(exp, ZERO) - c * s
+            if v.is_zero:
+                work.pop(exp, None)
+            else:
+                work[exp] = v
+    return coords
+
+
+def test_chebyshev_convert_matches_the_full_subtraction():
+    rng = random.Random(43)
+
+    def poly():
+        return LaurentPoly({rng.randint(-4, 4): rng.randint(-5, 5) for _ in range(3)})
+
+    elements = []
+    while len(elements) < 30:
+        coeffs = {}
+        for k in rng.sample(range(9), rng.randint(1, 5)):
+            num, den = poly(), poly() + LaurentPoly.monomial(rng.randint(0, 3), 7)
+            if not den.is_zero:
+                coeffs[k] = RatFunc.normalized(num, den)
+        e = AnnulusElement(coeffs)
+        if len({c.den for c in e.coeffs.values()}) > 1:
+            elements.append(e)
+    for n, words in ((2, [(2, -1), (1, 1, 1), (3,), (-2, 3, 2)]), (3, [(2, -1), (1,), (0,)])):
+        elements += [colored_closure(RationalTangle.from_entries(*w), n) for w in words]
+    for e in elements:
+        assert chebyshev_convert(e) == _full_chebyshev_convert(e)
+
+
+def test_closure_forms_alpha_delta_by_shifts():
+    rng = random.Random(44)
+    for _ in range(200):
+        t = build_rational(random_twist_vector(rng, 6, 6))
+        alpha = bracket_vector(t).alpha
+        assert closure_bracket(t).coefficient(0) == RatFunc.from_laurent(alpha * DELTA.num)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from tanglekit import cli, tl
+from tanglekit import cli, ring, tl
 from tanglekit.cli import (
     INFINITY_TANGLE,
     TangleNotationError,
@@ -22,7 +22,7 @@ from tanglekit.cli import (
     parse_tangle_notation,
 )
 from tanglekit.rationals import ExtRational, TwistVector, canonical_form
-from tanglekit.tangles import PlanarTangleDiagram, build_rational
+from tanglekit.tangles import MAX_TWIST_TOTAL, PlanarTangleDiagram, build_rational
 from tanglekit.tl import colored_expand
 
 
@@ -170,6 +170,12 @@ PINNED_DIGESTS = {
     ("colored-closure", "--n", "1"): "a832bfd7e30651654014df44c13c6bd1ae06296507e6213d79b0eb49661bcb53",
     ("colored-closure", "--n", "2"): "3acd2cd12a5ac2c2de88374e6d91daf782aadc27c2b59650b3330e2588c291dd",
     ("colored-closure", "--n", "3"): "79de0d316a9d6ce18e03a6143c36782ba72d25c97c15b5078c19bac657a131b8",
+    ("bracket", "--text"): "a98e3a133c35f4eca3ca8c5ba2124113b121b2abef633805224ffb2b2a0d29e0",
+    ("closure", "--text"): "ae34c5f7dd5bfdf9ba303fcbe47547990d39916909c3e9e9b7530a9b7c6a3e1b",
+    ("closure", "--basis", "chebyshev", "--text"):
+        "9cfd3b3d9bf9777e84c01fdda880baca093c7d852a20458d6ed5d0f7d922f836",
+    ("colored-closure", "--n", "1", "--basis", "chebyshev"):
+        "b65f29513102a0decb6b6e802efeb39870443044c5dec4276da1d015cb387f55",
 }
 
 
@@ -270,6 +276,33 @@ def test_colored_closure_matches_bracket_closure_at_width_one():
     assert colored["n"] == 1
     assert colored["z"] == plain["z"]
     assert colored["chebyshev"] == plain["chebyshev"]
+
+
+def test_twist_word_closures_make_no_product_and_no_reduction(monkeypatch):
+    # alpha*delta is two shifts, and the Chebyshev form of alpha*delta +
+    # beta*z^2 is one integer multiple and one sum
+    counts = {"products": 0, "normalized": 0}
+    mul, normalized = ring.LaurentPoly.__mul__, ring.RatFunc.normalized
+
+    def counting_mul(a, b):
+        if isinstance(b, ring.LaurentPoly):
+            counts["products"] += 1
+        return mul(a, b)
+
+    def counting_normalized(num, den):
+        counts["normalized"] += 1
+        return normalized(num, den)
+
+    monkeypatch.setattr(ring.LaurentPoly, "__mul__", counting_mul)
+    monkeypatch.setattr(ring.LaurentPoly, "__rmul__", counting_mul)
+    monkeypatch.setattr(ring.RatFunc, "normalized", staticmethod(counting_normalized))
+    # closure is bound by the twist-word total, not the colored width-1 bound
+    longest = f"[{MAX_TWIST_TOTAL // 2} {MAX_TWIST_TOTAL - MAX_TWIST_TOTAL // 2}]"
+    for argv in (("closure", "[3 -2 4 1]"), ("colored-closure", "--n", "1", "[3 -2 4 1]"),
+                 ("closure", longest)):
+        code, out = run_cli(*argv)
+        assert code == 0 and len(json.loads(out)["chebyshev"]) == 3
+    assert counts == {"products": 0, "normalized": 0}
 
 
 def test_colored_rejects_bad_width(tmp_path):

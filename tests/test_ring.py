@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from tanglekit import ring
+from tanglekit import ring, tl
+from tanglekit.bracket import bracket_vector
 from tanglekit.ring import (
     LaurentPoly,
     RatFunc,
@@ -21,6 +22,7 @@ from tanglekit.ring import (
     poly_exact_div,
     poly_lcm,
 )
+from tanglekit.tangles import RationalTangle, random_twist_vector
 
 A = LaurentPoly.variable()
 DELTA = -(A ** 2) - LaurentPoly.monomial(-2)
@@ -52,6 +54,43 @@ def test_str_formatting():
     assert str(A) == "A"
     assert str(-A) == "-A"
     assert str(DELTA) == "-A^2 - A^-2"
+
+
+def _two_pass_str(p):
+    """LaurentPoly.__str__ as it was before the one-pass renderer."""
+    if not p.coeffs:
+        return "0"
+    parts = []
+    for e in sorted(p.coeffs, reverse=True):
+        c = p.coeffs[e]
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        else:
+            var = "A" if e == 1 else f"A^{e}"
+            body = var if mag == 1 else f"{mag}*{var}"
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(parts)
+
+
+def test_str_matches_the_two_pass_renderer():
+    rng = random.Random(35)
+    coefficient = (
+        lambda: rng.choice([1, -1]),
+        lambda: rng.randint(-10 ** 6, 10 ** 6),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(2, 6)),
+    )
+    polys = [LaurentPoly({e: -1}) for e in (-1, 0, 1, 5)]
+    polys += [LaurentPoly({e: Fraction(-3, 2)}) for e in (-1, 0, 1)]
+    for _ in range(400):
+        polys.append(LaurentPoly({
+            rng.randint(-3, 3): rng.choice(coefficient)() for _ in range(rng.randint(0, 6))
+        }))
+    for p in polys:
+        assert str(p) == _two_pass_str(p)
 
 
 def test_pow_and_shift():
@@ -210,7 +249,8 @@ def _times(a, b):
 
 
 def _assert_stored_form(p):
-    for c in p.coeffs.values():
+    for e, c in p.coeffs.items():
+        assert type(e) is int and c
         assert type(c) in (int, Fraction)
         assert type(c) is int or c.denominator != 1
 
@@ -266,8 +306,33 @@ def test_coefficients_keep_the_stored_form():
             results.append(poly_exact_div(p * q, q))
             x = RatFunc.normalized(p, q)
             results += [x.num, x.den, (x * x).num, (x + RatFunc.one()).num]
+            nums, den = normalize_over({0: p, 1: q, 2: p * q}, q + 1 or A)
+            results += [den, *nums.values()]
+        # the callers of LaurentPoly._of, which wraps a dict unchecked
+        results += [p.shift(3), p.invert_variable(), -q]
+        results += tl._twist_diagonal({0: p, 1: q}, 2, rng.choice([-3, 1, 2])).values()
+        word = random_twist_vector(rng, 5, 4)
+        v = bracket_vector(RationalTangle(word))
+        results += [v.alpha, v.beta]
         for r in results:
             _assert_stored_form(r)
+
+
+def test_ratfunc_times_an_integer_is_already_canonical():
+    rng = random.Random(36)
+    checked = 0
+    while checked < 60:
+        num, den = random_poly(rng), random_poly(rng)
+        if rng.random() < 0.5:
+            num, den = num * 6, den * 10
+        if den.is_zero:
+            continue
+        checked += 1
+        x = RatFunc.normalized(num, den)
+        for k in (0, 1, -1, 7, -7):
+            expected = RatFunc.normalized(x.num * k, x.den)
+            assert x * k == expected and k * x == expected
+            _assert_stored_form((x * k).num)
 
 
 def test_exact_division_rule():

@@ -735,6 +735,18 @@ def test_ratio_invariants_agree_for_equal_fractions():
     assert len(left) == 2
 
 
+def test_width_one_ratios_match_colored_ratios():
+    # the gcd-free width-1 ratio of the CLI against the generic division
+    rng = random.Random(45)
+    words = [RationalTangle.from_entries(*[1] * 500)]
+    words += [build_rational(random_twist_vector(rng, 6, 9)) for _ in range(200)]
+    for t in words:
+        gammas = tl.colored_expand(t, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert tl._width_one_ratios(gammas) == tl.colored_ratios(gammas), t
+
+
 def test_ratio_invariants_differ_for_different_fractions():
     left = tl.colored_ratios(tl.colored_expand(RationalTangle.from_entries(2), 1))
     right = tl.colored_ratios(tl.colored_expand(RationalTangle.from_entries(3), 1))
