@@ -37,7 +37,6 @@ from .tangles import (
 __all__ = [
     "AnnulusElement",
     "HomotopyType",
-    "SolidTorusRationalLink",
     "chebyshev_convert",
     "chebyshev_polynomial",
     "closure_bracket",
@@ -310,20 +309,15 @@ _PARITY_TO_TYPE = {
 }
 
 
-@dataclass(frozen=True)
-class SolidTorusRationalLink:
-    """The closure of a rational tangle around the annulus core."""
-
-    source: RationalTangle
-
-
-def solid_torus_closure(t: RationalTangle) -> SolidTorusRationalLink:
-    return SolidTorusRationalLink(t)
+def solid_torus_closure(t: RationalTangle) -> RationalTangle:
+    """The closure of a rational tangle around the annulus core.  A
+    closure is determined by its tangle, so the tangle stands for it."""
+    return t
 
 
-def link_fraction(link: SolidTorusRationalLink) -> ExtRational:
+def link_fraction(link: RationalTangle) -> ExtRational:
     """The fraction of the closed link, a complete isotopy invariant."""
-    return link.source.fraction
+    return link.fraction
 
 
 def fraction_from_closure(e: AnnulusElement) -> ExtRational:
@@ -338,12 +332,12 @@ def fraction_from_closure(e: AnnulusElement) -> ExtRational:
     return c_invariant(BracketVec2(alpha, beta))
 
 
-def links_equivalent(a: SolidTorusRationalLink, b: SolidTorusRationalLink) -> bool:
+def links_equivalent(a: RationalTangle, b: RationalTangle) -> bool:
     """Isotopy of closures is decided by fraction equality."""
     return link_fraction(a) == link_fraction(b)
 
 
-def homotopy_type(link: SolidTorusRationalLink) -> HomotopyType:
+def homotopy_type(link: RationalTangle) -> HomotopyType:
     """Homotopy class of the closure, read off the fraction's parity."""
     return _PARITY_TO_TYPE[parity(link_fraction(link))]
 

@@ -58,8 +58,8 @@ CORNERS = ("NW", "NE", "SW", "SE")
 
 #: Largest total |entry| of a twist vector turned into a twist word.
 #: The bracket applies each run in closed form; the bound keeps output
-#: size in check.  The colored commands have tighter bounds per cable
-#: width (tl.MAX_COLORED_TWISTS).
+#: size in check.  It is also the colored bound at cable width 1; wider
+#: cables have tighter bounds (tl.MAX_COLORED_TWISTS).
 MAX_TWIST_TOTAL = 2000
 
 TYPE_0 = "TYPE_0"

@@ -16,9 +16,10 @@ the dressed crossingless tangle, with each run of half twists applied
 in closed form (transfer_vector).  The start coordinates and the
 quarter turn come from the recoupling formulas for theta and Tet
 (recoupling.py), so no projector is built and twist words reach cable
-widths past the projectors' bound.  Diagrams are cabled and expanded
-by the state sum.  colored_element, which glues one cabled crossing
-tile per half twist, is kept as the referee of the replay.
+widths past the projectors' bound.  At width 1 the coordinates are
+read off the bracket instead.  Diagrams are cabled and expanded by the
+state sum.  colored_element, which glues one cabled crossing tile per
+half twist, is kept as the referee of the replay.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .ring import (
     poly_lcm,
 )
 from .tangles import (
+    MAX_TWIST_TOTAL,
     PlanarTangleDiagram,
     RationalTangle,
     TwistWord,
@@ -89,23 +91,21 @@ __all__ = [
 MAX_PROJECTOR_STRANDS = 6
 
 #: Largest total twist, per cable width, of a twist word whose colored
-#: coordinates or closure are computed.  From width 2 on, each bound is
-#: the largest round total at which the slowest shape found, all entries
-#: 1, runs within a minute through `colored` and through
+#: coordinates or closure are computed.  Width 1 is the bracket, so its
+#: bound is the bracket's, MAX_TWIST_TOTAL.  From width 2 on, each bound
+#: is the largest round total at which the slowest shape found, all
+#: entries 1, runs within a minute through `colored` and through
 #: `colored-closure`, each in a fresh process (2-vCPU x86 host, CPython
 #: 3.11); the slower time and the larger stdout of the two:
 #:
-#:     width      2       3       4       5       6       7       8
-#:     bound    800     400     200     110      70      45      30
-#:     time     43 s    50 s    50 s    47 s    48 s    52 s    50 s
-#:     output  3.1 MB  3.6 MB  2.5 MB  1.8 MB  1.4 MB  1.1 MB  0.8 MB
+#:     width      1       2       3       4       5       6       7       8
+#:     bound   2000     800     400     200     110      70      45      30
+#:     time    3.4 s   43 s    50 s    50 s    47 s    48 s    52 s    50 s
+#:     output  2.6 MB  3.1 MB  3.6 MB  2.5 MB  1.8 MB  1.4 MB  1.1 MB  0.8 MB
 #:
-#: 900 ones took 57 s at width 2.  The width-1 bound was set when 500
-#: ones took 52 s, nearly all in the polynomial-remainder gcds of
-#: colored_ratios; the CLI now takes the ratio with no gcd
-#: (_width_one_ratios) in about 0.3 s, and the bound is kept.  The widths
-#: stop at 8: at width 9 a word of 20 ones already takes 44 to 50 s.
-MAX_COLORED_TWISTS = {1: 500, 2: 800, 3: 400, 4: 200, 5: 110, 6: 70, 7: 45, 8: 30}
+#: 900 ones took 57 s at width 2.  The widths stop at 8: at width 9 a
+#: word of 20 ones already takes 44 to 50 s.
+MAX_COLORED_TWISTS = {1: MAX_TWIST_TOTAL, 2: 800, 3: 400, 4: 200, 5: 110, 6: 70, 7: 45, 8: 30}
 
 #: Largest cable width of a twist word.  Its colored coordinates and
 #: closure come from closed forms, with no projector, so the bound is
@@ -931,29 +931,20 @@ def _quarter_turn(q, nums: dict) -> dict:
     return out
 
 
-# delta = -A^2 - A^-2 = -(A^4 + 1) / A^2
-_DELTA_NUM = LaurentPoly({0: 1, 4: 1})
-
-
 def transfer_vector(t, n: int):
     """Colored coordinates of a rational tangle or twist word over
     bni_basis(n), as numerators over one denominator.
 
     Returns (nums, den) in the canonical form of normalize_over:
     nums[i] / den is the coordinate of b_i, and zero coordinates are
-    left out.  At width 1 the coordinates are the bracket's, changed to
-    the basis (b_0, b_1): gamma = (alpha + beta/delta, beta).  At wider
-    cables the replay starts from the dressed crossingless tangle and
+    left out.  The replay starts from the dressed crossingless tangle and
     applies each run of half twists in closed form, a right run as
     monomials and a bottom run as Q D(-a) Q, with one reduction per
-    bottom run.  A word longer than MAX_COLORED_TWISTS[n] is refused
+    bottom run.  At width 1 it is the referee of the read-off in
+    colored_expand.  A word longer than MAX_COLORED_TWISTS[n] is refused
     before any precompute.
     """
     word = colored_twist_word(t, n)
-    if n == 1:
-        vec = bracket_vector(word)
-        nums = {0: vec.alpha * _DELTA_NUM - vec.beta.shift(2), 1: vec.beta * _DELTA_NUM}
-        return normalize_over(nums, _DELTA_NUM)
     starts, q, q_den = _transfer_data(n)
     nums, den = starts[word.start]
     for kind, a in word.runs:
@@ -965,15 +956,33 @@ def transfer_vector(t, n: int):
     return nums, den
 
 
+# X = A^4 + 1, so delta = -A^2 - A^-2 = -X / A^2
+_X = LaurentPoly({0: 1, 4: 1})
+
+
 def colored_expand(t, n: int) -> list:
     """Coordinates of the n-cabled, projector-dressed tangle over bni_basis.
 
-    Rational tangles and twist words go through transfer_vector; raw
-    diagrams through the cabled state sum, whose coordinates are read
-    off the basis and checked exactly.
+    Raw diagrams go through the cabled state sum, whose coordinates are
+    read off the basis and checked exactly; rational tangles and twist
+    words through transfer_vector, except at width 1.  There the cable
+    is the tangle itself, and the coordinates are the bracket's over
+    (b_0, b_1): gamma = (alpha + beta / delta, beta)
+    = ((alpha X - beta A^2) / X, beta).  Both are canonical as built, with
+    no gcd: X = Phi_8 is irreducible with content 1, so it could cancel
+    only by dividing beta, that is, only if beta(zeta_8) = 0.  That
+    happens only at fraction infinity, where beta = 0 and
+    gamma = (alpha, 0).
     """
     if isinstance(t, PlanarTangleDiagram):
         return _read_coordinates(colored_element(t, n), n)
+    if n == 1:
+        vec = bracket_vector(colored_twist_word(t, 1))
+        alpha, beta = vec.alpha, vec.beta
+        if beta.is_zero:
+            return [RatFunc.from_laurent(alpha), RatFunc.zero()]
+        gamma_0 = RatFunc(alpha + alpha.shift(4) - beta.shift(2), _X)
+        return [gamma_0, RatFunc.from_laurent(beta)]
     nums, den = transfer_vector(t, n)
     zero = LaurentPoly.zero()
     return [RatFunc.normalized(nums.get(i, zero), den) for i in range(n + 1)]
@@ -1007,19 +1016,16 @@ def _width_one_ratios(gammas: list) -> list:
     rational tangle or twist word t, with no gcd; colored_ratios is the
     referee.
 
-    With X = A^4 + 1, delta = -X / A^2, so gamma_1 = beta and
-    gamma_0 = alpha + beta / delta = (alpha X - beta A^2) / X.  alpha and
-    beta are coprime (bracket.coprime_ratio) and X is the irreducible
-    cyclotomic polynomial Phi_8, so the two sides of
-    gamma_0 / gamma_1 = (alpha X - beta A^2) / (beta X) can share only a
-    power of X.  They share X when X divides beta, and then only once,
-    since alpha - (beta / X) A^2 = alpha mod X is prime to X.  The
-    canonical form of gamma_0 has already cancelled that X, so
-    gamma_0.num over gamma_0.den * beta is the ratio, up to the content
-    and the power of A that coprime_ratio moves.  A vanishing coordinate
-    is left to colored_ratios, which then needs no gcd either.
+    gamma_0 / gamma_1 = (alpha X - beta A^2) / (X beta), with
+    X = A^4 + 1.  alpha and beta are coprime (bracket.coprime_ratio), and
+    X is irreducible and does not divide beta (colored_expand), so the
+    two sides are coprime, and the ratio is gamma_0.num over X beta, a
+    sum of two shifts, up to the content and the power of A that
+    coprime_ratio moves.  A vanishing coordinate is left to
+    colored_ratios, which then needs no gcd either.
     """
     g0, g1 = gammas
     if g0.is_zero or g1.is_zero:
         return colored_ratios(gammas)
-    return [coprime_ratio(BracketVec2(g0.num, g0.den * g1.num))]
+    beta = g1.num
+    return [coprime_ratio(BracketVec2(g0.num, beta + beta.shift(4)))]

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from tanglekit import cli, ring, tl
+from tanglekit import annulus, cli, ring, tl
 from tanglekit.cli import (
     INFINITY_TANGLE,
     TangleNotationError,
@@ -176,6 +176,9 @@ PINNED_DIGESTS = {
         "9cfd3b3d9bf9777e84c01fdda880baca093c7d852a20458d6ed5d0f7d922f836",
     ("colored-closure", "--n", "1", "--basis", "chebyshev"):
         "b65f29513102a0decb6b6e802efeb39870443044c5dec4276da1d015cb387f55",
+    ("colored", "--n", "1", "--text"):
+        "12b3e9f9cdb734a0c047fb92c9416b335e4baa879bb9170c5142882e02a736e4",
+    ("classify",): "c604aae25f395bf74c20c26a2f19a651d68db900a26e77efe34fe0af6461ff58",
 }
 
 
@@ -280,9 +283,11 @@ def test_colored_closure_matches_bracket_closure_at_width_one():
 
 def test_twist_word_closures_make_no_product_and_no_reduction(monkeypatch):
     # alpha*delta is two shifts, and the Chebyshev form of alpha*delta +
-    # beta*z^2 is one integer multiple and one sum
-    counts = {"products": 0, "normalized": 0}
-    mul, normalized = ring.LaurentPoly.__mul__, ring.RatFunc.normalized
+    # beta*z^2 is one integer multiple and one sum; the width-1 colored
+    # coordinates and their ratio are shifts and sums of alpha and beta
+    counts = {"products": 0, "normalized": 0, "normalize_over": 0}
+    mul, normalized, normalize_over = (ring.LaurentPoly.__mul__, ring.RatFunc.normalized,
+                                       ring.normalize_over)
 
     def counting_mul(a, b):
         if isinstance(b, ring.LaurentPoly):
@@ -293,16 +298,24 @@ def test_twist_word_closures_make_no_product_and_no_reduction(monkeypatch):
         counts["normalized"] += 1
         return normalized(num, den)
 
+    def counting_normalize_over(nums, den):
+        counts["normalize_over"] += 1
+        return normalize_over(nums, den)
+
     monkeypatch.setattr(ring.LaurentPoly, "__mul__", counting_mul)
     monkeypatch.setattr(ring.LaurentPoly, "__rmul__", counting_mul)
     monkeypatch.setattr(ring.RatFunc, "normalized", staticmethod(counting_normalized))
-    # closure is bound by the twist-word total, not the colored width-1 bound
+    for module in (ring, tl, annulus):
+        monkeypatch.setattr(module, "normalize_over", counting_normalize_over)
     longest = f"[{MAX_TWIST_TOTAL // 2} {MAX_TWIST_TOTAL - MAX_TWIST_TOTAL // 2}]"
-    for argv in (("closure", "[3 -2 4 1]"), ("colored-closure", "--n", "1", "[3 -2 4 1]"),
-                 ("closure", longest)):
-        code, out = run_cli(*argv)
-        assert code == 0 and len(json.loads(out)["chebyshev"]) == 3
-    assert counts == {"products": 0, "normalized": 0}
+    for word in ("[3 -2 4 1]", longest):
+        for argv in (("closure", word), ("colored-closure", "--n", "1", word)):
+            code, out = run_cli(*argv)
+            assert code == 0 and len(json.loads(out)["chebyshev"]) == 3
+        code, out = run_cli("colored", "--n", "1", word)
+        payload = json.loads(out)
+        assert code == 0 and (len(payload["gamma"]), len(payload["ratios"])) == (2, 1)
+    assert counts == {"products": 0, "normalized": 0, "normalize_over": 0}
 
 
 def test_colored_rejects_bad_width(tmp_path):
@@ -391,16 +404,18 @@ def test_colored_twist_bound_refuses_long_words_at_once(n):
 
 
 def test_colored_width_one_bound_refuses_long_words_at_once():
-    bound = tl.MAX_COLORED_TWISTS[1]
-    assert bound < 1000
+    # width 1 is the bracket, held to the bracket's bound
+    assert tl.MAX_COLORED_TWISTS[1] == MAX_TWIST_TOTAL == 2000
     for command in ("colored", "colored-closure"):
-        for notation in (f"[{bound + 1}]", "[1000 1000]"):
+        code, out, err = run_cli_streams(command, "--n", "1", "[1000 1000]")
+        assert (code, err) == (0, "") and "error" not in json.loads(out)
+        for notation in ("[2001]", "[1000 1001]"):
             start = time.perf_counter()
             code, out, err = run_cli_streams(command, "--n", "1", notation)
             assert time.perf_counter() - start < 1.0
             assert (code, err) == (2, "")
             [line] = out.splitlines()
-            assert f"bound {bound} at cable width 1" in json.loads(line)["error"]
+            assert "bound 2000" in json.loads(line)["error"]
 
 
 @pytest.mark.parametrize("n, bound, accepted, refused", [

@@ -569,12 +569,16 @@ def test_transfer_replay_matches_the_tile_replay():
     rng = random.Random(89)
     cases = [(build_rational(random_twist_vector(rng, 4, 3)), 1) for _ in range(200)]
     cases += [(build_rational(random_twist_vector(rng, 3, 3)), 2) for _ in range(40)]
-    fixed = [RationalTangle.from_entries(*e) for e in ((1,), (-1,), (2, -1), (1, 1), (0,))]
+    fixed = [RationalTangle.from_entries(*e)
+             for e in ((1,), (-1,), (2, -1), (1, 1), (0,), (0, 1), (2, 0), (1, -1))]
     fixed.append(RationalTangle.infinity())
-    cases += [(t, 3) for t in fixed]
+    cases += [(t, n) for t in fixed for n in (1, 3)]
     for t, n in cases:
         referee = tl._read_coordinates(tl.colored_element(t, n), n)
         assert tl.colored_expand(t, n) == referee, (t, n)
+        if n == 1:
+            # the width-1 read-off against the replay on (b_0, b_1)
+            assert _coords(1, *tl.transfer_vector(t, 1)) == referee, t
 
 
 def _engine_transfer_data(n):
