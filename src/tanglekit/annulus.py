@@ -104,11 +104,6 @@ class AnnulusElement:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def degree(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero element has no degree")
-        return max(self.coeffs)
-
     def coefficient(self, k: int) -> RatFunc:
         return self.coeffs.get(k, RatFunc.zero())
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rationals import ExtRational
-from .ring import LaurentPoly, RatFunc, _div
+from .ring import LaurentPoly, RatFunc
 from .tangles import RationalTangle, TwistWord, to_twist_word
 
 __all__ = [
@@ -142,17 +142,16 @@ def coprime_ratio(v: BracketVec2):
     (tl._width_one_ratios passes the width-1 colored ratio).
     ratio_invariant is the referee.
     """
-    alpha, beta = v.alpha.coeffs, v.beta.coeffs
-    if not beta or not alpha:
+    if v.alpha.is_zero or v.beta.is_zero:
         return ratio_invariant(v)
-    shift = min(beta)
-    scale = v.beta.content()
-    if beta[shift] < 0:
-        scale = -scale
-    if scale == 1:
-        return RatFunc(v.alpha.shift(-shift), v.beta.shift(-shift))
-    return RatFunc(LaurentPoly({e - shift: _div(c, scale) for e, c in alpha.items()}),
-                   LaurentPoly({e - shift: _div(c, scale) for e, c in beta.items()}))
+    shift = v.beta.min_exp()
+    alpha, beta = v.alpha.shift(-shift), v.beta.shift(-shift)
+    if beta.coeffs[0] < 0:
+        alpha, beta = -alpha, -beta
+    scale = beta.content()
+    if scale != 1:
+        alpha, beta = alpha * Fraction(1, scale), beta * Fraction(1, scale)
+    return RatFunc(alpha, beta)
 
 
 def _root_coords(p: LaurentPoly) -> tuple:

@@ -352,15 +352,9 @@ def _cmd_equiv(args) -> int:
     la = solid_torus_closure(_parse_tangle_arg(args.left))
     lb = solid_torus_closure(_parse_tangle_arg(args.right))
     eq = links_equivalent(la, lb)
-    payload = {
-        "equivalent": eq,
-        "left": str(link_fraction(la)),
-        "right": str(link_fraction(lb)),
-    }
-    text = f"{link_fraction(la)} and {link_fraction(lb)}: " + (
-        "equivalent" if eq else "not equivalent"
-    )
-    _emit(args, payload, text)
+    a, b = link_fraction(la), link_fraction(lb)
+    payload = {"equivalent": eq, "left": str(a), "right": str(b)}
+    _emit(args, payload, f"{a} and {b}: {'equivalent' if eq else 'not equivalent'}")
     return 0 if eq else 1
 
 

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 
 __all__ = [
+    "MAX_FRACTION_DIGITS",
     "ExtRational",
     "TwistVector",
     "continued_fraction",
@@ -24,6 +26,11 @@ __all__ = [
     "parity",
     "schubert_equivalent",
 ]
+
+#: Most decimal digits a continued-fraction numerator may reach, CPython's
+#: default limit for turning an int into a string; a longer one is refused.
+MAX_FRACTION_DIGITS = 4300
+_FRACTION_BOUND = 10 ** MAX_FRACTION_DIGITS
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +104,7 @@ class ExtRational:
 
     def reciprocal(self) -> "ExtRational":
         """1/x with 1/0 = infinity and 1/infinity = 0."""
-        return ExtRational(self.q, self.p) if self.p != 0 or self.q != 0 else self
+        return ExtRational(self.q, self.p)
 
     def bottom_twist(self, s: int) -> "ExtRational":
         """The map x -> 1/(s + 1/x) (adding s twists at the bottom)."""
@@ -134,7 +141,7 @@ class TwistVector:
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple(int(a) for a in self.entries)
+        entries = tuple(map(_entry, self.entries))
         if len(entries) < 1:
             raise ValueError("twist vector needs at least one entry")
         for a in entries[1:-1]:
@@ -152,12 +159,29 @@ class TwistVector:
         return "[" + " ".join(str(a) for a in self.entries) + "]"
 
 
+def _entry(a) -> int:
+    """A twist vector entry as an int; anything but an integer is refused."""
+    try:
+        return index(a)
+    except TypeError:
+        raise TypeError(f"twist vector entry {a!r} is not an integer") from None
+
+
 def continued_fraction(tv: TwistVector) -> ExtRational:
-    """Evaluate the nested fraction, innermost entry first."""
-    value = ExtRational(tv.entries[0])
-    for a in tv.entries[1:]:
-        value = value.reciprocal() + a
-    return value
+    """Evaluate the nested fraction, innermost entry first.
+
+    From infinity = 1/0, each entry a turns p/q into a + q/p = (ap + q)/p,
+    a step of determinant -1: p and q stay coprime with no gcd.  A
+    numerator that reaches 10^MAX_FRACTION_DIGITS raises ValueError; q,
+    the previous numerator, never needs the check.
+    """
+    p, q = 1, 0
+    for a in tv.entries:
+        p, q = a * p + q, p
+        if abs(p) >= _FRACTION_BOUND:
+            raise ValueError(f"continued fraction too long: its numerator "
+                             f"exceeds the bound of {MAX_FRACTION_DIGITS} digits")
+    return ExtRational(p, q)
 
 
 def _positive_expansion(p: int, q: int) -> list:

@@ -15,10 +15,12 @@ every skein computation does never builds a ``Fraction``.  Every
 coefficient division goes through ``_div``, which keeps that rule and
 never gives a float, as a bare ``int / int`` would.
 
-A polynomial gcd with integer coefficients is an integer gcd at one
-evaluation point, certified by exact division (``_heuristic_gcd``); the
-primitive remainder sequence (``_poly_gcd``) takes rational inputs and
-the rare integer ones the heuristic gives up on.
+Every polynomial gcd and exact quotient is taken on primitive integer
+parts, with the contents split off (``_split``) and put back: by Gauss's
+lemma that is the gcd or quotient over Q.  A gcd is an integer gcd at
+one evaluation point, certified by exact division (``_heuristic_gcd``);
+the primitive remainder sequence (``_poly_gcd``) takes the rare inputs
+the heuristic gives up on.  ``_exact_quotient`` is the one division.
 """
 
 from __future__ import annotations
@@ -276,45 +278,25 @@ class LaurentPoly:
 # Ordinary-polynomial helpers (dicts with min exponent 0)
 # ---------------------------------------------------------------------------
 
-def _poly_divmod(a: dict, b: dict):
-    """Long division of ordinary polynomials given as exponent dicts.
-
-    The degree steps down once from deg a to deg b, so each step costs
-    the length of b, not of the remainder.
-    """
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = dict(a)
-    db = max(b)
-    lead = b[db]
-    tail = [(e - db, c) for e, c in b.items() if e != db]
-    q = {}
-    for da in range(max(a, default=db - 1), db - 1, -1):
-        top = a.pop(da, 0)
-        if not top:
-            continue
-        f = _div(top, lead)
-        q[da - db] = f
-        for e, c in tail:
-            k = da + e
-            s = a.get(k, 0) - f * c
-            if s:
-                a[k] = s
-            else:
-                a.pop(k, None)
-    return q, a
+def _split(a: dict):
+    """(c, a / c) with c = _content(a): the primitive part has coprime
+    integer coefficients, and is a itself when c is 1."""
+    try:
+        c = gcd(*a.values()) or 1
+    except TypeError:  # a Fraction coefficient
+        c = _content(a.values())
+    return c, a if c == 1 else {e: _div(v, c) for e, v in a.items()}
 
 
 def _primitive(a: dict) -> dict:
     """a divided by its content: coprime integer coefficients."""
-    c = _content(a.values())
-    return {e: _div(v, c) for e, v in a.items()}
+    return _split(a)[1]
 
 
 def _prem(a: dict, b: dict) -> dict:
     """Pseudo-remainder of integer polynomials: the remainder of m * a
     divided by b, for some nonzero integer m, with integer coefficients
-    throughout.  The degree steps down as in _poly_divmod."""
+    throughout.  The degree steps down as in _exact_quotient."""
     a = dict(a)
     db = max(b)
     lead = b[db]
@@ -358,8 +340,11 @@ def _poly_gcd(a: dict, b: dict) -> dict:
 def _exact_quotient(a: dict, b: dict):
     """a / b for integer polynomials when b divides a in Z[A], else None.
 
-    Integer long division as in _poly_divmod that stops at the first
-    leading coefficient b does not divide, or at a nonzero remainder.
+    Integer long division that stops at the first leading coefficient b
+    does not divide, or at a nonzero remainder.  The degree steps down
+    once from deg a to deg b, so each step costs the length of b, not of
+    the remainder.  When b is primitive, b divides a in Z[A] exactly when
+    it does over Q (Gauss's lemma), so this is the one exact division.
     """
     a = dict(a)
     db = max(b)
@@ -487,40 +472,47 @@ def _heuristic_gcd(polys: list):
     return None
 
 
+def _times(q: dict, c) -> dict:
+    """q times a rational c, in stored form."""
+    return q if c == 1 else _store_integral({e: v * c for e, v in q.items()})
+
+
 def _gcd_cofactors(polys: list):
     """(g, [p / g for p in polys]) for nonzero ordinary polynomials, with
     g their gcd over Q as a primitive integer polynomial with positive
     leading coefficient.
 
-    Integer inputs go through _heuristic_gcd; rational inputs, and
-    integer ones the heuristic gives up on, through the primitive PRS.
+    The gcd and the cofactors are taken on the primitive parts, through
+    _heuristic_gcd or, when the heuristic gives up, the primitive PRS
+    and _exact_quotient; each content goes back onto its cofactor.
     """
-    if all(type(c) is int for p in polys for c in p.values()):
-        found = _heuristic_gcd(polys)
-        if found is not None:
-            return found
-    g = {}
-    for p in polys:
-        g = _poly_gcd(g, p)
-        if len(g) == 1:
-            return g, polys
-    return g, [_poly_divmod(p, g)[0] for p in polys]
+    contents, parts = map(list, zip(*map(_split, polys)))
+    found = _heuristic_gcd(parts)
+    if found is None:
+        g = {}
+        for p in parts:
+            g = _poly_gcd(g, p)
+            if len(g) == 1:
+                break
+        found = g, [_exact_quotient(p, g) for p in parts]
+    g, quotients = found
+    return g, [_times(q, c) for q, c in zip(quotients, contents)]
 
 
 def poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Quotient a / b when b divides a exactly; raises otherwise."""
+    """Quotient a / b when b divides a exactly; raises otherwise.  The
+    primitive parts divide in Z[A]; the ratio of the contents scales it."""
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero:
         return LaurentPoly.zero()
     sa, sb = a.min_exp(), b.min_exp()
-    q, r = _poly_divmod(
-        {e - sa: c for e, c in a.coeffs.items()},
-        {e - sb: c for e, c in b.coeffs.items()},
-    )
-    if r:
+    ca, pa = _split({e - sa: c for e, c in a.coeffs.items()})
+    cb, pb = _split({e - sb: c for e, c in b.coeffs.items()})
+    q = _exact_quotient(pa, pb)
+    if q is None:
         raise ValueError("division is not exact")
-    return LaurentPoly({e + sa - sb: c for e, c in q.items()})
+    return LaurentPoly._of(_times({e + sa - sb: c for e, c in q.items()}, _div(ca, cb)))
 
 
 def poly_lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:

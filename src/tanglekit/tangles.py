@@ -26,6 +26,7 @@ counterclockwise step after the overstrand exits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .rationals import ExtRational, TwistVector, continued_fraction
 
@@ -90,7 +91,7 @@ class RationalTangle:
     def is_infinity(self) -> bool:
         return self.tv is None
 
-    @property
+    @cached_property
     def fraction(self) -> ExtRational:
         if self.tv is None:
             return ExtRational.infinity()
@@ -509,6 +510,12 @@ def left_linking_number(d: PlanarTangleDiagram) -> int:
 # Clasp-shaped diagrams (two vertical strands plus a closed loop)
 # ---------------------------------------------------------------------------
 
+def _quad(base):
+    """Ends base..base+3 of one crossing, named in (S, E, N, W) order;
+    ends 0..3 are the corners."""
+    return {"S": base, "E": base + 1, "N": base + 2, "W": base + 3}
+
+
 def clasp_single() -> PlanarTangleDiagram:
     """Closed loop clasping the left strand once, circling the right twice.
 
@@ -522,12 +529,8 @@ def clasp_single() -> PlanarTangleDiagram:
     two diagrams keep equal closure brackets while their left linking
     numbers differ.
     """
-    # ends: 0..3 corners, then each quad in (S, E, N, W) creation order
-    def quad(base):
-        return {"S": base, "E": base + 1, "N": base + 2, "W": base + 3}
-
-    l1, l2 = quad(4), quad(8)
-    r1, r2, r3, r4 = quad(12), quad(16), quad(20), quad(24)
+    l1, l2 = _quad(4), _quad(8)
+    r1, r2, r3, r4 = _quad(12), _quad(16), _quad(20), _quad(24)
     crossings = [
         (l1["S"], l1["E"], l1["N"], l1["W"]),  # left strand under, loop east
         (l2["E"], l2["N"], l2["W"], l2["S"]),  # loop under, heading west
@@ -563,11 +566,8 @@ def clasp_double() -> PlanarTangleDiagram:
     linking number 2.  See clasp_single() for the isotopy that makes
     the annular closures of the two diagrams match.
     """
-    def quad(base):
-        return {"S": base, "E": base + 1, "N": base + 2, "W": base + 3}
-
-    q1, q2, q3, q4 = quad(4), quad(8), quad(12), quad(16)
-    s1, s2 = quad(20), quad(24)
+    q1, q2, q3, q4 = _quad(4), _quad(8), _quad(12), _quad(16)
+    s1, s2 = _quad(20), _quad(24)
     crossings = [
         (q1["S"], q1["E"], q1["N"], q1["W"]),  # left strand under, loop east
         (q2["E"], q2["N"], q2["W"], q2["S"]),  # loop under, heading west
@@ -596,10 +596,7 @@ def clasp_double() -> PlanarTangleDiagram:
 
 def clasp_around_right() -> PlanarTangleDiagram:
     """Closed loop circling only the right strand; left linking zero."""
-    def quad(base):
-        return {"S": base, "E": base + 1, "N": base + 2, "W": base + 3}
-
-    s1, s2 = quad(4), quad(8)
+    s1, s2 = _quad(4), _quad(8)
     crossings = [
         (s1["S"], s1["E"], s1["N"], s1["W"]),  # loop over right strand
         (s2["E"], s2["N"], s2["W"], s2["S"]),  # loop under right strand

@@ -846,9 +846,8 @@ def _read_coordinates(x: TLElement, n: int) -> list:
 
     The pinch matching p_i has coefficient 1 in b_i and 0 in every b_j
     with j < i, so gamma_n = x[p_n] and gamma_i = x[p_i] minus the sum
-    of gamma_j b_j[p_i] over j > i.  Then the sum of gamma_j b_j must
-    equal x on every matching; both sides are compared as numerators
-    over one common denominator.
+    of gamma_j b_j[p_i] over j > i.  Then the sum of gamma_j b_j, formed
+    as a TLElement, must equal x.
     """
     basis = bni_basis(n)
     pinches = _bni_cache[n][1]
@@ -860,20 +859,9 @@ def _read_coordinates(x: TLElement, n: int) -> list:
         for j in range(i + 1, n + 1):
             g = g - gammas[j] * basis[j].coefficient(p)
         gammas[i] = g
-    dens = [g.den * b.den for g, b in zip(gammas, basis)]
-    common = dens[0]
-    for d in dens[1:]:
-        if d != common:
-            common = poly_lcm(common, d)
-    factors = [g.num * poly_exact_div(common, d) for g, d in zip(gammas, dens)]
-    for k in set(x.nums).union(*(b.nums for b in basis)):
-        total = zero
-        for f, b in zip(factors, basis):
-            v = b.nums.get(k)
-            if v is not None:
-                total = total + f * v
-        if total * x.den != x.nums.get(k, zero) * common:
-            raise ValueError("basis failure: element outside the basis span")
+    terms = [b.scale(g) for g, b in zip(gammas, basis)]
+    if sum(terms[1:], terms[0]) != x:
+        raise ValueError("basis failure: element outside the basis span")
     return gammas
 
 

@@ -21,7 +21,7 @@ from tanglekit.cli import (
     main,
     parse_tangle_notation,
 )
-from tanglekit.rationals import ExtRational, TwistVector, canonical_form
+from tanglekit.rationals import MAX_FRACTION_DIGITS, ExtRational, TwistVector, canonical_form
 from tanglekit.tangles import MAX_TWIST_TOTAL, PlanarTangleDiagram, build_rational
 from tanglekit.tl import colored_expand
 
@@ -179,6 +179,10 @@ PINNED_DIGESTS = {
     ("colored", "--n", "1", "--text"):
         "12b3e9f9cdb734a0c047fb92c9416b335e4baa879bb9170c5142882e02a736e4",
     ("classify",): "c604aae25f395bf74c20c26a2f19a651d68db900a26e77efe34fe0af6461ff58",
+    ("fraction",): "49c638a27f70c9f166d3284d23316748f86d30ad0b4fce302113e58330473da8",
+    ("canonical",): "bab93e07c521ef0497f487176027b69433892c625e8cb1d744c7588fc2ed7aad",
+    ("parity",): "c7c36014503350a82831500e416f1dc5f3f450827862d2f6a26a72ec2dacc61c",
+    ("fraction", "--text"): "ceba88cf6ed8325f39919de8a95d1c1b90fb05cb785139797c9a156d386dff4d",
 }
 
 
@@ -187,7 +191,8 @@ def test_stdout_is_pinned_on_a_fixed_corpus(tmp_path, command):
     batch = tmp_path / "corpus.txt"
     batch.write_text("\n".join(PINNED_CORPUS) + "\n")
     code, out = run_cli(command[0], "--batch", str(batch), *command[1:])
-    assert code == 0
+    # [inf] has no canonical twist vector: its line is the error line
+    assert code == (2 if command == ("canonical",) else 0)
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[command]
 
 
@@ -431,6 +436,48 @@ def test_colored_twist_bound_accepts_words_at_the_bound(monkeypatch, n, bound,
         code, out = run_cli(command, "--n", str(n), refused)
         assert code == 2
         assert f"bound {bound} at cable width {n}" in json.loads(out)["error"]
+
+
+def _ones(count):
+    return "[" + " ".join(["1"] * count) + "]"
+
+
+# SHA-256 of stdout on 20,000 ones, whose fraction F(20001)/F(20000) has a
+# 4,180-digit numerator; the two-tangle commands get the word twice.
+LONG_FRACTION_DIGESTS = {
+    ("fraction",): "942a4f67eeeda8faec3a66b37d790d0e7bc3e9437ae90fe89995d9ebfa7eae35",
+    ("fraction", "--text"): "4fd9898f3b65fd7903816bb1a1ce74aa87d91fdf058c47a629fb69f75cfac7a9",
+    ("canonical",): "f50dd1bed237c0b98092c12a595afd497ff3d70470d4bb7a07ba09aa05ea9720",
+    ("parity",): "862847b4a63f108d237266bf37faa22ac9dd9c4c5e048312c6c397002498619b",
+    ("classify",): "4e86f52394b62ef7c370d80b16ca7a1a4f7a6dbad25c5d0c0cb9105e3d180218",
+    ("equiv",): "b3fe7e7a33b54f968043e1bcabde8e26ac69a5c1004d13ad5f70991a3be23846",
+    ("schubert",): "b3fe7e7a33b54f968043e1bcabde8e26ac69a5c1004d13ad5f70991a3be23846",
+}
+
+
+@pytest.mark.parametrize("command", list(LONG_FRACTION_DIGESTS), ids=" ".join)
+def test_fraction_commands_take_long_vectors_in_linear_steps(command):
+    # one gcd per entry on growing integers took 7 to 12 s for fraction
+    # and 21 s for canonical on this word
+    ones = _ones(20000)
+    tangles = [ones, ones] if command[0] in ("equiv", "schubert") else [ones]
+    start = time.perf_counter()
+    code, out, err = run_cli_streams(command[0], *tangles, *command[1:])
+    assert time.perf_counter() - start < 2.0
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == LONG_FRACTION_DIGESTS[command]
+
+
+@pytest.mark.parametrize("command", ["fraction", "canonical", "parity", "classify",
+                                     "equiv", "schubert"])
+def test_fraction_digit_bound_refuses_long_vectors_at_once(command):
+    tangles = [_ones(40000)] + (["[1]"] if command in ("equiv", "schubert") else [])
+    start = time.perf_counter()
+    code, out, err = run_cli_streams(command, *tangles)
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (2, "")
+    [line] = out.splitlines()
+    assert f"bound of {MAX_FRACTION_DIGITS} digits" in json.loads(line)["error"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Extended rationals, continued fractions, canonical forms, parity."""
 
 import random
+import re
 
 import pytest
 
 from tanglekit.rationals import (
+    MAX_FRACTION_DIGITS,
     ExtRational,
     TwistVector,
     canonical_form,
@@ -12,6 +14,7 @@ from tanglekit.rationals import (
     parity,
     schubert_equivalent,
 )
+from tanglekit.tangles import RationalTangle
 
 
 def tv(*entries):
@@ -80,6 +83,43 @@ def test_twist_vector_validation():
     # Zeros at either end are allowed.
     assert tv(0, 5).entries == (0, 5)
     assert tv(2, 1, 0).entries == (2, 1, 0)
+
+
+
+def test_twist_vector_refuses_entries_that_are_not_integers():
+    for bad in (2.5, "3", 1.9):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            tv(1, bad)
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            RationalTangle.from_entries(bad)
+    entries = tv(3, True, False).entries
+    assert entries == (3, 1, 0) and all(type(a) is int for a in entries)
+
+
+def test_continued_fraction_matches_the_stepwise_evaluation():
+    rng = random.Random(41)
+    for _ in range(400):
+        entries = [rng.randint(-6, 6) or 1 for _ in range(rng.randint(1, 9))]
+        entries[0], entries[-1] = rng.randint(-3, 3), rng.randint(-3, 3)
+        value = ExtRational(entries[0])
+        for a in entries[1:]:
+            value = value.reciprocal() + a
+        assert continued_fraction(tv(*entries)) == value
+
+
+def test_continued_fraction_refuses_numerators_past_the_digit_bound():
+    bound = 10 ** MAX_FRACTION_DIGITS
+    assert continued_fraction(tv(bound - 1)) == ExtRational(bound - 1)
+    with pytest.raises(ValueError, match=f"bound of {MAX_FRACTION_DIGITS} digits"):
+        continued_fraction(tv(-bound))
+    # m ones give F(m + 1) / F(m): the longest word of ones allowed is
+    # the one before the first Fibonacci number past the bound
+    m, p, q = 0, 1, 0
+    while p + q < bound:
+        m, p, q = m + 1, p + q, p
+    assert continued_fraction(tv(*[1] * m)) == ExtRational(p, q)
+    with pytest.raises(ValueError, match="digits"):
+        continued_fraction(tv(*[1] * (m + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from tanglekit.ring import (
     _gcd_cofactors,
     _heuristic_gcd,
     _pack,
-    _poly_divmod,
     _poly_gcd,
     _unpack,
     normalize_over,
@@ -351,11 +350,33 @@ def test_long_products_divide_exactly():
     dense = LaurentPoly({e: rng.randint(-9, 9) for e in range(40)}) + 3 * A ** 40
     for b in (binomial, dense):
         assert poly_exact_div(f * b, b) == f
-    # with a remainder, against the monic referee
+    # with a remainder (the monic referee finds one), the division is refused
     g = LaurentPoly({e: rng.randint(-9, 9) for e in range(300)})
     a = g * dense + LaurentPoly({e: rng.randint(-9, 9) for e in range(40)})
-    q, r = _poly_divmod(a.coeffs, dense.coeffs)
-    assert (q, r) == _ref_divmod(a.coeffs, dense.coeffs)
+    assert _ref_divmod(a.coeffs, dense.coeffs)[1]
+    with pytest.raises(ValueError, match="not exact"):
+        poly_exact_div(a, dense)
+
+
+def test_exact_division_splits_off_the_contents():
+    # Fraction coefficients on both sides, and integer divisors whose
+    # content is greater than 1, against the Fraction referee
+    rng = random.Random(40)
+    for _ in range(60):
+        b = LaurentPoly(_ordinary(rng, integer=False)) or A + Fraction(1, 3)
+        q = LaurentPoly(_ordinary(rng, integer=False)) or A
+        cases = [(q * b, b), (q * b * 6, b * 4)]
+        b = LaurentPoly(_non_monic(rng, rng.randint(1, 8))) * rng.choice((2, 6, -15))
+        q = LaurentPoly(_non_monic(rng, rng.randint(0, 8)))
+        cases += [(q * b, b), (q * b * Fraction(5, 7), b)]
+        for num, den in cases:
+            sn, sd = num.min_exp(), den.min_exp()
+            ref, r = _ref_divmod({e - sn: c for e, c in num.coeffs.items()},
+                                 {e - sd: c for e, c in den.coeffs.items()})
+            assert not r
+            got = poly_exact_div(num, den)
+            assert got == LaurentPoly({e + sn - sd: c for e, c in ref.items()})
+            _assert_stored_form(got)
 
 
 def test_normalize_with_non_unit_leading_coefficients():
@@ -522,15 +543,17 @@ def test_normal_forms_do_not_depend_on_the_gcd_path(monkeypatch):
     assert _normal_forms(random.Random(38), integer=True) == heuristic
 
 
-def test_rational_coefficients_take_the_prs(monkeypatch):
-    def refuse(polys):
-        raise AssertionError("the heuristic gcd saw rational coefficients")
-
-    monkeypatch.setattr(ring, "_heuristic_gcd", refuse)
-    _normal_forms(random.Random(39), integer=False)
+def test_rational_normal_forms_do_not_depend_on_the_gcd_path(monkeypatch):
     common = LaurentPoly({0: Fraction(1, 2), 1: 3})
-    r = RatFunc.normalized(common * (A + 2), common * LaurentPoly({0: Fraction(2, 3), 2: 1}))
-    assert (r.num, r.den) == (3 * A + 6, LaurentPoly({0: 2, 2: 3}))
+    example = common * (A + 2), common * LaurentPoly({0: Fraction(2, 3), 2: 1})
+    reduced = (3 * A + 6, LaurentPoly({0: 2, 2: 3}))
+    r = RatFunc.normalized(*example)
+    assert (r.num, r.den) == reduced
+    heuristic = _normal_forms(random.Random(39), integer=False)
+    monkeypatch.setattr(ring, "_heuristic_gcd", lambda polys: None)
+    assert _normal_forms(random.Random(39), integer=False) == heuristic
+    r = RatFunc.normalized(*example)
+    assert (r.num, r.den) == reduced
 
 
 def test_long_gcd_with_a_non_monic_factor_is_fast():
