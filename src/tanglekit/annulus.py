@@ -22,9 +22,7 @@ from .ring import (
     LaurentPoly,
     RatFunc,
     as_ratfunc,
-    common_denominator,
     delta_power,
-    normalize_over,
 )
 from .tangles import (
     PlanarTangleDiagram,
@@ -53,7 +51,6 @@ __all__ = [
 ]
 
 _DELTA_RF = RatFunc.from_laurent(DELTA)
-_ZERO = LaurentPoly.zero()
 
 
 # ---------------------------------------------------------------------------
@@ -341,53 +338,32 @@ def homotopy_type(link: RationalTangle) -> HomotopyType:
 # Colored closures
 # ---------------------------------------------------------------------------
 
-_basis_closure_cache = {}
-
-
-def _basis_closures(n: int):
-    """Closures of bni_basis(n) over one denominator: (nums, den) with
-    nums[i, k] / den the coefficient of z^k in the closure of b_i.
-
-    b_i closes to theta(n,n,2i) / Delta_2i times S_2i(z) (Kauffman &
-    Lins 1994; Masbaum & Vogel 1994), so the coefficients are that ratio,
-    from recoupling.py, times the integer table of S_2i; no basis element
-    is built.
-    """
-    if n not in _basis_closure_cache:
-        from . import recoupling  # loaded on first use, see its docstring
-
-        fracs = {}
-        for i in range(n + 1):
-            ratio = recoupling.bubble_ratio(n, i)
-            for k, c in _chebyshev_coeffs(2 * i).items():
-                fracs[i, k] = RatFunc(ratio.num * c, ratio.den)
-        _basis_closure_cache[n] = normalize_over(*common_denominator(fracs))
-    return _basis_closure_cache[n]
-
-
 def colored_closure(t, n: int) -> AnnulusElement:
     """Closure of the n-cabled, projector-dressed tangle.
 
-    For a rational tangle or twist word this is the sum of gamma_i times
-    the closure of b_i over the colored coordinates of
-    tl.transfer_vector, reduced once per power of z; at width 1, where
-    the cable is the tangle itself, it is closure_bracket.  A raw
-    diagram is cabled, expanded by the state sum and closed.
+    For a rational tangle or twist word the replay coordinates kappa_i of
+    tl.transfer_vector are the Chebyshev coordinates of the closure: the
+    fusion basis element b'_i closes to S_2i(z).  So the coefficient of
+    z^k is the sum of kappa_i times the integer coefficient of z^k in
+    S_2i, formed with no polynomial product and reduced once per power
+    of z.  At width 1, where the cable is the tangle itself, it is
+    closure_bracket.  A raw diagram is cabled, expanded by the state sum
+    and closed.
     """
     if isinstance(t, PlanarTangleDiagram):
         return element_closure(tl.colored_element(t, n))
     word = tl.colored_twist_word(t, n)
     if n == 1:
         return closure_bracket(word)
-    gammas, den = tl.transfer_vector(word, n)
-    closures, closures_den = _basis_closures(n)
+    kappas, den = tl.transfer_vector(word, n)
     sums = {}
-    for (i, k), c in closures.items():
-        g = gammas.get(i)
-        if g is not None:
-            sums[k] = sums.get(k, _ZERO) + g * c
-    den = den * closures_den
-    return AnnulusElement({k: RatFunc.normalized(v, den) for k, v in sums.items()})
+    for i, kappa in kappas.items():
+        for k, s in _chebyshev_coeffs(2 * i).items():
+            acc = sums.setdefault(k, {})
+            for e, c in kappa.coeffs.items():
+                acc[e] = acc.get(e, 0) + s * c
+    return AnnulusElement({k: RatFunc.normalized(LaurentPoly(v), den)
+                           for k, v in sums.items()})
 
 
 def gamma_ratio_invariants(e: AnnulusElement) -> list:

@@ -31,6 +31,7 @@ import random
 import re
 import sys
 import warnings
+from itertools import islice
 
 from .annulus import (
     chebyshev_convert,
@@ -72,8 +73,11 @@ MAX_BATCH_BYTES = 1 << 24
 #: closure of the cabled state sum, on diagrams of at most this many
 #: crossings; the cabled state sum takes about 0.04 s at 3 crossings and
 #: 0.6 s at 4.  The replay reads its start vectors, quarter turn and
-#: basis closures from the recoupling closed forms, so the `transfer` and
-#: `colored-closure` checks also referee those closed forms at width 2.
+#: bubble ratios c_i from the recoupling closed forms, in the fusion basis
+#: b_i / c_i, so at width 2 the `transfer` check also referees those
+#: closed forms and the map gamma_i = kappa_i / c_i back to bni_basis, and
+#: the `colored-closure` check the closed forms and the reading of the
+#: replay coordinates kappa_i as Chebyshev coordinates of the closure.
 ORACLE_COLORED_CROSSINGS = 3
 
 
@@ -87,7 +91,8 @@ class TangleNotationError(ValueError):
 
 INFINITY_TANGLE = RationalTangle.infinity()
 
-_INTEGER = re.compile(r"[+-]?[0-9]+\Z")
+#: A token: an integer (group 1) or any other run of non-space text.
+_TOKEN = re.compile(r"([+-]?[0-9]+)(?!\S)|\S+")
 
 
 def parse_tangle_notation(s: str):
@@ -95,52 +100,41 @@ def parse_tangle_notation(s: str):
 
     The grammar is ``'['`` followed by one or more whitespace-separated
     integers and a closing ``']'``; the single token ``inf`` denotes the
-    infinity tangle.  Interior zero entries are rejected.
+    infinity tangle.  Interior zero entries are rejected.  Tokens are
+    converted as they are matched and only the integers are kept; a
+    column is taken from a match only for an error.
     """
     def fail(msg, col):
         raise TangleNotationError(f"parse error: {msg} (column {col})")
 
-    i, n = 0, len(s)
-    while i < n and s[i].isspace():
-        i += 1
-    if i == n or s[i] != "[":
+    first = _TOKEN.search(s)
+    i = first.start() if first else len(s)
+    if s[i:i + 1] != "[":
         fail("expected '['", i + 1)
-    i += 1
-    tokens = []
-    close_col = None
-    while i < n:
-        if s[i].isspace():
-            i += 1
-        elif s[i] == "]":
-            close_col = i + 1
-            i += 1
-            break
-        else:
-            start = i
-            while i < n and not s[i].isspace() and s[i] != "]":
-                i += 1
-            tokens.append((s[start:i], start + 1))
-    if close_col is None:
-        fail("expected ']'", n + 1)
-    while i < n and s[i].isspace():
-        i += 1
-    if i < n:
-        fail("unexpected text after ']'", i + 1)
-    if not tokens:
-        fail("no entries between the brackets", close_col)
-    if len(tokens) == 1 and tokens[0][0] == "inf":
-        return INFINITY_TANGLE
+    close = s.find("]", i + 1)
+    if close < 0:
+        fail("expected ']'", len(s) + 1)
+    tail = _TOKEN.search(s, close + 1)
+    if tail:
+        fail("unexpected text after ']'", tail.start() + 1)
     entries = []
-    for text, col in tokens:
-        if text == "inf":
-            fail("'inf' cannot combine with twist entries", col)
-        if not _INTEGER.match(text):
-            fail(f"expected an integer, got {text!r}", col)
+    for m in _TOKEN.finditer(s, i + 1, close):
+        text = m[1]
+        if text is None:
+            if m[0] != "inf":
+                fail(f"expected an integer, got {m[0]!r}", m.start() + 1)
+            if entries or _TOKEN.search(s, m.end(), close):
+                fail("'inf' cannot combine with twist entries", m.start() + 1)
+            return INFINITY_TANGLE
         entries.append(int(text))
-    for text, col in tokens[1:-1]:
-        if int(text) == 0:
-            raise TangleNotationError(f"interior zero entry (column {col})")
-    return TwistVector(tuple(entries))
+    if not entries:
+        fail("no entries between the brackets", close + 1)
+    try:
+        k = entries.index(0, 1, -1)
+    except ValueError:
+        return TwistVector(entries)
+    col = next(islice(_TOKEN.finditer(s, i + 1, close), k, None)).start() + 1
+    raise TangleNotationError(f"interior zero entry (column {col})")
 
 
 def _parse_tangle_arg(s: str) -> RationalTangle:
@@ -166,17 +160,18 @@ def _chebyshev_text(coords) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _closure_payload(e, basis):
-    """JSON payload and text form of an annulus element, in the requested
-    basis (both when basis is None)."""
-    payload, text = {}, str(e)
+def _closure_payload(e, opts):
+    """JSON payload of an annulus element in the requested basis (both
+    when opts["basis"] is None), and its text form, built only under
+    --text (None otherwise)."""
+    basis, payload, text = opts.get("basis"), {}, None
     if basis != "chebyshev":
         payload["z"] = {str(k): str(e.coefficient(k)) for k in sorted(e.coeffs)}
     if basis != "z":
         cheb = chebyshev_convert(e)
         payload["chebyshev"] = [str(c) for c in cheb]
-        if basis == "chebyshev":
-            text = _chebyshev_text(cheb)
+    if opts.get("fmt") == "text":
+        text = _chebyshev_text(cheb) if basis == "chebyshev" else str(e)
     return payload, text
 
 
@@ -219,7 +214,7 @@ def _invariant_payload(notation, opts):
 
 def _closure_cmd_payload(notation, opts):
     e = closure_bracket(_parse_tangle_arg(notation))
-    return _closure_payload(e, opts.get("basis"))
+    return _closure_payload(e, opts)
 
 
 def _classify_payload(notation, opts):
@@ -255,7 +250,7 @@ def _colored_payload(notation, opts):
 def _colored_closure_payload(notation, opts):
     n = opts["n"]
     e = colored_closure(_parse_tangle_arg(notation), n)
-    payload, text = _closure_payload(e, opts.get("basis"))
+    payload, text = _closure_payload(e, opts)
     return {"n": n, **payload}, text
 
 
@@ -330,7 +325,7 @@ def _cmd_single(args) -> int:
     else:
         lines = [args.tangle]
     opts = {"n": check_cable_width(getattr(args, "n", 1), MAX_TWIST_WIDTH),
-            "basis": getattr(args, "basis", None)}
+            "basis": getattr(args, "basis", None), "fmt": args.fmt}
     code = 0
     for line in lines:
         rc, out = _evaluate(args.command, line, opts, args.fmt)

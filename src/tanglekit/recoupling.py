@@ -10,9 +10,8 @@ projector.  A projector colors its edge by its strand count.  A
 quotient of quantum factorials is kept as the exponent of each [k], so
 that equal factors cancel before any polynomial is multiplied.
 
-tl and annulus import this module at their first colored twist word of
-cable width 2 or more, so that the commands that never need it do not
-load it.
+tl imports this module at its first colored twist word of cable width
+2 or more, so that the commands that never need it do not load it.
 """
 
 from __future__ import annotations
@@ -65,7 +64,8 @@ def bubble_ratio(n: int, i: int) -> RatFunc:
 
     The basis element b_i of tl.bni_basis(n) closes around the annulus
     to this ratio times S_2i(z), and its inverse is coordinate i of two
-    parallel n-cables (the fusion identity).
+    parallel n-cables (the fusion identity).  So b_i divided by it, the
+    fusion basis of the colored replay, closes to S_2i(z).
     """
     counts = _theta_counts(n, i)
     counts[2 * i + 1] = counts.get(2 * i + 1, 0) - 1
@@ -74,7 +74,9 @@ def bubble_ratio(n: int, i: int) -> RatFunc:
 
 
 def quarter_turn_entry(n: int, i: int, j: int) -> RatFunc:
-    """Coordinate i of the quarter turn of b_j: Tet Delta_2i / theta(n,n,2i)^2.
+    """Coordinate i of the quarter turn of b'_j in the fusion basis
+    b'_i = b_i / bubble_ratio(n, i): Tet Delta_2j / (theta(n,n,2i)
+    theta(n,n,2j)).
 
     Tet is the tetrahedron with edges (n, n, n, n, 2i, 2j), faces
     a = (n+i, n+i, n+j, n+j) (half edge sums) and 4-cycles
@@ -83,7 +85,8 @@ def quarter_turn_entry(n: int, i: int, j: int) -> RatFunc:
     lo = max a <= s <= hi = min b of
     (-1)^s [s+1]! / (prod [s - a]! prod [b - s]!).  The terms of the sum
     are put over prod [hi - a]! prod [b - lo]!, and [lo+1]! is taken out
-    of every one.
+    of every one.  The signs (-1)^(n+i) and (-1)^(n+j) of the two thetas
+    leave (-1)^(i+j).
     """
     a = (n + i, n + i, n + j, n + j)
     b = (2 * n, n + i + j, n + i + j)
@@ -95,9 +98,11 @@ def quarter_turn_entry(n: int, i: int, j: int) -> RatFunc:
             term = term * _qrange(s - x, hi - x)
         for y in b:
             term = term * _qrange(y - s, y - lo)
-        total = total + (-term if s % 2 else term)
-    counts = {k: -2 * e for k, e in _theta_counts(n, i).items()}
-    counts[2 * i + 1] = counts.get(2 * i + 1, 0) + 1
+        total = total + (-term if (s + i + j) % 2 else term)
+    counts = {k: -e for k, e in _theta_counts(n, i).items()}
+    for k, e in _theta_counts(n, j).items():
+        counts[k] = counts.get(k, 0) - e
+    counts[2 * j + 1] = counts.get(2 * j + 1, 0) + 1
     _add_factorial(counts, lo + 1, 1)
     for x in a:
         _add_factorial(counts, hi - x, -1)

@@ -11,10 +11,10 @@ expansion of a cabled, projector-dressed rational tangle over that
 basis together with the resulting ratio invariants.
 
 The expansion of a twist word never builds the tangle in TL_2n: it
-replays the word on the n+1 basis coordinates, from the coordinates of
-the dressed crossingless tangle, with each run of half twists applied
-in closed form (transfer_vector).  The start coordinates and the
-quarter turn come from the recoupling formulas for theta and Tet
+replays the word on n+1 coordinates in the fusion basis, from the
+coordinates of the dressed crossingless tangle, with each run of half
+twists applied in closed form (transfer_vector).  The start coordinates
+and the quarter turn come from the recoupling formulas for theta and Tet
 (recoupling.py), so no projector is built and twist words reach cable
 widths past the projectors' bound.  At width 1 the coordinates are
 read off the bracket instead.  Diagrams are cabled and expanded by the
@@ -100,11 +100,12 @@ MAX_PROJECTOR_STRANDS = 6
 #:
 #:     width      1       2       3       4       5       6       7       8
 #:     bound   2000     800     400     200     110      70      45      30
-#:     time    3.4 s   43 s    50 s    50 s    47 s    48 s    52 s    50 s
+#:     time    3.4 s   60 s    57 s    52 s    43 s    39 s    38 s    33 s
 #:     output  2.6 MB  3.1 MB  3.6 MB  2.5 MB  1.8 MB  1.4 MB  1.1 MB  0.8 MB
 #:
-#: 900 ones took 57 s at width 2.  The widths stop at 8: at width 9 a
-#: word of 20 ones already takes 44 to 50 s.
+#: The times from width 2 on were taken on a loaded host: a rerun of the
+#: width-2 word through `colored` took 69 s.  The widths stop at 8: at
+#: width 9 a word of 20 ones already takes 28 to 31 s in one process.
 MAX_COLORED_TWISTS = {1: MAX_TWIST_TOTAL, 2: 800, 3: 400, 4: 200, 5: 110, 6: 70, 7: 45, 8: 30}
 
 #: Largest cable width of a twist word.  Its colored coordinates and
@@ -776,23 +777,29 @@ def bni_basis(n: int) -> list:
 # ---------------------------------------------------------------------------
 #
 # The dressed tangle of a twist word lies in the (n+1)-dimensional span
-# of bni_basis(n), and both twists act on that span.  A right half twist
-# of sign s scales b_i by its twist eigenvalue (-1)^(n-i) A^(s(n^2 + 2n
-# - 2i^2 - 2i)).  A bottom half twist is a right one seen after a quarter
-# turn: with Q the matrix of rotate_cw on the span, which is its own
-# inverse, a bottom run of a half twists is Q D(-a) Q, where D(a) is the
-# diagonal right run.  Recoupling theory gives the rest in closed form
-# (Kauffman & Lins, Temperley-Lieb Recoupling Theory and Invariants of
-# 3-Manifolds, 1994; Masbaum & Vogel, Pacific J. Math. 164, 1994):
-# Q_ij = Tet Delta_2i / theta(n,n,2i)^2, the start vectors e_0 of [inf]
-# and (Delta_2i / theta(n,n,2i))_i of [0], and the closure
-# theta(n,n,2i) / Delta_2i S_2i(z) of b_i (annulus._basis_closures),
-# all evaluated in recoupling.py.  colored_expand and colored_closure
+# of bni_basis(n), and both twists act on that span.  The replay runs in
+# the fusion basis b'_i = b_i / c_i, with c_i = theta(n,n,2i) / Delta_2i
+# (recoupling.bubble_ratio), whose elements are the terms of the fusion
+# identity: the dressed [0], two parallel n-cables, is the sum of all
+# b'_i, the dressed [inf] is c_0 b'_0 with c_0 = Delta_n, and b'_i
+# closes around the annulus to S_2i(z).  A right half twist of sign s
+# scales b'_i by its twist eigenvalue (-1)^(n-i) A^(s(n^2 + 2n - 2i^2 -
+# 2i)).  A bottom half twist is a right one seen after a quarter turn:
+# with Q the matrix of rotate_cw on the span, which is its own inverse,
+# a bottom run of a half twists is Q D(-a) Q, where D(a) is the diagonal
+# right run.  Recoupling theory gives Q in closed form (Kauffman & Lins,
+# Temperley-Lieb Recoupling Theory and Invariants of 3-Manifolds, 1994;
+# Masbaum & Vogel, Pacific J. Math. 164, 1994):
+# Q_ij = Tet Delta_2j / (theta(n,n,2i) theta(n,n,2j)), evaluated in
+# recoupling.py.  Over bni_basis it is Tet Delta_2i / theta(n,n,2i)^2,
+# with about three times the terms.  The replay coordinates kappa_i are
+# then the Chebyshev coordinates of the colored closure, and kappa_i / c_i
+# the coordinates over bni_basis(n).  colored_expand and colored_closure
 # therefore replay and close a twist word at every width up to
 # MAX_TWIST_WIDTH without building a projector, a basis element or a
-# crossing tile.  Their referees, at widths up to 3, are
-# colored_element, which glues one cabled crossing tile per half twist
-# in TL_2n, and the same data read off bni_basis(n).
+# crossing tile.  Their referees, at widths up to 3, are colored_element,
+# which glues one cabled crossing tile per half twist in TL_2n, and the
+# same data read off bni_basis(n).
 
 def colored_twist_word(t, n: int) -> TwistWord:
     """The twist word of a rational tangle (or of a twist word) to be
@@ -869,13 +876,15 @@ _transfer_cache = {}
 
 
 def _transfer_data(n: int):
-    """Start vectors and quarter-turn matrix of the replay at width n.
+    """Start vectors, quarter-turn matrix and bubble ratios of the replay
+    at width n, in the fusion basis b'_i = b_i / c_i.
 
-    Returns (starts, q, q_den).  starts maps "0" and "inf" to the
+    Returns (starts, q, q_den, bubbles), with bubbles[i] the RatFunc
+    c_i = theta(n,n,2i) / Delta_2i.  starts maps "0" and "inf" to the
     coordinates of the dressed crossingless tangle, as numerators over
-    one denominator: [inf] is b_0, and [0] is the fusion of two parallel
-    n-cables, (Delta_2i / theta(n,n,2i))_i.  q[i][j] / q_den is
-    coordinate i of rotate_cw(b_j), Tet Delta_2i / theta(n,n,2i)^2, with
+    one denominator: [0] is all ones over 1 (the fusion identity), and
+    [inf] is c_0 = Delta_n at b'_0.  q[i][j] / q_den is coordinate i of
+    rotate_cw(b'_j), Tet Delta_2j / (theta(n,n,2i) theta(n,n,2j)), with
     None for a zero entry (Kauffman & Lins 1994; Masbaum & Vogel 1994).
     All of it comes from the closed forms of recoupling.py, cached per n;
     no projector, basis element or crossing tile is built.
@@ -883,14 +892,15 @@ def _transfer_data(n: int):
     if n not in _transfer_cache:
         from . import recoupling  # loaded on first use, see its docstring
 
-        fusion = {i: recoupling.bubble_ratio(n, i).inverse() for i in range(n + 1)}
-        starts = {"0": normalize_over(*common_denominator(fusion)),
-                  "inf": ({0: LaurentPoly.one()}, LaurentPoly.one())}
+        bubbles = [recoupling.bubble_ratio(n, i) for i in range(n + 1)]
+        one = LaurentPoly.one()
+        starts = {"0": (dict.fromkeys(range(n + 1), one), one),
+                  "inf": ({0: bubbles[0].num}, bubbles[0].den)}
         entries = {(i, j): recoupling.quarter_turn_entry(n, i, j)
                    for i in range(n + 1) for j in range(n + 1)}
         q_nums, q_den = normalize_over(*common_denominator(entries))
         q = [[q_nums.get((i, j)) for j in range(n + 1)] for i in range(n + 1)]
-        _transfer_cache[n] = starts, q, q_den
+        _transfer_cache[n] = starts, q, q_den, bubbles
     return _transfer_cache[n]
 
 
@@ -920,20 +930,22 @@ def _quarter_turn(q, nums: dict) -> dict:
 
 
 def transfer_vector(t, n: int):
-    """Colored coordinates of a rational tangle or twist word over
-    bni_basis(n), as numerators over one denominator.
+    """Replay coordinates kappa_i of a rational tangle or twist word in
+    the fusion basis b'_i = b_i / c_i of _transfer_data, as numerators
+    over one denominator.
 
     Returns (nums, den) in the canonical form of normalize_over:
-    nums[i] / den is the coordinate of b_i, and zero coordinates are
-    left out.  The replay starts from the dressed crossingless tangle and
-    applies each run of half twists in closed form, a right run as
-    monomials and a bottom run as Q D(-a) Q, with one reduction per
-    bottom run.  At width 1 it is the referee of the read-off in
-    colored_expand.  A word longer than MAX_COLORED_TWISTS[n] is refused
-    before any precompute.
+    nums[i] / den is kappa_i, and zero coordinates are left out.  b'_i
+    closes to S_2i(z), so kappa_i is also the coordinate of S_2i in the
+    colored closure; the coordinate of b_i is kappa_i / c_i.  The replay
+    starts from the dressed crossingless tangle and applies each run of
+    half twists in closed form, a right run as monomials and a bottom run
+    as Q D(-a) Q, with one reduction per bottom run.  At width 1 it is
+    the referee of the read-off in colored_expand.  A word longer than
+    MAX_COLORED_TWISTS[n] is refused before any precompute.
     """
     word = colored_twist_word(t, n)
-    starts, q, q_den = _transfer_data(n)
+    starts, q, q_den, _ = _transfer_data(n)
     nums, den = starts[word.start]
     for kind, a in word.runs:
         if kind == "R":
@@ -953,8 +965,9 @@ def colored_expand(t, n: int) -> list:
 
     Raw diagrams go through the cabled state sum, whose coordinates are
     read off the basis and checked exactly; rational tangles and twist
-    words through transfer_vector, except at width 1.  There the cable
-    is the tangle itself, and the coordinates are the bracket's over
+    words through the replay coordinates kappa_i of transfer_vector, as
+    gamma_i = kappa_i / c_i, except at width 1.  There the cable is the
+    tangle itself, and the coordinates are the bracket's over
     (b_0, b_1): gamma = (alpha + beta / delta, beta)
     = ((alpha X - beta A^2) / X, beta).  Both are canonical as built, with
     no gcd: X = Phi_8 is irreducible with content 1, so it could cancel
@@ -972,8 +985,9 @@ def colored_expand(t, n: int) -> list:
         gamma_0 = RatFunc(alpha + alpha.shift(4) - beta.shift(2), _X)
         return [gamma_0, RatFunc.from_laurent(beta)]
     nums, den = transfer_vector(t, n)
-    zero = LaurentPoly.zero()
-    return [RatFunc.normalized(nums.get(i, zero), den) for i in range(n + 1)]
+    bubbles = _transfer_data(n)[3]
+    return [RatFunc.normalized(nums[i] * c.den, den * c.num) if i in nums else RatFunc.zero()
+            for i, c in enumerate(bubbles)]
 
 
 def colored_ratios(gammas: list) -> list:

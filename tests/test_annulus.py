@@ -24,7 +24,7 @@ from tanglekit.annulus import (
     solid_torus_closure,
 )
 from tanglekit.rationals import ExtRational, canonical_form
-from tanglekit.ring import LaurentPoly, RatFunc, common_denominator, normalize_over
+from tanglekit.ring import LaurentPoly, RatFunc
 from tanglekit.tangles import (
     RationalTangle,
     build_rational,
@@ -258,10 +258,29 @@ def test_basis_closure_is_bubble_ratio_times_chebyshev():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_closed_form_basis_closures_equal_the_engine(n):
-    # the referee closes every basis element of TL_2n around the core
-    fracs = {(i, k): c for i, b in enumerate(tl.bni_basis(n))
-             for k, c in element_closure(b).coeffs.items()}
-    assert annulus._basis_closures(n) == normalize_over(*common_denominator(fracs))
+    # the referee closes every basis element of TL_2n around the core:
+    # b_i closes to c_i S_2i, so the fusion basis b_i / c_i of the replay
+    # closes to S_2i
+    bubbles = tl._transfer_data(n)[3]
+    for i, b in enumerate(tl.bni_basis(n)):
+        assert element_closure(b) == chebyshev_polynomial(2 * i).scale(bubbles[i])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_replay_coordinates_are_the_chebyshev_coordinates_of_the_closure(n):
+    # the [0] start is the fusion identity, all ones over 1
+    one = LaurentPoly.one()
+    assert tl._transfer_data(n)[0]["0"] == ({i: one for i in range(n + 1)}, one)
+    rng = random.Random(53 + n)
+    words = [RationalTangle.from_entries(0), RationalTangle.infinity()]
+    words += [build_rational(random_twist_vector(rng, 4, 3)) for _ in range(8)]
+    for t in words:
+        nums, den = tl.transfer_vector(t, n)
+        zero = LaurentPoly.zero()
+        kappas = [RatFunc.normalized(nums.get(i, zero), den) for i in range(n + 1)]
+        coords = chebyshev_convert(colored_closure(t, n))
+        coords += [ZERO] * (2 * n + 1 - len(coords))
+        assert coords[::2] == kappas and not any(coords[1::2]), t
 
 
 def test_colored_closure_of_infinity():

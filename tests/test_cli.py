@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from tanglekit import annulus, cli, ring, tl
+from tanglekit import cli, ring, tl
 from tanglekit.cli import (
     INFINITY_TANGLE,
     TangleNotationError,
@@ -170,6 +170,10 @@ PINNED_DIGESTS = {
     ("colored-closure", "--n", "1"): "a832bfd7e30651654014df44c13c6bd1ae06296507e6213d79b0eb49661bcb53",
     ("colored-closure", "--n", "2"): "3acd2cd12a5ac2c2de88374e6d91daf782aadc27c2b59650b3330e2588c291dd",
     ("colored-closure", "--n", "3"): "79de0d316a9d6ce18e03a6143c36782ba72d25c97c15b5078c19bac657a131b8",
+    ("colored", "--n", "4"): "cb7b8fac828d0400f0c4f82df5b91c24771373ea48e6c8db3b6738d508298311",
+    ("colored", "--n", "6"): "363e6e0dc796ac89348523e8e85d783cbe677c1076315459fbf3d52c72721bbc",
+    ("colored-closure", "--n", "4"): "d42d16af89e35c6b611da4404838839c96e25290bac0dbae7997ed65ee5795ab",
+    ("colored-closure", "--n", "6"): "90eb013f8779942dc82e9efe37722705ab9c3ef2d8cb4e06252e8cfbb4d6b2ff",
     ("bracket", "--text"): "a98e3a133c35f4eca3ca8c5ba2124113b121b2abef633805224ffb2b2a0d29e0",
     ("closure", "--text"): "ae34c5f7dd5bfdf9ba303fcbe47547990d39916909c3e9e9b7530a9b7c6a3e1b",
     ("closure", "--basis", "chebyshev", "--text"):
@@ -310,7 +314,7 @@ def test_twist_word_closures_make_no_product_and_no_reduction(monkeypatch):
     monkeypatch.setattr(ring.LaurentPoly, "__mul__", counting_mul)
     monkeypatch.setattr(ring.LaurentPoly, "__rmul__", counting_mul)
     monkeypatch.setattr(ring.RatFunc, "normalized", staticmethod(counting_normalized))
-    for module in (ring, tl, annulus):
+    for module in (ring, tl):
         monkeypatch.setattr(module, "normalize_over", counting_normalize_over)
     longest = f"[{MAX_TWIST_TOTAL // 2} {MAX_TWIST_TOTAL - MAX_TWIST_TOTAL // 2}]"
     for word in ("[3 -2 4 1]", longest):

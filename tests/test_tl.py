@@ -7,8 +7,8 @@ import warnings
 
 import pytest
 
-from tanglekit import annulus, tl
-from tanglekit.annulus import colored_closure, gamma_ratio_invariants
+from tanglekit import tl
+from tanglekit.annulus import colored_closure, element_closure, gamma_ratio_invariants
 from tanglekit.bracket import bracket_vector
 from tanglekit.ring import (
     LaurentPoly,
@@ -561,8 +561,11 @@ def test_colored_element_replay_matches_cabled_state_sum():
 # ---------------------------------------------------------------------------
 
 def _coords(n, nums, den):
+    """Coordinates over bni_basis(n) of fusion-basis numerators over den:
+    the coordinate of b_i is kappa_i / c_i."""
     zero = LaurentPoly.zero()
-    return [RatFunc.normalized(nums.get(i, zero), den) for i in range(n + 1)]
+    bubbles = tl._transfer_data(n)[3]
+    return [RatFunc.normalized(nums.get(i, zero), den) / c for i, c in enumerate(bubbles)]
 
 
 def test_transfer_replay_matches_the_tile_replay():
@@ -577,32 +580,37 @@ def test_transfer_replay_matches_the_tile_replay():
         referee = tl._read_coordinates(tl.colored_element(t, n), n)
         assert tl.colored_expand(t, n) == referee, (t, n)
         if n == 1:
-            # the width-1 read-off against the replay on (b_0, b_1)
+            # the width-1 read-off against the replay on (b_0, b_1 / c_1),
+            # mapped back to (b_0, b_1)
             assert _coords(1, *tl.transfer_vector(t, 1)) == referee, t
 
 
 def _engine_transfer_data(n):
-    """The referee of _transfer_data: the start vectors read off the
-    projector-dressed crossingless tangles, and Q read off the quarter
-    turns of bni_basis(n), all in TL_2n."""
+    """The referee of _transfer_data: c_i read off the closure c_i S_2i
+    of b_i, the start vectors read off the projector-dressed crossingless
+    tangles, and Q read off the quarter turns of bni_basis(n), all in
+    TL_2n, then conjugated by diag(c_i) into the fusion basis b_i / c_i."""
+    basis = tl.bni_basis(n)
+    bubbles = [element_closure(b).coefficient(2 * i) for i, b in enumerate(basis)]
     frame = tl.projector_frame(n)
     starts = {}
     for kind in ("0", "inf"):
         x = tl.compose(frame, tl.compose(tl.unit_element(n, kind), frame))
-        gammas = dict(enumerate(tl._read_coordinates(x, n)))
-        starts[kind] = normalize_over(*common_denominator(gammas))
+        kappas = {i: c * g for i, (c, g) in enumerate(zip(bubbles, tl._read_coordinates(x, n)))}
+        starts[kind] = normalize_over(*common_denominator(kappas))
     entries = {}
-    for j, b in enumerate(tl.bni_basis(n)):
+    for j, b in enumerate(basis):
         for i, c in enumerate(tl._read_coordinates(tl.rotate_cw(b), n)):
-            entries[i, j] = c
+            entries[i, j] = bubbles[i] * c / bubbles[j]
     q_nums, q_den = normalize_over(*common_denominator(entries))
     q = [[q_nums.get((i, j)) for j in range(n + 1)] for i in range(n + 1)]
-    return starts, q, q_den
+    return starts, q, q_den, bubbles
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_closed_form_transfer_data_equals_the_engine(n):
-    # Q, both start vectors and their shared denominators, field by field
+    # Q, both start vectors, their shared denominators and the bubble
+    # ratios, field by field
     assert tl._transfer_data(n) == _engine_transfer_data(n)
 
 
@@ -626,9 +634,9 @@ def test_closed_forms_past_the_engine(n):
 
 def test_quarter_turn_is_an_involution():
     # Q is rotate_cw on the span; two quarter turns of a dressed
-    # 2-tangle, a half turn, fix every basis element
+    # 2-tangle, a half turn, fix every fusion basis element
     for n in (1, 2, 3, 4, 5):
-        _, q, q_den = tl._transfer_data(n)
+        _, q, q_den, _ = tl._transfer_data(n)
         for j in range(n + 1):
             twice = tl._quarter_turn(q, tl._quarter_turn(q, {j: LaurentPoly.one()}))
             assert twice == {j: q_den * q_den}
@@ -636,12 +644,14 @@ def test_quarter_turn_is_an_involution():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_half_twists_act_on_basis_coordinates(n):
-    # a right half twist scales b_i by its closed-form eigenvalue; a
-    # bottom one is Q D(-s) Q (checked below width 3, where the tile
-    # replay of the bottom twists alone takes seconds)
-    _, q, q_den = tl._transfer_data(n)
+    # a right half twist scales the fusion basis element b_i / c_i by its
+    # closed-form eigenvalue; a bottom one is Q D(-s) Q (checked below
+    # width 3, where the tile replay of the bottom twists alone takes
+    # seconds)
+    _, q, q_den, bubbles = tl._transfer_data(n)
     one = LaurentPoly.one()
     for i, b in enumerate(tl.bni_basis(n)):
+        b = b.scale(bubbles[i].inverse())
         for s in (1, -1):
             right = tl._twist_diagonal({i: one}, n, s)
             assert tl._read_coordinates(tl.add_right_twist(b, s), n) == _coords(n, right, one)
@@ -667,7 +677,6 @@ ENGINE_CACHES = ("_jw_cache", "_frame_cache", "_bni_cache", "_tile_cache")
 def test_transfer_replay_builds_no_crossing_tile(monkeypatch):
     for cache in ENGINE_CACHES + ("_transfer_cache",):
         monkeypatch.setattr(tl, cache, {})
-    monkeypatch.setattr(annulus, "_basis_closure_cache", {})
     # a word over the bound is refused before any precompute
     too_long = RationalTangle.from_entries(tl.MAX_COLORED_TWISTS[3] + 1)
     with pytest.raises(ValueError, match="at cable width 3"):
@@ -684,7 +693,6 @@ def test_transfer_replay_builds_no_crossing_tile(monkeypatch):
 def test_width_three_set_up_is_quick(monkeypatch):
     # through the projectors on 6 strands this took about 0.5 s
     monkeypatch.setattr(tl, "_transfer_cache", {})
-    monkeypatch.setattr(annulus, "_basis_closure_cache", {})
     t = RationalTangle.from_entries(3, 2, -3)
     start = time.perf_counter()
     tl.colored_expand(t, 3)
