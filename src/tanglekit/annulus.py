@@ -7,6 +7,13 @@ module provides that closure at three levels (bracket coordinates,
 Temperley-Lieb elements, raw diagrams through the oracle), conversion
 to the Chebyshev basis, fraction-based classification of the closures,
 and the colored closure with its ratio invariants.
+
+An element keeps its coefficients as numerators over one shared
+denominator, the canonical form of ring.RatCombination that TL elements
+share.  The closures build that form directly, and the Chebyshev
+coordinates of any closure, of a diagram or a colored twist word, come
+from integer back-substitution on the numerators, with one reduction
+per coordinate.
 """
 
 from __future__ import annotations
@@ -17,13 +24,7 @@ from enum import Enum
 from . import oracle, tl
 from .bracket import BracketVec2, bracket_vector, c_invariant
 from .rationals import ExtRational, parity
-from .ring import (
-    DELTA,
-    LaurentPoly,
-    RatFunc,
-    as_ratfunc,
-    delta_power,
-)
+from .ring import DELTA, LaurentPoly, RatCombination, RatFunc, delta_power
 from .tangles import (
     PlanarTangleDiagram,
     RationalTangle,
@@ -51,31 +52,28 @@ __all__ = [
 ]
 
 _DELTA_RF = RatFunc.from_laurent(DELTA)
+_ONE = LaurentPoly.one()
 
 
 # ---------------------------------------------------------------------------
 # Elements of the annulus skein
 # ---------------------------------------------------------------------------
 
-class AnnulusElement:
+class AnnulusElement(RatCombination):
     """Polynomial in the core curve z with RatFunc coefficients.
 
-    z^k stands for k parallel essential circles; the coefficients dict
-    maps k to a nonzero coefficient.
+    z^k stands for k parallel essential circles.  The coefficients are
+    kept in the canonical form of RatCombination: nums maps k to the
+    numerator of the coefficient of z^k over the shared denominator den,
+    and coeffs maps k to the reduced, nonzero coefficient.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs=None):
-        clean = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                if k < 0:
-                    raise ValueError("negative power of the core curve")
-                c = as_ratfunc(c)
-                if not c.is_zero:
-                    clean[int(k)] = c
-        self.coeffs = clean
+    def _check_key(self, k):
+        if k < 0:
+            raise ValueError("negative power of the core curve")
+        return int(k)
 
     # -- constructors -------------------------------------------------
 
@@ -84,66 +82,12 @@ class AnnulusElement:
         return cls()
 
     @classmethod
-    def from_laurent_map(cls, coeffs) -> "AnnulusElement":
-        return cls({k: RatFunc.from_laurent(p) for k, p in coeffs.items()})
-
-    @classmethod
     def from_chebyshev(cls, coords) -> "AnnulusElement":
         """Assemble an element from Chebyshev coordinates (low to high)."""
         total = cls.zero()
         for i, c in enumerate(coords):
             total = total + chebyshev_polynomial(i).scale(c)
         return total
-
-    # -- structure ------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, k: int) -> RatFunc:
-        return self.coeffs.get(k, RatFunc.zero())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AnnulusElement):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other) -> "AnnulusElement":
-        if not isinstance(other, AnnulusElement):
-            return NotImplemented
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, RatFunc.zero()) + c
-            if s.is_zero:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        result = AnnulusElement()
-        result.coeffs = out
-        return result
-
-    def __neg__(self) -> "AnnulusElement":
-        result = AnnulusElement()
-        result.coeffs = {k: -c for k, c in self.coeffs.items()}
-        return result
-
-    def __sub__(self, other) -> "AnnulusElement":
-        if not isinstance(other, AnnulusElement):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c) -> "AnnulusElement":
-        c = as_ratfunc(c)
-        result = AnnulusElement()
-        if not c.is_zero:
-            result.coeffs = {k: v * c for k, v in self.coeffs.items()}
-        return result
 
     # -- rendering --------------------------------------------------------
 
@@ -194,31 +138,35 @@ def chebyshev_polynomial(k: int) -> AnnulusElement:
 def chebyshev_convert(e: AnnulusElement) -> list:
     """Coordinates of an element in the basis S_0, S_1, ..., S_deg.
 
-    Back-substitution from the top degree down; each S_k is monic of
-    degree k, so the conversion is exact and round-trips, and the top
-    term of S_k, which cancels c exactly, is skipped.  This is the
-    general path, for diagram closures and colored closures at n >= 2;
-    on the closure alpha*delta + beta*z^2 of a twist word it is one
-    integer multiple and one sum of polynomials, with no gcd.
+    Back-substitution from the top degree down on the numerators over
+    the element's one denominator; each S_k is monic of degree k with
+    integer coefficients, so every step is an integer multiple and a sum
+    of polynomials, the conversion is exact and round-trips, and each
+    coordinate is reduced once at the end (not at all when the
+    denominator is 1).  The same path serves diagram closures and
+    colored closures; on the colored closure of a twist word it returns
+    the replay coordinates kappa_i / den of tl.transfer_vector.
     """
     if e.is_zero:
         return []
-    work = dict(e.coeffs)
-    coords = [RatFunc.zero()] * (max(work) + 1)
-    for k in range(len(coords) - 1, -1, -1):
+    work = dict(e.nums)
+    top = max(work)
+    for k in range(top, 0, -1):
         c = work.get(k)
         if c is None:
             continue
-        coords[k] = c
         for exp, s in _chebyshev_coeffs(k).items():
-            if exp == k:
-                continue
-            v = work.get(exp, RatFunc.zero()) - c * s
-            if v.is_zero:
-                work.pop(exp, None)
-            else:
-                work[exp] = v
-    return coords
+            if exp != k:
+                v = work.get(exp)
+                v = c * -s if v is None else v - c * s
+                if v:
+                    work[exp] = v
+                else:
+                    del work[exp]
+    # the view reduces each coordinate over e.den once
+    coords = RatCombination._of(work, e.den).coeffs
+    zero = RatFunc.zero()
+    return [coords.get(k, zero) for k in range(top + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +195,8 @@ def element_closure(x) -> AnnulusElement:
     Every matching strand becomes part of a circle alternating through
     closure bonds; a circle of total winding 0 is contractible (factor
     delta) and winding +-1 makes one essential circle (factor z).  The
-    numerators are summed per power of z and each sum is reduced once
-    over the element's denominator.
+    numerators are summed per power of z, over the element's
+    denominator, and the sums are reduced together once.
     """
     if x.top != x.bottom or x.top % 2:
         raise ValueError("closure needs a 2-tangle element with even width")
@@ -259,7 +207,7 @@ def element_closure(x) -> AnnulusElement:
         term = num * delta_power(contractible)
         prev = sums.get(essential)
         sums[essential] = term if prev is None else prev + term
-    return AnnulusElement({k: RatFunc.normalized(v, x.den) for k, v in sums.items()})
+    return AnnulusElement._reduced(sums, x.den)
 
 
 def closure_bracket(t) -> AnnulusElement:
@@ -273,13 +221,12 @@ def closure_bracket(t) -> AnnulusElement:
     """
     if isinstance(t, PlanarTangleDiagram):
         closed = t if not t.boundary else oracle.annular_closure(t)
-        return AnnulusElement.from_laurent_map(oracle.closure_coefficients(closed))
+        return AnnulusElement(oracle.closure_coefficients(closed))
     vec = bracket_vector(t)
     # alpha * delta as shifts, delta = -A^2 - A^-2
     alpha_delta = -(vec.alpha.shift(2) + vec.alpha.shift(-2))
-    return AnnulusElement(
-        {0: RatFunc.from_laurent(alpha_delta), 2: RatFunc.from_laurent(vec.beta)}
-    )
+    nums = {k: v for k, v in ((0, alpha_delta), (2, vec.beta)) if v}
+    return AnnulusElement._of(nums, _ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +292,9 @@ def colored_closure(t, n: int) -> AnnulusElement:
     tl.transfer_vector are the Chebyshev coordinates of the closure: the
     fusion basis element b'_i closes to S_2i(z).  So the coefficient of
     z^k is the sum of kappa_i times the integer coefficient of z^k in
-    S_2i, formed with no polynomial product and reduced once per power
-    of z.  At width 1, where the cable is the tangle itself, it is
-    closure_bracket.  A raw diagram is cabled, expanded by the state sum
-    and closed.
+    S_2i, formed with no polynomial product and no reduction.  At width
+    1, where the cable is the tangle itself, it is closure_bracket.  A
+    raw diagram is cabled, expanded by the state sum and closed.
     """
     if isinstance(t, PlanarTangleDiagram):
         return element_closure(tl.colored_element(t, n))
@@ -362,8 +308,11 @@ def colored_closure(t, n: int) -> AnnulusElement:
             acc = sums.setdefault(k, {})
             for e, c in kappa.coeffs.items():
                 acc[e] = acc.get(e, 0) + s * c
-    return AnnulusElement({k: RatFunc.normalized(LaurentPoly(v), den)
-                           for k, v in sums.items()})
+    # Canonical as built: the change of basis between the S_2i and the
+    # z^2j is unitriangular over Z, so a factor shared by den and every
+    # sum is shared by every kappa_i, and the replay leaves none.
+    nums = {k: LaurentPoly(v) for k, v in sums.items() if any(v.values())}
+    return AnnulusElement._of(nums, den)
 
 
 def gamma_ratio_invariants(e: AnnulusElement) -> list:

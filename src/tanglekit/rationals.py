@@ -141,12 +141,19 @@ class TwistVector:
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple(map(_entry, self.entries))
+        try:
+            entries = tuple(map(index, self.entries))
+        except TypeError:
+            for a in self.entries:
+                try:
+                    index(a)
+                except TypeError:
+                    raise TypeError(f"twist vector entry {a!r} is not an integer") from None
+            raise
         if len(entries) < 1:
             raise ValueError("twist vector needs at least one entry")
-        for a in entries[1:-1]:
-            if a == 0:
-                raise ValueError("interior zero entry in twist vector")
+        if 0 in entries[1:-1]:
+            raise ValueError("interior zero entry in twist vector")
         object.__setattr__(self, "entries", entries)
 
     def __len__(self) -> int:
@@ -157,14 +164,6 @@ class TwistVector:
 
     def __str__(self) -> str:
         return "[" + " ".join(str(a) for a in self.entries) + "]"
-
-
-def _entry(a) -> int:
-    """A twist vector entry as an int; anything but an integer is refused."""
-    try:
-        return index(a)
-    except TypeError:
-        raise TypeError(f"twist vector entry {a!r} is not an integer") from None
 
 
 def continued_fraction(tv: TwistVector) -> ExtRational:

@@ -9,6 +9,10 @@ equality:
   representative (denominator an integer-primitive ordinary polynomial
   with positive constant term, coprime to the numerator).
 
+``RatCombination`` carries that form over to linear combinations with
+``RatFunc`` coefficients, as numerators over one shared denominator; the
+Temperley-Lieb and annulus skein elements are its two kinds.
+
 A rational coefficient is stored as an ``int`` when it is integral and as
 a ``Fraction`` only when it is not, so the integer arithmetic that nearly
 every skein computation does never builds a ``Fraction``.  Every
@@ -29,10 +33,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
+from types import MappingProxyType
 
 __all__ = [
     "DELTA",
     "LaurentPoly",
+    "RatCombination",
     "RatFunc",
     "as_ratfunc",
     "common_denominator",
@@ -731,6 +737,120 @@ def as_ratfunc(c) -> RatFunc:
     if out is NotImplemented:
         raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
     return out
+
+
+# ---------------------------------------------------------------------------
+# Linear combinations
+# ---------------------------------------------------------------------------
+
+class RatCombination:
+    """Linear combination of keys with RatFunc coefficients.
+
+    The combination is stored in one canonical form: nums maps keys to
+    nonzero LaurentPoly numerators over the one shared denominator den,
+    in the canonical form of normalize_over.  Equal combinations
+    therefore have equal fields.  coeffs is a read-only view of the
+    reduced coefficient nums[k] / den of each key, built on first use.
+
+    A kind of combination checks its keys in _check_key.  If it has
+    fields besides the coefficients, they make up _space, which equal or
+    added elements share, and _like copies them onto a new element.
+    """
+
+    __slots__ = ("nums", "den", "_coeffs")
+
+    def __init__(self, coeffs=None):
+        weights = {}
+        for k, c in (coeffs or {}).items():
+            k = self._check_key(k)
+            c = as_ratfunc(c)
+            if not c.is_zero:
+                weights[k] = c
+        self.nums, self.den = normalize_over(*common_denominator(weights))
+        self._coeffs = None
+
+    def _check_key(self, k):
+        """The key as stored; raises ValueError for a key of another space."""
+        return k
+
+    def _space(self) -> tuple:
+        return ()
+
+    @classmethod
+    def _of(cls, nums: dict, den: LaurentPoly):
+        """Combination from numerators and a denominator already in canonical form."""
+        x = cls.__new__(cls)
+        x.nums, x.den, x._coeffs = nums, den, None
+        return x
+
+    @classmethod
+    def _reduced(cls, nums: dict, den: LaurentPoly):
+        return cls._of(*normalize_over(nums, den))
+
+    def _like(self, nums: dict, den: LaurentPoly):
+        """A combination in self's space from a canonical (nums, den)."""
+        return self._of(nums, den)
+
+    # -- structure ------------------------------------------------------
+
+    @property
+    def coeffs(self):
+        if self._coeffs is None:
+            den = self.den
+            if _is_poly_one(den):
+                view = {k: RatFunc(v, den) for k, v in self.nums.items()}
+            else:
+                view = {k: RatFunc.normalized(v, den) for k, v in self.nums.items()}
+            self._coeffs = MappingProxyType(view)
+        return self._coeffs
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    def coefficient(self, k) -> RatFunc:
+        return self.coeffs.get(k, RatFunc.zero())
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self._space() == other._space() and self.den == other.den
+                and self.nums == other.nums)
+
+    def __hash__(self):
+        return hash((self._space(), self.den, frozenset(self.nums.items())))
+
+    # -- linear operations ------------------------------------------------
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self._space() != other._space():
+            raise ValueError(f"size mismatch: {self._space()} vs {other._space()}")
+        den, xs, ys = self.den, self.nums, other.nums
+        if other.den != den:
+            den = poly_lcm(self.den, other.den)
+            fx, fy = poly_exact_div(den, self.den), poly_exact_div(den, other.den)
+            xs = {k: v * fx for k, v in xs.items()}
+            ys = {k: v * fy for k, v in ys.items()}
+        out = dict(xs)
+        for k, v in ys.items():
+            prev = out.get(k)
+            out[k] = v if prev is None else prev + v
+        return self._like(*normalize_over(out, den))
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.nums.items()}, self.den)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, c):
+        c = as_ratfunc(c)
+        nums = {k: v * c.num for k, v in self.nums.items()}
+        return self._like(*normalize_over(nums, self.den * c.den))
 
 
 # ---------------------------------------------------------------------------

@@ -26,20 +26,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from types import MappingProxyType
 
 from . import oracle
 from .bracket import BracketVec2, bracket_vector, coprime_ratio
 from .ring import (
     DELTA,
     LaurentPoly,
+    RatCombination,
     RatFunc,
     as_ratfunc,
     common_denominator,
     delta_power,
     normalize_over,
-    poly_exact_div,
-    poly_lcm,
 )
 from .tangles import (
     MAX_TWIST_TOTAL,
@@ -176,119 +174,46 @@ def enumerate_matchings(top: int, bottom: int = None) -> list:
 # Elements
 # ---------------------------------------------------------------------------
 
-class TLElement:
+class TLElement(RatCombination):
     """Linear combination of crossingless matchings with RatFunc weights.
 
     top and bottom give the number of boundary points on each edge.  The
-    element is stored in one canonical form: nums maps partner tuples to
-    nonzero LaurentPoly numerators over the one shared denominator den,
-    an ordinary, integer-primitive polynomial with positive constant
-    term that shares no factor with all the numerators together.  Equal
-    elements therefore have equal fields.  terms is a read-only view of
-    the reduced weight nums[k] / den of each matching.
+    weights are kept in the canonical form of RatCombination: nums maps
+    partner tuples to numerators over the one shared denominator den,
+    and terms is the read-only view of the reduced weight of each
+    matching.
     """
 
-    __slots__ = ("top", "bottom", "nums", "den", "_terms")
+    __slots__ = ("top", "bottom")
 
     def __init__(self, top: int, bottom: int, terms=None):
         self.top = int(top)
         self.bottom = int(bottom)
+        super().__init__(terms)
+
+    def _check_key(self, partner):
         m = self.top + self.bottom
-        weights = {}
-        for partner, c in (terms or {}).items():
-            c = as_ratfunc(c)
-            if c.is_zero:
-                continue
-            partner = tuple(partner)
-            if len(partner) != m or any(
-                partner[partner[i]] != i or partner[i] == i for i in range(m)
-            ):
-                raise ValueError(f"not a perfect matching of {m} points: {partner}")
-            if not _is_planar_matching(partner, self.top, self.bottom):
-                raise ValueError(f"matching is not crossingless: {partner}")
-            weights[partner] = c
-        self.nums, self.den = normalize_over(*common_denominator(weights))
-        self._terms = None
+        partner = tuple(partner)
+        if len(partner) != m or any(
+            partner[partner[i]] != i or partner[i] == i for i in range(m)
+        ):
+            raise ValueError(f"not a perfect matching of {m} points: {partner}")
+        if not _is_planar_matching(partner, self.top, self.bottom):
+            raise ValueError(f"matching is not crossingless: {partner}")
+        return partner
 
-    @classmethod
-    def _of(cls, top: int, bottom: int, nums: dict, den: LaurentPoly) -> "TLElement":
-        """Element from numerators and a denominator already in canonical form."""
-        x = cls.__new__(cls)
-        x.top, x.bottom, x.nums, x.den, x._terms = top, bottom, nums, den, None
-        return x
+    def _space(self) -> tuple:
+        return self.top, self.bottom
 
-    @classmethod
-    def _reduced(cls, top: int, bottom: int, nums: dict, den: LaurentPoly) -> "TLElement":
-        return cls._of(top, bottom, *normalize_over(nums, den))
+    def _at(self, top: int, bottom: int) -> "TLElement":
+        """Set the shape of an element fresh from _of or _reduced."""
+        self.top, self.bottom = top, bottom
+        return self
 
-    # -- structure ------------------------------------------------------
+    def _like(self, nums: dict, den: LaurentPoly) -> "TLElement":
+        return self._of(nums, den)._at(self.top, self.bottom)
 
-    @property
-    def terms(self):
-        if self._terms is None:
-            self._terms = MappingProxyType(
-                {k: RatFunc.normalized(v, self.den) for k, v in self.nums.items()}
-            )
-        return self._terms
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    def coefficient(self, partner) -> RatFunc:
-        return self.terms.get(tuple(partner), RatFunc.zero())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TLElement):
-            return NotImplemented
-        return (
-            self.top == other.top
-            and self.bottom == other.bottom
-            and self.den == other.den
-            and self.nums == other.nums
-        )
-
-    def __hash__(self):
-        return hash((self.top, self.bottom, self.den, frozenset(self.nums.items())))
-
-    # -- linear operations ------------------------------------------------
-
-    def _require_same_shape(self, other):
-        if self.top != other.top or self.bottom != other.bottom:
-            raise ValueError(
-                f"size mismatch: ({self.top},{self.bottom}) vs "
-                f"({other.top},{other.bottom})"
-            )
-
-    def __add__(self, other) -> "TLElement":
-        if not isinstance(other, TLElement):
-            return NotImplemented
-        self._require_same_shape(other)
-        den, xs, ys = self.den, self.nums, other.nums
-        if other.den != den:
-            den = poly_lcm(self.den, other.den)
-            fx, fy = poly_exact_div(den, self.den), poly_exact_div(den, other.den)
-            xs = {k: v * fx for k, v in xs.items()}
-            ys = {k: v * fy for k, v in ys.items()}
-        out = dict(xs)
-        for k, v in ys.items():
-            prev = out.get(k)
-            out[k] = v if prev is None else prev + v
-        return TLElement._reduced(self.top, self.bottom, out, den)
-
-    def __neg__(self) -> "TLElement":
-        nums = {k: -v for k, v in self.nums.items()}
-        return TLElement._of(self.top, self.bottom, nums, self.den)
-
-    def __sub__(self, other) -> "TLElement":
-        if not isinstance(other, TLElement):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c) -> "TLElement":
-        c = as_ratfunc(c)
-        nums = {k: v * c.num for k, v in self.nums.items()}
-        return TLElement._reduced(self.top, self.bottom, nums, self.den * c.den)
+    terms = RatCombination.coeffs
 
     # -- rendering --------------------------------------------------------
 
@@ -448,7 +373,7 @@ def compose(x: TLElement, y: TLElement) -> TLElement:
                 c = c * delta_power(loops)
             prev = acc.get(m)
             acc[m] = c if prev is None else prev + c
-    return TLElement._reduced(x.top, y.bottom, acc, x.den * y.den)
+    return TLElement._reduced(acc, x.den * y.den)._at(x.top, y.bottom)
 
 
 def tensor(x: TLElement, y: TLElement) -> TLElement:
@@ -472,7 +397,7 @@ def tensor(x: TLElement, y: TLElement) -> TLElement:
             for i, j in enumerate(mb):
                 partner[remap_y(i)] = remap_y(j)
             acc[tuple(partner)] = ca * cb
-    return TLElement._reduced(top, bottom, acc, x.den * y.den)
+    return TLElement._reduced(acc, x.den * y.den)._at(top, bottom)
 
 
 def trace_close(x: TLElement) -> RatFunc:
@@ -521,7 +446,7 @@ def _apply_point_map(x: TLElement, phi) -> TLElement:
         for i, j in enumerate(partner):
             out[phi[i]] = phi[j]
         acc[tuple(out)] = num
-    return TLElement._of(x.top, x.bottom, acc, x.den)
+    return x._like(acc, x.den)
 
 
 def _require_cabled_square(x: TLElement) -> int:

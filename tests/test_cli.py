@@ -187,6 +187,13 @@ PINNED_DIGESTS = {
     ("canonical",): "bab93e07c521ef0497f487176027b69433892c625e8cb1d744c7588fc2ed7aad",
     ("parity",): "c7c36014503350a82831500e416f1dc5f3f450827862d2f6a26a72ec2dacc61c",
     ("fraction", "--text"): "ceba88cf6ed8325f39919de8a95d1c1b90fb05cb785139797c9a156d386dff4d",
+    ("colored-closure", "--n", "2", "--basis", "chebyshev"):
+        "72ebe81b91576518399388a2a8bfa5200e38c0e024cde2cf6ab611ca24a62ed0",
+    ("colored-closure", "--n", "3", "--text"):
+        "0fdd03e6eef4831a63fe64612a8eb835a09d455a56345113679e57b9ccaafb0c",
+    ("colored-closure", "--n", "4", "--basis", "chebyshev", "--text"):
+        "3763935f17ba6a0597a2ac08fe9baa85206e72c8e43c62a4f5f49615f728410d",
+    ("closure", "--basis", "z"): "d7c4b49bd56afbec56ea2a4a8867aba1ad85758437d209d422f0823ec0f05dd9",
 }
 
 
@@ -325,6 +332,27 @@ def test_twist_word_closures_make_no_product_and_no_reduction(monkeypatch):
         payload = json.loads(out)
         assert code == 0 and (len(payload["gamma"]), len(payload["ratios"])) == (2, 1)
     assert counts == {"products": 0, "normalized": 0, "normalize_over": 0}
+
+
+def test_colored_closures_add_no_rational_functions(monkeypatch):
+    # the closure is an integer combination of the replay numerators, and
+    # its Chebyshev coordinates come back by integer back-substitution
+    calls = []
+    add = ring.RatFunc.__add__
+
+    def counting_add(a, b):
+        calls.append(1)
+        return add(a, b)
+
+    for n in (2, 3):
+        tl._transfer_data(n)
+    monkeypatch.setattr(ring.RatFunc, "__add__", counting_add)
+    for n in ("2", "3"):
+        for word in ("[2 1 2]", "[3 -2 4 1]", "[inf]", "[0]"):
+            for fmt in ((), ("--text",)):
+                code, _ = run_cli("colored-closure", "--n", n, word, *fmt)
+                assert code == 0
+    assert len(calls) == 0
 
 
 def test_colored_rejects_bad_width(tmp_path):

@@ -642,6 +642,39 @@ def test_quarter_turn_is_an_involution():
             assert twice == {j: q_den * q_den}
 
 
+def _braid_sides(n: int, middle: int):
+    """Both sides of D(1) Q D(middle) Q D(1) = Q D(1) Q D(1) Q D(1) Q on
+    each fusion basis vector, as (nums, den) reduced by normalize_over
+    after every quarter turn."""
+    _, q, q_den, _ = tl._transfer_data(n)
+
+    def d(a, v):
+        return tl._twist_diagonal(v[0], n, a), v[1]
+
+    def turn(v):
+        return normalize_over(tl._quarter_turn(q, v[0]), v[1] * q_den)
+
+    for j in range(n + 1):
+        v = ({j: LaurentPoly.one()}, LaurentPoly.one())
+        left = d(1, turn(d(middle, turn(d(1, v)))))
+        right = turn(d(1, turn(d(1, turn(d(1, turn(v)))))))
+        yield left, right
+
+
+@pytest.mark.parametrize("n", range(1, tl.MAX_TWIST_WIDTH + 1))
+def test_quarter_turn_satisfies_the_braid_relation(n):
+    # On fractions R(x) = x + 1 and B(-1)(x) = x / (1 - x), and
+    # R B(-1) R = B(-1) R B(-1) (both are x -> -1/x).  A bottom run of -1
+    # is Q D(1) Q, so the relation checks Q's entries against the
+    # closed-form eigenvalues, with no engine, at every twist-word width
+    for left, right in _braid_sides(n, 1):
+        assert left == right
+
+
+def test_braid_relation_refuses_the_wrong_sign():
+    assert any(left != right for left, right in _braid_sides(2, -1))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_half_twists_act_on_basis_coordinates(n):
     # a right half twist scales the fusion basis element b_i / c_i by its
