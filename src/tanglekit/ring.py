@@ -521,6 +521,24 @@ def poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return LaurentPoly._of(_times({e + sa - sb: c for e, c in q.items()}, _div(ca, cb)))
 
 
+def poly_dot(pairs) -> LaurentPoly:
+    """The sum of a * b over pairs (a, b) of Laurent polynomials, built
+    in one dict: no product or partial sum is made as a polynomial of
+    its own.  An empty or cancelling sum gives the zero polynomial."""
+    out = {}
+    for a, b in pairs:
+        terms = b.coeffs.items()
+        for e1, c1 in a.coeffs.items():
+            for e2, c2 in terms:
+                e = e1 + e2
+                s = out.get(e, 0) + c1 * c2
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+    return LaurentPoly._of(_store_integral(out))
+
+
 def poly_lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """A least common multiple of two Laurent polynomials (up to units)."""
     if a.is_zero or b.is_zero:

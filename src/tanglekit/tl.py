@@ -38,6 +38,8 @@ from .ring import (
     common_denominator,
     delta_power,
     normalize_over,
+    poly_dot,
+    poly_exact_div,
 )
 from .tangles import (
     MAX_TWIST_TOTAL,
@@ -98,11 +100,12 @@ MAX_PROJECTOR_STRANDS = 6
 #:
 #:     width      1       2       3       4       5       6       7       8
 #:     bound   2000     800     400     200     110      70      45      30
-#:     time    3.4 s   60 s    57 s    52 s    43 s    39 s    38 s    33 s
+#:     time    3.4 s   42 s    52 s    50 s    44 s    43 s    38 s    34 s
 #:     output  2.6 MB  3.1 MB  3.6 MB  2.5 MB  1.8 MB  1.4 MB  1.1 MB  0.8 MB
 #:
-#: The times from width 2 on were taken on a loaded host: a rerun of the
-#: width-2 word through `colored` took 69 s.  The widths stop at 8: at
+#: The times were taken on an otherwise idle host, with the bottom runs
+#: of the replay divided exactly; the bounds were set when the same
+#: words took 33 to 60 s on a loaded host.  The widths stop at 8: at
 #: width 9 a word of 20 ones already takes 28 to 31 s in one process.
 MAX_COLORED_TWISTS = {1: MAX_TWIST_TOTAL, 2: 800, 3: 400, 4: 200, 5: 110, 6: 70, 7: 45, 8: 30}
 
@@ -845,10 +848,7 @@ def _quarter_turn(q, nums: dict) -> dict:
     times q_den."""
     out = {}
     for i, row in enumerate(q):
-        total = LaurentPoly.zero()
-        for j, v in nums.items():
-            if row[j] is not None:
-                total = total + row[j] * v
+        total = poly_dot((row[j], v) for j, v in nums.items() if row[j] is not None)
         if total:
             out[i] = total
     return out
@@ -865,9 +865,12 @@ def transfer_vector(t, n: int):
     colored closure; the coordinate of b_i is kappa_i / c_i.  The replay
     starts from the dressed crossingless tangle and applies each run of
     half twists in closed form, a right run as monomials and a bottom run
-    as Q D(-a) Q, with one reduction per bottom run.  At width 1 it is
-    the referee of the read-off in colored_expand.  A word longer than
-    MAX_COLORED_TWISTS[n] is refused before any precompute.
+    as Q D(-a) Q, over den q_den^2.  That product has divided every
+    numerator exactly on every word tried, leaving them over 1 with no
+    gcd; a bottom run where it does not falls back to normalize_over.
+    At width 1 it is the referee of the read-off in colored_expand.  A
+    word longer than MAX_COLORED_TWISTS[n] is refused before any
+    precompute.
     """
     word = colored_twist_word(t, n)
     starts, q, q_den, _ = _transfer_data(n)
@@ -877,7 +880,11 @@ def transfer_vector(t, n: int):
             nums = _twist_diagonal(nums, n, a)
         else:
             nums = _quarter_turn(q, _twist_diagonal(_quarter_turn(q, nums), n, -a))
-            nums, den = normalize_over(nums, den * q_den * q_den)
+            d = den * q_den * q_den
+            try:
+                nums, den = {i: poly_exact_div(v, d) for i, v in nums.items()}, LaurentPoly.one()
+            except ValueError:
+                nums, den = normalize_over(nums, d)
     return nums, den
 
 

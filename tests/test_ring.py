@@ -18,6 +18,7 @@ from tanglekit.ring import (
     _poly_gcd,
     _unpack,
     normalize_over,
+    poly_dot,
     poly_exact_div,
     poly_lcm,
 )
@@ -315,6 +316,33 @@ def test_coefficients_keep_the_stored_form():
         results += [v.alpha, v.beta]
         for r in results:
             _assert_stored_form(r)
+
+
+def test_poly_dot_is_the_sum_of_the_products():
+    # int and Fraction rows against sum(a * b), with rows that cancel to
+    # the zero polynomial and empty rows
+    rng = random.Random(17)
+
+    def int_poly():
+        return LaurentPoly({rng.randint(-5, 5): rng.randint(-9, 9) for _ in range(rng.randint(0, 6))})
+
+    for _ in range(200):
+        make = rng.choice((int_poly, lambda: random_poly(rng)))
+        pairs = [(make(), make()) for _ in range(rng.randint(0, 5))]
+        if pairs and rng.random() < 0.3:
+            # a row that cancels to zero, or one pair that cancels in it
+            a, b = pairs[0]
+            pairs = [(a, b), (-a, b)] if rng.random() < 0.5 else pairs + [(-a, b)]
+        got = poly_dot(pairs)
+        assert got == sum((a * b for a, b in pairs), LaurentPoly.zero())
+        _assert_stored_form(got)
+    assert poly_dot([]).coeffs == {}
+    assert poly_dot([(A, A + 1), (-A, A + 1)]).coeffs == {}
+    # Fraction products that sum to integers come out as ints
+    half = LaurentPoly({0: Fraction(1, 2), 1: Fraction(3, 2)})
+    doubled = poly_dot([(half, A + 1), (half, A + 1)])
+    assert doubled == half * 2 * (A + 1)
+    _assert_stored_form(doubled)
 
 
 def test_ratfunc_times_an_integer_is_already_canonical():

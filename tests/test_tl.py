@@ -632,6 +632,59 @@ def test_closed_forms_past_the_engine(n):
     assert gamma_ratio_invariants(colored_closure(right, n)) == closure_ratios
 
 
+def _cables_shape(rng, total=5):
+    """A twist vector of 1 to 3 entries of random signs with
+    sum(|a|) == total, the first at least 2."""
+    m = rng.randint(1, 3)
+    cuts = sorted(rng.sample(range(1, total - 1), m - 1))
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [total - 1])]
+    parts[0] += 1
+    return RationalTangle.from_entries(*(rng.choice((1, -1)) * p for p in parts))
+
+
+def test_transfer_replay_takes_no_gcd(monkeypatch):
+    # every bottom run has divided exactly by den q_den^2 on the words
+    # tried, so the fallback to normalize_over never runs
+    rng = random.Random(61)
+    cases = [(build_rational(random_twist_vector(rng, 4, 3)), n) for n in (2, 3, 4, 5) for _ in range(8)]
+    cases += [(_cables_shape(rng), 2) for _ in range(60)]
+    bottom_runs = sum(kind != "R" for t, n in cases for kind, _ in tl.colored_twist_word(t, n).runs)
+    assert bottom_runs > 50
+    for n in (2, 3, 4, 5):
+        tl._transfer_data(n)  # the cached set-up reduces Q once
+    calls = []
+    normalize_over = tl.normalize_over
+    monkeypatch.setattr(tl, "normalize_over", lambda *args: calls.append(args) or normalize_over(*args))
+    for t, n in cases:
+        tl.transfer_vector(t, n)
+    assert len(calls) == 0
+
+
+def _stored(nums, den):
+    """(nums, den) with every coefficient's type, so an int and an equal
+    Fraction differ."""
+    def form(p):
+        return [(e, type(c), c) for e, c in sorted(p.coeffs.items())]
+    return {i: form(v) for i, v in nums.items()}, form(den)
+
+
+def test_transfer_replay_fallback_is_the_exact_path(monkeypatch):
+    # with every exact division refused, each bottom run reduces by
+    # normalize_over, and the replay gives the same numerators and
+    # denominator, coefficient types included
+    rng = random.Random(62)
+    cases = [(build_rational(random_twist_vector(rng, 4, 3)), n) for n in (2, 3, 4, 5) for _ in range(4)]
+    cases += [(build_rational(random_twist_vector(rng, 3, 2)), n) for n in (6, 7, 8) for _ in range(2)]
+    cases += [(_cables_shape(rng), 2) for _ in range(10)]
+    exact = [_stored(*tl.transfer_vector(t, n)) for t, n in cases]
+
+    def refuse(a, b):
+        raise ValueError("division is not exact")
+
+    monkeypatch.setattr(tl, "poly_exact_div", refuse)
+    assert [_stored(*tl.transfer_vector(t, n)) for t, n in cases] == exact
+
+
 def test_quarter_turn_is_an_involution():
     # Q is rotate_cw on the span; two quarter turns of a dressed
     # 2-tangle, a half turn, fix every fusion basis element
