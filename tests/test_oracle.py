@@ -1,0 +1,140 @@
+"""The state-sum oracle: its outputs pinned bit for bit, its crossing cap
+at every entry, and its error messages."""
+
+import hashlib
+import random
+
+import pytest
+
+from tanglekit import annulus, kernel, tl
+from tanglekit.oracle import (
+    MAX_ORACLE_CROSSINGS,
+    annular_closure,
+    bracket_of_diagram,
+    closure_coefficients,
+)
+from tanglekit.ring import LaurentPoly
+from tanglekit.tangles import (
+    PlanarTangleDiagram,
+    RationalTangle,
+    build_rational,
+    cable_diagram,
+    clasp_around_right,
+    clasp_double,
+    clasp_single,
+    curl_diagram,
+    diagram_infinity,
+    diagram_zero,
+    random_twist_vector,
+    rational_to_diagram,
+)
+
+_CORNERS = [("NW", 0), ("NE", 1), ("SW", 2), ("SE", 3)]
+
+
+def _corpus():
+    """Ten seeded rational diagrams of at most three crossings, then the
+    named diagrams; the closures of the 0 and infinity tangles have free
+    loops, and the clasps cable past the crossing cap."""
+    rng = random.Random(18)
+    out = []
+    while len(out) < 10:
+        d = rational_to_diagram(build_rational(random_twist_vector(rng, 3, 3)))
+        if d.crossing_count <= 3:
+            out.append(d)
+    return out + [clasp_single(), clasp_double(), clasp_around_right(),
+                  curl_diagram(1), curl_diagram(-1), diagram_zero(), diagram_infinity()]
+
+
+_EVALUATORS = {
+    "bracket": bracket_of_diagram,
+    "closure": lambda d: closure_coefficients(annular_closure(d)),
+    "cabled state sum": lambda d: tl.state_sum(cable_diagram(d, 2)).nums,
+}
+
+
+def _canonical(v):
+    """A text form of an oracle result that names every key, every
+    exponent and the type of every coefficient, zero entries included."""
+    if isinstance(v, LaurentPoly):
+        return repr(sorted(v.coeffs.items()))
+    if isinstance(v, tuple):
+        return "(" + ", ".join(_canonical(x) for x in v) + ")"
+    return "{" + ", ".join(f"{k!r}: {_canonical(x)}" for k, x in sorted(v.items())) + "}"
+
+
+# SHA-256 of the canonical results on _corpus(), one line per diagram; a
+# refused diagram's line is the type and message of the exception.
+ORACLE_DIGESTS = {
+    "bracket": "408349711c845f87873022b2013cf2c6f4efc03cf2a8b9b016e797205017623e",
+    "closure": "24e80542002675cfa9f5b7b0de180329b57cfff953ada3ec106cca7bb23c87fc",
+    "cabled state sum": "a56062c94119cd209d89629d34e1a441df006d4db51836ada70ddeb6fe74d886",
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_DIGESTS))
+def test_oracle_outputs_are_pinned(name):
+    lines = []
+    for d in _corpus():
+        try:
+            lines.append(_canonical(_EVALUATORS[name](d)))
+        except (KeyError, ValueError) as e:
+            lines.append(f"{type(e).__name__}: {e}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ORACLE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("evaluate", [
+    bracket_of_diagram,
+    tl.state_sum,
+    lambda d: closure_coefficients(annular_closure(d)),
+    annulus.closure_bracket,
+], ids=["bracket", "state sum", "closure", "closure bracket"])
+def test_every_entry_refuses_a_diagram_over_the_cap(monkeypatch, evaluate):
+    d = rational_to_diagram(RationalTangle.from_entries(MAX_ORACLE_CROSSINGS + 1))
+    assert d.crossing_count == 17
+
+    def enumerate_states(*args):
+        raise AssertionError("the smoothings were enumerated")
+
+    monkeypatch.setattr(kernel, "resolve_states", enumerate_states)
+    with pytest.raises(ValueError, match="^oracle too large: 17 crossings exceeds 16$"):
+        evaluate(d)
+
+
+def _strand_pair(**kw):
+    return PlanarTangleDiagram([], [(0, 2), (1, 3)], _CORNERS, **kw)
+
+
+# A kink whose loop arc winds once around the annulus core: one of its
+# two smoothings closes that loop into an essential circle.
+_WINDING_KINK = PlanarTangleDiagram(
+    [(0, 1, 2, 3)], [(4, 0), (2, 1, 1), (3, 5), (6, 7)],
+    [("SW", 4), ("NW", 5), ("NE", 6), ("SE", 7)],
+)
+
+
+@pytest.mark.parametrize("evaluate, d, message", [
+    (bracket_of_diagram, _strand_pair(free_loops=(1,)),
+     "disk diagram contains an essential loop"),
+    (tl.state_sum, _strand_pair(free_loops=(0, -1)),
+     "disk diagram contains an essential loop"),
+    (bracket_of_diagram, _WINDING_KINK, "tangle diagram produced an essential loop"),
+    (tl.state_sum, _WINDING_KINK, "disk diagram produced an essential loop"),
+    (bracket_of_diagram, PlanarTangleDiagram([], [(0, 3), (1, 2)], _CORNERS),
+     r"non-planar boundary pairing \(\(0, 3\), \(1, 2\)\)"),
+    (closure_coefficients, diagram_zero(), "closure evaluation needs a closed diagram"),
+    (closure_coefficients, PlanarTangleDiagram([], [], [], (0, 2)),
+     "free loop winds 2 times around the annulus core"),
+])
+def test_oracle_error_messages(evaluate, d, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        evaluate(d)
+
+
+def test_free_loops_multiply_every_coefficient():
+    # a contractible loop is delta, a core-parallel one is z
+    alpha, beta = bracket_of_diagram(_strand_pair(free_loops=(0,)))
+    assert (alpha, beta) == (LaurentPoly({2: -1, -2: -1}), LaurentPoly.zero())
+    closed = PlanarTangleDiagram([], [], [], (0, 1, -1))
+    assert closure_coefficients(closed) == {2: LaurentPoly({2: -1, -2: -1})}
