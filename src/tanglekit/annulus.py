@@ -24,7 +24,7 @@ from enum import Enum
 from . import oracle, tl
 from .bracket import BracketVec2, bracket_vector, c_invariant
 from .rationals import ExtRational, parity
-from .ring import DELTA, LaurentPoly, RatCombination, RatFunc, delta_power
+from .ring import DELTA, LaurentPoly, RatCombination, RatFunc
 from .tangles import (
     PlanarTangleDiagram,
     RationalTangle,
@@ -200,13 +200,7 @@ def element_closure(x) -> AnnulusElement:
     """
     if x.top != x.bottom or x.top % 2:
         raise ValueError("closure needs a 2-tangle element with even width")
-    bond_to, bond_w = _closure_bonds(x.top)
-    sums = {}
-    for partner, num in x.nums.items():
-        contractible, essential = tl._loop_counts(partner, bond_to, bond_w)
-        term = num * delta_power(contractible)
-        prev = sums.get(essential)
-        sums[essential] = term if prev is None else prev + term
+    sums = tl._closure_sums(x, *_closure_bonds(x.top))
     return AnnulusElement._reduced(sums, x.den)
 
 
@@ -321,11 +315,7 @@ def gamma_ratio_invariants(e: AnnulusElement) -> list:
     The quotients are invariant under the framing unit a kink
     multiplies the closure by.
     """
-    coords = chebyshev_convert(e)
-    if not coords:
-        raise ValueError("zero skein element")
-    top = coords[-1]
-    return [c / top for c in coords[:-1]]
+    return tl.colored_ratios(chebyshev_convert(e))
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,17 @@ Everything here recomputes, slowly and from first principles, values
 that the algebraic fast paths produce elsewhere; the test suite leans
 on this module as the independent referee.  Diagrams are capped at a
 crossing count beyond which 2^c enumeration is unreasonable.
+
+The kernel tallies the smoothings by boundary pairing, exponent and
+loop counts; one fold turns that tally into Laurent coefficients, and
+the three evaluators (the bracket of a 2-tangle, the matching expansion
+of a disk diagram, the annular closure) read it with their own key.
 """
 
 from __future__ import annotations
 
 from . import kernel
-from .ring import DELTA, LaurentPoly, delta_power
+from .ring import LaurentPoly, delta_power
 from .tangles import CORNERS, PlanarTangleDiagram, corner_clusters
 
 __all__ = [
@@ -27,27 +32,44 @@ MAX_ORACLE_CROSSINGS = 16
 #: bounded.
 MAX_ORACLE_COUNT = 10000
 
-def _check_size(d: PlanarTangleDiagram):
+
+def _disk_loops(d: PlanarTangleDiagram):
+    """Refuse a disk diagram with a crossingless loop around the core."""
+    if any(d.free_loops):
+        raise ValueError("disk diagram contains an essential loop")
+
+
+def _fold(d: PlanarTangleDiagram, ends, key):
+    """Sum count * A^exp * delta^contractible over the smoothing tally.
+
+    The terms of each tally entry go onto the coefficient named by
+    key(pairing, essential), where pairing indexes ends and essential
+    counts the loops around the annulus core; key raises for an entry
+    its reader refuses.  The crossingless loops of d multiply every sum
+    by their loop values.  Returns every key reached, zero sums included.
+    """
+    free_con = free_ess = 0
+    for w in d.free_loops:
+        if w == 0:
+            free_con += 1
+        elif w in (1, -1):
+            free_ess += 1
+        else:
+            raise ValueError(f"free loop winds {w} times around the annulus core")
     if d.crossing_count > MAX_ORACLE_CROSSINGS:
         raise ValueError(
             f"oracle too large: {d.crossing_count} crossings exceeds "
             f"{MAX_ORACLE_CROSSINGS}"
         )
-
-
-def _resolve(d: PlanarTangleDiagram, boundary_ends):
-    _check_size(d)
-    return kernel.resolve_states(d.num_ends, d.crossings, d.arcs, boundary_ends)
-
-
-def _disk_loop_factor(d: PlanarTangleDiagram) -> LaurentPoly:
-    """Value of the crossingless loops of a diagram drawn in the disk."""
-    factor = LaurentPoly.one()
-    for w in d.free_loops:
-        if w != 0:
-            raise ValueError("disk diagram contains an essential loop")
-        factor = factor * DELTA
-    return factor
+    tally = kernel.resolve_states(d.num_ends, d.crossings, d.arcs, ends)
+    sums = {}
+    for (pairing, exp, ncon, ness), count in tally.items():
+        acc = sums.setdefault(key(pairing, ness + free_ess), {})
+        for e, c in delta_power(ncon).coeffs.items():
+            e += exp
+            acc[e] = acc.get(e, 0) + count * c
+    loops = delta_power(free_con)
+    return {k: loops * LaurentPoly(v) for k, v in sums.items()}
 
 
 def bracket_of_diagram(d: PlanarTangleDiagram):
@@ -57,20 +79,18 @@ def bracket_of_diagram(d: PlanarTangleDiagram):
     the horizontal one (NW-NE, SW-SE).
     """
     ends = [d.boundary_end(c) for c in CORNERS]  # NW, NE, SW, SE
-    loops = _disk_loop_factor(d)
-    alpha = LaurentPoly.zero()
-    beta = LaurentPoly.zero()
-    for (pairing, exp, ncon, ness), count in _resolve(d, ends).items():
+    _disk_loops(d)
+    planar = {((0, 2), (1, 3)): 0, ((0, 1), (2, 3)): 1}  # alpha, beta
+
+    def key(pairing, ness):
         if ness:
             raise ValueError("tangle diagram produced an essential loop")
-        term = LaurentPoly.monomial(exp) * delta_power(ncon) * count
-        if pairing == ((0, 1), (2, 3)):
-            beta += term
-        elif pairing == ((0, 2), (1, 3)):
-            alpha += term
-        else:
+        if pairing not in planar:
             raise ValueError(f"non-planar boundary pairing {pairing}")
-    return loops * alpha, loops * beta
+        return planar[pairing]
+
+    sums = _fold(d, ends, key)
+    return sums.get(0, LaurentPoly.zero()), sums.get(1, LaurentPoly.zero())
 
 
 def matchings_of_diagram(d: PlanarTangleDiagram, top_labels, bottom_labels):
@@ -82,19 +102,17 @@ def matchings_of_diagram(d: PlanarTangleDiagram, top_labels, bottom_labels):
     """
     ends = [d.boundary_end(lab) for lab in top_labels]
     ends += [d.boundary_end(lab) for lab in bottom_labels]
-    loops = _disk_loop_factor(d)
-    n = len(ends)
-    out = {}
-    for (pairing, exp, ncon, ness), count in _resolve(d, ends).items():
+    _disk_loops(d)
+
+    def key(pairing, ness):
         if ness:
             raise ValueError("disk diagram produced an essential loop")
-        partner = [0] * n
+        partner = [0] * len(ends)
         for i, j in pairing:
             partner[i], partner[j] = j, i
-        key = tuple(partner)
-        term = loops * LaurentPoly.monomial(exp) * delta_power(ncon) * count
-        out[key] = out[key] + term if key in out else term
-    return out
+        return tuple(partner)
+
+    return _fold(d, ends, key)
 
 
 def closure_coefficients(d: PlanarTangleDiagram):
@@ -106,21 +124,8 @@ def closure_coefficients(d: PlanarTangleDiagram):
     """
     if d.boundary:
         raise ValueError("closure evaluation needs a closed diagram")
-    shift = 0
-    factor = LaurentPoly.one()
-    for w in d.free_loops:
-        if w == 0:
-            factor = factor * DELTA
-        elif w in (1, -1):
-            shift += 1
-        else:
-            raise ValueError(f"free loop winds {w} times around the annulus core")
-    out = {}
-    for (pairing, exp, ncon, ness), count in _resolve(d, []).items():
-        term = factor * LaurentPoly.monomial(exp) * delta_power(ncon) * count
-        key = ness + shift
-        out[key] = out.get(key, LaurentPoly.zero()) + term
-    return {k: v for k, v in out.items() if not v.is_zero}
+    sums = _fold(d, [], lambda pairing, ness: ness)
+    return {k: v for k, v in sums.items() if not v.is_zero}
 
 
 def annular_closure(d: PlanarTangleDiagram) -> PlanarTangleDiagram:
@@ -151,44 +156,29 @@ def annular_closure(d: PlanarTangleDiagram) -> PlanarTangleDiagram:
     for idx, (a, b, _) in enumerate(edges):
         incident.setdefault(a, []).append(idx)
         incident.setdefault(b, []).append(idx)
-    new_arcs = []
-    free = list(d.free_loops)
     used = [False] * len(edges)
 
-    def step(end, edge_idx):
-        a, b, w = edges[edge_idx]
-        return (b, w) if end == a else (a, -w)
+    def walk(cur, idx):
+        """Follow a chain from end cur along edge idx until no unused
+        edge is left; returns the last end and the total winding."""
+        total = 0
+        while True:
+            used[idx] = True
+            a, b, w = edges[idx]
+            cur, w = (b, w) if cur == a else (a, -w)
+            total += w
+            nxt = [i for i in incident[cur] if not used[i]]
+            if not nxt:
+                return cur, total
+            idx = nxt[0]
 
+    new_arcs = []
     for start, inc in incident.items():
-        if len(inc) != 1:
-            continue
-        idx = inc[0]
-        if used[idx]:
-            continue
-        total = 0
-        cur = start
-        while True:
-            used[idx] = True
-            cur, w = step(cur, idx)
-            total += w
-            nxt = [i for i in incident[cur] if not used[i]]
-            if not nxt:
-                break
-            idx = nxt[0]
-        new_arcs.append((start, cur, total))
-    for idx0 in range(len(edges)):
-        if used[idx0]:
-            continue
-        total = 0
-        cur = edges[idx0][0]
-        idx = idx0
-        while True:
-            used[idx] = True
-            cur, w = step(cur, idx)
-            total += w
-            nxt = [i for i in incident[cur] if not used[i]]
-            if not nxt:
-                break
-            idx = nxt[0]
-        free.append(total)
+        if len(inc) == 1 and not used[inc[0]]:
+            end, total = walk(start, inc[0])
+            new_arcs.append((start, end, total))
+    free = list(d.free_loops)
+    for idx, (a, _, _) in enumerate(edges):
+        if not used[idx]:
+            free.append(walk(a, idx)[1])
     return PlanarTangleDiagram(d.crossings, new_arcs, [], free)

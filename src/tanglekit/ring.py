@@ -215,16 +215,7 @@ class LaurentPoly:
             return LaurentPoly({e: c * other for e, c in self.coeffs.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return LaurentPoly._of(_store_integral(out))
+        return poly_dot(((self, other),))
 
     __rmul__ = __mul__
 

@@ -313,6 +313,21 @@ def _loop_counts(partner, bond_to, bond_w):
     return contractible, essential
 
 
+def _closure_sums(x: TLElement, bond_to, bond_w) -> dict:
+    """Close every matching of x with the fixed bonds of _loop_counts.
+
+    Returns a dict k -> the sum of num * delta^contractible over the
+    matchings that close with k essential loops, over x.den.
+    """
+    sums = {}
+    for partner, num in x.nums.items():
+        contractible, essential = _loop_counts(partner, bond_to, bond_w)
+        term = num * delta_power(contractible)
+        prev = sums.get(essential)
+        sums[essential] = term if prev is None else prev + term
+    return sums
+
+
 def _glue_matchings(a, b, p: int, q: int, r: int):
     """Stack matching a (p top, q bottom) over b (q top, r bottom).
 
@@ -413,12 +428,8 @@ def trace_close(x: TLElement) -> RatFunc:
         raise ValueError("trace closure needs equal top and bottom counts")
     m = x.top
     bond_to = [k + m for k in range(m)] + list(range(m))
-    bond_w = [0] * (2 * m)
-    total = LaurentPoly.zero()
-    for partner, num in x.nums.items():
-        loops, _ = _loop_counts(partner, bond_to, bond_w)
-        total = total + num * delta_power(loops)
-    return RatFunc.normalized(total, x.den)
+    sums = _closure_sums(x, bond_to, [0] * (2 * m))
+    return RatFunc.normalized(sums.get(0, LaurentPoly.zero()), x.den)
 
 
 # ---------------------------------------------------------------------------
