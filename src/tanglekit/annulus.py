@@ -145,7 +145,7 @@ def chebyshev_convert(e: AnnulusElement) -> list:
     coordinate is reduced once at the end (not at all when the
     denominator is 1).  The same path serves diagram closures and
     colored closures; on the colored closure of a twist word it returns
-    the replay coordinates kappa_i / den of tl.transfer_vector.
+    the replay coordinates kappa_i of tl.transfer_vector.
     """
     if e.is_zero:
         return []
@@ -295,18 +295,15 @@ def colored_closure(t, n: int) -> AnnulusElement:
     word = tl.colored_twist_word(t, n)
     if n == 1:
         return closure_bracket(word)
-    kappas, den = tl.transfer_vector(word, n)
     sums = {}
-    for i, kappa in kappas.items():
+    for i, kappa in tl.transfer_vector(word, n).items():
         for k, s in _chebyshev_coeffs(2 * i).items():
             acc = sums.setdefault(k, {})
             for e, c in kappa.coeffs.items():
                 acc[e] = acc.get(e, 0) + s * c
-    # Canonical as built: the change of basis between the S_2i and the
-    # z^2j is unitriangular over Z, so a factor shared by den and every
-    # sum is shared by every kappa_i, and the replay leaves none.
+    # canonical as built: the kappa_i, and so the sums, are integral
     nums = {k: LaurentPoly(v) for k, v in sums.items() if any(v.values())}
-    return AnnulusElement._of(nums, den)
+    return AnnulusElement._of(nums, _ONE)
 
 
 def gamma_ratio_invariants(e: AnnulusElement) -> list:

@@ -10,8 +10,8 @@ projector.  A projector colors its edge by its strand count.  A
 quotient of quantum factorials is kept as the exponent of each [k], so
 that equal factors cancel before any polynomial is multiplied.
 
-tl imports this module at its first colored twist word of cable width
-2 or more, so that the commands that never need it do not load it.
+tl imports this module at its first projector loop value or colored
+twist word of width 2 or more, so commands needing neither skip it.
 """
 
 from __future__ import annotations

@@ -176,7 +176,7 @@ class TwistWord:
         return value
 
 
-def to_twist_word(t: RationalTangle) -> TwistWord:
+def to_twist_word(t) -> TwistWord:
     """Twist word realizing the tangle, innermost entry applied first.
 
     Each nonzero entry becomes one run.  Entries sharing the parity of
@@ -185,8 +185,13 @@ def to_twist_word(t: RationalTangle) -> TwistWord:
     vector length and [inf] for even length, which keeps the replayed
     fraction equal to the continued fraction of the vector.  Vectors
     whose entries total more than MAX_TWIST_TOTAL half twists are
-    refused with ValueError.
+    refused with ValueError.  A twist word is returned as it is; any
+    other input is refused with TypeError.
     """
+    if isinstance(t, TwistWord):
+        return t
+    if not isinstance(t, RationalTangle):
+        raise TypeError(f"expected a RationalTangle or a TwistWord, got {type(t).__name__}")
     if t.is_infinity:
         return TwistWord("inf", ())
     entries = t.tv.entries

@@ -30,7 +30,6 @@ from math import comb
 from . import oracle
 from .bracket import BracketVec2, bracket_vector, coprime_ratio
 from .ring import (
-    DELTA,
     LaurentPoly,
     RatCombination,
     RatFunc,
@@ -566,14 +565,12 @@ class JonesWenzl:
     element: TLElement
 
 
-_delta_polys = [LaurentPoly.one(), DELTA]
-
-
 def _delta_poly(k: int) -> LaurentPoly:
-    """Loop value of the closed k-strand projector (Chebyshev recurrence)."""
-    while len(_delta_polys) <= k:
-        _delta_polys.append(DELTA * _delta_polys[-1] - _delta_polys[-2])
-    return _delta_polys[k]
+    """Loop value of the closed k-strand projector, (-1)^k [k+1]."""
+    from . import recoupling  # loaded on first use, see its docstring
+
+    q = recoupling._qint(k + 1)
+    return -q if k % 2 else q
 
 
 _jw_cache = {}
@@ -732,11 +729,11 @@ def bni_basis(n: int) -> list:
 # Q_ij = Tet Delta_2j / (theta(n,n,2i) theta(n,n,2j)), evaluated in
 # recoupling.py.  Over bni_basis it is Tet Delta_2i / theta(n,n,2i)^2,
 # with about three times the terms.  The replay coordinates kappa_i are
-# then the Chebyshev coordinates of the colored closure, and kappa_i / c_i
-# the coordinates over bni_basis(n).  colored_expand and colored_closure
-# therefore replay and close a twist word at every width up to
-# MAX_TWIST_WIDTH without building a projector, a basis element or a
-# crossing tile.  Their referees, at widths up to 3, are colored_element,
+# then the Chebyshev coordinates of the colored closure, integral Laurent
+# polynomials (transfer_vector), and kappa_i / c_i the coordinates over
+# bni_basis(n).  colored_expand and colored_closure therefore replay and
+# close a twist word at every width up to MAX_TWIST_WIDTH without
+# building a projector, a basis element or a crossing tile.  Their referees, at widths up to 3, are colored_element,
 # which glues one cabled crossing tile per half twist in TL_2n, and the
 # same data read off bni_basis(n).
 
@@ -820,21 +817,20 @@ def _transfer_data(n: int):
 
     Returns (starts, q, q_den, bubbles), with bubbles[i] the RatFunc
     c_i = theta(n,n,2i) / Delta_2i.  starts maps "0" and "inf" to the
-    coordinates of the dressed crossingless tangle, as numerators over
-    one denominator: [0] is all ones over 1 (the fusion identity), and
-    [inf] is c_0 = Delta_n at b'_0.  q[i][j] / q_den is coordinate i of
-    rotate_cw(b'_j), Tet Delta_2j / (theta(n,n,2i) theta(n,n,2j)), with
-    None for a zero entry (Kauffman & Lins 1994; Masbaum & Vogel 1994).
-    All of it comes from the closed forms of recoupling.py, cached per n;
-    no projector, basis element or crossing tile is built.
+    replay coordinates of the dressed crossingless tangle: [0] is all
+    ones (the fusion identity), and [inf] is c_0 = Delta_n at b'_0.
+    q[i][j] / q_den is coordinate i of rotate_cw(b'_j), Tet Delta_2j /
+    (theta(n,n,2i) theta(n,n,2j)), None where zero (Kauffman & Lins
+    1994; Masbaum & Vogel 1994).  All of it comes from the closed forms
+    of recoupling.py, cached per n; no projector, basis element or
+    crossing tile is built.
     """
     if n not in _transfer_cache:
         from . import recoupling  # loaded on first use, see its docstring
 
         bubbles = [recoupling.bubble_ratio(n, i) for i in range(n + 1)]
-        one = LaurentPoly.one()
-        starts = {"0": (dict.fromkeys(range(n + 1), one), one),
-                  "inf": ({0: bubbles[0].num}, bubbles[0].den)}
+        starts = {"0": dict.fromkeys(range(n + 1), LaurentPoly.one()),
+                  "inf": {0: bubbles[0].as_laurent()}}
         entries = {(i, j): recoupling.quarter_turn_entry(n, i, j)
                    for i in range(n + 1) for j in range(n + 1)}
         q_nums, q_den = normalize_over(*common_denominator(entries))
@@ -855,8 +851,7 @@ def _twist_diagonal(nums: dict, n: int, a: int) -> dict:
 
 
 def _quarter_turn(q, nums: dict) -> dict:
-    """Numerators of Q times a vector, over the vector's denominator
-    times q_den."""
+    """q_den times Q times a vector."""
     out = {}
     for i, row in enumerate(q):
         total = poly_dot((row[j], v) for j, v in nums.items() if row[j] is not None)
@@ -865,38 +860,40 @@ def _quarter_turn(q, nums: dict) -> dict:
     return out
 
 
-def transfer_vector(t, n: int):
+def transfer_vector(t, n: int) -> dict:
     """Replay coordinates kappa_i of a rational tangle or twist word in
-    the fusion basis b'_i = b_i / c_i of _transfer_data, as numerators
-    over one denominator.
+    the fusion basis b'_i = b_i / c_i of _transfer_data, as a dict
+    i -> kappa_i with zero coordinates left out.
 
-    Returns (nums, den) in the canonical form of normalize_over:
-    nums[i] / den is kappa_i, and zero coordinates are left out.  b'_i
-    closes to S_2i(z), so kappa_i is also the coordinate of S_2i in the
-    colored closure; the coordinate of b_i is kappa_i / c_i.  The replay
-    starts from the dressed crossingless tangle and applies each run of
-    half twists in closed form, a right run as monomials and a bottom run
-    as Q D(-a) Q, over den q_den^2.  That product has divided every
-    numerator exactly on every word tried, leaving them over 1 with no
-    gcd; a bottom run where it does not falls back to normalize_over.
-    At width 1 it is the referee of the read-off in colored_expand.  A
-    word longer than MAX_COLORED_TWISTS[n] is refused before any
-    precompute.
+    kappa_i is the coordinate of S_2i in the colored closure and
+    kappa_i / c_i that of b_i.  The replay applies each run of half
+    twists to the dressed crossingless tangle in closed form: a right run
+    as monomials, a bottom run as Q D(-a) Q, dividing by q_den^2.
+
+    That division is exact, since every kappa_i lies in Z[A^+-1].  A
+    rational tangle has no closed component, so each component of its
+    colored closure passes through a projector.  The n-strand projector
+    closes to S_n(z) in the annulus (Lickorish, An Introduction to Knot
+    Theory, 1997, ch. 13), so the component equals its S_n-threading, a
+    Z-combination of blackboard parallels, and the closure lies in
+    Z[A^+-1][z]; each S_k is monic over Z, so each kappa_i is integral.
+    Every prefix of a word is a rational tangle and Q = q / q_den, so a
+    bottom run's numerators are q_den^2 times an integral kappa': a
+    remainder means wrong data, and its ValueError propagates.  At width
+    1 it referees the read-off in colored_expand.  Words longer than
+    MAX_COLORED_TWISTS[n] are refused before any precompute.
     """
     word = colored_twist_word(t, n)
     starts, q, q_den, _ = _transfer_data(n)
-    nums, den = starts[word.start]
+    q_den2 = q_den * q_den
+    kappas = starts[word.start]
     for kind, a in word.runs:
         if kind == "R":
-            nums = _twist_diagonal(nums, n, a)
+            kappas = _twist_diagonal(kappas, n, a)
         else:
-            nums = _quarter_turn(q, _twist_diagonal(_quarter_turn(q, nums), n, -a))
-            d = den * q_den * q_den
-            try:
-                nums, den = {i: poly_exact_div(v, d) for i, v in nums.items()}, LaurentPoly.one()
-            except ValueError:
-                nums, den = normalize_over(nums, d)
-    return nums, den
+            turned = _quarter_turn(q, _twist_diagonal(_quarter_turn(q, kappas), n, -a))
+            kappas = {i: poly_exact_div(v, q_den2) for i, v in turned.items()}
+    return kappas
 
 
 # X = A^4 + 1, so delta = -A^2 - A^-2 = -X / A^2
@@ -927,9 +924,9 @@ def colored_expand(t, n: int) -> list:
             return [RatFunc.from_laurent(alpha), RatFunc.zero()]
         gamma_0 = RatFunc(alpha + alpha.shift(4) - beta.shift(2), _X)
         return [gamma_0, RatFunc.from_laurent(beta)]
-    nums, den = transfer_vector(t, n)
+    kappas = transfer_vector(t, n)
     bubbles = _transfer_data(n)[3]
-    return [RatFunc.normalized(nums[i] * c.den, den * c.num) if i in nums else RatFunc.zero()
+    return [RatFunc.normalized(kappas[i] * c.den, c.num) if i in kappas else RatFunc.zero()
             for i, c in enumerate(bubbles)]
 
 

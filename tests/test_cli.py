@@ -355,6 +355,18 @@ def test_colored_closures_add_no_rational_functions(monkeypatch):
     assert len(calls) == 0
 
 
+def test_replay_reports_inexact_data_as_an_error(monkeypatch):
+    # the replay coordinates are integral, so a bottom run that does not
+    # divide exactly means the data are wrong: one corrupted entry of Q
+    # ends as one JSON error line, not as a wrong gamma
+    monkeypatch.setattr(tl, "_transfer_cache", {})
+    q = tl._transfer_data(2)[1]
+    q[0][0] = q[0][0] + ring.LaurentPoly.one()
+    code, out = run_cli("colored", "--n", "2", "[2 1 2]")
+    assert code == 2
+    assert out.count("\n") == 1 and set(json.loads(out)) == {"error"}
+
+
 def test_colored_rejects_bad_width(tmp_path):
     # a tangle argument is a twist word, so --n runs to the twist-word bound
     batch = tmp_path / "tangles.txt"
@@ -655,6 +667,25 @@ def test_cli_import_loads_no_process_pool():
     run = subprocess.run([sys.executable, "-c", probe], env=source_env(),
                          capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n"
+
+
+def test_bracket_commands_load_no_recoupling():
+    # recoupling is loaded at the first projector loop value or colored
+    # twist word of width 2 or more; the bracket-level commands and
+    # width 1 need neither
+    probe = ("import contextlib, io, sys\n"
+             "from tanglekit import cli\n"
+             "for argv in (['bracket', '[3 2]'], ['closure', '[3 2]'], ['classify', '[3 2]'],\n"
+             "             ['colored', '--n', '1', '[3 2]'], ['colored-closure', '--n', '1', '[3 2]']):\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        code = cli.main(argv)\n"
+             "    print(argv[0], code, 'tanglekit.recoupling' in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-c", probe], env=source_env(),
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split("\n")[:-1] == [
+        f"{command} 0 False"
+        for command in ("bracket", "closure", "classify", "colored", "colored-closure")
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from tanglekit import tl
 from tanglekit.annulus import colored_closure, element_closure, gamma_ratio_invariants
 from tanglekit.bracket import bracket_vector
+from tanglekit.rationals import TwistVector
 from tanglekit.ring import (
     LaurentPoly,
     RatFunc,
@@ -582,7 +583,7 @@ def test_transfer_replay_matches_the_tile_replay():
         if n == 1:
             # the width-1 read-off against the replay on (b_0, b_1 / c_1),
             # mapped back to (b_0, b_1)
-            assert _coords(1, *tl.transfer_vector(t, 1)) == referee, t
+            assert _coords(1, tl.transfer_vector(t, 1), LaurentPoly.one()) == referee, t
 
 
 def _engine_transfer_data(n):
@@ -597,7 +598,7 @@ def _engine_transfer_data(n):
     for kind in ("0", "inf"):
         x = tl.compose(frame, tl.compose(tl.unit_element(n, kind), frame))
         kappas = {i: c * g for i, (c, g) in enumerate(zip(bubbles, tl._read_coordinates(x, n)))}
-        starts[kind] = normalize_over(*common_denominator(kappas))
+        starts[kind] = {i: k.as_laurent() for i, k in kappas.items() if not k.is_zero}
     entries = {}
     for j, b in enumerate(basis):
         for i, c in enumerate(tl._read_coordinates(tl.rotate_cw(b), n)):
@@ -658,31 +659,6 @@ def test_transfer_replay_takes_no_gcd(monkeypatch):
     for t, n in cases:
         tl.transfer_vector(t, n)
     assert len(calls) == 0
-
-
-def _stored(nums, den):
-    """(nums, den) with every coefficient's type, so an int and an equal
-    Fraction differ."""
-    def form(p):
-        return [(e, type(c), c) for e, c in sorted(p.coeffs.items())]
-    return {i: form(v) for i, v in nums.items()}, form(den)
-
-
-def test_transfer_replay_fallback_is_the_exact_path(monkeypatch):
-    # with every exact division refused, each bottom run reduces by
-    # normalize_over, and the replay gives the same numerators and
-    # denominator, coefficient types included
-    rng = random.Random(62)
-    cases = [(build_rational(random_twist_vector(rng, 4, 3)), n) for n in (2, 3, 4, 5) for _ in range(4)]
-    cases += [(build_rational(random_twist_vector(rng, 3, 2)), n) for n in (6, 7, 8) for _ in range(2)]
-    cases += [(_cables_shape(rng), 2) for _ in range(10)]
-    exact = [_stored(*tl.transfer_vector(t, n)) for t, n in cases]
-
-    def refuse(a, b):
-        raise ValueError("division is not exact")
-
-    monkeypatch.setattr(tl, "poly_exact_div", refuse)
-    assert [_stored(*tl.transfer_vector(t, n)) for t, n in cases] == exact
 
 
 def test_quarter_turn_is_an_involution():
@@ -805,6 +781,17 @@ def test_twist_word_cable_width_bound():
         for call in (tl.colored_expand, colored_closure, tl.transfer_vector):
             with pytest.raises(ValueError, match=f"between 1 and {bound}"):
                 call(t, n)
+
+
+def test_twist_word_entry_points_refuse_other_types():
+    # a diagram or a bare twist vector is neither a tangle nor a word
+    tv = TwistVector((2, 1))
+    for bad in (rational_to_diagram(build_rational(tv)), tv):
+        name = type(bad).__name__
+        for call in (bracket_vector, lambda t: tl.colored_twist_word(t, 2),
+                     lambda t: tl.transfer_vector(t, 2)):
+            with pytest.raises(TypeError, match=f"RationalTangle or a TwistWord, got {name}"):
+                call(bad)
 
 
 def test_ratio_invariants_quotients():
