@@ -11,7 +11,6 @@ independently for verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .rationals import ExtRational
 from .ring import LaurentPoly, RatFunc
@@ -81,8 +80,7 @@ def _twist_run(alpha, beta, kind, a):
             out[E] = s
         else:
             del out[E]
-    # Integer coefficients stay integers and zero sums were dropped above,
-    # so out is in stored form.
+    # Zero sums were dropped above, so out is in stored form.
     alpha, beta = LaurentPoly._of(out), beta.shift(-e * k)
     if kind == "B":
         alpha, beta = beta, alpha
@@ -135,12 +133,12 @@ def coprime_ratio(v: BracketVec2):
     no gcd.
 
     (alpha, beta) is a start vector (1, 0) or (0, 1) times run matrices
-    of determinant +-A^m, so a common factor of alpha and beta would
-    divide the start vector: they are coprime.  The canonical form only
-    moves the power of A onto the numerator and divides both sides by
-    the signed content of beta, which holds for any coprime pair
-    (tl._width_one_ratios passes the width-1 colored ratio).
-    ratio_invariant is the referee.
+    of determinant +-A^m, so a common factor of alpha and beta in
+    Z[A^+-1], an integer included, would divide the start vector: they
+    are coprime.  The canonical form only moves the power of A onto the
+    numerator and makes the constant term of beta positive, which holds
+    for any coprime pair (tl._width_one_ratios passes the width-1 colored
+    ratio).  ratio_invariant is the referee.
     """
     if v.alpha.is_zero or v.beta.is_zero:
         return ratio_invariant(v)
@@ -148,9 +146,6 @@ def coprime_ratio(v: BracketVec2):
     alpha, beta = v.alpha.shift(-shift), v.beta.shift(-shift)
     if beta.coeffs[0] < 0:
         alpha, beta = -alpha, -beta
-    scale = beta.content()
-    if scale != 1:
-        alpha, beta = alpha * Fraction(1, scale), beta * Fraction(1, scale)
     return RatFunc(alpha, beta)
 
 
@@ -185,7 +180,6 @@ def c_invariant(v: BracketVec2) -> ExtRational:
         if any(u):
             return ExtRational.infinity()
         raise ValueError("indeterminate fraction: bracket vanishes at the root")
-    r = Fraction(u[k], w[k])
-    if any(uj != r * wj for uj, wj in zip(u, w)):
+    if any(uj * w[k] != u[k] * wj for uj, wj in zip(u, w)):
         raise ArithmeticError("bracket ratio is not rational at the root")
-    return ExtRational(r.numerator, r.denominator)
+    return ExtRational(u[k], w[k])

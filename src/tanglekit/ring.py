@@ -1,30 +1,29 @@
-"""Exact scalar arithmetic for skein computations.
+"""Exact scalar arithmetic for skein computations, over Z[A^+-1] and its
+fraction field.
 
 Two towers, each immutable and canonical so that ``==`` is true value
 equality:
 
 * ``LaurentPoly``: sparse Laurent polynomials in one variable ``A`` with
-  rational coefficients.
-* ``RatFunc``: the fraction field of ``LaurentPoly`` with a normalized
-  representative (denominator an integer-primitive ordinary polynomial
-  with positive constant term, coprime to the numerator).
+  integer coefficients, the ring Z[A^+-1] of the skein module.
+* ``RatFunc``: its fraction field, with a normalized representative
+  (denominator an ordinary polynomial with positive constant term that
+  shares no factor of Z[A^+-1] but a unit with the numerator).
 
 ``RatCombination`` carries that form over to linear combinations with
 ``RatFunc`` coefficients, as numerators over one shared denominator; the
 Temperley-Lieb and annulus skein elements are its two kinds.
 
-A rational coefficient is stored as an ``int`` when it is integral and as
-a ``Fraction`` only when it is not, so the integer arithmetic that nearly
-every skein computation does never builds a ``Fraction``.  Every
-coefficient division goes through ``_div``, which keeps that rule and
-never gives a float, as a bare ``int / int`` would.
+Every coefficient is an ``int``.  A rational number enters only as a
+``Fraction`` scalar of ``RatFunc``, which stores p/q as the constant
+polynomials p over q.
 
-Every polynomial gcd and exact quotient is taken on primitive integer
-parts, with the contents split off (``_split``) and put back: by Gauss's
-lemma that is the gcd or quotient over Q.  A gcd is an integer gcd at
-one evaluation point, certified by exact division (``_heuristic_gcd``);
-the primitive remainder sequence (``_poly_gcd``) takes the rare inputs
-the heuristic gives up on.  ``_exact_quotient`` is the one division.
+A polynomial gcd is the gcd in Z[A]: the gcd of the contents times the
+gcd of the primitive parts (Gauss's lemma).  The primitive gcd is an
+integer gcd at one evaluation point, certified by exact division
+(``_heuristic_gcd``); the primitive remainder sequence (``_poly_gcd``)
+takes the rare inputs the heuristic gives up on.  ``_exact_quotient`` is
+the one division.
 """
 
 from __future__ import annotations
@@ -32,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import gcd
+from operator import index
 from types import MappingProxyType
 
 __all__ = [
@@ -48,61 +48,14 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Coefficients
-# ---------------------------------------------------------------------------
-
-def _coeff(c):
-    """A rational coefficient in stored form: int if integral, else Fraction."""
-    if type(c) is not int:
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        if c.denominator == 1:
-            return c.numerator
-    return c
-
-
-def _div(a, b):
-    """The exact quotient a / b of two coefficients, in stored form.
-
-    Never a float: an exact integer division gives an int, anything else
-    a Fraction.
-    """
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        if not r:
-            return q
-    return _coeff(Fraction(a, b))
-
-
-def _store_integral(coeffs: dict) -> dict:
-    """Turn integral Fraction values of a coefficient dict into ints."""
-    # The sum is an int exactly when every value is, so one pass in C
-    # skips the loop for the all-integer dicts nearly every product gives.
-    if type(sum(coeffs.values())) is not int:
-        for e, c in coeffs.items():
-            if type(c) is not int and c.denominator == 1:
-                coeffs[e] = c.numerator
-    return coeffs
-
-
-def _content(values):
-    """Positive rational c such that values/c are coprime integers
-    (1 when there are no values)."""
-    num, den = 0, 1
-    for c in values:
-        num = gcd(num, c.numerator)
-        den = lcm(den, c.denominator)
-    return _div(num, den) if num else 1
-
-
-# ---------------------------------------------------------------------------
 # Laurent polynomials
 # ---------------------------------------------------------------------------
 
 class LaurentPoly:
-    """A sparse Laurent polynomial: dict {exponent: nonzero coefficient}.
+    """A sparse Laurent polynomial over Z: dict {exponent: nonzero int}.
 
-    A coefficient is an ``int`` when integral and a ``Fraction`` otherwise;
-    the constructor converts any rational input to that form.
+    The constructor takes each coefficient through operator.index, so a
+    Fraction or a float raises TypeError.
     """
 
     __slots__ = ("coeffs",)
@@ -111,8 +64,7 @@ class LaurentPoly:
         clean = {}
         if coeffs:
             for e, c in coeffs.items():
-                if type(c) is not int:
-                    c = _coeff(c)
+                c = index(c)
                 if c:
                     clean[int(e)] = c
         self.coeffs = clean
@@ -122,7 +74,7 @@ class LaurentPoly:
     @classmethod
     def _of(cls, coeffs: dict) -> "LaurentPoly":
         """Wrap a dict already in stored form (int exponents, nonzero int
-        or non-integral Fraction values), without a copy or a check."""
+        values), without a copy or a check."""
         p = cls.__new__(cls)
         p.coeffs = coeffs
         return p
@@ -170,7 +122,7 @@ class LaurentPoly:
     # -- arithmetic ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = LaurentPoly.from_scalar(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -183,7 +135,7 @@ class LaurentPoly:
         return LaurentPoly._of({e: -c for e, c in self.coeffs.items()})
 
     def __add__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = LaurentPoly.from_scalar(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -194,12 +146,12 @@ class LaurentPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return LaurentPoly._of(_store_integral(out))
+        return LaurentPoly._of(out)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = LaurentPoly.from_scalar(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -209,10 +161,10 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             if not other:
                 return LaurentPoly.zero()
-            return LaurentPoly({e: c * other for e, c in self.coeffs.items()})
+            return LaurentPoly._of({e: c * other for e, c in self.coeffs.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return poly_dot(((self, other),))
@@ -238,11 +190,6 @@ class LaurentPoly:
     def invert_variable(self) -> "LaurentPoly":
         """Substitute A -> A^-1 (the mirror-image substitution)."""
         return LaurentPoly._of({-e: c for e, c in self.coeffs.items()})
-
-    def content(self):
-        """Positive rational c such that self/c has coprime integer
-        coefficients.  Zero polynomial has content 1."""
-        return _content(self.coeffs.values())
 
     # -- rendering ----------------------------------------------------------
 
@@ -276,13 +223,11 @@ class LaurentPoly:
 # ---------------------------------------------------------------------------
 
 def _split(a: dict):
-    """(c, a / c) with c = _content(a): the primitive part has coprime
-    integer coefficients, and is a itself when c is 1."""
-    try:
-        c = gcd(*a.values()) or 1
-    except TypeError:  # a Fraction coefficient
-        c = _content(a.values())
-    return c, a if c == 1 else {e: _div(v, c) for e, v in a.items()}
+    """(c, a / c) with c the content of a, the gcd of its coefficients:
+    the primitive part has coprime coefficients, and is a itself when c
+    is 1."""
+    c = gcd(*a.values()) or 1
+    return c, a if c == 1 else {e: v // c for e, v in a.items()}
 
 
 def _primitive(a: dict) -> dict:
@@ -317,8 +262,8 @@ def _prem(a: dict, b: dict) -> dict:
 
 
 def _poly_gcd(a: dict, b: dict) -> dict:
-    """Gcd of two ordinary polynomials over Q, as the primitive integer
-    polynomial with positive leading coefficient ({} when both are zero).
+    """Gcd of the primitive parts of two ordinary integer polynomials,
+    with positive leading coefficient ({} when both are zero).
 
     Primitive polynomial remainder sequence (Collins 1967; Brown & Traub
     1971): pseudo-remainders stay in Z[A], and dividing each by its
@@ -340,8 +285,10 @@ def _exact_quotient(a: dict, b: dict):
     Integer long division that stops at the first leading coefficient b
     does not divide, or at a nonzero remainder.  The degree steps down
     once from deg a to deg b, so each step costs the length of b, not of
-    the remainder.  When b is primitive, b divides a in Z[A] exactly when
-    it does over Q (Gauss's lemma), so this is the one exact division.
+    the remainder.  A leading coefficient that does not divide means b
+    does not divide a in Z[A], since the quotient's coefficients are the
+    steps' integer ratios.  For a primitive b that is also division over
+    Q (Gauss's lemma).
     """
     a = dict(a)
     db = max(b)
@@ -469,19 +416,15 @@ def _heuristic_gcd(polys: list):
     return None
 
 
-def _times(q: dict, c) -> dict:
-    """q times a rational c, in stored form."""
-    return q if c == 1 else _store_integral({e: v * c for e, v in q.items()})
-
-
 def _gcd_cofactors(polys: list):
-    """(g, [p / g for p in polys]) for nonzero ordinary polynomials, with
-    g their gcd over Q as a primitive integer polynomial with positive
-    leading coefficient.
+    """(g, [p / g for p in polys]) for nonzero ordinary integer
+    polynomials, with g their gcd in Z[A]: the gcd c of their contents
+    times their primitive gcd, whose leading coefficient is positive.
 
-    The gcd and the cofactors are taken on the primitive parts, through
-    _heuristic_gcd or, when the heuristic gives up, the primitive PRS
-    and _exact_quotient; each content goes back onto its cofactor.
+    The primitive gcd and the cofactors are taken on the primitive parts,
+    through _heuristic_gcd or, when the heuristic gives up, the primitive
+    PRS and _exact_quotient; each content over c goes back onto its
+    cofactor, so the cofactors are integer polynomials.
     """
     contents, parts = map(list, zip(*map(_split, polys)))
     found = _heuristic_gcd(parts)
@@ -493,23 +436,26 @@ def _gcd_cofactors(polys: list):
                 break
         found = g, [_exact_quotient(p, g) for p in parts]
     g, quotients = found
-    return g, [_times(q, c) for q, c in zip(quotients, contents)]
+    c = gcd(*contents)
+    if c != 1:
+        g = {e: v * c for e, v in g.items()}
+    return g, [q if k == c else {e: v * (k // c) for e, v in q.items()}
+               for q, k in zip(quotients, contents)]
 
 
 def poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Quotient a / b when b divides a exactly; raises otherwise.  The
-    primitive parts divide in Z[A]; the ratio of the contents scales it."""
+    """Quotient a / b when b divides a in Z[A^+-1]; raises ValueError
+    otherwise, also when the quotient has non-integral coefficients."""
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero:
         return LaurentPoly.zero()
     sa, sb = a.min_exp(), b.min_exp()
-    ca, pa = _split({e - sa: c for e, c in a.coeffs.items()})
-    cb, pb = _split({e - sb: c for e, c in b.coeffs.items()})
-    q = _exact_quotient(pa, pb)
+    q = _exact_quotient({e - sa: c for e, c in a.coeffs.items()},
+                        {e - sb: c for e, c in b.coeffs.items()})
     if q is None:
         raise ValueError("division is not exact")
-    return LaurentPoly._of(_times({e + sa - sb: c for e, c in q.items()}, _div(ca, cb)))
+    return LaurentPoly._of({e + sa - sb: c for e, c in q.items()})
 
 
 def poly_dot(pairs) -> LaurentPoly:
@@ -527,7 +473,7 @@ def poly_dot(pairs) -> LaurentPoly:
                     out[e] = s
                 else:
                     del out[e]
-    return LaurentPoly._of(_store_integral(out))
+    return LaurentPoly._of(out)
 
 
 def poly_lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -562,10 +508,11 @@ def normalize_over(nums: dict, den: LaurentPoly):
 
     Returns (nums, den) in canonical form, with every quotient
     nums[k] / den unchanged: zero numerators dropped, den an ordinary
-    polynomial with coprime integer coefficients and positive constant
-    term, and no polynomial factor common to den and all the numerators
-    together (den is 1 when no numerator is left).  With one numerator
-    this is the canonical form of a RatFunc.
+    polynomial with positive constant term, and no factor of Z[A^+-1]
+    but a unit common to den and all the numerators together, an integer
+    included (den is 1 when no numerator is left).  With one numerator
+    this is the canonical form of a RatFunc.  The gcd leaves the quotients
+    integral, so only the sign of den is left to fix.
     """
     if den.is_zero:
         raise ZeroDivisionError("rational function with zero denominator")
@@ -581,16 +528,13 @@ def normalize_over(nums: dict, den: LaurentPoly):
         for s, p in zip(shifts, [den] + [nums[k] for k in keys])
     ])
     # den / g is ordinary with a nonzero constant term, since den is.
-    scale = _content(den.values())
-    if den[0] < 0:
-        scale = -scale
+    sign = 1 if den[0] > 0 else -1
     sd = shifts[0]
     nums = {
-        k: LaurentPoly._of({e + s - sd: _div(c, scale) for e, c in q.items()})
+        k: LaurentPoly._of({e + s - sd: sign * c for e, c in q.items()})
         for k, s, q in zip(keys, shifts[1:], quotients)
     }
-    den = LaurentPoly._of({e: _div(c, scale) for e, c in den.items()})
-    return nums, den
+    return nums, LaurentPoly._of({e: sign * c for e, c in den.items()})
 
 
 def common_denominator(fracs: dict):
@@ -613,12 +557,13 @@ def common_denominator(fracs: dict):
 
 @dataclass(frozen=True)
 class RatFunc:
-    """A quotient of Laurent polynomials in canonical form.
+    """A quotient of Laurent polynomials over Z in canonical form.
 
     Canonical representative: the denominator is an ordinary polynomial
-    (minimum exponent 0) with coprime integer coefficients and positive
-    constant term; numerator and denominator have no common polynomial
-    factor.  Any leftover power of A sits on the numerator.
+    (minimum exponent 0) with positive constant term; numerator and
+    denominator share no factor of Z[A^+-1] except a unit +-A^k, so no
+    integer factor either.  Any leftover power of A sits on the
+    numerator.  A rational scalar p/q is the constant p over q.
     """
 
     num: LaurentPoly
@@ -645,7 +590,11 @@ class RatFunc:
 
     @classmethod
     def from_scalar(cls, c) -> "RatFunc":
-        return cls.normalized(LaurentPoly.from_scalar(c), LaurentPoly.one())
+        """An int, or a Fraction p/q as p over q (canonical as it is)."""
+        if isinstance(c, Fraction):
+            return cls(LaurentPoly.from_scalar(c.numerator),
+                       LaurentPoly.from_scalar(c.denominator))
+        return cls(LaurentPoly.from_scalar(c), LaurentPoly.one())
 
     # -- structure ----------------------------------------------------------
 
@@ -700,9 +649,12 @@ class RatFunc:
 
     def __mul__(self, other) -> "RatFunc":
         if type(other) is int:
-            # Canonical as it stands: den is unchanged, and an integer
-            # shares no polynomial factor with it.
-            return RatFunc(self.num * other, self.den) if other else RatFunc.zero()
+            if not other:
+                return RatFunc.zero()
+            # Canonical as it stands when other is coprime to the content
+            # of den: den is unchanged and shares no factor with other.
+            if gcd(other, *self.den.coeffs.values()) == 1:
+                return RatFunc(self.num * other, self.den)
         other = RatFunc._coerce(other)
         if other is NotImplemented:
             return NotImplemented

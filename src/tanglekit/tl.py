@@ -879,20 +879,24 @@ def transfer_vector(t, n: int) -> dict:
     Z[A^+-1][z]; each S_k is monic over Z, so each kappa_i is integral.
     Every prefix of a word is a rational tangle and Q = q / q_den, so a
     bottom run's numerators are q_den^2 times an integral kappa': a
-    remainder means wrong data, and its ValueError propagates.  At width
-    1 it referees the read-off in colored_expand.  Words longer than
-    MAX_COLORED_TWISTS[n] are refused before any precompute.
+    remainder means wrong data, a ValueError that names the replay.  At
+    width 1 it referees the read-off in colored_expand.  Words longer
+    than MAX_COLORED_TWISTS[n] are refused before any precompute.  The
+    dict returned is the caller's own, also for a word with no runs.
     """
     word = colored_twist_word(t, n)
     starts, q, q_den, _ = _transfer_data(n)
     q_den2 = q_den * q_den
-    kappas = starts[word.start]
+    kappas = dict(starts[word.start])
     for kind, a in word.runs:
         if kind == "R":
             kappas = _twist_diagonal(kappas, n, a)
         else:
             turned = _quarter_turn(q, _twist_diagonal(_quarter_turn(q, kappas), n, -a))
-            kappas = {i: poly_exact_div(v, q_den2) for i, v in turned.items()}
+            try:
+                kappas = {i: poly_exact_div(v, q_den2) for i, v in turned.items()}
+            except ValueError as err:
+                raise ValueError(f"colored replay at cable width {n}: {err}") from None
     return kappas
 
 
@@ -962,7 +966,7 @@ def _width_one_ratios(gammas: list) -> list:
     X = A^4 + 1.  alpha and beta are coprime (bracket.coprime_ratio), and
     X is irreducible and does not divide beta (colored_expand), so the
     two sides are coprime, and the ratio is gamma_0.num over X beta, a
-    sum of two shifts, up to the content and the power of A that
+    sum of two shifts, up to the sign and the power of A that
     coprime_ratio moves.  A vanishing coordinate is left to
     colored_ratios, which then needs no gcd either.
     """

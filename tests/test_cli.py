@@ -22,7 +22,7 @@ from tanglekit.cli import (
     parse_tangle_notation,
 )
 from tanglekit.rationals import MAX_FRACTION_DIGITS, ExtRational, TwistVector, canonical_form
-from tanglekit.tangles import MAX_TWIST_TOTAL, PlanarTangleDiagram, build_rational
+from tanglekit.tangles import MAX_TWIST_TOTAL, PlanarTangleDiagram, RationalTangle, build_rational
 from tanglekit.tl import colored_expand
 
 
@@ -365,6 +365,21 @@ def test_replay_reports_inexact_data_as_an_error(monkeypatch):
     code, out = run_cli("colored", "--n", "2", "[2 1 2]")
     assert code == 2
     assert out.count("\n") == 1 and set(json.loads(out)) == {"error"}
+    assert "colored replay at cable width 2" in json.loads(out)["error"]
+
+
+def test_replay_result_is_the_callers_own(monkeypatch):
+    # a word with no runs must not hand out the cached start vector: a
+    # caller that changes its result would change every later result at
+    # that width
+    monkeypatch.setattr(tl, "_transfer_cache", {})
+    for t in (RationalTangle.from_entries(0), RationalTangle.infinity()):
+        kappas = tl.transfer_vector(t, 2)
+        kappas[1] = ring.LaurentPoly.one() * 2
+    code, out = run_cli("colored-closure", "--n", "2", "[0]")
+    assert code == 0 and json.loads(out)["chebyshev"] == ["1", "0", "1", "0", "1"]
+    code, out = run_cli("colored-closure", "--n", "2", "[inf]")
+    assert code == 0 and json.loads(out)["chebyshev"] == ["A^4 + 1 + A^-4"]
 
 
 def test_colored_rejects_bad_width(tmp_path):

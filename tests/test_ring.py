@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -11,7 +12,6 @@ from tanglekit.bracket import bracket_vector
 from tanglekit.ring import (
     LaurentPoly,
     RatFunc,
-    _div,
     _gcd_cofactors,
     _heuristic_gcd,
     _pack,
@@ -31,9 +31,7 @@ DELTA = -(A ** 2) - LaurentPoly.monomial(-2)
 def random_poly(rng, span=4, terms=4):
     coeffs = {}
     for _ in range(rng.randint(0, terms)):
-        coeffs[rng.randint(-span, span)] = Fraction(
-            rng.randint(-6, 6), rng.randint(1, 4)
-        )
+        coeffs[rng.randint(-span, span)] = rng.randint(-12, 12)
     return LaurentPoly(coeffs)
 
 
@@ -50,7 +48,7 @@ def test_str_formatting():
     assert str(LaurentPoly.one()) == "1"
     p = -(A ** 3) + 2 + LaurentPoly.monomial(-2)
     assert str(p) == "-A^3 + 2 + A^-2"
-    assert str(LaurentPoly.monomial(2, Fraction(3, 2))) == "3/2*A^2"
+    assert str(LaurentPoly.monomial(2, 3)) == "3*A^2"
     assert str(A) == "A"
     assert str(-A) == "-A"
     assert str(DELTA) == "-A^2 - A^-2"
@@ -81,10 +79,8 @@ def test_str_matches_the_two_pass_renderer():
     coefficient = (
         lambda: rng.choice([1, -1]),
         lambda: rng.randint(-10 ** 6, 10 ** 6),
-        lambda: Fraction(rng.randint(-9, 9), rng.randint(2, 6)),
     )
-    polys = [LaurentPoly({e: -1}) for e in (-1, 0, 1, 5)]
-    polys += [LaurentPoly({e: Fraction(-3, 2)}) for e in (-1, 0, 1)]
+    polys = [LaurentPoly({e: c}) for e in (-1, 0, 1, 5) for c in (-1, -3)]
     for _ in range(400):
         polys.append(LaurentPoly({
             rng.randint(-3, 3): rng.choice(coefficient)() for _ in range(rng.randint(0, 6))
@@ -118,11 +114,13 @@ def test_ring_axioms_random():
         assert p * q == q * p
 
 
-def test_content():
-    p = LaurentPoly({2: Fraction(6), -1: Fraction(4)})
-    assert p.content() == 2
-    p = LaurentPoly({0: Fraction(1, 2), 3: Fraction(3, 4)})
-    assert p.content() == Fraction(1, 4)
+def test_coefficients_are_integers():
+    for c in (Fraction(1, 2), Fraction(6, 2), 0.5, 1.0, "1"):
+        with pytest.raises(TypeError):
+            LaurentPoly({0: c})
+    with pytest.raises(TypeError):
+        LaurentPoly.from_scalar(Fraction(1, 2))
+    assert LaurentPoly({0: True, 1: -3}).coeffs == {0: 1, 1: -3}
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +145,8 @@ def test_normalize_zero_numerator():
 
 
 def test_normalize_denominator_shape():
-    # 1/delta: denominator becomes an ordinary integer-primitive
-    # polynomial with positive constant term.
+    # 1/delta: denominator becomes an ordinary polynomial with positive
+    # constant term.
     r = RatFunc.one() / RatFunc.from_laurent(DELTA)
     assert r.den.min_exp() == 0
     assert r.den.coeffs[0] > 0
@@ -176,6 +174,24 @@ def test_field_operations():
     assert x * x.inverse() == RatFunc.one()
     with pytest.raises(ZeroDivisionError):
         x / RatFunc.zero()
+
+
+def test_rational_scalars_are_constant_quotients():
+    half = RatFunc.from_scalar(Fraction(1, 2))
+    assert (half.num.coeffs, half.den.coeffs) == ({0: 1}, {0: 2})
+    assert str(half) == "(1)/(2)"
+    assert half * 2 == RatFunc.one() and 2 * half == RatFunc.one()
+    assert half + half == RatFunc.one()
+    assert RatFunc.from_scalar(Fraction(-6, 4)) == RatFunc(LaurentPoly({0: -3}), LaurentPoly({0: 2}))
+    assert RatFunc.from_scalar(Fraction(3)) == RatFunc.from_scalar(3) == RatFunc.from_laurent(LaurentPoly({0: 3}))
+    assert RatFunc.from_scalar(Fraction(0)) == RatFunc.zero()
+    assert RatFunc.from_laurent(A + 1) / 2 == RatFunc(A + 1, LaurentPoly({0: 2}))
+    # an integer content is a common factor like any other
+    r = RatFunc.normalized(6 * A + 6, 4 * A + 8)
+    assert (r.num, r.den) == (3 * A + 3, 2 * A + 4)
+    assert str(r) == "(3*A + 3)/(2*A + 4)"
+    r = RatFunc.normalized(LaurentPoly({0: -4}), 6 * A ** 2)
+    assert (r.num.coeffs, r.den.coeffs) == ({-2: -2}, {0: 3})
 
 
 def test_as_laurent():
@@ -218,30 +234,45 @@ def _ref_gcd(a, b):
     return {e: c / lead for e, c in a.items()}
 
 
+def _ref_content(values):
+    """The positive rational c with values / c coprime integers."""
+    num, den = 0, 1
+    for c in values:
+        c = Fraction(c)
+        num = gcd(num, c.numerator)
+        den = den * c.denominator // gcd(den, c.denominator)
+    return Fraction(num, den)
+
+
 def _ref_normalized(num, den):
-    """Canonical (num, den) coefficient dicts, computed over Q."""
+    """Canonical (num, den) coefficient dicts, computed over Q: the
+    quotients by the monic gcd, scaled to coprime integers with a
+    positive constant term in the denominator."""
     sn, sd = num.min_exp(), den.min_exp()
     n = {e - sn: c for e, c in num.coeffs.items()}
     d = {e - sd: c for e, c in den.coeffs.items()}
     g = _ref_gcd(n, d)
     n, _ = _ref_divmod(n, g)
     d, _ = _ref_divmod(d, g)
-    scale = LaurentPoly(d).content() * (1 if d[min(d)] > 0 else -1)
+    scale = _ref_content([*n.values(), *d.values()]) * (1 if d[min(d)] > 0 else -1)
     return (
         {e + sn - sd: c / scale for e, c in n.items()},
         {e: c / scale for e, c in d.items()},
     )
 
 
-def _ordinary(rng, integer, degree=4):
+def _ordinary(rng, degree=4, content=1):
+    """A random ordinary integer polynomial times content."""
     coeffs = {}
     for e in range(rng.randint(0, degree) + 1):
         c = rng.randint(-9, 9)
-        if not integer:
-            c = Fraction(c, rng.randint(1, 6))
         if c:
-            coeffs[e] = c
+            coeffs[e] = c * content
     return coeffs
+
+
+def _some_content(rng, primitive):
+    return 1 if primitive else rng.choice((2, 3, 6, -4, 10))
 
 
 def _times(a, b):
@@ -250,18 +281,33 @@ def _times(a, b):
 
 def _assert_stored_form(p):
     for e, c in p.coeffs.items():
-        assert type(e) is int and c
-        assert type(c) in (int, Fraction)
-        assert type(c) is int or c.denominator != 1
+        assert type(e) is int and type(c) is int and c
 
 
-@pytest.mark.parametrize("integer", [True, False])
-def test_gcd_matches_monic_euclid_up_to_a_unit(integer):
-    rng = random.Random(30 + integer)
+def _assert_canonical(num, den):
+    """The canonical form of a RatFunc or of normalize_over: den ordinary
+    with a positive constant term, and no common factor of Z[A^+-1] but a
+    unit: coprime integer coefficients, and a monic gcd over Q of 1."""
+    assert min(den.coeffs) == 0 and den.coeffs[0] > 0
+    _assert_stored_form(den)
+    coefficients = [c for v in num for c in v.coeffs.values()]
+    assert gcd(*den.coeffs.values(), *coefficients) == 1
+    g = dict(den.coeffs)
+    for v in num:
+        g = _ref_gcd(g, {e - v.min_exp(): c for e, c in v.coeffs.items()})
+        _assert_stored_form(v)
+    assert len(g) == 1
+
+
+@pytest.mark.parametrize("primitive", [True, False])
+def test_gcd_matches_monic_euclid_up_to_a_unit(primitive):
+    # on primitive inputs, and on inputs with integer contents, whose gcd
+    # in Z[A] (_gcd_cofactors) carries the gcd of the contents
+    rng = random.Random(30 + primitive)
     for _ in range(150):
-        f = _ordinary(rng, integer, 3)
-        a = _times(f, _ordinary(rng, integer))
-        b = _times(f, _ordinary(rng, integer))
+        f = _ordinary(rng, 3, _some_content(rng, primitive))
+        a = _times(f, _ordinary(rng, 4, _some_content(rng, primitive)))
+        b = _times(f, _ordinary(rng, 4, _some_content(rng, primitive)))
         if not a and not b:
             continue
         g = _poly_gcd(a, b)
@@ -270,36 +316,38 @@ def test_gcd_matches_monic_euclid_up_to_a_unit(integer):
         lead = g[max(g)]
         assert lead > 0
         assert all(type(c) is int for c in g.values())
-        assert LaurentPoly(g).content() == 1
+        assert gcd(*g.values()) == 1
         assert {e: Fraction(c, lead) for e, c in g.items()} == ref
+        if a and b:
+            g_z, quotients = _gcd_cofactors([a, b])
+            c = gcd(*a.values(), *b.values())
+            assert g_z == {e: c * v for e, v in g.items()}
+            assert [_times(g_z, q) for q in quotients] == [a, b]
 
 
 def test_normalized_matches_fraction_reference():
     rng = random.Random(31)
     checked = 0
     while checked < 150:
-        integer = rng.random() < 0.7
-        f = LaurentPoly(_ordinary(rng, integer, 2)).shift(rng.randint(-3, 3))
-        num = f * LaurentPoly(_ordinary(rng, integer)).shift(rng.randint(-3, 3))
-        den = f * LaurentPoly(_ordinary(rng, integer)).shift(rng.randint(-3, 3))
+        primitive = rng.random() < 0.7
+        f = LaurentPoly(_ordinary(rng, 2, _some_content(rng, primitive))).shift(rng.randint(-3, 3))
+        num = f * LaurentPoly(_ordinary(rng, 4, _some_content(rng, primitive))).shift(rng.randint(-3, 3))
+        den = f * LaurentPoly(_ordinary(rng, 4, _some_content(rng, primitive))).shift(rng.randint(-3, 3))
         if num.is_zero or den.is_zero:
             continue
         checked += 1
         r = RatFunc.normalized(num, den)
         ref_num, ref_den = _ref_normalized(num, den)
         assert (r.num.coeffs, r.den.coeffs) == (ref_num, ref_den)
-        _assert_stored_form(r.num)
-        _assert_stored_form(r.den)
+        assert r.num * den == r.den * num
+        _assert_canonical([r.num], r.den)
 
 
 def test_coefficients_keep_the_stored_form():
     rng = random.Random(32)
-    assert type(LaurentPoly({0: Fraction(6, 2)}).coeffs[0]) is int
-    assert LaurentPoly({0: 0.5}).coeffs[0] == Fraction(1, 2)
-    assert type(LaurentPoly({0: 0.5}).coeffs[0]) is Fraction
     for _ in range(100):
         p, q = random_poly(rng), random_poly(rng)
-        results = [p + q, p - q, p * q, -p, 2 * p, p * Fraction(1, 3)]
+        results = [p + q, p - q, p * q, -p, 2 * p, p * True]
         if not (p.is_zero or q.is_zero):
             results.append(poly_lcm(p, q))
         if not q.is_zero:
@@ -319,16 +367,15 @@ def test_coefficients_keep_the_stored_form():
 
 
 def test_poly_dot_is_the_sum_of_the_products():
-    # int and Fraction rows against sum(a * b), with rows that cancel to
-    # the zero polynomial and empty rows
+    # rows against sum(a * b), with rows that cancel to the zero
+    # polynomial and empty rows
     rng = random.Random(17)
 
     def int_poly():
         return LaurentPoly({rng.randint(-5, 5): rng.randint(-9, 9) for _ in range(rng.randint(0, 6))})
 
     for _ in range(200):
-        make = rng.choice((int_poly, lambda: random_poly(rng)))
-        pairs = [(make(), make()) for _ in range(rng.randint(0, 5))]
+        pairs = [(int_poly(), int_poly()) for _ in range(rng.randint(0, 5))]
         if pairs and rng.random() < 0.3:
             # a row that cancels to zero, or one pair that cancels in it
             a, b = pairs[0]
@@ -338,14 +385,11 @@ def test_poly_dot_is_the_sum_of_the_products():
         _assert_stored_form(got)
     assert poly_dot([]).coeffs == {}
     assert poly_dot([(A, A + 1), (-A, A + 1)]).coeffs == {}
-    # Fraction products that sum to integers come out as ints
-    half = LaurentPoly({0: Fraction(1, 2), 1: Fraction(3, 2)})
-    doubled = poly_dot([(half, A + 1), (half, A + 1)])
-    assert doubled == half * 2 * (A + 1)
-    _assert_stored_form(doubled)
 
 
 def test_ratfunc_times_an_integer_is_already_canonical():
+    # x * k is canonical as it stands unless k shares a factor with the
+    # content of the denominator; then that factor cancels
     rng = random.Random(36)
     checked = 0
     while checked < 60:
@@ -356,19 +400,11 @@ def test_ratfunc_times_an_integer_is_already_canonical():
             continue
         checked += 1
         x = RatFunc.normalized(num, den)
-        for k in (0, 1, -1, 7, -7):
+        for k in (0, 1, -1, 7, -7, 5, -10, 15):
             expected = RatFunc.normalized(x.num * k, x.den)
             assert x * k == expected and k * x == expected
-            _assert_stored_form((x * k).num)
-
-
-def test_exact_division_rule():
-    assert _div(7, 2) == Fraction(7, 2)
-    assert type(_div(7, 2)) is Fraction
-    assert _div(6, 2) == 3 and type(_div(6, 2)) is int
-    assert type(_div(Fraction(3, 2), Fraction(1, 2))) is int
-    with pytest.raises(ZeroDivisionError):
-        _div(1, 0)
+            if not expected.is_zero:
+                _assert_canonical([(x * k).num], (x * k).den)
 
 
 def test_long_products_divide_exactly():
@@ -387,24 +423,32 @@ def test_long_products_divide_exactly():
 
 
 def test_exact_division_splits_off_the_contents():
-    # Fraction coefficients on both sides, and integer divisors whose
-    # content is greater than 1, against the Fraction referee
+    # divisors and dividends whose contents are greater than 1, against
+    # the Fraction referee: the division is exact only when the quotient
+    # over Q has integer coefficients
     rng = random.Random(40)
     for _ in range(60):
-        b = LaurentPoly(_ordinary(rng, integer=False)) or A + Fraction(1, 3)
-        q = LaurentPoly(_ordinary(rng, integer=False)) or A
-        cases = [(q * b, b), (q * b * 6, b * 4)]
+        b = LaurentPoly(_ordinary(rng, content=rng.choice((1, 3)))) or 3 * A + 1
+        q = LaurentPoly(_ordinary(rng)) or A
+        cases = [(q * b, b), (q * b * 6, b * 3), (q * b * 6, b * 4)]
         b = LaurentPoly(_non_monic(rng, rng.randint(1, 8))) * rng.choice((2, 6, -15))
         q = LaurentPoly(_non_monic(rng, rng.randint(0, 8)))
-        cases += [(q * b, b), (q * b * Fraction(5, 7), b)]
+        cases += [(q * b, b), (q * b * 5, b), (q * b * 5, b * 7)]
         for num, den in cases:
             sn, sd = num.min_exp(), den.min_exp()
             ref, r = _ref_divmod({e - sn: c for e, c in num.coeffs.items()},
                                  {e - sd: c for e, c in den.coeffs.items()})
             assert not r
+            if any(Fraction(c).denominator != 1 for c in ref.values()):
+                with pytest.raises(ValueError, match="not exact"):
+                    poly_exact_div(num, den)
+                continue
             got = poly_exact_div(num, den)
-            assert got == LaurentPoly({e + sn - sd: c for e, c in ref.items()})
+            assert got.coeffs == {e + sn - sd: c for e, c in ref.items()}
             _assert_stored_form(got)
+    with pytest.raises(ValueError, match="not exact"):
+        poly_exact_div(A + 1, LaurentPoly.from_scalar(2))
+    assert poly_exact_div(2 * A + 2, LaurentPoly.from_scalar(-2)) == -A - 1
 
 
 def test_normalize_with_non_unit_leading_coefficients():
@@ -419,30 +463,24 @@ def test_normalize_with_non_unit_leading_coefficients():
 def test_normalize_over_is_canonical_and_keeps_every_quotient():
     rng = random.Random(33)
     for _ in range(60):
-        integer = rng.random() < 0.7
-        f = LaurentPoly(_ordinary(rng, integer, 2))
-        den = f * LaurentPoly(_ordinary(rng, integer)).shift(rng.randint(-3, 3))
+        primitive = rng.random() < 0.7
+        f = LaurentPoly(_ordinary(rng, 2, _some_content(rng, primitive)))
+        den = f * LaurentPoly(_ordinary(rng, 4, _some_content(rng, primitive))).shift(rng.randint(-3, 3))
         if den.is_zero:
             continue
         # sometimes every numerator shares the factor f with den
         shared = f if rng.random() < 0.5 else LaurentPoly.one()
-        nums = {k: shared * LaurentPoly(_ordinary(rng, integer)).shift(rng.randint(-3, 3))
-                for k in range(rng.randint(1, 4))}
+        nums = {k: shared * LaurentPoly(_ordinary(rng, 4, _some_content(rng, primitive)))
+                .shift(rng.randint(-3, 3)) for k in range(rng.randint(1, 4))}
         nums[99] = LaurentPoly.zero()
         out, d = normalize_over(nums, den)
         assert set(out) == {k for k, v in nums.items() if not v.is_zero}
         for k, v in out.items():
-            assert RatFunc.normalized(v, d) == RatFunc.normalized(nums[k], den)
-            _assert_stored_form(v)
+            assert v * den == d * nums[k]
         if not out:
             assert d == LaurentPoly.one()
             continue
-        assert min(d.coeffs) == 0 and d.coeffs[0] > 0
-        assert all(type(c) is int for c in d.coeffs.values()) and d.content() == 1
-        g = dict(d.coeffs)
-        for v in out.values():
-            g = _ref_gcd(g, {e - v.min_exp(): c for e, c in v.coeffs.items()})
-        assert len(g) == 1
+        _assert_canonical(out.values(), d)
         # the one-numerator case is RatFunc.normalized
         k = next(iter(out))
         single, sd = normalize_over({k: nums[k]}, den)
@@ -502,7 +540,7 @@ def test_heuristic_gcd_matches_euclid_and_the_prs():
         for p in polys:
             ref = _ref_gcd(ref, p)
         lead = g[max(g)]
-        assert lead > 0 and LaurentPoly(g).content() == 1
+        assert lead > 0 and gcd(*g.values()) == 1
         assert {e: Fraction(c, lead) for e, c in g.items()} == ref
         assert [_times(g, q) for q in quotients] == polys
 
@@ -546,14 +584,15 @@ def test_a_candidate_that_does_not_divide_is_refused(monkeypatch):
     assert g == f and quotients == [{0: 1, 2: 1}, {0: 5, 1: 2}]
 
 
-def _normal_forms(rng, integer):
+def _normal_forms(rng, primitive):
     """normalize_over on seeded inputs: a shared factor of degree 20 to
-    80, one to four numerators and a zero one, non-monic leading terms."""
+    80, one to four numerators and a zero one, non-monic leading terms,
+    and a shared integer content unless primitive."""
     out = []
     for _ in range(8):
         f = LaurentPoly(_non_monic(rng, rng.randint(20, 80)))
-        if not integer:
-            f = f * Fraction(1, rng.randint(2, 5))
+        if not primitive:
+            f = f * rng.randint(2, 5)
         den = f * LaurentPoly(_non_monic(rng, rng.randint(0, 20))).shift(rng.randint(-3, 3))
         nums = {k: f * LaurentPoly(_non_monic(rng, rng.randint(0, 20))).shift(rng.randint(-3, 3))
                 for k in range(rng.randint(1, 4))}
@@ -566,20 +605,21 @@ def _normal_forms(rng, integer):
 
 
 def test_normal_forms_do_not_depend_on_the_gcd_path(monkeypatch):
-    heuristic = _normal_forms(random.Random(38), integer=True)
+    heuristic = _normal_forms(random.Random(38), primitive=True)
     monkeypatch.setattr(ring, "_heuristic_gcd", lambda polys: None)
-    assert _normal_forms(random.Random(38), integer=True) == heuristic
+    assert _normal_forms(random.Random(38), primitive=True) == heuristic
 
 
 def test_rational_normal_forms_do_not_depend_on_the_gcd_path(monkeypatch):
-    common = LaurentPoly({0: Fraction(1, 2), 1: 3})
-    example = common * (A + 2), common * LaurentPoly({0: Fraction(2, 3), 2: 1})
-    reduced = (3 * A + 6, LaurentPoly({0: 2, 2: 3}))
+    # the integer contents cancel the same way on both gcd paths
+    common = LaurentPoly({0: 1, 1: 6})
+    example = common * (6 * A + 6), common * (4 * A + 8)
+    reduced = (3 * A + 3, 2 * A + 4)
     r = RatFunc.normalized(*example)
     assert (r.num, r.den) == reduced
-    heuristic = _normal_forms(random.Random(39), integer=False)
+    heuristic = _normal_forms(random.Random(39), primitive=False)
     monkeypatch.setattr(ring, "_heuristic_gcd", lambda polys: None)
-    assert _normal_forms(random.Random(39), integer=False) == heuristic
+    assert _normal_forms(random.Random(39), primitive=False) == heuristic
     r = RatFunc.normalized(*example)
     assert (r.num, r.den) == reduced
 

@@ -4,6 +4,7 @@ colored expansion of cabled 2-tangles."""
 import random
 import time
 import warnings
+from math import gcd
 
 import pytest
 
@@ -27,6 +28,7 @@ from tanglekit.tangles import (
     clasp_single,
     random_twist_vector,
     rational_to_diagram,
+    tangle_negate,
     to_twist_word,
 )
 
@@ -85,7 +87,8 @@ def test_matching_validation():
 def _assert_canonical(x):
     den = x.den.coeffs
     assert min(den) == 0 and den[0] > 0
-    assert all(type(c) is int for c in den.values()) and x.den.content() == 1
+    assert all(type(c) is int for c in den.values())
+    assert gcd(*den.values(), *(c for v in x.nums.values() for c in v.coeffs.values())) == 1
     g = dict(den)
     for v in x.nums.values():
         assert not v.is_zero
@@ -619,7 +622,7 @@ def _mirror(r):
     return RatFunc.normalized(r.num.invert_variable(), r.den.invert_variable())
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_closed_forms_past_the_engine(n):
     # beyond the projectors: fraction-equal words share their ratios, and
     # the mirror maps each ratio by A -> 1/A
@@ -631,6 +634,21 @@ def test_closed_forms_past_the_engine(n):
     assert tl.colored_ratios(tl.colored_expand(mirror, n)) == [_mirror(r) for r in ratios]
     closure_ratios = gamma_ratio_invariants(colored_closure(left, n))
     assert gamma_ratio_invariants(colored_closure(right, n)) == closure_ratios
+
+
+def test_mirror_replay_is_the_bar_image():
+    # the mirror maps the colored closure by A -> 1/A and fixes each S_2i,
+    # so each replay coordinate of the mirror is the bar image of the
+    # tangle's: a check that Q and the start vectors are bar-invariant at
+    # every width, engine or not
+    rng = random.Random(50)
+    for n in range(1, 9):
+        words = [RationalTangle.from_entries(0), RationalTangle.from_entries(2, 1, 2)]
+        words += [build_rational(random_twist_vector(rng, 4 if n < 5 else 3, 3)) for _ in range(4)]
+        for t in words:
+            kappas = tl.transfer_vector(t, n)
+            mirror = tl.transfer_vector(tangle_negate(t), n)
+            assert mirror == {i: v.invert_variable() for i, v in kappas.items()}
 
 
 def _cables_shape(rng, total=5):
