@@ -279,6 +279,19 @@ def homotopy_type(link: RationalTangle) -> HomotopyType:
 # Colored closures
 # ---------------------------------------------------------------------------
 
+def _integer_sum(terms) -> AnnulusElement:
+    """The sum of s * p * z^k over terms (s, k, p), with s an integer and
+    p an integral Laurent polynomial: canonical as built, over the
+    denominator 1, with no polynomial product and no reduction."""
+    sums = {}
+    for s, k, p in terms:
+        acc = sums.setdefault(k, {})
+        for e, c in p.coeffs.items():
+            acc[e] = acc.get(e, 0) + s * c
+    nums = {k: LaurentPoly(v) for k, v in sums.items() if any(v.values())}
+    return AnnulusElement._of(nums, _ONE)
+
+
 def colored_closure(t, n: int) -> AnnulusElement:
     """Closure of the n-cabled, projector-dressed tangle.
 
@@ -288,22 +301,17 @@ def colored_closure(t, n: int) -> AnnulusElement:
     z^k is the sum of kappa_i times the integer coefficient of z^k in
     S_2i, formed with no polynomial product and no reduction.  At width
     1, where the cable is the tangle itself, it is closure_bracket.  A
-    raw diagram is cabled, expanded by the state sum and closed.
+    diagram goes through threaded.threaded_closure, at the same widths.
     """
     if isinstance(t, PlanarTangleDiagram):
-        return element_closure(tl.colored_element(t, n))
+        from . import threaded  # loaded on first use, see its docstring
+
+        return threaded.threaded_closure(t, tl.check_cable_width(n, tl.MAX_TWIST_WIDTH))
     word = tl.colored_twist_word(t, n)
     if n == 1:
         return closure_bracket(word)
-    sums = {}
-    for i, kappa in tl.transfer_vector(word, n).items():
-        for k, s in _chebyshev_coeffs(2 * i).items():
-            acc = sums.setdefault(k, {})
-            for e, c in kappa.coeffs.items():
-                acc[e] = acc.get(e, 0) + s * c
-    # canonical as built: the kappa_i, and so the sums, are integral
-    nums = {k: LaurentPoly(v) for k, v in sums.items() if any(v.values())}
-    return AnnulusElement._of(nums, _ONE)
+    return _integer_sum((s, k, kappa) for i, kappa in tl.transfer_vector(word, n).items()
+                        for k, s in _chebyshev_coeffs(2 * i).items())
 
 
 def gamma_ratio_invariants(e: AnnulusElement) -> list:

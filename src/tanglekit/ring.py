@@ -443,9 +443,17 @@ def _gcd_cofactors(polys: list):
                for q, k in zip(quotients, contents)]
 
 
-def poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+def poly_exact_div(a: LaurentPoly, b) -> LaurentPoly:
     """Quotient a / b when b divides a in Z[A^+-1]; raises ValueError
-    otherwise, also when the quotient has non-integral coefficients."""
+    otherwise, also when the quotient has non-integral coefficients.
+    The divisor may be an int, as in LaurentPoly arithmetic."""
+    if not isinstance(a, LaurentPoly) or not isinstance(b, (LaurentPoly, int)):
+        raise TypeError(
+            f"poly_exact_div divides a LaurentPoly by a LaurentPoly or an int, "
+            f"got {type(a).__name__} and {type(b).__name__}"
+        )
+    if isinstance(b, int):
+        b = LaurentPoly.from_scalar(b)
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero:

@@ -632,55 +632,111 @@ def curl_diagram(sign: int) -> PlanarTangleDiagram:
     )
 
 
-def _grid(n, base):
-    """n x n grid of crossings for two n-strand cables crossing once.
+def _grid(rows, cols, base):
+    """rows x cols grid of crossings for two cables crossing once.
 
-    One cable runs south to north through the columns, passing under
-    the other, which runs east to west through the rows.  Returns
-    (crossings, arcs, ports, next free end) where ports maps side name
-    S/E/N/W to the list of ends along that side (S and N indexed by
-    column left to right, E and W by row top to bottom).
+    One cable, cols strands wide, runs south to north through the
+    columns, passing under the other, rows strands wide, which runs east
+    to west through the rows.  Returns (crossings, arcs, ports, next free
+    end) where ports maps side name S/E/N/W to the list of ends along
+    that side (S and N indexed by column left to right, E and W by row
+    top to bottom).  When one cable has no strands the other passes
+    straight through: each of its strands is one link arc, whose two
+    ends are the ports on opposite sides.
     """
+    if not rows or not cols:
+        near = range(base, base + 2 * (rows or cols), 2)
+        ports = dict.fromkeys("SENW", [])
+        ports.update(zip(("W", "E") if rows else ("S", "N"),
+                         (list(near), [e + 1 for e in near])))
+        return [], [(e, e + 1, 0) for e in near], ports, base + 2 * len(near)
     crossings = []
     arcs = []
     end = {}
     counter = base
-    for i in range(n):
-        for j in range(n):
+    for i in range(rows):
+        for j in range(cols):
             s, e, nn, w = counter, counter + 1, counter + 2, counter + 3
             counter += 4
             end[i, j] = {"S": s, "E": e, "N": nn, "W": w}
             crossings.append((s, e, nn, w))
-    for i in range(n):
-        for j in range(n):
+    for i in range(rows):
+        for j in range(cols):
             if i > 0:
                 arcs.append((end[i, j]["N"], end[i - 1, j]["S"], 0))
-            if j + 1 < n:
+            if j + 1 < cols:
                 arcs.append((end[i, j]["E"], end[i, j + 1]["W"], 0))
     ports = {
-        "S": [end[n - 1, j]["S"] for j in range(n)],
-        "N": [end[0, j]["N"] for j in range(n)],
-        "E": [end[i, n - 1]["E"] for i in range(n)],
-        "W": [end[i, 0]["W"] for i in range(n)],
+        "S": [end[rows - 1, j]["S"] for j in range(cols)],
+        "N": [end[0, j]["N"] for j in range(cols)],
+        "E": [end[i, cols - 1]["E"] for i in range(rows)],
+        "W": [end[i, 0]["W"] for i in range(rows)],
     }
     return crossings, arcs, ports, counter
 
 
-def cable_diagram(d: PlanarTangleDiagram, n: int) -> PlanarTangleDiagram:
-    """Replace every strand by n parallel copies (blackboard framing).
+def _merge_links(arcs, kept):
+    """Join the chains of arcs that pass through ends outside kept (the
+    link arcs of _grid) into single arcs, adding up their windings.
+    Returns the merged arcs and the windings of the chains that close
+    up without meeting a kept end."""
+    incident = {}
+    for idx, (a, b, _) in enumerate(arcs):
+        incident.setdefault(a, []).append(idx)
+        incident.setdefault(b, []).append(idx)
+    used = [False] * len(arcs)
 
-    Crossings become n x n grids, arcs and free loops become n parallel
-    copies carrying the same winding weight, and each boundary point
-    becomes n points labeled "<label>:<k>" ordered left to right as seen
-    from outside the diagram with north up (corner_clusters reads them).
+    def walk(cur, idx):
+        total = 0
+        while True:
+            used[idx] = True
+            a, b, w = arcs[idx]
+            cur, w = (b, w) if cur == a else (a, -w)
+            total += w
+            nxt = [i for i in incident[cur] if not used[i]]
+            if cur in kept or not nxt:
+                return cur, total
+            idx = nxt[0]
+
+    merged = []
+    for idx, (a, b, _) in enumerate(arcs):
+        if not used[idx] and (a in kept or b in kept):
+            start = a if a in kept else b
+            merged.append((start, *walk(start, idx)))
+    loops = [walk(arcs[idx][0], idx)[1] for idx in range(len(arcs)) if not used[idx]]
+    return merged, loops
+
+
+def cable_diagram(d: PlanarTangleDiagram, n) -> PlanarTangleDiagram:
+    """Replace every strand by parallel copies (blackboard framing).
+
+    n is the number of copies of every strand, or a sequence of widths,
+    one per entry of components(d), in its order.  Crossings become
+    grids, arcs and free loops become parallel copies carrying the same
+    winding weight, and each boundary point becomes one point per copy,
+    labeled "<label>:<k>" ordered left to right as seen from outside the
+    diagram with north up (corner_clusters reads them).  A strand of
+    width 0 is dropped; the copies of a strand that crosses it pass
+    straight through.
     """
+    comps = components(d)
+    widths = [n] * len(comps) if isinstance(n, int) else [int(k) for k in n]
+    if len(widths) != len(comps) or min(widths, default=0) < 0:
+        raise ValueError(f"need {len(comps)} widths, one per component, none negative")
+    width = {}
+    for comp, k in zip(comps, widths):
+        for ci, s_in, s_out in comp["passes"]:
+            width[d.crossings[ci][s_in]] = width[d.crossings[ci][s_out]] = k
+        for lab in comp["boundary"]:
+            width[d.boundary_end(lab)] = k
+    loop_widths = widths[len(widths) - len(d.free_loops):]
     crossings = []
     arcs = []
     counter = 0
     # counterclockwise port lists around each original crossing
     cross_ports = []
     for c in d.crossings:
-        gc, ga, ports, counter = _grid(n, counter)
+        gc, ga, ports, counter = _grid(width[c[1]], width[c[0]], counter)
         crossings.extend(gc)
         arcs.extend(ga)
         cross_ports.append({
@@ -696,8 +752,8 @@ def cable_diagram(d: PlanarTangleDiagram, n: int) -> PlanarTangleDiagram:
     boundary = []
     bports = {}
     for lab, e in d.boundary:
-        ends = list(range(counter, counter + n))
-        counter += n
+        ends = list(range(counter, counter + width[e]))
+        counter += width[e]
         # counterclockwise around the disk: reversed left-to-right on
         # the north side, straight on the south side
         if lab.startswith("N"):
@@ -716,9 +772,14 @@ def cable_diagram(d: PlanarTangleDiagram, n: int) -> PlanarTangleDiagram:
 
     for a, b, w in d.arcs:
         pa, pb = ccw_ports(a), ccw_ports(b)
-        for k in range(n):
-            arcs.append((pa[k], pb[n - 1 - k], w))
-    free_loops = [w for w in d.free_loops for _ in range(n)]
+        k = len(pa)
+        for j in range(k):
+            arcs.append((pa[j], pb[k - 1 - j], w))
+    free_loops = [w for w, k in zip(d.free_loops, loop_widths) for _ in range(k)]
+    if 2 * len(arcs) > 4 * len(crossings) + len(boundary):
+        arcs, loops = _merge_links(arcs, {e for c in crossings for e in c}
+                                   | {e for _, e in boundary})
+        free_loops += loops
     return PlanarTangleDiagram(crossings, arcs, boundary, free_loops)
 
 

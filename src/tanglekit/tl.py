@@ -10,16 +10,17 @@ of the four-cluster subspace used for cabled 2-tangles, and the
 expansion of a cabled, projector-dressed rational tangle over that
 basis together with the resulting ratio invariants.
 
-The expansion of a twist word never builds the tangle in TL_2n: it
-replays the word on n+1 coordinates in the fusion basis, from the
+The colored expansion never builds the tangle in TL_2n.  A twist word
+is replayed on n+1 coordinates in the fusion basis, from the
 coordinates of the dressed crossingless tangle, with each run of half
-twists applied in closed form (transfer_vector).  The start coordinates
+twists applied in closed form (transfer_vector); the start coordinates
 and the quarter turn come from the recoupling formulas for theta and Tet
-(recoupling.py), so no projector is built and twist words reach cable
-widths past the projectors' bound.  At width 1 the coordinates are
-read off the bracket instead.  Diagrams are cabled and expanded by the
-state sum.  colored_element, which glues one cabled crossing tile per
-half twist, is kept as the referee of the replay.
+(recoupling.py), and at width 1 the coordinates are read off the
+bracket instead.  A diagram is read off its threaded closure
+(annulus.colored_closure), integer sums of annular brackets of its
+cables.  Neither builds a projector, so both reach cable widths past
+the projectors' bound.  colored_element, the cabled state sum between
+two projector frames, is kept as their referee at widths up to 3.
 """
 
 from __future__ import annotations
@@ -72,8 +73,6 @@ __all__ = [
     "state_sum",
     "tile_element",
     "kink_element",
-    "add_bottom_twist",
-    "add_right_twist",
     "projector_frame",
     "colored_element",
     "jones_wenzl",
@@ -514,8 +513,7 @@ def tile_element(n: int, sign: int) -> TLElement:
     """Two n-cables crossing once, as an element of TL_2n.
 
     The cabled state sum of the one-crossing tangle [sign], computed
-    once per key and cached; the referee colored_element glues one of
-    these tiles per half twist.
+    once per key and cached.
     """
     key = (n, 1 if sign > 0 else -1)
     if key not in _tile_cache:
@@ -534,23 +532,6 @@ def kink_element(n: int, sign: int) -> TLElement:
     if key not in _kink_cache:
         _kink_cache[key] = state_sum(cable_diagram(curl_diagram(key[1]), n))
     return _kink_cache[key]
-
-
-def add_bottom_twist(x: TLElement, s: int) -> TLElement:
-    """Append one bottom half twist (sign s) to a cabled 2-tangle element."""
-    n = _require_cabled_square(x)
-    return compose(x, tile_element(n, s))
-
-
-def add_right_twist(x: TLElement, s: int) -> TLElement:
-    """Append one right half twist (sign s) to a cabled 2-tangle element.
-
-    Realized by a quarter turn: rotated clockwise, the right side of
-    the tangle becomes its bottom, and the rotated twist tile carries
-    the opposite sign.
-    """
-    n = _require_cabled_square(x)
-    return rotate_ccw(compose(rotate_cw(x), tile_element(n, -s)))
 
 
 # ---------------------------------------------------------------------------
@@ -672,9 +653,10 @@ _bni_cache = {}
 def check_cable_width(n: int, bound: int = MAX_PROJECTOR_STRANDS // 2) -> int:
     """Return n if it is a usable cable width, else raise ValueError.
 
-    A cabled diagram, a basis element or a crossing tile needs a
+    colored_element, a basis element or a crossing tile needs a
     projector on 2n strands, so by default n runs from 1 to
-    MAX_PROJECTOR_STRANDS // 2; twist words pass MAX_TWIST_WIDTH.
+    MAX_PROJECTOR_STRANDS // 2; colored_expand and colored_closure,
+    which build no projector, pass MAX_TWIST_WIDTH.
     """
     if not 1 <= n <= bound:
         raise ValueError(f"cable width must be between 1 and {bound}, got {n}")
@@ -731,11 +713,13 @@ def bni_basis(n: int) -> list:
 # with about three times the terms.  The replay coordinates kappa_i are
 # then the Chebyshev coordinates of the colored closure, integral Laurent
 # polynomials (transfer_vector), and kappa_i / c_i the coordinates over
-# bni_basis(n).  colored_expand and colored_closure therefore replay and
-# close a twist word at every width up to MAX_TWIST_WIDTH without
-# building a projector, a basis element or a crossing tile.  Their referees, at widths up to 3, are colored_element,
-# which glues one cabled crossing tile per half twist in TL_2n, and the
-# same data read off bni_basis(n).
+# bni_basis(n).  A diagram's kappa_i are read off its threaded closure
+# instead.  colored_expand and colored_closure therefore reach every
+# width up to MAX_TWIST_WIDTH without building a projector, a basis
+# element or a crossing tile.  The threaded closure of
+# rational_to_diagram(t) referees the replay at every width; at widths
+# up to 3, colored_element and the same data read off bni_basis(n)
+# referee both.
 
 def colored_twist_word(t, n: int) -> TwistWord:
     """The twist word of a rational tangle (or of a twist word) to be
@@ -753,35 +737,21 @@ def colored_twist_word(t, n: int) -> TwistWord:
     return word
 
 
-def _word_element(word: TwistWord, n: int) -> TLElement:
-    x = unit_element(n, word.start)
-    for kind, a in word.runs:
-        s = 1 if a > 0 else -1
-        for _ in range(abs(a)):
-            x = add_right_twist(x, s) if kind == "R" else add_bottom_twist(x, s)
-    return x
-
-
 def colored_element(t, n: int) -> TLElement:
     """The n-cabled, projector-dressed 2-tangle as an element of TL_2n.
 
-    For rational tangles and twist words this is the referee of the
-    transfer replay behind colored_expand and colored_closure: the word
-    is replayed twist by twist through precomputed crossing tiles, and a
-    word longer than MAX_COLORED_TWISTS[n] is refused before any tile is
-    built.  Raw diagrams are cabled and fed to the state-sum enumerator,
-    which is also how colored_expand treats them.  Either way both open
-    strands end up dressed with an n-strand projector (the projector
-    absorbs its own copies, so where along the strand it sits does not
-    matter).
+    The cabled state sum of a diagram, or of rational_to_diagram(t) for a
+    rational tangle or twist word, between two projector frames: each
+    strand at a corner is dressed with an n-strand projector (the
+    projector absorbs its own copies, so where along the strand it sits
+    does not matter).  With _read_coordinates it is the referee of
+    colored_expand and colored_closure at widths up to 3, on cables
+    within the oracle's crossing cap.
     """
     check_cable_width(n)
-    if isinstance(t, PlanarTangleDiagram):
-        base = state_sum(cable_diagram(t, n))
-    else:
-        base = _word_element(colored_twist_word(t, n), n)
+    d = t if isinstance(t, PlanarTangleDiagram) else rational_to_diagram(t)
     frame = projector_frame(n)
-    return compose(frame, compose(base, frame))
+    return compose(frame, compose(state_sum(cable_diagram(d, n)), frame))
 
 
 def _read_coordinates(x: TLElement, n: int) -> list:
@@ -907,12 +877,13 @@ _X = LaurentPoly({0: 1, 4: 1})
 def colored_expand(t, n: int) -> list:
     """Coordinates of the n-cabled, projector-dressed tangle over bni_basis.
 
-    Raw diagrams go through the cabled state sum, whose coordinates are
-    read off the basis and checked exactly; rational tangles and twist
-    words through the replay coordinates kappa_i of transfer_vector, as
-    gamma_i = kappa_i / c_i, except at width 1.  There the cable is the
-    tangle itself, and the coordinates are the bracket's over
-    (b_0, b_1): gamma = (alpha + beta / delta, beta)
+    gamma_i = kappa_i / c_i, with kappa_i the coordinate of S_2i in the
+    colored closure: for a rational tangle or twist word the replay
+    coordinates of transfer_vector, for a diagram the Chebyshev
+    coordinates of its threaded closure (annulus.colored_closure), which
+    must lie in the span of S_0, S_2, ..., S_2n.  A twist word at width 1
+    is read off the bracket instead, since the cable is the tangle
+    itself: over (b_0, b_1), gamma = (alpha + beta / delta, beta)
     = ((alpha X - beta A^2) / X, beta).  Both are canonical as built, with
     no gcd: X = Phi_8 is irreducible with content 1, so it could cancel
     only by dividing beta, that is, only if beta(zeta_8) = 0.  That
@@ -920,15 +891,21 @@ def colored_expand(t, n: int) -> list:
     gamma = (alpha, 0).
     """
     if isinstance(t, PlanarTangleDiagram):
-        return _read_coordinates(colored_element(t, n), n)
-    if n == 1:
+        from . import annulus  # annulus imports this module
+
+        coords = annulus.chebyshev_convert(annulus.colored_closure(t, n))
+        if len(coords) > 2 * n + 1 or any(coords[1::2]):
+            raise ValueError("basis failure: closure outside the span of S_0, S_2, ..., S_2n")
+        kappas = {i: c.as_laurent() for i, c in enumerate(coords[::2]) if c}
+    elif n == 1:
         vec = bracket_vector(colored_twist_word(t, 1))
         alpha, beta = vec.alpha, vec.beta
         if beta.is_zero:
             return [RatFunc.from_laurent(alpha), RatFunc.zero()]
         gamma_0 = RatFunc(alpha + alpha.shift(4) - beta.shift(2), _X)
         return [gamma_0, RatFunc.from_laurent(beta)]
-    kappas = transfer_vector(t, n)
+    else:
+        kappas = transfer_vector(t, n)
     bubbles = _transfer_data(n)[3]
     return [RatFunc.normalized(kappas[i] * c.den, c.num) if i in kappas else RatFunc.zero()
             for i, c in enumerate(bubbles)]

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from tanglekit import annulus, tl
+from tanglekit import annulus, threaded, tl
 from tanglekit.bracket import bracket_vector
 from tanglekit.annulus import (
     AnnulusElement,
@@ -26,11 +26,14 @@ from tanglekit.annulus import (
 from tanglekit.rationals import ExtRational, canonical_form
 from tanglekit.ring import LaurentPoly, RatFunc
 from tanglekit.tangles import (
+    PlanarTangleDiagram,
     RationalTangle,
     build_rational,
+    clasp_around_right,
+    clasp_double,
+    clasp_single,
     random_twist_vector,
     rational_to_diagram,
-    to_twist_word,
 )
 
 ONE = RatFunc.one()
@@ -118,7 +121,7 @@ def test_closure_formula_matches_state_sum_oracle():
 
 def test_closure_of_elements_matches_formula():
     for t in (INF, ZERO_T, ONE_T, RationalTangle.from_entries(2, 1)):
-        assert element_closure(tl._word_element(to_twist_word(t), 1)) == closure_bracket(t)
+        assert element_closure(tl.state_sum(rational_to_diagram(t))) == closure_bracket(t)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +382,9 @@ def test_colored_closure_matches_theta_referee():
         assert colored_closure(t, n) == _theta_referee(t, n), (t, n)
 
 
-def test_colored_closure_matches_the_tile_replay():
+def test_colored_closure_matches_the_threaded_closure():
+    # the replay's closure against the threaded closure of the word's
+    # diagram, which builds no projector and takes no replay data
     rng = random.Random(97)
     cases = [(build_rational(random_twist_vector(rng, 4, 3)), 1) for _ in range(200)]
     cases += [(build_rational(random_twist_vector(rng, 3, 3)), 2) for _ in range(40)]
@@ -387,8 +392,93 @@ def test_colored_closure_matches_the_tile_replay():
     fixed.append(INF)
     cases += [(t, 3) for t in fixed]
     for t, n in cases:
-        referee = element_closure(tl.colored_element(t, n))
+        referee = colored_closure(rational_to_diagram(t), n)
         assert colored_closure(t, n) == referee, (t, n)
+
+
+# ---------------------------------------------------------------------------
+# Threaded closures of diagrams
+# ---------------------------------------------------------------------------
+
+def _engine_cases():
+    """Diagrams whose n-cables fit under the oracle's 16-crossing cap:
+    22 random rational diagrams at widths 1 to 3, the [0] diagram with a
+    crossingless closed loop, and the clasps where they fit."""
+    rng = random.Random(23)
+    cases = []
+    for n, most in ((1, 8), (2, 3)):
+        picked = 0
+        while picked < 10:
+            d = rational_to_diagram(build_rational(random_twist_vector(rng, 4, 3)))
+            if d.crossing_count <= most:
+                cases.append((d, n))
+                picked += 1
+    cases += [(rational_to_diagram(RationalTangle.from_entries(a)), 3) for a in (1, -1)]
+    zero = rational_to_diagram(ZERO_T)
+    cases.append((PlanarTangleDiagram(zero.crossings, zero.arcs, zero.boundary, (0,)), 2))
+    cases += [(d, 1) for d in (clasp_single(), clasp_double(), clasp_around_right())]
+    cases.append((clasp_around_right(), 2))
+    return cases
+
+
+def _check_threaded_against_the_engine():
+    for d, n in _engine_cases():
+        x = tl.colored_element(d, n)
+        assert tl.colored_expand(d, n) == tl._read_coordinates(x, n), (d.crossings, n)
+        assert colored_closure(d, n) == element_closure(x), (d.crossings, n)
+
+
+def test_threaded_closure_matches_the_engine_referee():
+    # the cabled state sum between projector frames, in TL_2n, against
+    # the threaded closure, which builds neither
+    _check_threaded_against_the_engine()
+
+
+def _check_replay_against_the_threaded_closure(n):
+    # [1 1] adds a bottom run where it stays quick
+    words = [(1,), (-1,)] + [(1, 1)] * (n <= 5)
+    for w in words:
+        t = RationalTangle.from_entries(*w)
+        assert colored_closure(t, n) == colored_closure(rational_to_diagram(t), n), (w, n)
+
+
+@pytest.mark.parametrize("n", range(4, tl.MAX_TWIST_WIDTH + 1))
+def test_replay_matches_the_threaded_closure_past_the_engine(n):
+    # no projector exists at these widths: the replay's closed-form data
+    # are checked against integer sums of annular brackets of cables
+    _check_replay_against_the_threaded_closure(n)
+
+
+def test_a_wrong_sign_in_the_threading_is_caught(monkeypatch):
+    # S_5 = z^5 - 4 z^3 + 3 z; the replay's closure reads only the S_2i
+    real = annulus._chebyshev_coeffs
+
+    def flipped(k):
+        return {e: -c if (k, e) == (5, 3) else c for e, c in real(k).items()}
+
+    monkeypatch.setattr(annulus, "_chebyshev_coeffs", flipped)
+    with pytest.raises(AssertionError):
+        _check_replay_against_the_threaded_closure(5)
+
+
+def test_a_threaded_closed_component_is_caught(monkeypatch):
+    # hide the closed components of an open diagram, so that the loop of
+    # clasp_around_right is threaded like a strand through a corner
+    real = threaded.components
+    monkeypatch.setattr(threaded, "components",
+                        lambda d: [c for c in real(d) if c["boundary"] or not d.boundary])
+    with pytest.raises(AssertionError):
+        _check_threaded_against_the_engine()
+
+
+def test_clasp_colored_closures_agree():
+    # criterion 10's pair: equal closures, left linking numbers 1 and 2;
+    # their cables at widths 2 and 3 (24 and 54 crossings) are past the
+    # oracle's cap, and the colored closures agree there too
+    for n in (2, 3):
+        single = colored_closure(clasp_single(), n)
+        assert not single.is_zero
+        assert single == colored_closure(clasp_double(), n)
 
 
 def test_gamma_ratios_pins():

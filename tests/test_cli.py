@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from tanglekit import cli, ring, tl
+from tanglekit import cli, ring, threaded, tl
 from tanglekit.cli import (
     INFINITY_TANGLE,
     TangleNotationError,
@@ -703,6 +703,22 @@ def test_bracket_commands_load_no_recoupling():
     ]
 
 
+def test_twist_word_commands_load_no_threaded_closure():
+    # only a diagram's colored invariants need the threaded closure, so a
+    # process that never asks for one does not compile it
+    probe = ("import contextlib, io, sys\n"
+             "from tanglekit import cli\n"
+             "for argv in (['colored', '--n', '3', '[3 2]'], ['colored-closure', '--n', '2', '[3 2]'],\n"
+             "             ['oracle-check', '--count', '3', '--max-crossings', '3']):\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        code = cli.main(argv)\n"
+             "    print(argv[0], code, 'tanglekit.threaded' in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-c", probe], env=source_env(),
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split("\n")[:-1] == [
+        "colored 0 False", "colored-closure 0 False", "oracle-check 0 True"]
+
+
 # ---------------------------------------------------------------------------
 # Error contract under random input
 # ---------------------------------------------------------------------------
@@ -795,44 +811,54 @@ def test_oracle_check_reports_clean_run():
     assert payload["failures"] == []
 
 
-def _oracle_failures(monkeypatch, skew):
+def _oracle_failures(monkeypatch, name, skew, diagrams):
     """The failed checks of oracle-check on four diagrams of at most three
-    crossings, with colored_element replaced by skew(t, x) of its value x."""
-    monkeypatch.setattr(cli, "colored_element", lambda t, n: skew(t, tl.colored_element(t, n)))
+    crossings, with cli.<name> skewed by skew on diagrams (diagrams true)
+    or on twist words, as (check, width) pairs."""
+    real = getattr(cli, name)
+
+    def skewed(t, n):
+        value = real(t, n)
+        return skew(value) if isinstance(t, PlanarTangleDiagram) == diagrams else value
+
+    monkeypatch.setattr(cli, name, skewed)
     code, out = run_cli(
         "oracle-check", "--count", "4", "--max-crossings", "3", "--seed", "7"
     )
     payload = json.loads(out)
     assert code == 1 and payload["checked"] == 4
-    return [f["check"] for f in payload["failures"]]
+    return [(f["check"], f["n"]) for f in payload["failures"]]
 
 
 def test_oracle_check_reports_a_colored_mismatch(monkeypatch):
-    # the cabled state sum is built once per diagram and read by both the
-    # colored and the colored-closure check, so a state-sum side that
-    # disagrees surfaces in both; adding b_0 keeps it in the basis span
-    def skewed(t, x):
-        return x + tl.bni_basis(2)[0] if isinstance(t, PlanarTangleDiagram) else x
-
-    assert _oracle_failures(monkeypatch, skewed) == ["colored", "colored-closure"] * 4
+    # coordinates of the transfer replay that disagree with the threaded
+    # closure surface in the colored check at both widths
+    failures = _oracle_failures(monkeypatch, "colored_expand", lambda g: g + g, False)
+    assert failures == [("colored", 2), ("colored", 3)] * 4
 
 
-def test_oracle_check_reports_a_transfer_mismatch(monkeypatch):
-    # a tile replay that disagrees with the transfer replay surfaces as
-    # its own check; doubling the element keeps it in the basis span
-    def skewed(t, x):
-        return x if isinstance(t, PlanarTangleDiagram) else x.scale(2)
-
-    assert _oracle_failures(monkeypatch, skewed) == ["transfer"] * 4
+def test_oracle_check_reports_a_threaded_mismatch(monkeypatch):
+    # the threaded closure of the diagram is the referee of the colored
+    # check: a wrong referee fails it the same way
+    failures = _oracle_failures(monkeypatch, "colored_expand", lambda g: g + g, True)
+    assert failures == [("colored", 2), ("colored", 3)] * 4
 
 
 def test_oracle_check_reports_a_colored_closure_mismatch(monkeypatch):
-    # a doubled state sum changes every coordinate and so the closure
-    # too: both checks that read it fire
-    def skewed(t, x):
-        return x.scale(2) if isinstance(t, PlanarTangleDiagram) else x
+    # colored_expand reads the closure through the annulus module, so a
+    # doubled closure here fails the colored-closure check alone
+    failures = _oracle_failures(monkeypatch, "colored_closure", lambda e: e.scale(2), True)
+    assert failures == [("colored-closure", 2), ("colored-closure", 3)] * 4
 
-    assert _oracle_failures(monkeypatch, skewed) == ["colored", "colored-closure"] * 4
+
+def test_oracle_check_reports_the_frontier_bound_as_one_error_line(monkeypatch):
+    # past its state bound the frontier contraction is refused, and the
+    # run ends as one JSON error line that names the bound
+    monkeypatch.setattr(threaded, "MAX_FRONTIER_STATES", 3)
+    code, out, err = run_cli_streams("oracle-check", "--count", "4", "--max-crossings", "3")
+    assert (code, err) == (2, "")
+    [line] = out.splitlines()
+    assert json.loads(line) == {"error": "frontier contraction too large: more than 3 states"}
 
 
 def test_oracle_check_validates_budget():

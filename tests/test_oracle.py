@@ -3,6 +3,8 @@ at every entry, and its error messages."""
 
 import hashlib
 import random
+import re
+import time
 
 import pytest
 
@@ -28,6 +30,7 @@ from tanglekit.tangles import (
     random_twist_vector,
     rational_to_diagram,
 )
+from tanglekit.threaded import MAX_FRONTIER_STATES, closure_frontier
 
 _CORNERS = [("NW", 0), ("NE", 1), ("SW", 2), ("SE", 3)]
 
@@ -138,3 +141,58 @@ def test_free_loops_multiply_every_coefficient():
     assert (alpha, beta) == (LaurentPoly({2: -1, -2: -1}), LaurentPoly.zero())
     closed = PlanarTangleDiagram([], [], [], (0, 1, -1))
     assert closure_coefficients(closed) == {2: LaurentPoly({2: -1, -2: -1})}
+
+
+# ---------------------------------------------------------------------------
+# The frontier contraction
+# ---------------------------------------------------------------------------
+
+def _closed_diagrams():
+    """The closed diagrams the tests give the enumerator: the closures of
+    _corpus() and of random rational diagrams, their cables that fit
+    under the cap, cables of one strand of clasp_around_right's closure
+    with its loop dropped or doubled, and the bare closed diagrams of the
+    error and free-loop tests."""
+    rng = random.Random(101)
+    tangles = list(_corpus())
+    while len(tangles) < 40:
+        d = rational_to_diagram(build_rational(random_twist_vector(rng, 4, 3)))
+        if d.crossing_count <= 10:
+            tangles.append(d)
+    out = []
+    for d in tangles:
+        try:
+            closed = annular_closure(d)
+        except ValueError:
+            continue
+        out.append(closed)
+        for n in (2, 3):
+            if closed.crossing_count * n * n <= MAX_ORACLE_CROSSINGS:
+                out.append(cable_diagram(closed, n))
+    around = annular_closure(clasp_around_right())
+    out += [cable_diagram(around, widths) for widths in ((1, 0), (0, 2), (2, 0), (1, 2))]
+    out += [PlanarTangleDiagram([], [], [], (0, 1, -1)), PlanarTangleDiagram([], [], [], (0, 2)),
+            annular_closure(_WINDING_KINK), diagram_zero()]
+    return out
+
+
+def test_frontier_contraction_equals_the_enumerator():
+    for d in _closed_diagrams():
+        try:
+            expected = closure_coefficients(d)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+                closure_frontier(d)
+        else:
+            assert closure_frontier(d) == expected, d.crossings
+
+
+def test_frontier_refuses_past_its_state_bound_at_once():
+    # [2] cabled at width 8, 128 crossings, holds 48,599 states at its
+    # widest and takes about a minute; the bound stops it early
+    d = cable_diagram(annular_closure(rational_to_diagram(RationalTangle.from_entries(2))), 8)
+    start = time.perf_counter()
+    message = f"^frontier contraction too large: more than {MAX_FRONTIER_STATES} states$"
+    with pytest.raises(ValueError, match=message):
+        closure_frontier(d)
+    assert time.perf_counter() - start < 15

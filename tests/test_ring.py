@@ -451,6 +451,21 @@ def test_exact_division_splits_off_the_contents():
     assert poly_exact_div(2 * A + 2, LaurentPoly.from_scalar(-2)) == -A - 1
 
 
+def test_exact_division_takes_an_integer_divisor():
+    # as LaurentPoly arithmetic takes an int operand
+    assert poly_exact_div(6 * A * A - 4, 2) == 3 * A * A - 2
+    assert poly_exact_div(2 * A + 2, -2) == -A - 1
+    assert poly_exact_div(LaurentPoly.zero(), 5) == LaurentPoly.zero()
+    with pytest.raises(ValueError, match="not exact"):
+        poly_exact_div(A + 1, 2)
+    with pytest.raises(ZeroDivisionError):
+        poly_exact_div(A, 0)
+    for a, b, names in ((A, Fraction(1, 2), "LaurentPoly and Fraction"),
+                        (A, 2.0, "LaurentPoly and float"), (4, 2, "int and int")):
+        with pytest.raises(TypeError, match=f"a LaurentPoly or an int, got {names}$"):
+            poly_exact_div(a, b)
+
+
 def test_normalize_with_non_unit_leading_coefficients():
     # Neither leading coefficient is a unit, so a float quotient step
     # would keep the gcd loop from ever reaching a zero remainder.

@@ -405,6 +405,45 @@ def test_cable_of_crossingless_tangles():
     assert nested == {(3, 2, 1, 0, 7, 6, 5, 4): LaurentPoly.one()}
 
 
+def test_cable_widths_per_component():
+    # one width per entry of components(); a list of equal widths is the
+    # uniform cable, end for end
+    rng = random.Random(31)
+    diagrams = [rational_to_diagram(RationalTangle(random_twist_vector(rng, 4, 3)))
+                for _ in range(10)]
+    diagrams += [clasp_single(), clasp_around_right(), annular_closure(clasp_double())]
+    for d in diagrams:
+        for n in (1, 2, 3):
+            a, b = cable_diagram(d, n), cable_diagram(d, [n] * len(components(d)))
+            assert (a.crossings, a.arcs, a.boundary, a.free_loops) == (
+                b.crossings, b.arcs, b.boundary, b.free_loops)
+    loop = PlanarTangleDiagram(diagram_zero().crossings, diagram_zero().arcs,
+                               diagram_zero().boundary, (0,))
+    assert cable_diagram(loop, (1, 2, 3)).free_loops == (0, 0, 0)
+    for widths in ((1, 1), (1, 1, 1, 1), (1, -1, 1)):
+        with pytest.raises(ValueError, match="need 3 widths, one per component"):
+            cable_diagram(loop, widths)
+
+
+def test_width_zero_strands_are_dropped():
+    # the loop of clasp_around_right and the strand it circles: dropping
+    # either leaves the other crossingless, passing straight through
+    closed = annular_closure(clasp_around_right())
+    assert [len(c["passes"]) for c in components(closed)] == [2, 2]
+    without_loop = cable_diagram(closed, (1, 0))
+    assert without_loop.crossings == () and without_loop.free_loops == (0,)
+    assert closure_coefficients(without_loop) == closure_coefficients(
+        annular_closure(diagram_infinity()))
+    assert cable_diagram(closed, (0, 2)).free_loops == (0, 0)
+    assert cable_diagram(closed, (0, 0)).free_loops == ()
+    # the two copies of the strand pass between the loop's copies
+    assert cable_diagram(closed, (2, 3)).crossing_count == 2 * 2 * 3
+    opened = cable_diagram(clasp_around_right(), (2, 2, 0))
+    assert opened.crossings == ()
+    assert matchings_of_diagram(opened, *_tl_labels(2)) == matchings_of_diagram(
+        cable_diagram(diagram_infinity(), 2), *_tl_labels(2))
+
+
 def test_curl_single_strand():
     plus = matchings_of_diagram(curl_diagram(+1), ["NW"], ["SW"])
     assert plus == {(1, 0): -LaurentPoly.monomial(-3)}

@@ -11,6 +11,7 @@ import pytest
 from tanglekit import tl
 from tanglekit.annulus import colored_closure, element_closure, gamma_ratio_invariants
 from tanglekit.bracket import bracket_vector
+from tanglekit.oracle import MAX_ORACLE_CROSSINGS
 from tanglekit.rationals import TwistVector
 from tanglekit.ring import (
     LaurentPoly,
@@ -24,12 +25,12 @@ from tanglekit.tangles import (
     RationalTangle,
     build_rational,
     cable_diagram,
+    clasp_around_right,
     clasp_double,
     clasp_single,
     random_twist_vector,
     rational_to_diagram,
     tangle_negate,
-    to_twist_word,
 )
 
 ONE = RatFunc.one()
@@ -289,11 +290,13 @@ def test_kink_is_the_tile_closed_on_its_right(n, s):
 
 
 def test_word_replay_matches_state_sum():
+    # at width 1 the replay of the word, mapped to (b_0, b_1), against
+    # the state sum of its diagram read off the same basis
     rng = random.Random(37)
     for _ in range(10):
         t = build_rational(random_twist_vector(rng, 4, 3))
-        d = rational_to_diagram(t)
-        assert tl._word_element(to_twist_word(t), 1) == tl.state_sum(d)
+        referee = tl._read_coordinates(tl.state_sum(rational_to_diagram(t)), 1)
+        assert _coords(1, tl.transfer_vector(t, 1), LaurentPoly.one()) == referee, t
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +515,13 @@ def test_colored_expand_matches_gauss_jordan_referee():
     cases += [(RationalTangle.from_entries(*e), 3) for e in ((1,), (2, -1))]
     cases.append((rational_to_diagram(RationalTangle.from_entries(2, 1)), 2))
     for t, n in cases:
-        referee = _solve_in_span(tl.bni_basis(n), tl.colored_element(t, n))
-        assert tl.colored_expand(t, n) == referee
+        d = t if isinstance(t, PlanarTangleDiagram) else rational_to_diagram(t)
+        if d.crossing_count * n * n <= MAX_ORACLE_CROSSINGS:
+            referee = _solve_in_span(tl.bni_basis(n), tl.colored_element(t, n))
+        else:
+            # past the oracle's cap: the threaded closure of the diagram
+            referee = tl.colored_expand(d, n)
+        assert tl.colored_expand(t, n) == referee, (t, n)
 
 def test_colored_infinity_is_first_basis_vector():
     for n in (1, 2):
@@ -553,11 +561,13 @@ def test_projector_frame_absorbed():
 
 
 def test_colored_element_replay_matches_cabled_state_sum():
+    # the replay's coordinates against the cabled state sum of the word's
+    # diagram between projector frames, read off bni_basis(2)
     cases = [RationalTangle.from_entries(*e) for e in [(1,), (-2,), (2, 1), (1, 1)]]
     for t in cases:
-        replay = tl.colored_element(t, 2)
         direct = tl.colored_element(rational_to_diagram(t), 2)
-        assert replay == direct
+        assert tl.colored_element(t, 2) == direct
+        assert tl.colored_expand(t, 2) == tl._read_coordinates(direct, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +582,9 @@ def _coords(n, nums, den):
     return [RatFunc.normalized(nums.get(i, zero), den) / c for i, c in enumerate(bubbles)]
 
 
-def test_transfer_replay_matches_the_tile_replay():
+def test_transfer_replay_matches_the_threaded_closure():
+    # the replay against the coordinates of the threaded closure of the
+    # word's diagram, which builds no projector and takes no replay data
     rng = random.Random(89)
     cases = [(build_rational(random_twist_vector(rng, 4, 3)), 1) for _ in range(200)]
     cases += [(build_rational(random_twist_vector(rng, 3, 3)), 2) for _ in range(40)]
@@ -581,7 +593,7 @@ def test_transfer_replay_matches_the_tile_replay():
     fixed.append(RationalTangle.infinity())
     cases += [(t, n) for t in fixed for n in (1, 3)]
     for t, n in cases:
-        referee = tl._read_coordinates(tl.colored_element(t, n), n)
+        referee = tl.colored_expand(rational_to_diagram(t), n)
         assert tl.colored_expand(t, n) == referee, (t, n)
         if n == 1:
             # the width-1 read-off against the replay on (b_0, b_1 / c_1),
@@ -662,8 +674,8 @@ def _cables_shape(rng, total=5):
 
 
 def test_transfer_replay_takes_no_gcd(monkeypatch):
-    # every bottom run has divided exactly by den q_den^2 on the words
-    # tried, so the fallback to normalize_over never runs
+    # every bottom run divides exactly by q_den^2 with poly_exact_div, so
+    # normalize_over never runs once the data are cached
     rng = random.Random(61)
     cases = [(build_rational(random_twist_vector(rng, 4, 3)), n) for n in (2, 3, 4, 5) for _ in range(8)]
     cases += [(_cables_shape(rng), 2) for _ in range(60)]
@@ -726,19 +738,21 @@ def test_braid_relation_refuses_the_wrong_sign():
 def test_half_twists_act_on_basis_coordinates(n):
     # a right half twist scales the fusion basis element b_i / c_i by its
     # closed-form eigenvalue; a bottom one is Q D(-s) Q (checked below
-    # width 3, where the tile replay of the bottom twists alone takes
-    # seconds)
+    # width 3, where gluing the bottom tiles alone takes seconds).  A
+    # right half twist is a bottom one after a quarter turn, whose tile
+    # then carries the opposite sign.
     _, q, q_den, bubbles = tl._transfer_data(n)
     one = LaurentPoly.one()
     for i, b in enumerate(tl.bni_basis(n)):
         b = b.scale(bubbles[i].inverse())
         for s in (1, -1):
             right = tl._twist_diagonal({i: one}, n, s)
-            assert tl._read_coordinates(tl.add_right_twist(b, s), n) == _coords(n, right, one)
+            twisted = tl.rotate_ccw(tl.compose(tl.rotate_cw(b), tl.tile_element(n, -s)))
+            assert tl._read_coordinates(twisted, n) == _coords(n, right, one)
             if n < 3:
                 turned = tl._twist_diagonal(tl._quarter_turn(q, {i: one}), n, -s)
                 bottom = tl._quarter_turn(q, turned)
-                assert tl._read_coordinates(tl.add_bottom_twist(b, s), n) == _coords(
+                assert tl._read_coordinates(tl.compose(b, tl.tile_element(n, s)), n) == _coords(
                     n, bottom, q_den * q_den
                 )
 
@@ -770,6 +784,18 @@ def test_transfer_replay_builds_no_crossing_tile(monkeypatch):
         assert all(getattr(tl, cache) == {} for cache in ENGINE_CACHES)
 
 
+def test_diagrams_build_no_projector(monkeypatch):
+    # a diagram's colored coordinates and closure come from its threaded
+    # closure: no projector, frame, basis element or crossing tile, also
+    # past the projectors' bound
+    for cache in ENGINE_CACHES:
+        monkeypatch.setattr(tl, cache, {})
+    for d, n in ((clasp_around_right(), 3), (rational_to_diagram(RationalTangle.from_entries(1)), 5)):
+        tl.colored_expand(d, n)
+        colored_closure(d, n)
+        assert all(getattr(tl, cache) == {} for cache in ENGINE_CACHES)
+
+
 def test_width_three_set_up_is_quick(monkeypatch):
     # through the projectors on 6 strands this took about 0.5 s
     monkeypatch.setattr(tl, "_transfer_cache", {})
@@ -781,14 +807,20 @@ def test_width_three_set_up_is_quick(monkeypatch):
 
 
 def test_colored_cable_width_bound():
-    # diagrams and the TL engine need projectors on 2n strands
+    # the TL engine needs projectors on 2n strands; a diagram's threaded
+    # closure needs none, so diagrams take the twist-word widths
     t = RationalTangle.from_entries(1)
     d = rational_to_diagram(t)
     for n in (4, 0, -1):
         for call in (tl.bni_basis, lambda n: tl.colored_element(t, n),
-                     lambda n: tl.colored_expand(d, n), lambda n: colored_closure(d, n)):
+                     lambda n: tl.colored_element(d, n)):
             with pytest.raises(ValueError, match="between 1 and 3"):
                 call(n)
+    bound = tl.MAX_TWIST_WIDTH
+    for n in (bound + 1, 0, -1):
+        for call in (tl.colored_expand, colored_closure):
+            with pytest.raises(ValueError, match=f"between 1 and {bound}, got {n}"):
+                call(d, n)
 
 
 def test_twist_word_cable_width_bound():
