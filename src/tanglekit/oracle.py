@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from . import kernel
 from .ring import LaurentPoly, delta_power
-from .tangles import CORNERS, PlanarTangleDiagram, corner_clusters
+from .tangles import CORNERS, PlanarTangleDiagram, corner_clusters, merge_chains
 
 __all__ = [
     "MAX_ORACLE_COUNT",
@@ -39,6 +39,21 @@ def _disk_loops(d: PlanarTangleDiagram):
         raise ValueError("disk diagram contains an essential loop")
 
 
+def free_loop_factor(d: PlanarTangleDiagram):
+    """The loop value of the crossingless loops of d and how many wind
+    once around the annulus core: (delta^contractible, essential).  A
+    loop of any other winding is refused."""
+    con = ess = 0
+    for w in d.free_loops:
+        if w == 0:
+            con += 1
+        elif w in (1, -1):
+            ess += 1
+        else:
+            raise ValueError(f"free loop winds {w} times around the annulus core")
+    return delta_power(con), ess
+
+
 def _fold(d: PlanarTangleDiagram, ends, key):
     """Sum count * A^exp * delta^contractible over the smoothing tally.
 
@@ -48,14 +63,7 @@ def _fold(d: PlanarTangleDiagram, ends, key):
     its reader refuses.  The crossingless loops of d multiply every sum
     by their loop values.  Returns every key reached, zero sums included.
     """
-    free_con = free_ess = 0
-    for w in d.free_loops:
-        if w == 0:
-            free_con += 1
-        elif w in (1, -1):
-            free_ess += 1
-        else:
-            raise ValueError(f"free loop winds {w} times around the annulus core")
+    loops, free_ess = free_loop_factor(d)
     if d.crossing_count > MAX_ORACLE_CROSSINGS:
         raise ValueError(
             f"oracle too large: {d.crossing_count} crossings exceeds "
@@ -68,7 +76,6 @@ def _fold(d: PlanarTangleDiagram, ends, key):
         for e, c in delta_power(ncon).coeffs.items():
             e += exp
             acc[e] = acc.get(e, 0) + count * c
-    loops = delta_power(free_con)
     return {k: loops * LaurentPoly(v) for k, v in sums.items()}
 
 
@@ -135,7 +142,8 @@ def annular_closure(d: PlanarTangleDiagram) -> PlanarTangleDiagram:
     the two bottom corners, each closure arc crossing the marked ray
     once.  Cabled diagrams (labels read by tangles.corner_clusters) are
     closed by nested arcs.  Closure arcs are merged with the strand arcs
-    they extend; strands that meet no crossing become free loops.
+    they extend by tangles.merge_chains; strands that meet no crossing
+    become free loops, after those of d.
     """
     end_of = dict(d.boundary)
     clusters = {c: [end_of[lab] for lab in labs]
@@ -147,38 +155,7 @@ def annular_closure(d: PlanarTangleDiagram) -> PlanarTangleDiagram:
     for k in range(n):
         bonds.append((clusters["NW"][k], clusters["NE"][n - 1 - k], 1))
         bonds.append((clusters["SW"][k], clusters["SE"][n - 1 - k], 1))
-    # Merge chains of arcs and closure bonds.  In the merged graph every
-    # former boundary end has degree two and every interior end degree
-    # one, so components are either paths between interior ends (new
-    # arcs) or cycles through boundary ends only (free loops).
-    edges = [(a, b, w) for a, b, w in d.arcs] + bonds
-    incident = {}
-    for idx, (a, b, _) in enumerate(edges):
-        incident.setdefault(a, []).append(idx)
-        incident.setdefault(b, []).append(idx)
-    used = [False] * len(edges)
-
-    def walk(cur, idx):
-        """Follow a chain from end cur along edge idx until no unused
-        edge is left; returns the last end and the total winding."""
-        total = 0
-        while True:
-            used[idx] = True
-            a, b, w = edges[idx]
-            cur, w = (b, w) if cur == a else (a, -w)
-            total += w
-            nxt = [i for i in incident[cur] if not used[i]]
-            if not nxt:
-                return cur, total
-            idx = nxt[0]
-
-    new_arcs = []
-    for start, inc in incident.items():
-        if len(inc) == 1 and not used[inc[0]]:
-            end, total = walk(start, inc[0])
-            new_arcs.append((start, end, total))
-    free = list(d.free_loops)
-    for idx, (a, _, _) in enumerate(edges):
-        if not used[idx]:
-            free.append(walk(a, idx)[1])
-    return PlanarTangleDiagram(d.crossings, new_arcs, [], free)
+    # each corner end now lies on one arc and one bond, so a chain ends
+    # only at crossing ends or closes up into a free loop
+    arcs, loops = merge_chains(list(d.arcs) + bonds, {e for c in d.crossings for e in c})
+    return PlanarTangleDiagram(d.crossings, arcs, [], d.free_loops + tuple(loops))

@@ -675,11 +675,15 @@ def _grid(rows, cols, base):
     return crossings, arcs, ports, counter
 
 
-def _merge_links(arcs, kept):
-    """Join the chains of arcs that pass through ends outside kept (the
-    link arcs of _grid) into single arcs, adding up their windings.
-    Returns the merged arcs and the windings of the chains that close
-    up without meeting a kept end."""
+def merge_chains(arcs, kept):
+    """Join the chains of arcs (a, b, winding) that pass through ends
+    outside kept into single arcs between kept ends, adding up their
+    windings: the link arcs of _grid, or the closure bonds of
+    oracle.annular_closure.  Returns the merged arcs and, in the order
+    of the arcs they start from, the windings of the chains that close
+    up without meeting a kept end.  Callers put these loops after the
+    diagram's own free loops, kept first and in order:
+    threaded.threaded_closure tells the two apart by that order."""
     incident = {}
     for idx, (a, b, _) in enumerate(arcs):
         incident.setdefault(a, []).append(idx)
@@ -777,7 +781,7 @@ def cable_diagram(d: PlanarTangleDiagram, n) -> PlanarTangleDiagram:
             arcs.append((pa[j], pb[k - 1 - j], w))
     free_loops = [w for w, k in zip(d.free_loops, loop_widths) for _ in range(k)]
     if 2 * len(arcs) > 4 * len(crossings) + len(boundary):
-        arcs, loops = _merge_links(arcs, {e for c in crossings for e in c}
+        arcs, loops = merge_chains(arcs, {e for c in crossings for e in c}
                                    | {e for _, e in boundary})
         free_loops += loops
     return PlanarTangleDiagram(crossings, arcs, boundary, free_loops)

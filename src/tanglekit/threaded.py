@@ -14,8 +14,8 @@ from math import prod
 from operator import itemgetter
 
 from . import annulus
-from .oracle import annular_closure
-from .ring import LaurentPoly, _unpack, delta_power
+from .oracle import annular_closure, free_loop_factor
+from .ring import LaurentPoly, _unpack
 from .tangles import CORNERS, PlanarTangleDiagram, cable_diagram, components
 
 __all__ = ["MAX_FRONTIER_STATES", "closure_frontier", "threaded_closure"]
@@ -152,10 +152,13 @@ def closure_frontier(d: PlanarTangleDiagram):
     as its evaluation at 2^bits with a lowest exponent; with c crossings
     in p connected parts a coefficient is at most 2^c 2^(c+p) in size (at
     most c + p loops close), so bits = 2c + p + 2 recover it exactly.
-    Raises ValueError once more than MAX_FRONTIER_STATES states are held.
+    The free loops of d go through oracle.free_loop_factor before any
+    crossing is smoothed.  Raises ValueError once more than
+    MAX_FRONTIER_STATES states are held.
     """
     if d.boundary:
         raise ValueError("closure evaluation needs a closed diagram")
+    loops, free_ess = free_loop_factor(d)
     arc_to, arc_w = d.arc_maps()
     order, parts = _contraction_order(d.crossings, arc_to)
     width = (2 * len(d.crossings) + parts + 2) // 8 + 1
@@ -222,18 +225,11 @@ def closure_frontier(d: PlanarTangleDiagram):
                     else:
                         acc[z] = (lo, p + (prev[1] << bits * (prev[0] - lo)))
         states = out
-    free_con = free_ess = 0
-    for w in d.free_loops:
-        if w not in (-1, 0, 1):
-            raise ValueError(f"free loop winds {w} times around the annulus core")
-        free_con += w == 0
-        free_ess += w != 0
     sums = {}
     for value in states.values():
         for z, (lo, p) in value.items():
             acc = sums.setdefault(z + free_ess, {})
             for e, c in _unpack(p, width).items():
                 acc[e + lo] = acc.get(e + lo, 0) + c
-    loops = delta_power(free_con)
     sums = {k: loops * LaurentPoly(v) for k, v in sums.items()}
     return {k: v for k, v in sums.items() if not v.is_zero}

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from tanglekit import annulus, kernel, tl
+from tanglekit import annulus, kernel, threaded, tl
 from tanglekit.oracle import (
     MAX_ORACLE_CROSSINGS,
     annular_closure,
@@ -185,6 +185,20 @@ def test_frontier_contraction_equals_the_enumerator():
                 closure_frontier(d)
         else:
             assert closure_frontier(d) == expected, d.crossings
+
+
+def test_frontier_refuses_an_overwound_free_loop_before_smoothing(monkeypatch):
+    # [8] cabled at width 4 has 128 crossings; the free loop is read first
+    d = cable_diagram(annular_closure(rational_to_diagram(RationalTangle.from_entries(8))), 4)
+    assert d.crossing_count == 128
+    d = PlanarTangleDiagram(d.crossings, d.arcs, [], d.free_loops + (2,))
+
+    def smooth(*args):
+        raise AssertionError("a crossing was smoothed")
+
+    monkeypatch.setattr(threaded, "_smooth", smooth)
+    with pytest.raises(ValueError, match="^free loop winds 2 times around the annulus core$"):
+        closure_frontier(d)
 
 
 def test_frontier_refuses_past_its_state_bound_at_once():

@@ -346,6 +346,36 @@ def test_closure_pins():
     assert one == {0: A * DELTA, 2: AINV}
 
 
+def _with_free_loops(d, loops):
+    return PlanarTangleDiagram(d.crossings, d.arcs, d.boundary, loops)
+
+
+def test_closure_of_a_cable_is_the_cable_of_the_closure():
+    # the cabled closure reads the corner clusters and nests its arcs;
+    # every cable here has at most 16 crossings
+    rng = random.Random(22)
+    diagrams = {}
+    while len(diagrams) < 12:
+        d = rational_to_diagram(RationalTangle(random_twist_vector(rng, 4, 3)))
+        if d.crossing_count <= 3:
+            diagrams[d.crossings, d.arcs] = d
+    diagrams = list(diagrams.values()) + [
+        rational_to_diagram(RationalTangle.from_entries(2, 2)), clasp_around_right(),
+        _with_free_loops(diagram_zero(), (0, 1)), _with_free_loops(clasp_around_right(), (-1,))]
+    for d in diagrams:
+        assert closure_coefficients(annular_closure(cable_diagram(d, 2))) == \
+            closure_coefficients(cable_diagram(annular_closure(d), 2))
+
+
+def test_closure_keeps_the_free_loops_of_the_diagram_first():
+    # threaded_closure tells the diagram's own loops from the closure's
+    # new ones by this order
+    assert annular_closure(_with_free_loops(diagram_zero(), (0, 1))).free_loops == (0, 1, -1, -1)
+    cabled = cable_diagram(_with_free_loops(diagram_zero(), (1, 0)), 2)
+    assert cabled.free_loops == (1, 1, 0, 0)
+    assert annular_closure(cabled).free_loops == (1, 1, 0, 0, -1, -1, -1, -1)
+
+
 def test_enumerator_rejects_overwound_loops():
     # one crossing whose two arcs each wind once: every smoothing closes
     # a loop that circles the core twice
