@@ -6,6 +6,16 @@ tangles the pair (alpha, beta) is computed from the twist word by one
 closed-form 2x2 step per run of half twists.  This is the fast path;
 the brute-force smoothing enumerator recomputes the same pair
 independently for verification.
+
+The replay works on packed coordinates (Kronecker substitution).  The
+exponents of alpha lie in one class mod 4 and those of beta in the class
+two away, so each coordinate is A^lo P(A^4) for an ordinary integer
+polynomial P, held as the one integer P(xi) at xi = 2^(8b).  A factor
+A^4 is then a shift by one b-byte digit, and a run costs a few shifts,
+adds and at most one exact division of big integers.  The digit width b
+comes from a bound on the coefficients proven in one pass over the
+runs, and each coordinate is read back once, at the end, with
+ring._unpack.
 """
 
 from __future__ import annotations
@@ -13,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rationals import ExtRational
-from .ring import LaurentPoly, RatFunc
-from .tangles import RationalTangle, TwistWord, to_twist_word
+from .ring import LaurentPoly, RatFunc, _unpack
+from .tangles import TwistWord, check_twist_total, to_twist_word
 
 __all__ = [
     "BracketVec2",
@@ -38,65 +48,110 @@ class BracketVec2:
         return f"alpha = {self.alpha}; beta = {self.beta}"
 
 
-def _twist_run(alpha, beta, kind, a):
-    """Add a run of |a| half twists of sign a on the right (kind "R") or
-    at the bottom ("B").
+def _digit_bytes(word: TwistWord) -> int:
+    """Digit width b, in bytes, at which every coefficient of the bracket
+    of word lies in [-xi/2, xi/2), xi = 2^(8b), rounded up to 1, 2, 4 or
+    8 bytes where it fits.
 
-    One right half twist of sign e maps (alpha, beta) by the triangular
-    matrix [[x, A^e], [0, d]] with x = -A^(3e) and d = A^(-e); a bottom
-    half twist of sign -e is the same map with the two coordinates
-    swapped.  The k-th power of that matrix has diagonal x^k, d^k and
-    off-diagonal g = A^e (x^(k-1) + x^(k-2) d + ... + d^(k-1)), so
-
-        alpha <- (-1)^k A^(3ek) alpha + g beta,   beta <- A^(-ek) beta.
-
-    g is the alternating sum of the k monomials A^(e(2-k) + 4ej), so with
-    b the coefficients of beta, (g beta)(E + e(2-k)) is
-    S(E) = sum over j < k of (-1)^j b(E - 4ej), and S satisfies
-    S(E) = b(E) - (-1)^k b(E - 4ek) - S(E - 4e).  One pass per exponent
-    class mod 4, in the direction of e, gives g beta with integer adds
-    only, in time linear in |beta| + k; the diagonal terms are shifts.
+    Norm bound.  A run of k half twists maps alpha to
+    +-A^m alpha + g beta with g a sum of k monomials of coefficient +-1
+    (see bracket_vector) and beta to a monomial times beta, so a
+    coefficient of the new alpha is one of alpha plus a signed sum of at
+    most k of beta: |alpha'| <= |alpha| + k |beta| in the max norm, and
+    |beta'| = |beta|.  A bottom run swaps the roles.  Starting from the
+    norms (0, 1) or (1, 0) of the start vector, M_alpha and M_beta below
+    bound the two norms after every run, so max(M_alpha, M_beta) bounds
+    every coefficient.
     """
-    k = abs(a)
-    e = 1 if (a > 0) == (kind == "R") else -1
-    if kind == "B":
-        alpha, beta = beta, alpha
-    sign = -1 if k % 2 else 1
-    b = beta.coeffs
-    step, lag, shift = 4 * e, 4 * e * k, e * (2 - k)
-    out = {}
-    if b:
-        first, last = (min(b), max(b)) if e > 0 else (max(b), min(b))
-    for r in {E % 4 for E in b}:
-        s = 0
-        for E in range(first + e * (e * (r - first) % 4), last + lag, step):
-            s = b.get(E, 0) - sign * b.get(E - lag, 0) - s
-            if s:
-                out[E + shift] = s
-    for E, c in alpha.coeffs.items():
-        E += 3 * e * k
-        s = out.get(E, 0) + sign * c
-        if s:
-            out[E] = s
+    m_alpha, m_beta = (0, 1) if word.start == "0" else (1, 0)
+    for kind, a in word.runs:
+        if kind == "R":
+            m_alpha += abs(a) * m_beta
         else:
-            del out[E]
-    # Zero sums were dropped above, so out is in stored form.
-    alpha, beta = LaurentPoly._of(out), beta.shift(-e * k)
-    if kind == "B":
-        alpha, beta = beta, alpha
-    return alpha, beta
+            m_beta += abs(a) * m_alpha
+    b = (max(m_alpha, m_beta).bit_length() + 8) // 8
+    return next((w for w in (1, 2, 4, 8) if b <= w), b)
 
 
 def bracket_vector(t) -> BracketVec2:
-    """Bracket coordinates of a rational tangle (or a raw twist word)."""
-    word = t if isinstance(t, TwistWord) else to_twist_word(t)
-    if word.start == "0":
-        alpha, beta = LaurentPoly.zero(), LaurentPoly.one()
+    """Bracket coordinates of a rational tangle (or a raw twist word).
+
+    A raw twist word of more than MAX_TWIST_TOTAL half twists is refused
+    with ValueError before any work, as to_twist_word refuses a vector.
+
+    One run.  One right half twist of sign e maps (alpha, beta) by the
+    triangular matrix [[x, A^e], [0, d]] with x = -A^(3e) and d = A^(-e);
+    a bottom half twist of sign -e is the same map with the two
+    coordinates swapped.  The k-th power of that matrix has diagonal
+    x^k, d^k and off-diagonal g = A^e (x^(k-1) + x^(k-2) d + ... +
+    d^(k-1)) = A^(e(2-k)) sum over j < k of (-1)^j A^(4ej), so
+
+        alpha <- (-1)^k A^(3ek) alpha + g beta,   beta <- A^(-ek) beta.
+
+    Classes mod 4.  After any sequence of half twists, raw words
+    included, there is an r such that every exponent of alpha is r and
+    every exponent of beta is r + 2, mod 4; take r = 2 at the start
+    (0, 1) and r = 0 at (1, 0).  A right half twist of sign e sends the
+    exponents of -A^(3e) alpha to r + 3e, those of A^e beta to
+    r + 2 + e = r + 3e (2 - 2e is 0 mod 4), and those of A^(-e) beta to
+    r + 2 - e = (r + 3e) + 2 (mod 4), so r + 3e serves after it.  A
+    bottom half twist is the same with the roles swapped, and the claim
+    is symmetric.
+
+    Packed form.  Each coordinate is (lo, P(xi)) for A^lo P(A^4).  The lo
+    follows the same steps as the exponents, through a zero coordinate
+    too, so the class argument holds for the lo themselves; a lo may lie
+    below the lowest exponent, which leaves zero low digits.  With u = A^4,
+    sum over j < k of (-u)^j = (1 - (-u)^k) / (1 + u), so for a beta of
+    (lo, P):
+
+        e = +1:  g beta = A^(lo + 2 - k) Q(u),
+        e = -1:  g beta = (-1)^(k-1) A^(lo + 2 - 3k) Q(u),
+
+    with Q = P (1 - (-u)^k) / (1 + u) an integer polynomial, so
+    Q(xi) = (P(xi) - (-1)^k P(xi) xi^k) // (1 + xi) exactly; at k = 1,
+    Q = P.  The alpha term is (-1)^k P_alpha at lo_alpha + 3ek.  Both
+    terms have their lo in the class of the new alpha, so their lo differ
+    by a multiple of 4 and the sum is one add after a shift by whole
+    digits.  Shifts, adds and exact divisions commute with evaluation at
+    xi, so every P(xi) is exact whatever its digits; only the decoding at
+    the end needs the bound of _digit_bytes.
+    """
+    if isinstance(t, TwistWord):
+        check_twist_total(sum(abs(a) for _, a in t.runs))
+        word = t
     else:
-        alpha, beta = LaurentPoly.one(), LaurentPoly.zero()
+        word = to_twist_word(t)
+    b = _digit_bytes(word)
+    bits = 8 * b
+    one_xi = (1 << bits) + 1
+    lo_a, pa, lo_b, pb = (2, 0, 0, 1) if word.start == "0" else (0, 1, 2, 0)
     for kind, a in word.runs:
-        alpha, beta = _twist_run(alpha, beta, kind, a)
-    return BracketVec2(alpha, beta)
+        k = abs(a)
+        e = 1 if (a > 0) == (kind == "R") else -1
+        if kind == "B":
+            lo_a, pa, lo_b, pb = lo_b, pb, lo_a, pa
+        if k & 1:
+            q = pb if k == 1 else (pb + (pb << bits * k)) // one_xi
+            pa = -pa
+        else:
+            q = (pb - (pb << bits * k)) // one_xi
+        if e > 0:
+            lo_q, lo_t = lo_b + 2 - k, lo_a + 3 * k
+        else:
+            lo_q, lo_t = lo_b + 2 - 3 * k, lo_a - 3 * k
+            if not k & 1:
+                q = -q
+        # lo_t - lo_q is a multiple of 4: 2b bits per unit of exponent
+        if lo_t >= lo_q:
+            pa, lo_a = q + (pa << 2 * b * (lo_t - lo_q)), lo_q
+        else:
+            pa, lo_a = pa + (q << 2 * b * (lo_q - lo_t)), lo_t
+        lo_b -= e * k
+        if kind == "B":
+            lo_a, pa, lo_b, pb = lo_b, pb, lo_a, pa
+    return BracketVec2(LaurentPoly._of(_unpack(pa, b, lo_a, 4)),
+                       LaurentPoly._of(_unpack(pb, b, lo_b, 4)))
 
 
 def mirror_transport(v: BracketVec2, op: str) -> BracketVec2:

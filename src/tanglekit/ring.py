@@ -33,6 +33,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd
 from operator import index
+from struct import unpack
 from types import MappingProxyType
 
 __all__ = [
@@ -334,21 +335,30 @@ def _pack(p: dict, b: int) -> int:
     return value
 
 
-def _unpack(v: int, b: int) -> dict:
+_DIGIT_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _unpack(v: int, b: int, lo: int = 0, step: int = 1) -> dict:
     """The polynomial h with h(xi) = v, xi = 2^(8b), in balanced digits:
-    every coefficient lies in [-xi/2, xi/2).  Adding xi/2 to every digit
-    position turns the balanced digits into the bytes of one integer."""
+    every coefficient lies in [-xi/2, xi/2).  Digit e goes to exponent
+    lo + step e.
+
+    Adding H = xi/2 at every digit position makes every digit d + xi/2,
+    in [0, xi); flipping its top bit (xor H) leaves the b-byte two's
+    complement of d.  So the bytes of (v + H) ^ H are the digits as
+    signed little-endian integers, read with one struct.unpack at
+    b = 1, 2, 4 or 8 and one int.from_bytes per digit at other widths.
+    """
     n = v.bit_length() // (8 * b) + 2
-    half = 1 << (8 * b - 1)
-    raw = (v + int.from_bytes((b"\x00" * (b - 1) + b"\x80") * n, "little")).to_bytes(
-        b * n, "little"
-    )
-    h = {}
-    for e in range(n):
-        d = int.from_bytes(raw[e * b:(e + 1) * b], "little") - half
-        if d:
-            h[e] = d
-    return h
+    half = int.from_bytes((b"\x00" * (b - 1) + b"\x80") * n, "little")
+    raw = ((v + half) ^ half).to_bytes(b * n, "little")
+    fmt = _DIGIT_FORMATS.get(b)
+    if fmt:
+        digits = unpack(f"<{n}{fmt}", raw)
+    else:
+        digits = [int.from_bytes(raw[t:t + b], "little", signed=True)
+                  for t in range(0, b * n, b)]
+    return {e: d for e, d in zip(range(lo, lo + step * n, step), digits) if d}
 
 
 def _heuristic_gcd(polys: list):

@@ -57,10 +57,11 @@ __all__ = [
 
 CORNERS = ("NW", "NE", "SW", "SE")
 
-#: Largest total |entry| of a twist vector turned into a twist word.
-#: The bracket applies each run in closed form; the bound keeps output
-#: size in check.  It is also the colored bound at cable width 1; wider
-#: cables have tighter bounds (tl.MAX_COLORED_TWISTS).
+#: Largest total |entry| of a twist vector turned into a twist word, and
+#: of a raw twist word given to bracket.bracket_vector.  The bracket
+#: applies each run in closed form; the bound keeps output size in check.
+#: It is also the colored bound at cable width 1; wider cables have
+#: tighter bounds (tl.MAX_COLORED_TWISTS).
 MAX_TWIST_TOTAL = 2000
 
 TYPE_0 = "TYPE_0"
@@ -176,6 +177,15 @@ class TwistWord:
         return value
 
 
+def check_twist_total(total: int) -> None:
+    """Refuse a twist word of more than MAX_TWIST_TOTAL half twists with
+    ValueError."""
+    if total > MAX_TWIST_TOTAL:
+        raise ValueError(
+            f"twist word too long: {total} half twists exceed the bound {MAX_TWIST_TOTAL}"
+        )
+
+
 def to_twist_word(t) -> TwistWord:
     """Twist word realizing the tangle, innermost entry applied first.
 
@@ -195,11 +205,7 @@ def to_twist_word(t) -> TwistWord:
     if t.is_infinity:
         return TwistWord("inf", ())
     entries = t.tv.entries
-    total = sum(abs(a) for a in entries)
-    if total > MAX_TWIST_TOTAL:
-        raise ValueError(
-            f"twist word too long: {total} half twists exceed the bound {MAX_TWIST_TOTAL}"
-        )
+    check_twist_total(sum(abs(a) for a in entries))
     m = len(entries)
     runs = tuple(("R" if (m - k) % 2 == 0 else "B", a)
                  for k, a in enumerate(entries, start=1) if a)

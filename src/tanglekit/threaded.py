@@ -229,7 +229,7 @@ def closure_frontier(d: PlanarTangleDiagram):
     for value in states.values():
         for z, (lo, p) in value.items():
             acc = sums.setdefault(z + free_ess, {})
-            for e, c in _unpack(p, width).items():
-                acc[e + lo] = acc.get(e + lo, 0) + c
+            for e, c in _unpack(p, width, lo).items():
+                acc[e] = acc.get(e, 0) + c
     sums = {k: loops * LaurentPoly(v) for k, v in sums.items()}
     return {k: v for k, v in sums.items() if not v.is_zero}

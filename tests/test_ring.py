@@ -541,6 +541,38 @@ def test_pack_evaluates_and_unpack_reads_balanced_digits():
                 assert _unpack(value, b) == small
 
 
+def _unpack_by_slices(v, b):
+    """Balanced digits of v at xi = 2^(8b), one int.from_bytes per digit
+    of v + xi/2 (1 + xi + xi^2 + ...): the referee of ring._unpack."""
+    n = v.bit_length() // (8 * b) + 2
+    half = 1 << (8 * b - 1)
+    raw = (v + int.from_bytes((b"\x00" * (b - 1) + b"\x80") * n, "little")).to_bytes(
+        b * n, "little"
+    )
+    h = {}
+    for e in range(n):
+        d = int.from_bytes(raw[e * b:(e + 1) * b], "little") - half
+        if d:
+            h[e] = d
+    return h
+
+
+def test_unpack_matches_the_slice_by_slice_decoder():
+    rng = random.Random(37)
+    for b in range(1, 10):
+        xi = 1 << (8 * b)
+        edges = (-xi // 2, -xi // 2 + 1, -1, 0, 0, 1, xi // 2 - 2, xi // 2 - 1)
+        for _ in range(60):
+            digits = [rng.choice(edges) if rng.random() < 0.5 else rng.randrange(-xi // 2, xi // 2)
+                      for _ in range(rng.randint(0, 14))]
+            v = sum(d * xi ** e for e, d in enumerate(digits))
+            expected = {e: d for e, d in enumerate(digits) if d}
+            assert _unpack(v, b) == _unpack_by_slices(v, b) == expected, (b, digits)
+            lo, step = rng.randint(-20, 20), rng.choice((1, 4))
+            assert _unpack(v, b, lo, step) == {lo + step * e: d for e, d in expected.items()}
+        assert _unpack(0, b) == {}
+
+
 def test_heuristic_gcd_matches_euclid_and_the_prs():
     rng = random.Random(36)
     for _ in range(12):
