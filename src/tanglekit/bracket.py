@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rationals import ExtRational
-from .ring import LaurentPoly, RatFunc, _unpack
+from .ring import LaurentPoly, RatFunc, _digit_width, _unpack
 from .tangles import TwistWord, check_twist_total, to_twist_word
 
 __all__ = [
@@ -69,8 +69,7 @@ def _digit_bytes(word: TwistWord) -> int:
             m_alpha += abs(a) * m_beta
         else:
             m_beta += abs(a) * m_alpha
-    b = (max(m_alpha, m_beta).bit_length() + 8) // 8
-    return next((w for w in (1, 2, 4, 8) if b <= w), b)
+    return _digit_width(max(m_alpha, m_beta))
 
 
 def bracket_vector(t) -> BracketVec2:

@@ -13,10 +13,10 @@ basis together with the resulting ratio invariants.
 The colored expansion never builds the tangle in TL_2n.  A twist word
 is replayed on n+1 coordinates in the fusion basis, from the
 coordinates of the dressed crossingless tangle, with each run of half
-twists applied in closed form (transfer_vector); the start coordinates
-and the quarter turn come from the recoupling formulas for theta and Tet
-(recoupling.py), and at width 1 the coordinates are read off the
-bracket instead.  A diagram is read off its threaded closure
+twists applied in closed form on packed big integers
+(transfer_vector); the start coordinates and the quarter turn come from
+the recoupling formulas for theta and Tet (recoupling.py), and at width
+1 the coordinates are read off the bracket instead.  A diagram is read off its threaded closure
 (annulus.colored_closure), integer sums of annular brackets of its
 cables.  Neither builds a projector, so both reach cable widths past
 the projectors' bound.  colored_element, the cabled state sum between
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from . import oracle
 from .bracket import BracketVec2, bracket_vector, coprime_ratio
@@ -34,12 +35,15 @@ from .ring import (
     LaurentPoly,
     RatCombination,
     RatFunc,
+    _digit_width,
+    _digits,
+    _from_digits,
+    _monic_quotient,
+    _pack,
     as_ratfunc,
     common_denominator,
     delta_power,
     normalize_over,
-    poly_dot,
-    poly_exact_div,
 )
 from .tangles import (
     MAX_TWIST_TOTAL,
@@ -92,19 +96,24 @@ MAX_PROJECTOR_STRANDS = 6
 #: coordinates or closure are computed.  Width 1 is the bracket, so its
 #: bound is the bracket's, MAX_TWIST_TOTAL.  From width 2 on, each bound
 #: is the largest round total at which the slowest shape found, all
-#: entries 1, runs within a minute through `colored` and through
-#: `colored-closure`, each in a fresh process (2-vCPU x86 host, CPython
-#: 3.11); the slower time and the larger stdout of the two:
+#: entries 1, ran within a minute through `colored` and through
+#: `colored-closure`, each in a fresh process, with the replay on dicts
+#: of polynomials (2-vCPU x86 host, CPython 3.11).  Re-timed with the
+#: packed replay, the slower time (`colored` from width 2 on; best of 2
+#: or 3 runs on a shared host, which spread up to 1.6 times above it) and
+#: the larger stdout of the two:
 #:
 #:     width      1       2       3       4       5       6       7       8
 #:     bound   2000     800     400     200     110      70      45      30
-#:     time    3.4 s   42 s    52 s    50 s    44 s    43 s    38 s    34 s
+#:     time    0.6 s   18 s    15 s    9.6 s   5.4 s   4.0 s   2.9 s   3.1 s
 #:     output  2.6 MB  3.1 MB  3.6 MB  2.5 MB  1.8 MB  1.4 MB  1.1 MB  0.8 MB
 #:
-#: The times were taken on an otherwise idle host, with the bottom runs
-#: of the replay divided exactly; the bounds were set when the same
-#: words took 33 to 60 s on a loaded host.  The widths stop at 8: at
-#: width 9 a word of 20 ones already takes 28 to 31 s in one process.
+#: With the dict replay the same words took 34 to 52 s from width 2 on,
+#: on an idle host (the bounds were set when they took 33 to 60 s on a
+#: loaded one).  At widths 2 and 3 most of the time of `colored` is the
+#: gcds of its ratios; `colored-closure` takes 7.9 and 6.8 s there.  The
+#: widths stop at 8: at width 9 a word of 20 ones took 28 to 31 s in one
+#: process with the dict replay.
 MAX_COLORED_TWISTS = {1: MAX_TWIST_TOTAL, 2: 800, 3: 400, 4: 200, 5: 110, 6: 70, 7: 45, 8: 30}
 
 #: Largest cable width of a twist word.  Its colored coordinates and
@@ -809,24 +818,152 @@ def _transfer_data(n: int):
     return _transfer_cache[n]
 
 
-def _twist_diagonal(nums: dict, n: int, a: int) -> dict:
-    """A right run of a half twists: coordinate i times its eigenvalue
-    (-1)^((n-i)|a|) A^(a(n^2 + 2n - 2i^2 - 2i)), a monomial."""
+#: Widest digit, in bytes, at which a quarter turn multiplies by an entry
+#: of q as one product of packed integers; past it, by one shift and
+#: small multiple per term of the entry, since packing pads the entry's
+#: small coefficients to whole digits.  Timed on vectors of 300 digits
+#: (2-vCPU x86 host, CPython 3.11), products were faster up to 8 bytes at
+#: widths 2 to 8 (2 to 3.2 times at 4 bytes); at widths 2 to 6 they were
+#: as fast or slower from 12 bytes on (3.7 times as slow at 32), and at
+#: width 8 faster up to 16 bytes.  Products at every width took twice as
+#: long on the bound words of widths 2 and 3.
+_PRODUCT_BYTES = 8
+
+#: Widest digit, in bytes, at which a bottom run divides by q_den^2 with
+#: one divmod of packed integers; past it, digit by digit (see _divide).
+#: Timed on quotients of 400 digits at widths 2, 5 and 8, the two took
+#: the same time at 32 bytes; the divmod was 6 to 12 times as fast at
+#: 8 bytes and 4.6 to 7.7 times as slow at 96.
+_DIVMOD_BYTES = 32
+
+
+def _quarter_digits(v: LaurentPoly):
+    """(lo, digits) with v = A^lo P(A^4) and digits the coefficients of P,
+    lowest first, for a v whose exponents lie in one class mod 4."""
+    lo = v.min_exp()
+    return lo, tuple(v.coeffs.get(e, 0) for e in range(lo, v.max_exp() + 1, 4))
+
+
+class _ReplayTables(NamedTuple):
+    """The data of the packed replay at one width n that do not depend on
+    the digit width (see _replay_tables and transfer_vector)."""
+
+    #: q_ij = A^lo_q q'_ij(A^4), lo_q the least exponent of all entries
+    lo_q: int
+    #: rows[i][j], the terms (k, c) of q'_ij; None where q_ij is zero
+    rows: list
+    #: the largest row l1-norm of q
+    r: int
+    #: eigen[i] = n^2 + 2n - 2i^2 - 2i, the exponent of D(1) at i
+    eigen: list
+    #: the coefficients of q_den^2 as a polynomial in A^4, lowest first
+    d: tuple
+    #: the l1-norm of q_den^2
+    d_norm: int
+    #: "0" and "inf" -> one (lo, digits) per coordinate, (0, None) if zero
+    starts: dict
+
+
+def _replay_tables(n: int) -> _ReplayTables:
+    """The _ReplayTables of width n, cached in _transfer_cache next to
+    _transfer_data(n).
+
+    Checked here, else ValueError: every exponent of every entry of q lies
+    in one class mod 4, as does every exponent of each start vector, and
+    q_den^2 is monic, with every exponent a multiple of 4 and a nonzero
+    constant term.
+    """
+    key = ("replay", n)
+    if key not in _transfer_cache:
+        starts, q, q_den, _ = _transfer_data(n)
+        entries = [v for row in q for v in row if v is not None]
+        d = q_den * q_den
+        groups = [entries, [d]] + [list(s.values()) for s in starts.values()]
+        if (any(len({e % 4 for v in vs for e in v.coeffs}) != 1 for vs in groups)
+                or d.min_exp() or d.max_exp() % 4 or d.coeffs[d.max_exp()] != 1):
+            raise ValueError(f"colored replay at cable width {n}: the replay data do not "
+                             f"lie in one class mod 4 each, or q_den^2 is not monic")
+        lo_q = min(v.min_exp() for v in entries)
+        rows = [[None if v is None else tuple(((e - lo_q) >> 2, c) for e, c in v.coeffs.items())
+                 for v in row] for row in q]
+        r = max(sum(abs(c) for v in row if v is not None for c in v.coeffs.values()) for row in q)
+        eigen = [n * n + 2 * n - 2 * i * i - 2 * i for i in range(n + 1)]
+        vectors = {kind: [_quarter_digits(s[i]) if i in s else (0, None) for i in range(n + 1)]
+                   for kind, s in starts.items()}
+        _transfer_cache[key] = _ReplayTables(lo_q, rows, r, eigen, _quarter_digits(d)[1],
+                                              sum(map(abs, d.coeffs.values())), vectors)
+    return _transfer_cache[key]
+
+
+def _packed_tables(n: int, b: int):
+    """(qp, d_xi, starts) at width n and digit width b, cached in
+    _transfer_cache, with xi = 2^(8b): qp[i][j] = q'_ij(xi) of
+    _replay_tables (None where zero; qp itself is None past
+    _PRODUCT_BYTES), d_xi = d(xi), and starts maps "0" and "inf" to the
+    P_i(xi) of the start vectors (None where zero)."""
+    key = (n, b)
+    if key not in _transfer_cache:
+        tables = _replay_tables(n)
+        qp = None
+        if b <= _PRODUCT_BYTES:
+            qp = [[None if terms is None else _pack(dict(terms), b) for terms in row]
+                  for row in tables.rows]
+        vectors = {kind: [g and _pack(dict(enumerate(g)), b) for _, g in s]
+                   for kind, s in tables.starts.items()}
+        _transfer_cache[key] = qp, _pack(dict(enumerate(tables.d)), b), vectors
+    return _transfer_cache[key]
+
+
+def _turn(vec: dict, rows, qp, bits: int) -> dict:
+    """q' times a packed vector vec, j -> v_j(xi) with one lo for all j,
+    zero rows left out: one product per entry when qp is given, else a
+    shift and a small multiple per term."""
     out = {}
-    for i, v in nums.items():
-        shift = a * (n * n + 2 * n - 2 * i * i - 2 * i)
-        sign = -1 if (n - i) * a % 2 else 1
-        out[i] = LaurentPoly._of({e + shift: sign * c for e, c in v.coeffs.items()})
+    for i, row in enumerate(rows):
+        total = 0
+        for j, v in vec.items():
+            if row[j] is None:
+                continue
+            if qp is not None:
+                total += qp[i][j] * v
+            else:
+                for k, c in row[j]:
+                    total += c * (v << bits * k)
+        if total:
+            out[i] = total
     return out
 
 
-def _quarter_turn(q, nums: dict) -> dict:
-    """q_den times Q times a vector."""
+def _divide(nums: dict, n: int, b: int, m: int):
+    """The quotients of packed numerators nums, i -> W_i(xi), by
+    d = q_den^2, as i -> (h(xi) or None, digits of h, max-norm of h); None
+    when the certificate of transfer_vector fails at digit width b, m being
+    the max-norm of the run's input.  A remainder raises ValueError.
+
+    Up to _DIVMOD_BYTES each W_i takes one divmod by d(xi), and the
+    quotient is certified.  Past it, W_i is read in balanced digits, which
+    are its coefficients since R^2 m < xi / 2, and _monic_quotient divides
+    them by d: a divmod costs the length of W_i times that of d(xi), whose
+    small coefficients are padded to whole digits.
+    """
+    tables = _replay_tables(n)
+    half = 1 << (8 * b - 1)
+    if tables.r ** 2 * m >= half:
+        return None
+    d_xi = _packed_tables(n, b)[1]
     out = {}
-    for i, row in enumerate(q):
-        total = poly_dot((row[j], v) for j, v in nums.items() if row[j] is not None)
-        if total:
-            out[i] = total
+    for i, w in nums.items():
+        if b <= _DIVMOD_BYTES:
+            h, rem = divmod(w, d_xi)
+            digits = None if rem else _digits(h, b)
+        else:
+            h, digits = None, _monic_quotient(_digits(w, b), tables.d)
+        if not digits:
+            raise ValueError(f"colored replay at cable width {n}: division is not exact")
+        norm = max(max(digits), -min(digits))
+        if h is not None and norm * tables.d_norm >= half:
+            return None
+        out[i] = h, digits, norm
     return out
 
 
@@ -836,38 +973,116 @@ def transfer_vector(t, n: int) -> dict:
     i -> kappa_i with zero coordinates left out.
 
     kappa_i is the coordinate of S_2i in the colored closure and
-    kappa_i / c_i that of b_i.  The replay applies each run of half
-    twists to the dressed crossingless tangle in closed form: a right run
-    as monomials, a bottom run as Q D(-a) Q, dividing by q_den^2.
+    kappa_i / c_i that of b_i.  The replay applies each run of a half
+    twists to the dressed crossingless tangle in closed form.  A right
+    run multiplies coordinate i by its eigenvalue, the monomial
+    (-1)^((n-i)|a|) A^(a(n^2 + 2n - 2i^2 - 2i)); call that diagonal D(a).
+    A bottom run is Q D(-a) Q with Q = q / q_den: the numerators
+    W = q D(-a) q kappa, divided by q_den^2.
 
-    That division is exact, since every kappa_i lies in Z[A^+-1].  A
-    rational tangle has no closed component, so each component of its
-    colored closure passes through a projector.  The n-strand projector
-    closes to S_n(z) in the annulus (Lickorish, An Introduction to Knot
-    Theory, 1997, ch. 13), so the component equals its S_n-threading, a
-    Z-combination of blackboard parallels, and the closure lies in
-    Z[A^+-1][z]; each S_k is monic over Z, so each kappa_i is integral.
-    Every prefix of a word is a rational tangle and Q = q / q_den, so a
+    Integrality.  That division is exact, since every kappa_i lies in
+    Z[A^+-1].  A rational tangle has no closed component, so each
+    component of its colored closure passes through a projector.  The
+    n-strand projector closes to S_n(z) in the annulus (Lickorish, An
+    Introduction to Knot Theory, 1997, ch. 13), so the component equals
+    its S_n-threading, a Z-combination of blackboard parallels, and the
+    closure lies in Z[A^+-1][z]; each S_k is monic over Z, so each kappa_i
+    is integral.  Every prefix of a word is a rational tangle, so a
     bottom run's numerators are q_den^2 times an integral kappa': a
-    remainder means wrong data, a ValueError that names the replay.  At
-    width 1 it referees the read-off in colored_expand.  Words longer
+    remainder means wrong data, a ValueError that names the replay.
+
+    Classes mod 4.  _replay_tables checks that all exponents of the
+    entries of q lie in one class c mod 4, that those of q_den^2 are
+    multiples of 4, and that each start vector lies in one class.  The
+    exponents of D(a) differ from a(n^2 + 2n) by 2i(i+1), a multiple of
+    4.  So every vector of the replay lies in one class: D(a) adds
+    a(n^2 + 2n) to it, a quarter turn c, and the division 0.
+
+    Packed form.  Coordinate i is held as A^lo_i P_i(A^4), with P_i
+    evaluated at xi = 2^(8b) (Kronecker substitution; Harvey, J. Symbolic
+    Comput. 44, 2009) and a sign kept apart.  A right run adds to each lo
+    and flips signs, in O(1) per coordinate.  In a bottom run the lo_i
+    differ by multiples of 4, so whole-digit shifts align the coordinates
+    on their least lo; a quarter turn is then q'_ij(xi) v_j(xi) summed
+    over j, as one product per entry up to _PRODUCT_BYTES and past it as
+    shifts of v_j by each term of q'_ij.  D(-a) adds to each lo, the
+    coordinates are aligned again, and _divide divides by q_den^2.
+
+    Certificate.  Let m be the max-norm of the input coordinates, known
+    exactly, and R the largest row l1-norm of q, so that every W_i has
+    max-norm at most R^2 m.  The digit width b is the least with
+    R^2 m ||d||_1 < xi / 2, d = q_den^2, rounded up to 1, 2, 4 or 8 bytes
+    (ring._digit_width).  One divmod(W_i(xi), d(xi)) gives a quotient h
+    read in balanced digits; a nonzero remainder means the polynomial
+    division is not exact either, since evaluation at xi commutes with
+    products.  If ||h||_inf ||d||_1 < xi / 2 and R^2 m < xi / 2, then h d
+    and W_i both have every coefficient in (-xi/2, xi/2) and agree at xi,
+    so they are equal and h = kappa'_i exactly.  If the test fails, b
+    doubles and the run is redone from its input, whose digits are known.
+    That stops: when the division is exact, h is kappa'_i once
+    ||kappa'_i|| ||d||_1 < xi / 2, and passes; when it is not,
+    W_i = h0 d + r0 with r0 != 0 of lower degree than d, integral since d
+    is monic, and once xi outgrows r0, 0 < |r0(xi)| < d(xi) is a
+    remainder.  Past _DIVMOD_BYTES the division is _monic_quotient on the
+    digits of W_i, exact by construction.  Either way the quotient's
+    digits give the next m and are read into a dict once, at the end,
+    with the signs and lo of any right runs after.
+
+    At width 1 it referees the read-off in colored_expand.  Words longer
     than MAX_COLORED_TWISTS[n] are refused before any precompute.  The
     dict returned is the caller's own, also for a word with no runs.
     """
     word = colored_twist_word(t, n)
-    starts, q, q_den, _ = _transfer_data(n)
-    q_den2 = q_den * q_den
-    kappas = dict(starts[word.start])
+    lo_q, rows, r, eigen, _, d_norm, starts = _replay_tables(n)
+    los, digits = map(list, zip(*starts[word.start]))
+    signs = [1] * (n + 1)
+    m = max(max(map(abs, g)) for g in digits if g)
+    b, vals, fresh = 0, None, True  # vals: the P_i(xi) at b, None until packed
     for kind, a in word.runs:
         if kind == "R":
-            kappas = _twist_diagonal(kappas, n, a)
-        else:
-            turned = _quarter_turn(q, _twist_diagonal(_quarter_turn(q, kappas), n, -a))
-            try:
-                kappas = {i: poly_exact_div(v, q_den2) for i, v in turned.items()}
-            except ValueError as err:
-                raise ValueError(f"colored replay at cable width {n}: {err}") from None
-    return kappas
+            for i in range(n + 1):
+                los[i] += a * eigen[i]
+                if (n - i) * a % 2:
+                    signs[i] = -signs[i]
+            continue
+        need = _digit_width(r * r * m * d_norm)
+        if need > b:
+            b, vals = need, None
+        while True:
+            bits = 8 * b
+            qp, _, packed_starts = _packed_tables(n, b)
+            if vals is None:
+                vals = (packed_starts[word.start] if fresh
+                        else [g and _from_digits(g, b) for g in digits])
+            live = [j for j in range(n + 1) if digits[j]]
+            low = min(los[j] for j in live)
+            vec = {}
+            for j in live:
+                v = vals[j] << bits * ((los[j] - low) >> 2)
+                vec[j] = -v if signs[j] < 0 else v
+            turned = _turn(vec, rows, qp, bits)
+            shifts = {i: -a * eigen[i] for i in turned}
+            low_d = min(shifts.values())
+            vec = {i: (-v if (n - i) * a % 2 else v) << bits * ((shifts[i] - low_d) >> 2)
+                   for i, v in turned.items()}
+            quotients = _divide(_turn(vec, rows, qp, bits), n, b, m)
+            if quotients is not None:
+                break
+            b, vals = 2 * b, None
+        lo = 2 * lo_q + low + low_d
+        los, signs, fresh = [lo] * (n + 1), [1] * (n + 1), False
+        vals, digits, m = [None] * (n + 1), [None] * (n + 1), 0
+        for i, (h, g, norm) in quotients.items():
+            k = next(e for e, x in enumerate(g) if x)  # drop zero low digits
+            if k:
+                g, los[i] = g[k:], lo + 4 * k
+                if h is not None:
+                    h >>= bits * k
+            vals[i], digits[i], m = h, g, max(m, norm)
+        if b > _DIVMOD_BYTES:  # divided digit by digit: pack at the next run
+            vals = None
+    return {i: LaurentPoly._of({lo + 4 * e: s * x for e, x in enumerate(g) if x})
+            for i, (lo, s, g) in enumerate(zip(los, signs, digits)) if g}
 
 
 # X = A^4 + 1, so delta = -A^2 - A^-2 = -X / A^2

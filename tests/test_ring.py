@@ -12,10 +12,15 @@ from tanglekit.bracket import bracket_vector
 from tanglekit.ring import (
     LaurentPoly,
     RatFunc,
+    _digits,
+    _exact_quotient,
+    _from_digits,
     _gcd_cofactors,
     _heuristic_gcd,
+    _monic_quotient,
     _pack,
     _poly_gcd,
+    _primitive,
     _unpack,
     normalize_over,
     poly_dot,
@@ -23,6 +28,7 @@ from tanglekit.ring import (
     poly_lcm,
 )
 from tanglekit.tangles import RationalTangle, random_twist_vector
+from test_tl import _twist_diagonal
 
 A = LaurentPoly.variable()
 DELTA = -(A ** 2) - LaurentPoly.monomial(-2)
@@ -358,10 +364,11 @@ def test_coefficients_keep_the_stored_form():
             results += [den, *nums.values()]
         # the callers of LaurentPoly._of, which wraps a dict unchecked
         results += [p.shift(3), p.invert_variable(), -q]
-        results += tl._twist_diagonal({0: p, 1: q}, 2, rng.choice([-3, 1, 2])).values()
+        results += _twist_diagonal({0: p, 1: q}, 2, rng.choice([-3, 1, 2])).values()
         word = random_twist_vector(rng, 5, 4)
         v = bracket_vector(RationalTangle(word))
         results += [v.alpha, v.beta]
+        results += tl.transfer_vector(RationalTangle(word), 2).values()
         for r in results:
             _assert_stored_form(r)
 
@@ -541,6 +548,57 @@ def test_pack_evaluates_and_unpack_reads_balanced_digits():
                 assert _unpack(value, b) == small
 
 
+def test_pack_on_both_sides_of_the_horner_cutoff():
+    # Horner's rule below ring._HORNER_DEGREE, the digit rows above it, on
+    # gaps, negative and multi-digit coefficients
+    rng = random.Random(40)
+    cut = ring._HORNER_DEGREE
+    for b in (1, 2, 3, 8, 9):
+        xi = 1 << (8 * b)
+        for top in (0, 1, cut - 2, cut - 1, cut, cut + 1, 3 * cut):
+            for size in (2, xi // 2, xi ** 3):
+                p = {e: rng.randint(-size, size) for e in range(top) if rng.random() < 0.6}
+                p = {e: c for e, c in p.items() if c}
+                p[top] = rng.choice((-1, 1)) * rng.randint(1, size)
+                assert _pack(p, b) == sum(c * xi ** e for e, c in p.items()), (b, top, size)
+
+
+def test_digits_and_from_digits_invert_each_other():
+    # balanced digits at struct widths and at others, with the edges of
+    # the digit range and zeros on top
+    rng = random.Random(41)
+    for b in (1, 2, 3, 4, 7, 8, 9, 16):
+        xi = 1 << (8 * b)
+        edges = (-xi // 2, xi // 2 - 1, -1, 0, 1)
+        for _ in range(30):
+            digits = tuple(rng.choice(edges) if rng.random() < 0.4 else rng.randrange(-xi // 2, xi // 2)
+                           for _ in range(rng.randint(1, 12))) + (0,) * rng.randint(0, 2)
+            v = _from_digits(digits, b)
+            assert v == sum(d * xi ** e for e, d in enumerate(digits))
+            found = _digits(v, b)
+            assert found[:len(digits)] == digits[:len(found)] and not any(found[len(digits):])
+
+
+def test_monic_quotient_matches_the_long_division():
+    rng = random.Random(42)
+    for _ in range(300):
+        d = [rng.randint(-6, 6) for _ in range(rng.randint(0, 8))] + [1]
+        h = [rng.randint(-10 ** 30, 10 ** 30) for _ in range(rng.randint(1, 15))]
+        w = [0] * (len(h) + len(d) - 1)
+        for i, x in enumerate(h):
+            for j, y in enumerate(d):
+                w[i + j] += x * y
+        wrong = [x + (rng.random() < 0.2) for x in w]
+        for a in (w + [0] * rng.randint(0, 2), wrong):
+            dense = {e: x for e, x in enumerate(a) if x}
+            ref = _exact_quotient(dense, {e: x for e, x in enumerate(d) if x}) if dense else {}
+            found = _monic_quotient(a, d)
+            if ref is None:
+                assert found is None
+            else:
+                assert {e: x for e, x in enumerate(found) if x} == ref
+
+
 def _unpack_by_slices(v, b):
     """Balanced digits of v at xi = 2^(8b), one int.from_bytes per digit
     of v + xi/2 (1 + xi + xi^2 + ...): the referee of ring._unpack."""
@@ -618,6 +676,51 @@ def test_heuristic_gcd_picks_its_point_from_the_least_norm(monkeypatch):
         assert g == _prs_gcd(polys)
         least = min(max(abs(c) for c in p.values()) for p in polys)
         assert points and all((1 << (8 * b)) >= 2 * least + 2 for b in points)
+
+
+def test_heuristic_gcd_returns_coprime_inputs_themselves():
+    # gcd 1 in A^4: the inputs come back as they are, not mapped back from
+    # the polynomials in A^4
+    polys = [{0: 1, 4: -2, 12: 3}, {0: 5, 8: 1}, {4: 1, 16: 7}]
+    g, quotients = _heuristic_gcd(polys)
+    assert g == {0: 1} and all(q is p for q, p in zip(quotients, polys))
+    g, quotients = _heuristic_gcd([{0: 1, 1: 1}, {0: 2, 1: 1}])
+    assert g == {0: 1} and quotients[0] == {0: 1, 1: 1}
+
+
+def _colored_ratio_inputs(rng):
+    """The ordinary polynomial pairs that colored_expand and colored_ratios
+    reduce, on seeded words at widths 2 and 3."""
+    def ordinary(p):
+        lo = p.min_exp()
+        return {e - lo: c for e, c in p.coeffs.items()}
+
+    pairs = []
+    for n in (2,) * 6 + (3,) * 3:
+        t = RationalTangle(random_twist_vector(rng, 4, 3))
+        kappas = tl.transfer_vector(t, n)
+        bubbles = tl._transfer_data(n)[3]
+        gammas = []
+        for i, c in enumerate(bubbles):
+            if i in kappas:
+                pairs.append([ordinary(kappas[i] * c.den), ordinary(c.num)])
+                gammas.append(RatFunc.normalized(kappas[i] * c.den, c.num))
+        top = gammas[-1]
+        for g in gammas[:-1]:
+            pairs.append([ordinary(g.num * top.den), ordinary(g.den * top.num)])
+    return pairs
+
+
+def test_heuristic_gcd_equals_the_prs_on_colored_ratio_inputs():
+    pairs = _colored_ratio_inputs(random.Random(43))
+    assert len(pairs) > 40 and any(_prs_gcd(p) != {0: 1} for p in pairs)
+    for polys in pairs:
+        polys = [_primitive(p) for p in polys]
+        g, quotients = _heuristic_gcd(polys)
+        assert g == _prs_gcd(polys)
+        assert [_times(g, q) for q in quotients] == polys
+        if g == {0: 1}:
+            assert all(q is p for q, p in zip(quotients, polys))
 
 
 def test_a_candidate_that_does_not_divide_is_refused(monkeypatch):

@@ -19,6 +19,8 @@ from tanglekit.ring import (
     _poly_gcd,
     common_denominator,
     normalize_over,
+    poly_dot,
+    poly_exact_div,
 )
 from tanglekit.tangles import (
     PlanarTangleDiagram,
@@ -582,6 +584,44 @@ def _coords(n, nums, den):
     return [RatFunc.normalized(nums.get(i, zero), den) / c for i, c in enumerate(bubbles)]
 
 
+def _twist_diagonal(nums: dict, n: int, a: int) -> dict:
+    """A right run of a half twists on the dict replay: coordinate i times
+    its eigenvalue (-1)^((n-i)|a|) A^(a(n^2 + 2n - 2i^2 - 2i))."""
+    out = {}
+    for i, v in nums.items():
+        shift = a * (n * n + 2 * n - 2 * i * i - 2 * i)
+        sign = -1 if (n - i) * a % 2 else 1
+        out[i] = LaurentPoly._of({e + shift: sign * c for e, c in v.coeffs.items()})
+    return out
+
+
+def _quarter_turn(q, nums: dict) -> dict:
+    """q_den times Q times a vector, row by row with poly_dot."""
+    out = {}
+    for i, row in enumerate(q):
+        total = poly_dot((row[j], v) for j, v in nums.items() if row[j] is not None)
+        if total:
+            out[i] = total
+    return out
+
+
+def _dict_replay(t, n: int) -> dict:
+    """The referee of tl.transfer_vector: the same replay on dicts of
+    Laurent polynomials, each bottom run Q D(-a) Q with every coordinate
+    divided by q_den^2 with poly_exact_div."""
+    word = tl.colored_twist_word(t, n)
+    starts, q, q_den, _ = tl._transfer_data(n)
+    q_den2 = q_den * q_den
+    kappas = dict(starts[word.start])
+    for kind, a in word.runs:
+        if kind == "R":
+            kappas = _twist_diagonal(kappas, n, a)
+        else:
+            turned = _quarter_turn(q, _twist_diagonal(_quarter_turn(q, kappas), n, -a))
+            kappas = {i: poly_exact_div(v, q_den2) for i, v in turned.items()}
+    return kappas
+
+
 def test_transfer_replay_matches_the_threaded_closure():
     # the replay against the coordinates of the threaded closure of the
     # word's diagram, which builds no projector and takes no replay data
@@ -674,8 +714,8 @@ def _cables_shape(rng, total=5):
 
 
 def test_transfer_replay_takes_no_gcd(monkeypatch):
-    # every bottom run divides exactly by q_den^2 with poly_exact_div, so
-    # normalize_over never runs once the data are cached
+    # every bottom run divides exactly by q_den^2, so normalize_over never
+    # runs once the data are cached
     rng = random.Random(61)
     cases = [(build_rational(random_twist_vector(rng, 4, 3)), n) for n in (2, 3, 4, 5) for _ in range(8)]
     cases += [(_cables_shape(rng), 2) for _ in range(60)]
@@ -691,13 +731,71 @@ def test_transfer_replay_takes_no_gcd(monkeypatch):
     assert len(calls) == 0
 
 
+def _replay_cases(rng):
+    """Seeded words at widths 1 to 8, and words of ones and twos whose
+    digit widths cross 1, 2, 4 and 8 bytes and go past them."""
+    cases = [(build_rational(random_twist_vector(rng, 5 if n < 5 else 3, 4)), n)
+             for n in range(1, 9) for _ in range(6)]
+    cases += [(RationalTangle.from_entries(0, *e), n) for e, n in (((2, -1, 3), 2), ((-4,), 5))]
+    cases += [(RationalTangle.from_entries(*[1] * k), n) for k, n in ((120, 1), (60, 2), (40, 3))]
+    cases += [(RationalTangle.from_entries(*[-2] * 15), 2), (RationalTangle.from_entries(1, 1, 1), 8)]
+    return cases
+
+
+@pytest.mark.parametrize("product_bytes, divmod_bytes", [(None, None), (0, 0), (10 ** 6, 10 ** 6)])
+def test_packed_replay_equals_the_dict_replay(monkeypatch, product_bytes, divmod_bytes):
+    # the packed replay against the dict replay, at the default crossovers
+    # and with every product as shifts and every division digit by digit,
+    # or every product packed and every division one divmod
+    if product_bytes is not None:
+        monkeypatch.setattr(tl, "_transfer_cache", {})
+        monkeypatch.setattr(tl, "_PRODUCT_BYTES", product_bytes)
+        monkeypatch.setattr(tl, "_DIVMOD_BYTES", divmod_bytes)
+    widths = set()
+    packed_tables = tl._packed_tables
+    monkeypatch.setattr(tl, "_packed_tables", lambda n, b: widths.add(b) or packed_tables(n, b))
+    for t, n in _replay_cases(random.Random(24)):
+        assert tl.transfer_vector(t, n) == _dict_replay(t, n), (t, n)
+    assert {1, 2, 4, 8} <= widths and max(widths) > 8
+
+
+def test_a_short_digit_width_widens_and_stays_exact(monkeypatch):
+    # with every width one byte short of the chosen one, the certificate
+    # fails at several widths; each such run is redone at twice the width,
+    # from its input
+    digit_width, divide = tl._digit_width, tl._divide
+    failures = []
+
+    def spy(nums, n, b, m):
+        found = divide(nums, n, b, m)
+        if found is None:
+            failures.append(b)
+        return found
+
+    monkeypatch.setattr(tl, "_digit_width", lambda bound: max(1, digit_width(bound) - 1))
+    monkeypatch.setattr(tl, "_divide", spy)
+    for t, n in _replay_cases(random.Random(25)):
+        assert tl.transfer_vector(t, n) == _dict_replay(t, n), (t, n)
+    assert len(set(failures)) >= 3, failures
+
+
+def test_replay_data_outside_one_class_are_refused(monkeypatch):
+    # a term A^1 added to one entry of Q breaks the classes mod 4 that the
+    # packed form rests on: the tables refuse the data
+    monkeypatch.setattr(tl, "_transfer_cache", {})
+    q = tl._transfer_data(2)[1]
+    q[0][1] = q[0][1] + LaurentPoly.variable()
+    with pytest.raises(ValueError, match="colored replay at cable width 2: .* one class mod 4"):
+        tl.transfer_vector(RationalTangle.from_entries(2, 1, 2), 2)
+
+
 def test_quarter_turn_is_an_involution():
     # Q is rotate_cw on the span; two quarter turns of a dressed
     # 2-tangle, a half turn, fix every fusion basis element
     for n in (1, 2, 3, 4, 5):
         _, q, q_den, _ = tl._transfer_data(n)
         for j in range(n + 1):
-            twice = tl._quarter_turn(q, tl._quarter_turn(q, {j: LaurentPoly.one()}))
+            twice = _quarter_turn(q, _quarter_turn(q, {j: LaurentPoly.one()}))
             assert twice == {j: q_den * q_den}
 
 
@@ -708,10 +806,10 @@ def _braid_sides(n: int, middle: int):
     _, q, q_den, _ = tl._transfer_data(n)
 
     def d(a, v):
-        return tl._twist_diagonal(v[0], n, a), v[1]
+        return _twist_diagonal(v[0], n, a), v[1]
 
     def turn(v):
-        return normalize_over(tl._quarter_turn(q, v[0]), v[1] * q_den)
+        return normalize_over(_quarter_turn(q, v[0]), v[1] * q_den)
 
     for j in range(n + 1):
         v = ({j: LaurentPoly.one()}, LaurentPoly.one())
@@ -746,12 +844,12 @@ def test_half_twists_act_on_basis_coordinates(n):
     for i, b in enumerate(tl.bni_basis(n)):
         b = b.scale(bubbles[i].inverse())
         for s in (1, -1):
-            right = tl._twist_diagonal({i: one}, n, s)
+            right = _twist_diagonal({i: one}, n, s)
             twisted = tl.rotate_ccw(tl.compose(tl.rotate_cw(b), tl.tile_element(n, -s)))
             assert tl._read_coordinates(twisted, n) == _coords(n, right, one)
             if n < 3:
-                turned = tl._twist_diagonal(tl._quarter_turn(q, {i: one}), n, -s)
-                bottom = tl._quarter_turn(q, turned)
+                turned = _twist_diagonal(_quarter_turn(q, {i: one}), n, -s)
+                bottom = _quarter_turn(q, turned)
                 assert tl._read_coordinates(tl.compose(b, tl.tile_element(n, s)), n) == _coords(
                     n, bottom, q_den * q_den
                 )
@@ -760,7 +858,7 @@ def test_half_twists_act_on_basis_coordinates(n):
 def test_width_one_eigenvalues_are_the_bracket_step():
     # the diagonal of one right half twist in the bracket's transfer map
     one = LaurentPoly.one()
-    assert tl._twist_diagonal({0: one, 1: one}, 1, 1) == {
+    assert _twist_diagonal({0: one, 1: one}, 1, 1) == {
         0: LaurentPoly.monomial(3, -1), 1: LaurentPoly.monomial(-1)
     }
 
