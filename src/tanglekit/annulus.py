@@ -10,10 +10,13 @@ and the colored closure with its ratio invariants.
 
 An element keeps its coefficients as numerators over one shared
 denominator, the canonical form of ring.RatCombination that TL elements
-share.  The closures build that form directly, and the Chebyshev
-coordinates of any closure, of a diagram or a colored twist word, come
-from integer back-substitution on the numerators, with one reduction
-per coordinate.
+share.  The closures build that form directly.  The Chebyshev
+coordinates of a diagram's closure come from integer back-substitution
+on the numerators, with one reduction per coordinate
+(chebyshev_convert); those of a twist word's closure come in closed
+form, from alpha and beta at width 1 and from the replay coordinates
+kappa_i from width 2 on (closure_bases, colored_closure_bases), with
+chebyshev_convert as their referee.
 """
 
 from __future__ import annotations
@@ -38,8 +41,10 @@ __all__ = [
     "HomotopyType",
     "chebyshev_convert",
     "chebyshev_polynomial",
+    "closure_bases",
     "closure_bracket",
     "colored_closure",
+    "colored_closure_bases",
     "counterexample_check",
     "CounterexampleReport",
     "element_closure",
@@ -143,9 +148,11 @@ def chebyshev_convert(e: AnnulusElement) -> list:
     integer coefficients, so every step is an integer multiple and a sum
     of polynomials, the conversion is exact and round-trips, and each
     coordinate is reduced once at the end (not at all when the
-    denominator is 1).  The same path serves diagram closures and
-    colored closures; on the colored closure of a twist word it returns
-    the replay coordinates kappa_i of tl.transfer_vector.
+    denominator is 1).  It serves diagram closures; on the closures of
+    twist words, which closure_bases and colored_closure_bases read off
+    in closed form, it is the referee, and on the colored closure of a
+    twist word it returns the replay coordinates kappa_i of
+    tl.transfer_vector.
     """
     if e.is_zero:
         return []
@@ -221,6 +228,24 @@ def closure_bracket(t) -> AnnulusElement:
     alpha_delta = -(vec.alpha.shift(2) + vec.alpha.shift(-2))
     nums = {k: v for k, v in ((0, alpha_delta), (2, vec.beta)) if v}
     return AnnulusElement._of(nums, _ONE)
+
+
+def closure_bases(t) -> tuple:
+    """(closure_bracket(t), chebyshev_convert of it).
+
+    For a rational tangle or twist word the closure alpha delta +
+    beta z^2 is built over the denominator 1, and z^2 = S_2 + S_0, so
+    its coordinates are (alpha delta + beta) S_0 + beta S_2, or
+    alpha delta alone when beta = 0, in closed form.
+    """
+    e = closure_bracket(t)
+    if isinstance(t, PlanarTangleDiagram):
+        return e, chebyshev_convert(e)
+    alpha_delta, beta = e.nums.get(0), e.nums.get(2)
+    if beta is None:
+        return e, [RatFunc.from_laurent(alpha_delta)] if alpha_delta else []
+    s_0 = beta if alpha_delta is None else alpha_delta + beta
+    return e, [RatFunc.from_laurent(s_0), RatFunc.zero(), RatFunc.from_laurent(beta)]
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +332,30 @@ def colored_closure(t, n: int) -> AnnulusElement:
         from . import threaded  # loaded on first use, see its docstring
 
         return threaded.threaded_closure(t, tl.check_cable_width(n, tl.MAX_TWIST_WIDTH))
+    return colored_closure_bases(t, n)[0]
+
+
+def colored_closure_bases(t, n: int) -> tuple:
+    """(colored_closure(t, n), chebyshev_convert of it).
+
+    For a rational tangle or twist word at width 2 or more both come from
+    one replay: the Chebyshev coordinates are kappa_i at S_2i and zero at
+    the odd indices, with no back-substitution.  At width 1 they are
+    those of closure_bases.
+    """
+    if isinstance(t, PlanarTangleDiagram):
+        e = colored_closure(t, n)
+        return e, chebyshev_convert(e)
     word = tl.colored_twist_word(t, n)
     if n == 1:
-        return closure_bracket(word)
-    return _integer_sum((s, k, kappa) for i, kappa in tl.transfer_vector(word, n).items()
-                        for k, s in _chebyshev_coeffs(2 * i).items())
+        return closure_bases(word)
+    kappas = tl.transfer_vector(word, n)
+    coords = [RatFunc.zero()] * (2 * max(kappas, default=-1) + 1)
+    for i, kappa in kappas.items():
+        coords[2 * i] = RatFunc.from_laurent(kappa)
+    e = _integer_sum((s, k, kappa) for i, kappa in kappas.items()
+                     for k, s in _chebyshev_coeffs(2 * i).items())
+    return e, coords
 
 
 def gamma_ratio_invariants(e: AnnulusElement) -> list:

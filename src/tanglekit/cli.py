@@ -30,13 +30,13 @@ import os
 import random
 import re
 import sys
-import warnings
 from itertools import islice
 
 from .annulus import (
-    chebyshev_convert,
+    closure_bases,
     closure_bracket,
     colored_closure,
+    colored_closure_bases,
     homotopy_type,
     link_fraction,
     links_equivalent,
@@ -54,10 +54,9 @@ from .tangles import (
 )
 from .tl import (
     MAX_TWIST_WIDTH,
-    _width_one_ratios,
     check_cable_width,
     colored_expand,
-    colored_ratios,
+    colored_invariants,
 )
 
 
@@ -155,15 +154,14 @@ def _chebyshev_text(coords) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _closure_payload(e, opts):
-    """JSON payload of an annulus element in the requested basis (both
-    when opts["basis"] is None), and its text form, built only under
-    --text (None otherwise)."""
+def _closure_payload(e, cheb, opts):
+    """JSON payload of an annulus element e with Chebyshev coordinates
+    cheb in the requested basis (both when opts["basis"] is None), and
+    its text form, built only under --text (None otherwise)."""
     basis, payload, text = opts.get("basis"), {}, None
     if basis != "chebyshev":
         payload["z"] = {str(k): str(e.coefficient(k)) for k in sorted(e.coeffs)}
     if basis != "z":
-        cheb = chebyshev_convert(e)
         payload["chebyshev"] = [str(c) for c in cheb]
     if opts.get("fmt") == "text":
         text = _chebyshev_text(cheb) if basis == "chebyshev" else str(e)
@@ -208,8 +206,7 @@ def _invariant_payload(notation, opts):
 
 
 def _closure_cmd_payload(notation, opts):
-    e = closure_bracket(_parse_tangle_arg(notation))
-    return _closure_payload(e, opts)
+    return _closure_payload(*closure_bases(_parse_tangle_arg(notation)), opts)
 
 
 def _classify_payload(notation, opts):
@@ -222,13 +219,10 @@ def _classify_payload(notation, opts):
 
 def _colored_payload(notation, opts):
     n = opts["n"]
-    gammas = colored_expand(_parse_tangle_arg(notation), n)
-    # A vanishing top coordinate is reported in the payload instead of
-    # as the library's warning on stderr: the ratios then divide by
-    # gamma_k, k = len(ratios), the last nonzero coordinate.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        ratios = (_width_one_ratios if n == 1 else colored_ratios)(gammas)
+    # A vanishing top coordinate shows as fewer than n ratios, reported
+    # in the payload: they then divide by gamma_k, k = len(ratios), the
+    # last nonzero coordinate.
+    gammas, ratios = colored_invariants(_parse_tangle_arg(notation), n)
     payload = {
         "n": n,
         "gamma": [str(g) for g in gammas],
@@ -244,8 +238,7 @@ def _colored_payload(notation, opts):
 
 def _colored_closure_payload(notation, opts):
     n = opts["n"]
-    e = colored_closure(_parse_tangle_arg(notation), n)
-    payload, text = _closure_payload(e, opts)
+    payload, text = _closure_payload(*colored_closure_bases(_parse_tangle_arg(notation), n), opts)
     return {"n": n, **payload}, text
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .ring import LaurentPoly, RatFunc
 
-__all__ = ["bubble_ratio", "quarter_turn_entry"]
+__all__ = ["bubble_counts", "bubble_ratio", "quarter_turn_entry"]
 
 
 def _qint(k: int) -> LaurentPoly:
@@ -59,6 +59,15 @@ def _theta_counts(n: int, i: int) -> dict:
     return counts
 
 
+def bubble_counts(n: int, i: int):
+    """(sign, counts) with bubble_ratio(n, i) = sign times the product of
+    [k]^counts[k]: the quantum-integer exponents of theta(n, n, 2i) with
+    that of Delta_2i = [2i+1] taken off."""
+    counts = _theta_counts(n, i)
+    counts[2 * i + 1] = counts.get(2 * i + 1, 0) - 1
+    return (-1) ** (n + i), counts
+
+
 def bubble_ratio(n: int, i: int) -> RatFunc:
     """theta(n, n, 2i) / Delta_2i, Delta_2i = [2i+1].
 
@@ -67,10 +76,9 @@ def bubble_ratio(n: int, i: int) -> RatFunc:
     parallel n-cables (the fusion identity).  So b_i divided by it, the
     fusion basis of the colored replay, closes to S_2i(z).
     """
-    counts = _theta_counts(n, i)
-    counts[2 * i + 1] = counts.get(2 * i + 1, 0) - 1
+    sign, counts = bubble_counts(n, i)
     num, den = _expand(counts)
-    return RatFunc.normalized(num if (n + i) % 2 == 0 else -num, den)
+    return RatFunc.normalized(num * sign, den)
 
 
 def quarter_turn_entry(n: int, i: int, j: int) -> RatFunc:

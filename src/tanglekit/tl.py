@@ -86,6 +86,7 @@ __all__ = [
     "colored_twist_word",
     "transfer_vector",
     "colored_expand",
+    "colored_invariants",
     "colored_ratios",
 ]
 
@@ -721,9 +722,24 @@ def bni_basis(n: int) -> list:
 # recoupling.py.  Over bni_basis it is Tet Delta_2i / theta(n,n,2i)^2,
 # with about three times the terms.  The replay coordinates kappa_i are
 # then the Chebyshev coordinates of the colored closure, integral Laurent
-# polynomials (transfer_vector), and kappa_i / c_i the coordinates over
-# bni_basis(n).  A diagram's kappa_i are read off its threaded closure
-# instead.  colored_expand and colored_closure therefore reach every
+# polynomials (transfer_vector), and gamma_i = kappa_i / c_i the
+# coordinates over bni_basis(n).  A diagram's kappa_i are read off its
+# threaded closure instead.
+#
+# The gamma_i and their ratios are reduced from kappa with no general
+# normalization (cyclotomic.py).  Each c_i is a unit times a quotient of
+# products of the cyclotomic polynomials Phi_d(A^4), as every quantum
+# integer is, and its unit and factor multisets are tabled next to the
+# replay data.  gamma_i strips from kappa_i only the numerator factors of
+# c_i, each at most as often as it occurs and only after an exact
+# divisibility test; a ratio gamma_i / gamma_k takes one gcd, of kappa_i
+# and kappa_k, and strips the factors of c_k / c_i from the two coprime
+# cofactors.  Both are canonical as built: kappa lies in A^lo Z[A^4],
+# where a factor of Phi_d(A^4) divides only along with all of
+# Phi_d(A^4).  RatFunc.normalized and colored_ratios referee them in the
+# tests.
+#
+# colored_expand and colored_closure therefore reach every
 # width up to MAX_TWIST_WIDTH without building a projector, a basis
 # element or a crossing tile.  The threaded closure of
 # rational_to_diagram(t) referees the replay at every width; at widths
@@ -1032,6 +1048,15 @@ def transfer_vector(t, n: int) -> dict:
     than MAX_COLORED_TWISTS[n] are refused before any precompute.  The
     dict returned is the caller's own, also for a word with no runs.
     """
+    return {i: LaurentPoly._of({lo + 4 * e: s * x for e, x in enumerate(g) if x})
+            for i, (lo, s, g) in _replay(t, n).items()}
+
+
+def _replay(t, n: int) -> dict:
+    """The replay of transfer_vector, with each nonzero kappa_i as
+    (lo, sign, digits): kappa_i = sign A^lo P(A^4), digits the
+    coefficients of P, lowest first, the lowest nonzero and some top ones
+    possibly zero."""
     word = colored_twist_word(t, n)
     lo_q, rows, r, eigen, _, d_norm, starts = _replay_tables(n)
     los, digits = map(list, zip(*starts[word.start]))
@@ -1081,49 +1106,72 @@ def transfer_vector(t, n: int) -> dict:
             vals[i], digits[i], m = h, g, max(m, norm)
         if b > _DIVMOD_BYTES:  # divided digit by digit: pack at the next run
             vals = None
-    return {i: LaurentPoly._of({lo + 4 * e: s * x for e, x in enumerate(g) if x})
-            for i, (lo, s, g) in enumerate(zip(los, signs, digits)) if g}
+    return {i: (lo, s, g) for i, (lo, s, g) in enumerate(zip(los, signs, digits)) if g}
 
 
 # X = A^4 + 1, so delta = -A^2 - A^-2 = -X / A^2
 _X = LaurentPoly({0: 1, 4: 1})
 
 
+def _closure_kappas(t, n: int) -> dict:
+    """The nonzero coordinates kappa_i of S_2i in the colored closure, in
+    the form i -> (lo, sign, digits) of _replay: for a rational tangle or
+    twist word those of the replay, for a diagram the Chebyshev
+    coordinates of its threaded closure (annulus.colored_closure), which
+    must lie in the span of S_0, S_2, ..., S_2n."""
+    if not isinstance(t, PlanarTangleDiagram):
+        return _replay(t, n)
+    from . import annulus, cyclotomic  # annulus imports this module
+
+    coords = annulus.chebyshev_convert(annulus.colored_closure(t, n))
+    if len(coords) > 2 * n + 1 or any(coords[1::2]):
+        raise ValueError("basis failure: closure outside the span of S_0, S_2, ..., S_2n")
+    return cyclotomic.quarter_forms({i: c.as_laurent() for i, c in enumerate(coords[::2]) if c})
+
+
 def colored_expand(t, n: int) -> list:
     """Coordinates of the n-cabled, projector-dressed tangle over bni_basis.
 
     gamma_i = kappa_i / c_i, with kappa_i the coordinate of S_2i in the
-    colored closure: for a rational tangle or twist word the replay
-    coordinates of transfer_vector, for a diagram the Chebyshev
-    coordinates of its threaded closure (annulus.colored_closure), which
-    must lie in the span of S_0, S_2, ..., S_2n.  A twist word at width 1
-    is read off the bracket instead, since the cable is the tangle
-    itself: over (b_0, b_1), gamma = (alpha + beta / delta, beta)
+    colored closure (_closure_kappas), reduced with no gcd by the known
+    cyclotomic factors of c_i (cyclotomic.reduced_gammas).  A twist word
+    at width 1 is read off the bracket instead, since the cable is the
+    tangle itself: over (b_0, b_1), gamma = (alpha + beta / delta, beta)
     = ((alpha X - beta A^2) / X, beta).  Both are canonical as built, with
     no gcd: X = Phi_8 is irreducible with content 1, so it could cancel
     only by dividing beta, that is, only if beta(zeta_8) = 0.  That
     happens only at fraction infinity, where beta = 0 and
     gamma = (alpha, 0).
     """
-    if isinstance(t, PlanarTangleDiagram):
-        from . import annulus  # annulus imports this module
-
-        coords = annulus.chebyshev_convert(annulus.colored_closure(t, n))
-        if len(coords) > 2 * n + 1 or any(coords[1::2]):
-            raise ValueError("basis failure: closure outside the span of S_0, S_2, ..., S_2n")
-        kappas = {i: c.as_laurent() for i, c in enumerate(coords[::2]) if c}
-    elif n == 1:
+    if n == 1 and not isinstance(t, PlanarTangleDiagram):
         vec = bracket_vector(colored_twist_word(t, 1))
         alpha, beta = vec.alpha, vec.beta
         if beta.is_zero:
             return [RatFunc.from_laurent(alpha), RatFunc.zero()]
         gamma_0 = RatFunc(alpha + alpha.shift(4) - beta.shift(2), _X)
         return [gamma_0, RatFunc.from_laurent(beta)]
-    else:
-        kappas = transfer_vector(t, n)
-    bubbles = _transfer_data(n)[3]
-    return [RatFunc.normalized(kappas[i] * c.den, c.num) if i in kappas else RatFunc.zero()
-            for i, c in enumerate(bubbles)]
+    from . import cyclotomic  # loaded on first use, see its docstring
+
+    return cyclotomic.reduced_gammas(_closure_kappas(t, n), n)
+
+
+def colored_invariants(t, n: int) -> tuple:
+    """(colored_expand(t, n), ratios), the ratios those of
+    colored_ratios, gamma_i / gamma_k for k the last nonzero coordinate,
+    without its warning: when the top coordinate vanishes there are
+    fewer than n of them.
+
+    Both come from one replay: each ratio takes one gcd, of kappa_i and
+    kappa_k (cyclotomic.reduced_ratios), and a twist word at width 1 none
+    (_width_one_ratios).
+    """
+    if n == 1 and not isinstance(t, PlanarTangleDiagram):
+        gammas = colored_expand(t, 1)
+        return gammas, _width_one_ratios(gammas)
+    from . import cyclotomic  # loaded on first use, see its docstring
+
+    quarters = _closure_kappas(t, n)
+    return cyclotomic.reduced_gammas(quarters, n), cyclotomic.reduced_ratios(quarters, n)
 
 
 def colored_ratios(gammas: list) -> list:
@@ -1159,11 +1207,14 @@ def _width_one_ratios(gammas: list) -> list:
     X is irreducible and does not divide beta (colored_expand), so the
     two sides are coprime, and the ratio is gamma_0.num over X beta, a
     sum of two shifts, up to the sign and the power of A that
-    coprime_ratio moves.  A vanishing coordinate is left to
-    colored_ratios, which then needs no gcd either.
+    coprime_ratio moves.  A vanishing coordinate needs no gcd either:
+    gamma_1 = 0 leaves no ratio (gamma_0 normalizes, as in
+    colored_ratios, but with no warning) and gamma_0 = 0 the ratio 0.
     """
     g0, g1 = gammas
-    if g0.is_zero or g1.is_zero:
-        return colored_ratios(gammas)
+    if g1.is_zero:
+        return []
+    if g0.is_zero:
+        return [RatFunc.zero()]
     beta = g1.num
     return [coprime_ratio(BracketVec2(g0.num, beta + beta.shift(4)))]

@@ -505,3 +505,24 @@ def test_counterexample_report():
     assert report.tangles_distinguished
     assert report.closures_equal
     assert not report.closure_single.is_zero
+
+
+@pytest.mark.parametrize("n", range(1, tl.MAX_TWIST_WIDTH + 1))
+def test_closure_bases_are_the_closure_and_its_chebyshev_coordinates(n):
+    # the Chebyshev coordinates of twist words come from the replay (or,
+    # at width 1, from alpha and beta) with no back-substitution; the
+    # back-substitution referees them, on diagrams too
+    rng = random.Random(280 + n)
+    words = [RationalTangle.from_entries(0), INF, RationalTangle.from_entries(0, 3),
+             RationalTangle.from_entries(1), RationalTangle.from_entries(*[1] * 12)]
+    words += [build_rational(random_twist_vector(rng, *((4, 3) if n <= 4 else (3, 2))))
+              for _ in range(10)]
+    words += [tl.colored_twist_word(RationalTangle.from_entries(2, -1), n)]
+    if n <= 2:
+        words += [clasp_single(), rational_to_diagram(RationalTangle.from_entries(2, -1))]
+    for t in words:
+        e = colored_closure(t, n)
+        assert annulus.colored_closure_bases(t, n) == (e, chebyshev_convert(e)), (t, n)
+        if n == 1:
+            e = closure_bracket(t)
+            assert annulus.closure_bases(t) == (e, chebyshev_convert(e)), t

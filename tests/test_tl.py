@@ -8,8 +8,15 @@ from math import gcd
 
 import pytest
 
-from tanglekit import tl
-from tanglekit.annulus import colored_closure, element_closure, gamma_ratio_invariants
+from tanglekit import cyclotomic, tl
+from tanglekit.annulus import (
+    chebyshev_convert,
+    closure_bases,
+    colored_closure,
+    colored_closure_bases,
+    element_closure,
+    gamma_ratio_invariants,
+)
 from tanglekit.bracket import bracket_vector
 from tanglekit.oracle import MAX_ORACLE_CROSSINGS
 from tanglekit.rationals import TwistVector
@@ -984,3 +991,194 @@ def test_ratio_invariants_differ_for_different_fractions():
     left = tl.colored_ratios(tl.colored_expand(RationalTangle.from_entries(2), 1))
     right = tl.colored_ratios(tl.colored_expand(RationalTangle.from_entries(3), 1))
     assert left != right
+
+
+# ---------------------------------------------------------------------------
+# Colored coordinates read off kappa: cyclotomic bookkeeping
+# ---------------------------------------------------------------------------
+
+def _phi4(d):
+    """Phi_d(A^4) as a Laurent polynomial: A^(4d) - 1 divided by every
+    Phi_e(A^4) with e < d dividing d, apart from cyclotomic.py."""
+    u_d = LaurentPoly({4 * d: 1, 0: -1})
+    for e in range(1, d):
+        if d % e == 0:
+            u_d = poly_exact_div(u_d, _phi4(e))
+    return u_d
+
+
+def _referee(kappas, n):
+    """gamma_i = kappa_i / c_i through RatFunc.normalized, and the ratios
+    through colored_ratios."""
+    bubbles = tl._transfer_data(n)[3]
+    gammas = [RatFunc.normalized(kappas[i] * c.den, c.num) if i in kappas else RatFunc.zero()
+              for i, c in enumerate(bubbles)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return gammas, tl.colored_ratios(gammas)
+
+
+def _colored_words(rng, n):
+    """Seeded words at width n with their mirrors and fraction-equal
+    partners (a = (a - s) + 1/s split off the first entry, s its sign),
+    [0], [inf] and an [inf]-like word."""
+    entries = [(0,), (0, 3), (1,), (3, 2), (1, 2, 2)]
+    for _ in range(10 if n <= 4 else 4):
+        e = random_twist_vector(rng, 4 if n <= 4 else 3, 4 if n <= 4 else 2).entries
+        entries += [e, tuple(-a for a in e)]
+        if abs(e[0]) >= 2:
+            s = 1 if e[0] > 0 else -1
+            entries.append((s, e[0] - s) + e[1:])
+    bound = tl.MAX_COLORED_TWISTS[n]
+    return [RationalTangle.from_entries(*e) for e in entries
+            if sum(map(abs, e)) <= bound] + [RationalTangle.infinity()]
+
+
+@pytest.mark.parametrize("n", range(2, tl.MAX_TWIST_WIDTH + 1))
+def test_colored_invariants_equal_the_normalized_referee(n):
+    # gamma_i against RatFunc.normalized(kappa_i c.den, c.num) and the
+    # ratios against colored_ratios, on words with some kappa_i = 0
+    # ([inf], [0 3]), mirror pairs and fraction-equal pairs
+    rng = random.Random(250 + n)
+    for t in _colored_words(rng, n):
+        gammas, ratios = tl.colored_invariants(t, n)
+        assert (gammas, ratios) == _referee(tl.transfer_vector(t, n), n), (t, n)
+        assert tl.colored_expand(t, n) == gammas
+
+
+@pytest.mark.parametrize("n", range(2, tl.MAX_TWIST_WIDTH + 1))
+def test_reduction_takes_each_factor_at_most_as_often_as_it_occurs(n):
+    # kappa_i times extra powers of the Phi_d(A^4) of the bubble ratios,
+    # with some coordinates dropped (the top one too, so that k < n with
+    # ratios left), against the referee: every factor is stripped up to
+    # its multiplicity and no further, and a stripped factor stays out
+    rng = random.Random(260 + n)
+    factors = cyclotomic.bubble_factors(n)
+    orders = sorted({d for f in factors for d in list(f.num) + list(f.den)})
+    stripped = 0
+    for t in _colored_words(rng, n)[:12]:
+        kappas = tl.transfer_vector(t, n)
+        for _ in range(3):
+            scaled = {}
+            for i, kappa in kappas.items():
+                if rng.random() < 0.2 and len(kappas) > 1:
+                    continue
+                for d in rng.sample(orders, min(2, len(orders))):
+                    kappa = kappa * _phi4(d) ** rng.randint(0, 3)
+                scaled[i] = kappa
+            if not scaled:
+                continue
+            quarters = cyclotomic.quarter_forms(scaled)
+            gammas = cyclotomic.reduced_gammas(quarters, n)
+            ratios = cyclotomic.reduced_ratios(quarters, n)
+            assert (gammas, ratios) == _referee(scaled, n), (t, n, scaled)
+            stripped += sum(g.den != factors[i].num_poly for i, g in enumerate(gammas) if g)
+    assert stripped > 10
+
+
+def test_width_three_multiplicities_are_exercised():
+    # at width 3, c_1 = Phi_4 Phi_5 / Phi_3^2 (in A^4): a ratio divides by
+    # c_1 and so strips up to two copies of Phi_3(A^4)
+    f = cyclotomic.bubble_factors(3)[1]
+    assert (f.num, f.den) == ({4: 1, 5: 1}, {3: 2})
+    assert cyclotomic.ratio_factors(3, 1, 3).num == {3: 2}
+    p = LaurentPoly({4: 1, 0: 2})
+    for e in range(4):
+        kappas = {1: p * _phi4(3) ** e, 3: LaurentPoly({8: 1, 0: -3})}
+        quarters = cyclotomic.quarter_forms(kappas)
+        assert cyclotomic.reduced_ratios(quarters, 3) == _referee(kappas, 3)[1], e
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_diagram_coordinates_through_the_threaded_closure(n):
+    # a diagram's kappa_i are read off its threaded closure and reduced by
+    # the same tables; the referee divides the Chebyshev coordinates
+    diagrams = [clasp_single(), clasp_double(), clasp_around_right()]
+    diagrams += [rational_to_diagram(RationalTangle.from_entries(*e)) for e in ((0,), (2, -1), (1, 1, 1))]
+    if n == 3:
+        diagrams = diagrams[2:]
+    for d in diagrams:
+        coords = chebyshev_convert(colored_closure(d, n))
+        kappas = {i: c.as_laurent() for i, c in enumerate(coords[::2]) if c}
+        gammas, ratios = tl.colored_invariants(d, n)
+        assert (gammas, ratios) == _referee(kappas, n), (d, n)
+        assert tl.colored_expand(d, n) == gammas
+
+
+def test_colored_invariants_take_no_normalization(monkeypatch):
+    # past the cached tables, the coordinates and ratios of twist words,
+    # and the closures in both bases, reduce nothing
+    rng = random.Random(270)
+    cases = [(t, n) for n in (1, 2, 3, 5) for t in _colored_words(rng, n)[:10]]
+    for n in (1, 2, 3, 5):
+        tl.colored_invariants(RationalTangle.from_entries(2), n)
+        for i in range(n):
+            cyclotomic.ratio_factors(n, i, n)
+
+    def refuse(*args):
+        raise AssertionError("normalization called")
+
+    monkeypatch.setattr(RatFunc, "normalized", staticmethod(refuse))
+    monkeypatch.setattr(tl, "normalize_over", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t, n in cases:
+            tl.colored_invariants(t, n)
+            colored_closure_bases(t, n)
+            closure_bases(t)
+
+
+@pytest.mark.parametrize("n", range(1, tl.MAX_TWIST_WIDTH + 1))
+def test_bubble_factors_multiply_back_to_the_bubble_ratios(n):
+    # the unit and the multisets of Phi_d(A^4) of each c_i give back
+    # recoupling.bubble_ratio(n, i), and c_n = 1
+    from tanglekit import recoupling
+
+    for i, f in enumerate(cyclotomic.bubble_factors(n)):
+        num, den = LaurentPoly.monomial(f.shift, f.sign), LaurentPoly.one()
+        for d, m in f.num.items():
+            num = num * _phi4(d) ** m
+        for d, m in f.den.items():
+            den = den * _phi4(d) ** m
+        assert not set(f.num) & set(f.den)
+        assert RatFunc(num, den) == recoupling.bubble_ratio(n, i), (n, i)
+    top = cyclotomic.bubble_factors(n)[n]
+    assert (top.sign, top.shift, top.num, top.den) == (1, 0, {}, {})
+    assert recoupling.bubble_ratio(n, n) == ONE
+
+
+def test_corrupted_bubble_data_are_refused(monkeypatch):
+    # bubble ratios that the factor tables do not reproduce, here c_1 of
+    # width 3 with one copy of Phi_3(A^4) fewer, are refused with the width
+    from tanglekit import recoupling
+
+    bubble_ratio = recoupling.bubble_ratio
+
+    def corrupted(n, i):
+        c = bubble_ratio(n, i)
+        return c * RatFunc.from_laurent(_phi4(3)) if (n, i) == (3, 1) else c
+
+    monkeypatch.setattr(tl, "_transfer_cache", {})
+    monkeypatch.setattr(recoupling, "bubble_ratio", corrupted)
+    tl.colored_invariants(RationalTangle.from_entries(3, 2), 2)
+    with pytest.raises(ValueError, match="colored coordinates at cable width 3: .* c_1"):
+        tl.colored_invariants(RationalTangle.from_entries(3, 2), 3)
+
+
+def test_reduction_tables_build_no_projector(monkeypatch):
+    # the factor tables come from the recoupling counts alone, quickly
+    for cache in ENGINE_CACHES + ("_transfer_cache",):
+        monkeypatch.setattr(tl, cache, {})
+    for n in range(1, tl.MAX_TWIST_WIDTH + 1):
+        tl._transfer_data(n)
+        start = time.perf_counter()
+        cyclotomic.bubble_factors(n)
+        for i in range(n):
+            cyclotomic.ratio_factors(n, i, n)
+        assert time.perf_counter() - start < 0.05, n
+    assert all(getattr(tl, cache) == {} for cache in ENGINE_CACHES)
+
+
+def test_a_coordinate_outside_one_class_is_refused():
+    with pytest.raises(ValueError, match="one class mod 4"):
+        cyclotomic.quarter_forms({0: LaurentPoly({0: 1, 2: 1})})
