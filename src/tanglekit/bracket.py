@@ -15,7 +15,7 @@ A^4 is then a shift by one b-byte digit, and a run costs a few shifts,
 adds and at most one exact division of big integers.  The digit width b
 comes from a bound on the coefficients proven in one pass over the
 runs, and each coordinate is read back once, at the end, with
-ring._unpack.
+ring._digits and ring._from_dense.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rationals import ExtRational
-from .ring import LaurentPoly, RatFunc, _digit_width, _unpack
+from .ring import LaurentPoly, RatFunc, _digit_width, _digits, _from_dense
 from .tangles import TwistWord, check_twist_total, to_twist_word
 
 __all__ = [
@@ -149,8 +149,8 @@ def bracket_vector(t) -> BracketVec2:
         lo_b -= e * k
         if kind == "B":
             lo_a, pa, lo_b, pb = lo_b, pb, lo_a, pa
-    return BracketVec2(LaurentPoly._of(_unpack(pa, b, lo_a, 4)),
-                       LaurentPoly._of(_unpack(pb, b, lo_b, 4)))
+    return BracketVec2(_from_dense(lo_a, 1, _digits(pa, b), 4),
+                       _from_dense(lo_b, 1, _digits(pb, b), 4))
 
 
 def mirror_transport(v: BracketVec2, op: str) -> BracketVec2:

@@ -21,9 +21,9 @@ from itertools import cycle, repeat
 from operator import add, mul
 
 from . import recoupling, tl
-from .ring import LaurentPoly, RatFunc, _gcd_cofactors, _monic_quotient
+from .ring import RatFunc, _exact_quotient, _from_dense, _gcd_cofactors
 
-__all__ = ["bubble_factors", "quarter_forms", "ratio_factors", "reduced_gammas", "reduced_ratios"]
+__all__ = ["bubble_factors", "ratio_factors", "reduced_gammas", "reduced_ratios"]
 
 #: A prime l = 1 mod lcm(1, ..., 17) = 12,252,240 with 19^((l-1)/p) != 1
 #: mod l for every prime p <= 17.  So for every d <= 17 = 2
@@ -45,7 +45,7 @@ def _cyclotomic(d: int):
         phi = [-1] + [0] * (d - 1) + [1]
         for e in range(1, d):
             if d % e == 0:
-                phi = _monic_quotient(phi, _cyclotomic(e)[0])
+                phi = _exact_quotient(phi, _cyclotomic(e)[0])
         ell = _TEST_PRIME
         w, value = pow(19, (ell - 1) // d, ell), 0
         for c in reversed(phi):
@@ -68,11 +68,6 @@ def _dense_mul(a, b):
         if c:
             out[j:j + n] = map(add, out[j:j + n], map(mul, a, repeat(c)))
     return out
-
-
-def _dense_poly(g, lo: int, sign: int) -> LaurentPoly:
-    """sign A^lo g(A^4) as a Laurent polynomial, g dense."""
-    return LaurentPoly._of({lo + 4 * e: sign * x for e, x in enumerate(g) if x})
 
 
 _product_cache = {}
@@ -105,7 +100,7 @@ class _Factored:
         self.den = {d: -e for d, e in exponents.items() if e < 0}
         self.num_u = _cyclotomic_product(self.num)
         self.den_u = _cyclotomic_product(self.den)
-        self.num_poly = _dense_poly(self.num_u, 0, 1)
+        self.num_poly = _from_dense(0, 1, self.num_u, 4)
 
 
 def bubble_factors(n: int) -> list:
@@ -132,7 +127,7 @@ def bubble_factors(n: int) -> list:
                         exponents[d] = exponents.get(d, 0) + e
             f = _Factored(sign, shift, exponents)
             if (f.num_poly.shift(f.shift) * f.sign != c.num
-                    or _dense_poly(f.den_u, 0, 1) != c.den):
+                    or _from_dense(0, 1, f.den_u, 4) != c.den):
                 raise ValueError(f"colored coordinates at cable width {n}: the cyclotomic "
                                  f"factors of c_{i} do not multiply back to its bubble ratio")
             factors.append(f)
@@ -164,7 +159,7 @@ def _strip(p, factors: dict):
     divides p, p(w) = 0 mod l at every root w of Phi_d mod l
     (_cyclotomic), so p(w) != 0 mod l rules Phi_d out at the cost of one
     C-level sum; most tests end there.  Otherwise the exact division
-    _monic_quotient (Phi_d is monic) decides.
+    ring._exact_quotient decides.
     """
     rest = {}
     for d, m in factors.items():
@@ -172,7 +167,7 @@ def _strip(p, factors: dict):
         while m:
             if sum(map(mul, p, cycle(powers))) % _TEST_PRIME:
                 break
-            q = _monic_quotient(p, phi)
+            q = _exact_quotient(p, phi)
             if q is None:
                 break
             p, m = q, m - 1
@@ -181,28 +176,9 @@ def _strip(p, factors: dict):
     return p, rest
 
 
-def quarter_forms(kappas: dict) -> dict:
-    """i -> (lo, sign, P), as tl._replay gives them, for the nonzero kappa_i of a dict of
-    Laurent polynomials: kappa_i = sign A^lo P(A^4).  Each kappa_i must
-    have its exponents in one class mod 4 (transfer_vector proves it of a
-    twist word; in a closure, changing one smoothing moves a state's
-    exponent by a multiple of 4), else ValueError."""
-    out = {}
-    for i, v in kappas.items():
-        lo = min(v.coeffs)
-        p = [0] * ((max(v.coeffs) - lo >> 2) + 1)
-        for e, c in v.coeffs.items():
-            e -= lo
-            if e & 3:
-                raise ValueError("colored coordinates: a coordinate leaves one class mod 4")
-            p[e >> 2] = c
-        out[i] = lo, 1, p
-    return out
-
-
 def reduced_gammas(quarters: dict, n: int) -> list:
     """gamma_i = kappa_i / c_i in canonical form, for the kappa_i of
-    tl._replay or quarter_forms, with no gcd.
+    tl._closure_kappas, with no gcd.
 
     With c_i = s A^k N / D (bubble_factors), gamma_i = s A^-k kappa_i D / N.
     Each Phi_d(A^4) of N is taken out of kappa_i at most as often as it
@@ -225,14 +201,14 @@ def reduced_gammas(quarters: dict, n: int) -> list:
             continue
         lo, sign, p = quarters[i]
         p, rest = _strip(p, f.num)
-        den = f.num_poly if rest == f.num else _dense_poly(_cyclotomic_product(rest), 0, 1)
-        out.append(RatFunc(_dense_poly(_dense_mul(p, f.den_u), lo - f.shift, sign * f.sign), den))
+        den = f.num_poly if rest == f.num else _from_dense(0, 1, _cyclotomic_product(rest), 4)
+        out.append(RatFunc(_from_dense(lo - f.shift, sign * f.sign, _dense_mul(p, f.den_u), 4), den))
     return out
 
 
 def reduced_ratios(quarters: dict, n: int) -> list:
     """The ratios gamma_i / gamma_k of colored_ratios, k the last nonzero
-    coordinate, for the kappa_i of tl._replay or quarter_forms, with one gcd
+    coordinate, for the kappa_i of tl._closure_kappas, with one gcd
     per ratio and no warning (k < n shows as fewer than n ratios).
 
     gamma_i / gamma_k = (kappa_i / kappa_k) (c_k / c_i).  One
@@ -256,7 +232,6 @@ def reduced_ratios(quarters: dict, n: int) -> list:
         raise ValueError("zero skein element")
     k = max(quarters)
     lo_k, sign_k, q = quarters[k]
-    q = {e: c for e, c in enumerate(q) if c}
     out = []
     for i in range(k):
         if i not in quarters:
@@ -264,16 +239,12 @@ def reduced_ratios(quarters: dict, n: int) -> list:
             continue
         lo_i, sign_i, p = quarters[i]
         f = ratio_factors(n, i, k)
-        g, cofactors = _gcd_cofactors([{e: c for e, c in enumerate(p) if c}, q])
-        if g == {0: 1}:  # the cofactors are the inputs
-            a, b = p, quarters[k][2]
-        else:
-            a, b = ([x.get(e, 0) for e in range(max(x) + 1)] for x in cofactors)
+        _, (a, b) = _gcd_cofactors([p, q])
         a, rest_den = _strip(a, f.den)
         b, rest_num = _strip(b, f.num)
         num = _dense_mul(a, f.num_u if rest_num == f.num else _cyclotomic_product(rest_num))
         den = _dense_mul(b, f.den_u if rest_den == f.den else _cyclotomic_product(rest_den))
         s = 1 if den[0] > 0 else -1
-        out.append(RatFunc(_dense_poly(num, lo_i - lo_k + f.shift, s * sign_i * sign_k * f.sign),
-                           _dense_poly(den, 0, s)))
+        out.append(RatFunc(_from_dense(lo_i - lo_k + f.shift, s * sign_i * sign_k * f.sign, num, 4),
+                           _from_dense(0, s, den, 4)))
     return out

@@ -18,21 +18,27 @@ Every coefficient is an ``int``.  A rational number enters only as a
 ``Fraction`` scalar of ``RatFunc``, which stores p/q as the constant
 polynomials p over q.
 
-A polynomial gcd is the gcd in Z[A]: the gcd of the contents times the
+Gcds and divisions run on ordinary polynomials held dense, as the
+sequence of their coefficients (``_to_dense`` reads a Laurent
+polynomial into that form, ``_from_dense`` writes it back).  A
+polynomial gcd is the gcd in Z[A]: the gcd of the contents times the
 gcd of the primitive parts (Gauss's lemma).  The primitive gcd is an
 integer gcd at one evaluation point, certified by exact division
 (``_heuristic_gcd``); the primitive remainder sequence (``_poly_gcd``)
 takes the rare inputs the heuristic gives up on.  ``_exact_quotient`` is
-the one division.
+the one long division; ``_prem`` is its pseudo-division for the
+remainder sequence.  The packed replays divide by evaluating it:
+bracket's division by 1 + xi and tl._divide's divmod by q_den^2(xi) are
+that division read at xi = 2^(8b).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from itertools import repeat
 from math import gcd
-from operator import index, mul
+from operator import index, mul, neg, sub
 from struct import pack, unpack
 from types import MappingProxyType
 
@@ -220,51 +226,91 @@ class LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# Ordinary-polynomial helpers (dicts with min exponent 0)
+# Ordinary polynomials, dense
 # ---------------------------------------------------------------------------
+#
+# An ordinary integer polynomial is the sequence of its coefficients,
+# lowest first, with a nonzero top coefficient (empty for zero).  A
+# Laurent polynomial A^lo P(A^s) enters that form through _to_dense at
+# the exponent step s and leaves it through _from_dense.
 
-def _split(a: dict):
+def _to_dense(v: LaurentPoly, step: int):
+    """(lo, digits) with v = A^lo P(A^step) for a nonzero v: lo its least
+    exponent and digits the coefficients of P, lowest first.  Raises
+    ValueError when an exponent of v lies off lo + step Z."""
+    coeffs = v.coeffs
+    lo = min(coeffs)
+    digits = tuple(map(coeffs.get, range(lo, max(coeffs) + 1, step), repeat(0)))
+    if len(digits) - digits.count(0) != len(coeffs):
+        raise ValueError(f"exponents leave one class mod {step}")
+    return lo, digits
+
+
+def _from_dense(lo: int, sign: int, digits, step: int) -> LaurentPoly:
+    """sign A^lo P(A^step) for the coefficients digits of P, lowest first,
+    zeros allowed anywhere: the inverse of _to_dense."""
+    exponents = range(lo, lo + step * len(digits), step)
+    if sign < 0:
+        digits = map(neg, digits)
+    return LaurentPoly._of({e: c for e, c in zip(exponents, digits) if c})
+
+
+def _common_forms(polys: list):
+    """(s, [_to_dense(p, s) for p in polys]) for nonzero Laurent
+    polynomials, s the largest step at which each p lies in one class
+    (1 when all are monomials).
+
+    The gcd and the exact quotients of polynomials in A^s are polynomials
+    in A^s (a Bezout identity over Q shows it), so they are taken on the
+    dense forms at step s and mapped back with _from_dense at the same
+    step: a quarter of the length for the brackets of twist words.
+    """
+    step = 0
+    for p in polys:
+        lo = min(p.coeffs)
+        step = gcd(step, *(e - lo for e in p.coeffs))
+    step = step or 1
+    return step, [_to_dense(p, step) for p in polys]
+
+
+def _split(a):
     """(c, a / c) with c the content of a, the gcd of its coefficients:
     the primitive part has coprime coefficients, and is a itself when c
     is 1."""
-    c = gcd(*a.values()) or 1
-    return c, a if c == 1 else {e: v // c for e, v in a.items()}
+    c = gcd(*a) or 1
+    return c, a if c == 1 else [v // c for v in a]
 
 
-def _primitive(a: dict) -> dict:
+def _primitive(a):
     """a divided by its content: coprime integer coefficients."""
     return _split(a)[1]
 
 
-def _prem(a: dict, b: dict) -> dict:
+def _prem(a, b):
     """Pseudo-remainder of integer polynomials: the remainder of m * a
     divided by b, for some nonzero integer m, with integer coefficients
     throughout.  The degree steps down as in _exact_quotient."""
-    a = dict(a)
-    db = max(b)
-    lead = b[db]
-    tail = [(e - db, c) for e, c in b.items() if e != db]
-    for da in range(max(a, default=db - 1), db - 1, -1):
-        top = a.pop(da, 0)
-        if not top:
+    a = list(a)
+    top = len(b) - 1
+    lead, low = b[top], b[:top]
+    while len(a) > top:
+        f = a.pop()
+        if not f:
             continue
-        g = gcd(top, lead)
-        f, m = top // g, lead // g
+        g = gcd(f, lead)
+        f, m = f // g, lead // g
         if m != 1:
-            a = {e: m * c for e, c in a.items()}
-        for e, c in tail:
-            k = da + e
-            s = a.get(k, 0) - f * c
-            if s:
-                a[k] = s
-            else:
-                a.pop(k, None)
+            a = [m * c for c in a]
+        k = len(a) - top
+        a[k:] = map(sub, a[k:], map(mul, low, repeat(f)))
+    while a and not a[-1]:
+        a.pop()
     return a
 
 
-def _poly_gcd(a: dict, b: dict) -> dict:
+def _poly_gcd(a, b):
     """Gcd of the primitive parts of two ordinary integer polynomials,
-    with positive leading coefficient ({} when both are zero).
+    with positive leading coefficient (empty when both are zero).
 
     Primitive polynomial remainder sequence (Collins 1967; Brown & Traub
     1971): pseudo-remainders stay in Z[A], and dividing each by its
@@ -275,63 +321,34 @@ def _poly_gcd(a: dict, b: dict) -> dict:
     a, b = _primitive(a), _primitive(b)
     while b:
         a, b = b, _primitive(_prem(a, b))
-    if a and a[max(a)] < 0:
-        a = {e: -c for e, c in a.items()}
+    if a and a[-1] < 0:
+        a = [-c for c in a]
     return a
 
 
-def _exact_quotient(a: dict, b: dict):
-    """a / b for integer polynomials when b divides a in Z[A], else None.
-
-    Integer long division that stops at the first leading coefficient b
-    does not divide, or at a nonzero remainder.  The degree steps down
-    once from deg a to deg b, so each step costs the length of b, not of
-    the remainder.  A leading coefficient that does not divide means b
-    does not divide a in Z[A], since the quotient's coefficients are the
-    steps' integer ratios.  For a primitive b that is also division over
-    Q (Gauss's lemma).
-    """
-    a = dict(a)
-    db = max(b)
-    lead = b[db]
-    tail = [(e - db, c) for e, c in b.items() if e != db]
-    q = {}
-    for da in range(max(a), db - 1, -1):
-        top = a.pop(da, 0)
-        if not top:
-            continue
-        f, r = divmod(top, lead)
-        if r:
-            return None
-        q[da - db] = f
-        for e, c in tail:
-            k = da + e
-            s = a.get(k, 0) - f * c
-            if s:
-                a[k] = s
-            else:
-                a.pop(k, None)
-    return None if a else q
-
-
-def _monic_quotient(w, d):
-    """w / d for integer polynomials given as coefficient sequences, lowest
-    first, with d monic; None when d does not divide w.
+def _exact_quotient(w, d):
+    """w / d for integer polynomials when d divides w in Z[A], else None;
+    w may carry zero top coefficients, and the quotient then does too.
 
     Long division from the top: with D = deg d, quotient coefficient
-    h_j = w_(j+D) - sum over k < D of d_k h_(j+D-k), one C-level
+    h_j = (w_(j+D) - sum over k < D of d_k h_(j+D-k)) / d_D, one C-level
     sum(map(mul)) over the D coefficients found last; the remainder
     coefficients, w_t - sum over k <= t of d_k h_(t-k) for t < D, must
-    all vanish.  It does the work of _exact_quotient on the dense digit
-    sequences of the colored replay (tl._divide), with no division per
-    step and no dict: the replay of 800 ones at width 2 took 15% less
-    time than through _exact_quotient.
+    all vanish.  A step that d_D does not divide ends it: the quotient's
+    coefficients are the steps' integer ratios, so d does not divide w
+    in Z[A].  For a primitive d that is also division over Q (Gauss's
+    lemma).  A monic d takes no division per step.
     """
     top = len(d) - 1
-    low = d[:top]
+    lead, low = d[top], d[:top]
     found = [0] * top
     for t in range(len(w) - 1, top - 1, -1):
-        found.append(w[t] - sum(map(mul, low, found[len(found) - top:])))
+        h = w[t] - sum(map(mul, low, found[len(found) - top:]))
+        if lead != 1:
+            h, r = divmod(h, lead)
+            if r:
+                return None
+        found.append(h)
     if any(w[t] != sum(map(mul, low, found[len(found) - 1 - t:])) for t in range(min(top, len(w)))):
         return None
     return found[top:][::-1]
@@ -343,7 +360,7 @@ def _monic_quotient(w, d):
 _HORNER_DEGREE = 32
 
 
-def _pack(p: dict, b: int) -> int:
+def _pack(p, b: int) -> int:
     """p(xi) at xi = 2^(8b), for an ordinary integer polynomial p.
 
     Below degree _HORNER_DEGREE by Horner's rule.  Above it, each
@@ -355,15 +372,14 @@ def _pack(p: dict, b: int) -> int:
     integers).
     """
     bits = 8 * b
-    top = max(p)
-    if top < _HORNER_DEGREE:
+    if len(p) <= _HORNER_DEGREE:
         v = 0
-        for e in range(top, -1, -1):
-            v = (v << bits) + p.get(e, 0)
+        for c in reversed(p):
+            v = (v << bits) + c
         return v
-    w = max(abs(c) for c in p.values()).bit_length() // bits + 1
+    w = max(max(p), -min(p)).bit_length() // bits + 1
     half = 1 << (bits * w - 1)
-    rows = [(p.get(e, 0) + half).to_bytes(b * w, "little") for e in range(top + 1)]
+    rows = [(c + half).to_bytes(b * w, "little") for c in p]
     ones = int.from_bytes(b"\x01".ljust(b, b"\x00") * len(rows), "little")
     value = -(ones << (bits * w - 1))
     for t in range(0, b * w, b):
@@ -390,7 +406,7 @@ def _half_digits(b: int, n: int) -> int:
 def _digits(v: int, b: int) -> tuple:
     """The balanced digits of v at xi = 2^(8b), lowest first: the
     coefficients of the polynomial h with h(xi) = v and every coefficient
-    in [-xi/2, xi/2), some of the top ones possibly zero.
+    in [-xi/2, xi/2), the top one nonzero (none for v = 0).
 
     Adding H = xi/2 at every digit position makes every digit d + xi/2,
     in [0, xi); flipping its top bit (xor H) leaves the b-byte two's
@@ -403,9 +419,13 @@ def _digits(v: int, b: int) -> tuple:
     raw = ((v + half) ^ half).to_bytes(b * n, "little")
     fmt = _DIGIT_FORMATS.get(b)
     if fmt:
-        return unpack(f"<{n}{fmt}", raw)
-    return tuple(int.from_bytes(raw[t:t + b], "little", signed=True)
-                 for t in range(0, b * n, b))
+        digits = unpack(f"<{n}{fmt}", raw)
+    else:
+        digits = tuple(int.from_bytes(raw[t:t + b], "little", signed=True)
+                       for t in range(0, b * n, b))
+    while n and not digits[n - 1]:
+        n -= 1
+    return digits[:n]
 
 
 def _from_digits(digits, b: int) -> int:
@@ -420,12 +440,6 @@ def _from_digits(digits, b: int) -> int:
         raw = b"".join(d.to_bytes(b, "little", signed=True) for d in digits)
     half = _half_digits(b, n)
     return (int.from_bytes(raw, "little") ^ half) - half
-
-
-def _unpack(v: int, b: int, lo: int = 0, step: int = 1) -> dict:
-    """The polynomial h with h(xi) = v, xi = 2^(8b), in balanced digits
-    (_digits) as a dict: digit e goes to exponent lo + step e."""
-    return {lo + step * e: d for e, d in enumerate(_digits(v, b)) if d}
 
 
 def _heuristic_gcd(polys: list):
@@ -455,23 +469,7 @@ def _heuristic_gcd(polys: list):
     drops below xi / 2, h is a constant, g = 1 divides everything, and
     no further input need be evaluated.
     """
-    # When every exponent is a multiple of d, the gcd and the quotients
-    # are polynomials in A^d (a Bezout identity over Q shows it), so the
-    # inputs are evaluated as polynomials in A^d, at a quarter of the
-    # length for the brackets of twist words.
-    d = 0
-    for p in polys:
-        d = reduce(gcd, p, d)
-    if d > 1:
-        found = _heuristic_gcd([{e // d: c for e, c in p.items()} for p in polys])
-        if found is None:
-            return None
-        g, quotients = found
-        if g == {0: 1}:
-            return g, polys
-        return ({e * d: c for e, c in g.items()},
-                [{e * d: c for e, c in q.items()} for q in quotients])
-    norms = [max(abs(c) for c in p.values()) for p in polys]
+    norms = [max(max(p), -min(p)) for p in polys]
     first = norms.index(min(norms))
     order = [polys[first]] + polys[:first] + polys[first + 1:]
     b = ((2 * norms[first] + 1).bit_length() + 7) // 8
@@ -480,10 +478,10 @@ def _heuristic_gcd(polys: list):
         for p in order:
             gamma = gcd(gamma, _pack(p, b))
             if gamma.bit_length() < 8 * b:
-                return {0: 1}, polys
+                return [1], polys
         # gamma > 0, and the top balanced digit outweighs all the lower
         # ones, so g has a positive leading coefficient.
-        g = _primitive(_unpack(gamma, b))
+        g = _primitive(_digits(gamma, b))
         quotients = []
         for p in polys:
             q = _exact_quotient(p, g)
@@ -509,7 +507,7 @@ def _gcd_cofactors(polys: list):
     contents, parts = map(list, zip(*map(_split, polys)))
     found = _heuristic_gcd(parts)
     if found is None:
-        g = {}
+        g = []
         for p in parts:
             g = _poly_gcd(g, p)
             if len(g) == 1:
@@ -518,8 +516,8 @@ def _gcd_cofactors(polys: list):
     g, quotients = found
     c = gcd(*contents)
     if c != 1:
-        g = {e: v * c for e, v in g.items()}
-    return g, [q if k == c else {e: v * (k // c) for e, v in q.items()}
+        g = [v * c for v in g]
+    return g, [q if k == c else [v * (k // c) for v in q]
                for q, k in zip(quotients, contents)]
 
 
@@ -538,12 +536,11 @@ def poly_exact_div(a: LaurentPoly, b) -> LaurentPoly:
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero:
         return LaurentPoly.zero()
-    sa, sb = a.min_exp(), b.min_exp()
-    q = _exact_quotient({e - sa: c for e, c in a.coeffs.items()},
-                        {e - sb: c for e, c in b.coeffs.items()})
+    step, ((sa, da), (sb, db)) = _common_forms([a, b])
+    q = _exact_quotient(da, db)
     if q is None:
         raise ValueError("division is not exact")
-    return LaurentPoly._of({e + sa - sb: c for e, c in q.items()})
+    return _from_dense(sa - sb, 1, q, step)
 
 
 def poly_dot(pairs) -> LaurentPoly:
@@ -568,12 +565,9 @@ def poly_lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """A least common multiple of two Laurent polynomials (up to units)."""
     if a.is_zero or b.is_zero:
         raise ZeroDivisionError("lcm with zero polynomial")
-    sa, sb = a.min_exp(), b.min_exp()
-    _, (_, b_over_g) = _gcd_cofactors([
-        {e - sa: c for e, c in a.coeffs.items()},
-        {e - sb: c for e, c in b.coeffs.items()},
-    ])
-    return a * LaurentPoly(b_over_g)
+    step, ((_, da), (_, db)) = _common_forms([a, b])
+    _, (_, b_over_g) = _gcd_cofactors([da, db])
+    return a * _from_dense(0, 1, b_over_g, step)
 
 
 # ---------------------------------------------------------------------------
@@ -610,19 +604,14 @@ def normalize_over(nums: dict, den: LaurentPoly):
     if _is_poly_one(den):
         return nums, den
     keys = list(nums)
-    shifts = [min(den.coeffs)] + [min(nums[k].coeffs) for k in keys]
-    _, (den, *quotients) = _gcd_cofactors([
-        {e - s: c for e, c in p.coeffs.items()}
-        for s, p in zip(shifts, [den] + [nums[k] for k in keys])
-    ])
+    step, forms = _common_forms([den] + [nums[k] for k in keys])
+    _, (den, *quotients) = _gcd_cofactors([g for _, g in forms])
     # den / g is ordinary with a nonzero constant term, since den is.
     sign = 1 if den[0] > 0 else -1
-    sd = shifts[0]
-    nums = {
-        k: LaurentPoly._of({e + s - sd: sign * c for e, c in q.items()})
-        for k, s, q in zip(keys, shifts[1:], quotients)
-    }
-    return nums, LaurentPoly._of({e: sign * c for e, c in den.items()})
+    sd = forms[0][0]
+    nums = {k: _from_dense(lo - sd, sign, q, step)
+            for k, (lo, _), q in zip(keys, forms[1:], quotients)}
+    return nums, _from_dense(0, sign, den, step)
 
 
 def common_denominator(fracs: dict):

@@ -159,10 +159,19 @@ class TwistWord:
     start is "0" or "inf"; each run is ("R", a) for a half twists added
     on the right or ("B", a) for a added at the bottom, a a nonzero
     integer whose sign is the sign of every half twist in the run.
+    Anything else is refused with ValueError.
     """
 
     start: str
     runs: tuple
+
+    def __post_init__(self):
+        if self.start not in ("0", "inf"):
+            raise ValueError(f"twist word start must be '0' or 'inf', got {self.start!r}")
+        for run in self.runs:
+            if not (type(run) is tuple and len(run) == 2 and run[0] in ("R", "B")
+                    and type(run[1]) is int and run[1]):
+                raise ValueError(f"twist word run must be ('R' or 'B', a nonzero int), got {run!r}")
 
     @property
     def moves(self) -> tuple:

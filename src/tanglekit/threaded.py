@@ -15,7 +15,7 @@ from operator import itemgetter
 
 from . import annulus
 from .oracle import annular_closure, free_loop_factor
-from .ring import LaurentPoly, _unpack
+from .ring import LaurentPoly, _digits, _from_dense
 from .tangles import CORNERS, PlanarTangleDiagram, cable_diagram, components
 
 __all__ = ["MAX_FRONTIER_STATES", "closure_frontier", "threaded_closure"]
@@ -228,8 +228,7 @@ def closure_frontier(d: PlanarTangleDiagram):
     sums = {}
     for value in states.values():
         for z, (lo, p) in value.items():
-            acc = sums.setdefault(z + free_ess, {})
-            for e, c in _unpack(p, width, lo).items():
-                acc[e] = acc.get(e, 0) + c
-    sums = {k: loops * LaurentPoly(v) for k, v in sums.items()}
+            z += free_ess
+            sums[z] = sums.get(z, LaurentPoly.zero()) + _from_dense(lo, 1, _digits(p, width), 1)
+    sums = {k: loops * v for k, v in sums.items()}
     return {k: v for k, v in sums.items() if not v.is_zero}

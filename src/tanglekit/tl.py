@@ -16,11 +16,12 @@ coordinates of the dressed crossingless tangle, with each run of half
 twists applied in closed form on packed big integers
 (transfer_vector); the start coordinates and the quarter turn come from
 the recoupling formulas for theta and Tet (recoupling.py), and at width
-1 the coordinates are read off the bracket instead.  A diagram is read off its threaded closure
-(annulus.colored_closure), integer sums of annular brackets of its
-cables.  Neither builds a projector, so both reach cable widths past
-the projectors' bound.  colored_element, the cabled state sum between
-two projector frames, is kept as their referee at widths up to 3.
+1 the coordinates are read off the bracket instead.  A diagram is read
+off its threaded closure (annulus.colored_closure), integer sums of
+annular brackets of its cables.  Neither builds a projector, so both
+reach cable widths past the projectors' bound.  colored_element, the
+cabled state sum between two projector frames, is kept as their
+referee at widths up to 3.
 """
 
 from __future__ import annotations
@@ -37,9 +38,11 @@ from .ring import (
     RatFunc,
     _digit_width,
     _digits,
+    _exact_quotient,
+    _from_dense,
     _from_digits,
-    _monic_quotient,
     _pack,
+    _to_dense,
     as_ratfunc,
     common_denominator,
     delta_power,
@@ -853,13 +856,6 @@ _PRODUCT_BYTES = 8
 _DIVMOD_BYTES = 32
 
 
-def _quarter_digits(v: LaurentPoly):
-    """(lo, digits) with v = A^lo P(A^4) and digits the coefficients of P,
-    lowest first, for a v whose exponents lie in one class mod 4."""
-    lo = v.min_exp()
-    return lo, tuple(v.coeffs.get(e, 0) for e in range(lo, v.max_exp() + 1, 4))
-
-
 class _ReplayTables(NamedTuple):
     """The data of the packed replay at one width n that do not depend on
     the digit width (see _replay_tables and transfer_vector)."""
@@ -884,30 +880,33 @@ def _replay_tables(n: int) -> _ReplayTables:
     """The _ReplayTables of width n, cached in _transfer_cache next to
     _transfer_data(n).
 
-    Checked here, else ValueError: every exponent of every entry of q lies
-    in one class mod 4, as does every exponent of each start vector, and
-    q_den^2 is monic, with every exponent a multiple of 4 and a nonzero
-    constant term.
+    Checked here, through ring._to_dense at step 4, else ValueError: every
+    exponent of every entry of q lies in one class mod 4, as does every
+    exponent of each start vector, and q_den^2 is monic, with every
+    exponent a multiple of 4 and a nonzero constant term.
     """
     key = ("replay", n)
     if key not in _transfer_cache:
         starts, q, q_den, _ = _transfer_data(n)
-        entries = [v for row in q for v in row if v is not None]
-        d = q_den * q_den
-        groups = [entries, [d]] + [list(s.values()) for s in starts.values()]
-        if (any(len({e % 4 for v in vs for e in v.coeffs}) != 1 for vs in groups)
-                or d.min_exp() or d.max_exp() % 4 or d.coeffs[d.max_exp()] != 1):
-            raise ValueError(f"colored replay at cable width {n}: the replay data do not "
-                             f"lie in one class mod 4 each, or q_den^2 is not monic")
-        lo_q = min(v.min_exp() for v in entries)
-        rows = [[None if v is None else tuple(((e - lo_q) >> 2, c) for e, c in v.coeffs.items())
-                 for v in row] for row in q]
-        r = max(sum(abs(c) for v in row if v is not None for c in v.coeffs.values()) for row in q)
+        try:
+            forms = [[None if v is None else _to_dense(v, 4) for v in row] for row in q]
+            d_lo, d = _to_dense(q_den * q_den, 4)
+            vectors = {kind: [_to_dense(s[i], 4) if i in s else (0, None) for i in range(n + 1)]
+                       for kind, s in starts.items()}
+            entries = [f for row in forms for f in row if f]
+            groups = [entries] + [[f for f in vs if f[1]] for vs in vectors.values()]
+            if any(len({lo % 4 for lo, _ in fs}) != 1 for fs in groups) or d_lo or d[-1] != 1:
+                raise ValueError("the replay data do not lie in one class mod 4 each, "
+                                 "or q_den^2 is not monic")
+        except ValueError as err:
+            raise ValueError(f"colored replay at cable width {n}: {err}") from None
+        lo_q = min(lo for lo, _ in entries)
+        rows = [[None if f is None else tuple((((f[0] - lo_q) >> 2) + k, c)
+                                              for k, c in enumerate(f[1]) if c)
+                 for f in row] for row in forms]
+        r = max(sum(sum(map(abs, f[1])) for f in row if f) for row in forms)
         eigen = [n * n + 2 * n - 2 * i * i - 2 * i for i in range(n + 1)]
-        vectors = {kind: [_quarter_digits(s[i]) if i in s else (0, None) for i in range(n + 1)]
-                   for kind, s in starts.items()}
-        _transfer_cache[key] = _ReplayTables(lo_q, rows, r, eigen, _quarter_digits(d)[1],
-                                              sum(map(abs, d.coeffs.values())), vectors)
+        _transfer_cache[key] = _ReplayTables(lo_q, rows, r, eigen, d, sum(map(abs, d)), vectors)
     return _transfer_cache[key]
 
 
@@ -922,11 +921,10 @@ def _packed_tables(n: int, b: int):
         tables = _replay_tables(n)
         qp = None
         if b <= _PRODUCT_BYTES:
-            qp = [[None if terms is None else _pack(dict(terms), b) for terms in row]
-                  for row in tables.rows]
-        vectors = {kind: [g and _pack(dict(enumerate(g)), b) for _, g in s]
-                   for kind, s in tables.starts.items()}
-        _transfer_cache[key] = qp, _pack(dict(enumerate(tables.d)), b), vectors
+            qp = [[None if terms is None else sum(c << 8 * b * k for k, c in terms)
+                   for terms in row] for row in tables.rows]
+        vectors = {kind: [g and _pack(g, b) for _, g in s] for kind, s in tables.starts.items()}
+        _transfer_cache[key] = qp, _pack(tables.d, b), vectors
     return _transfer_cache[key]
 
 
@@ -958,9 +956,9 @@ def _divide(nums: dict, n: int, b: int, m: int):
 
     Up to _DIVMOD_BYTES each W_i takes one divmod by d(xi), and the
     quotient is certified.  Past it, W_i is read in balanced digits, which
-    are its coefficients since R^2 m < xi / 2, and _monic_quotient divides
-    them by d: a divmod costs the length of W_i times that of d(xi), whose
-    small coefficients are padded to whole digits.
+    are its coefficients since R^2 m < xi / 2, and ring._exact_quotient
+    divides them by d: a divmod costs the length of W_i times that of
+    d(xi), whose small coefficients are padded to whole digits.
     """
     tables = _replay_tables(n)
     half = 1 << (8 * b - 1)
@@ -973,7 +971,7 @@ def _divide(nums: dict, n: int, b: int, m: int):
             h, rem = divmod(w, d_xi)
             digits = None if rem else _digits(h, b)
         else:
-            h, digits = None, _monic_quotient(_digits(w, b), tables.d)
+            h, digits = None, _exact_quotient(_digits(w, b), tables.d)
         if not digits:
             raise ValueError(f"colored replay at cable width {n}: division is not exact")
         norm = max(max(digits), -min(digits))
@@ -1039,24 +1037,22 @@ def transfer_vector(t, n: int) -> dict:
     ||kappa'_i|| ||d||_1 < xi / 2, and passes; when it is not,
     W_i = h0 d + r0 with r0 != 0 of lower degree than d, integral since d
     is monic, and once xi outgrows r0, 0 < |r0(xi)| < d(xi) is a
-    remainder.  Past _DIVMOD_BYTES the division is _monic_quotient on the
-    digits of W_i, exact by construction.  Either way the quotient's
-    digits give the next m and are read into a dict once, at the end,
-    with the signs and lo of any right runs after.
+    remainder.  Past _DIVMOD_BYTES the division is ring._exact_quotient on
+    the digits of W_i, exact by construction.  Either way the quotient's
+    digits give the next m and are written out once, at the end, with
+    ring._from_dense and the signs and lo of any right runs after.
 
     At width 1 it referees the read-off in colored_expand.  Words longer
     than MAX_COLORED_TWISTS[n] are refused before any precompute.  The
     dict returned is the caller's own, also for a word with no runs.
     """
-    return {i: LaurentPoly._of({lo + 4 * e: s * x for e, x in enumerate(g) if x})
-            for i, (lo, s, g) in _replay(t, n).items()}
+    return {i: _from_dense(lo, s, g, 4) for i, (lo, s, g) in _replay(t, n).items()}
 
 
 def _replay(t, n: int) -> dict:
     """The replay of transfer_vector, with each nonzero kappa_i as
     (lo, sign, digits): kappa_i = sign A^lo P(A^4), digits the
-    coefficients of P, lowest first, the lowest nonzero and some top ones
-    possibly zero."""
+    coefficients of P, lowest first, the lowest and the top nonzero."""
     word = colored_twist_word(t, n)
     lo_q, rows, r, eigen, _, d_norm, starts = _replay_tables(n)
     los, digits = map(list, zip(*starts[word.start]))
@@ -1118,15 +1114,22 @@ def _closure_kappas(t, n: int) -> dict:
     the form i -> (lo, sign, digits) of _replay: for a rational tangle or
     twist word those of the replay, for a diagram the Chebyshev
     coordinates of its threaded closure (annulus.colored_closure), which
-    must lie in the span of S_0, S_2, ..., S_2n."""
+    must lie in the span of S_0, S_2, ..., S_2n, each in one class mod 4
+    (in a closure, changing one smoothing moves a state's exponent by a
+    multiple of 4), else ValueError."""
     if not isinstance(t, PlanarTangleDiagram):
         return _replay(t, n)
-    from . import annulus, cyclotomic  # annulus imports this module
+    from . import annulus  # annulus imports this module
 
     coords = annulus.chebyshev_convert(annulus.colored_closure(t, n))
     if len(coords) > 2 * n + 1 or any(coords[1::2]):
         raise ValueError("basis failure: closure outside the span of S_0, S_2, ..., S_2n")
-    return cyclotomic.quarter_forms({i: c.as_laurent() for i, c in enumerate(coords[::2]) if c})
+    quarters = {}
+    for i, c in enumerate(coords[::2]):
+        if c:
+            lo, digits = _to_dense(c.as_laurent(), 4)
+            quarters[i] = lo, 1, digits
+    return quarters
 
 
 def colored_expand(t, n: int) -> list:

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from tanglekit import tl
 from tanglekit.bracket import (
     BracketVec2,
     _digit_bytes,
@@ -186,6 +187,27 @@ def test_raw_words_over_the_bound_are_refused_at_once():
         with pytest.raises(ValueError, match="twist word too long"):
             vec(word)
         assert time.perf_counter() - start < 1
+
+
+def test_malformed_twist_words_are_refused_by_both_consumers():
+    # a bad start, a run of another kind, a run of 0, a bool or a float for
+    # the count and a run that is not a pair: each is refused when the word
+    # is made, so bracket_vector and transfer_vector never read it two ways
+    bad = [("x", (("Q", 1),)), ("x", ()), ("0", (("Q", 1),)), ("inf", (("R", 0),)),
+           ("0", (("B", 2), ("R", 0))), ("0", (("R", True),)), ("0", (("B", 1.0),)),
+           ("0", (("R", 1, 2),)), ("0", (["R", 1],)), ("0", ("R1",)), (0, ())]
+    for start, runs in bad:
+        with pytest.raises(ValueError, match="twist word"):
+            bracket_vector(TwistWord(start, runs))
+        with pytest.raises(ValueError, match="twist word"):
+            tl.transfer_vector(TwistWord(start, runs), 2)
+    t = RationalTangle.from_entries(3, -2, 4)
+    word = to_twist_word(t)
+    assert bracket_vector(TwistWord(word.start, word.runs)) == bracket_vector(t)
+    # validation is one pass over the runs: a word of 10^5 runs is made fast
+    start = time.perf_counter()
+    TwistWord("0", (("R", 1), ("B", 1)) * (10 ** 5 // 2))
+    assert time.perf_counter() - start < 1
 
 
 def _timed(f, *args):

@@ -207,6 +207,28 @@ def test_stdout_is_pinned_on_a_fixed_corpus(tmp_path, command):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[command]
 
 
+# Periodic words whose kappa_1 and kappa_2 at width 2 share a factor of
+# degree 12 to 72 in A^4 that is not cyclotomic, so each colored ratio
+# divides both by a large gcd (ring._exact_quotient, the gcd's
+# certificate).  SHA-256 of stdout for them as one --batch file.
+PERIODIC_WORDS = tuple("[" + " ".join([a] * k) + "]"
+                       for a, k in (("1", 12), ("1", 20), ("1", 50), ("2", 10), ("3", 5), ("3", 7)))
+
+PERIODIC_DIGESTS = {
+    ("colored", "--n", "2"): "01b0d49a838ea1ad13f197d817601535bb1bc2949e3d96ac8ac301f99e0f285c",
+    ("colored-closure", "--n", "2"): "917004c5f527a8e3ec5b1a63588e6b487dfed1af249da2688b71050a1e230520",
+}
+
+
+@pytest.mark.parametrize("command", list(PERIODIC_DIGESTS), ids=" ".join)
+def test_stdout_is_pinned_on_words_with_large_shared_factors(tmp_path, command):
+    batch = tmp_path / "periodic.txt"
+    batch.write_text("\n".join(PERIODIC_WORDS) + "\n")
+    code, out = run_cli(command[0], "--batch", str(batch), *command[1:])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PERIODIC_DIGESTS[command]
+
+
 # ---------------------------------------------------------------------------
 # Library-backed subcommands
 # ---------------------------------------------------------------------------

@@ -12,16 +12,17 @@ from tanglekit.bracket import bracket_vector
 from tanglekit.ring import (
     LaurentPoly,
     RatFunc,
+    _common_forms,
     _digits,
     _exact_quotient,
+    _from_dense,
     _from_digits,
     _gcd_cofactors,
     _heuristic_gcd,
-    _monic_quotient,
     _pack,
     _poly_gcd,
     _primitive,
-    _unpack,
+    _to_dense,
     normalize_over,
     poly_dot,
     poly_exact_div,
@@ -285,6 +286,17 @@ def _times(a, b):
     return (LaurentPoly(a) * LaurentPoly(b)).coeffs
 
 
+def _dense(p: dict) -> list:
+    """An ordinary polynomial {exponent: coefficient} in the dense form of
+    the ring's helpers, lowest coefficient first."""
+    return [p.get(e, 0) for e in range(max(p) + 1)] if p else []
+
+
+def _sparse(g) -> dict:
+    """A dense polynomial back as the dict of its nonzero coefficients."""
+    return {e: c for e, c in enumerate(g) if c}
+
+
 def _assert_stored_form(p):
     for e, c in p.coeffs.items():
         assert type(e) is int and type(c) is int and c
@@ -316,7 +328,7 @@ def test_gcd_matches_monic_euclid_up_to_a_unit(primitive):
         b = _times(f, _ordinary(rng, 4, _some_content(rng, primitive)))
         if not a and not b:
             continue
-        g = _poly_gcd(a, b)
+        g = _sparse(_poly_gcd(_dense(a), _dense(b)))
         ref = _ref_gcd(a, b)
         assert g.keys() == ref.keys()
         lead = g[max(g)]
@@ -325,7 +337,8 @@ def test_gcd_matches_monic_euclid_up_to_a_unit(primitive):
         assert gcd(*g.values()) == 1
         assert {e: Fraction(c, lead) for e, c in g.items()} == ref
         if a and b:
-            g_z, quotients = _gcd_cofactors([a, b])
+            g_z, quotients = _gcd_cofactors([_dense(a), _dense(b)])
+            g_z, quotients = _sparse(g_z), [_sparse(q) for q in quotients]
             c = gcd(*a.values(), *b.values())
             assert g_z == {e: c * v for e, v in g.items()}
             assert [_times(g_z, q) for q in quotients] == [a, b]
@@ -526,10 +539,11 @@ def _non_monic(rng, degree, size=9):
 
 
 def _prs_gcd(polys):
-    g = {}
+    """The gcd of dense polynomials by the primitive PRS, as a dict."""
+    g = []
     for p in polys:
         g = _poly_gcd(g, p)
-    return g
+    return _sparse(g)
 
 
 def test_pack_evaluates_and_unpack_reads_balanced_digits():
@@ -540,12 +554,12 @@ def test_pack_evaluates_and_unpack_reads_balanced_digits():
             # coefficients up to xi^3, so that some take several digits
             p = {e: rng.randint(-xi ** 3, xi ** 3) or 1 for e in range(rng.randint(0, 12))}
             p[0] = p.get(0) or 1
-            assert _pack(p, b) == sum(c * xi ** e for e, c in p.items())
+            assert _pack(_dense(p), b) == sum(c * xi ** e for e, c in p.items())
             small = {e: rng.randint(-xi // 2, xi // 2 - 1) for e in range(rng.randint(1, 12))}
             small = {e: c for e, c in small.items() if c}
-            value = _pack(small, b) if small else 0
+            value = _pack(_dense(small), b)
             if value > 0:
-                assert _unpack(value, b) == small
+                assert _sparse(_digits(value, b)) == small
 
 
 def test_pack_on_both_sides_of_the_horner_cutoff():
@@ -560,7 +574,7 @@ def test_pack_on_both_sides_of_the_horner_cutoff():
                 p = {e: rng.randint(-size, size) for e in range(top) if rng.random() < 0.6}
                 p = {e: c for e, c in p.items() if c}
                 p[top] = rng.choice((-1, 1)) * rng.randint(1, size)
-                assert _pack(p, b) == sum(c * xi ** e for e, c in p.items()), (b, top, size)
+                assert _pack(_dense(p), b) == sum(c * xi ** e for e, c in p.items()), (b, top, size)
 
 
 def test_digits_and_from_digits_invert_each_other():
@@ -579,6 +593,34 @@ def test_digits_and_from_digits_invert_each_other():
             assert found[:len(digits)] == digits[:len(found)] and not any(found[len(digits):])
 
 
+def _dict_quotient(a: dict, b: dict):
+    """a / b for integer polynomials as dicts when b divides a in Z[A],
+    else None: the long division the ring ran on dicts, kept as the
+    referee of ring._exact_quotient.  It stops at the first leading
+    coefficient b does not divide, or at a nonzero remainder."""
+    a = dict(a)
+    db = max(b)
+    lead = b[db]
+    tail = [(e - db, c) for e, c in b.items() if e != db]
+    q = {}
+    for da in range(max(a), db - 1, -1):
+        top = a.pop(da, 0)
+        if not top:
+            continue
+        f, r = divmod(top, lead)
+        if r:
+            return None
+        q[da - db] = f
+        for e, c in tail:
+            k = da + e
+            s = a.get(k, 0) - f * c
+            if s:
+                a[k] = s
+            else:
+                a.pop(k, None)
+    return None if a else q
+
+
 def test_monic_quotient_matches_the_long_division():
     rng = random.Random(42)
     for _ in range(300):
@@ -591,17 +633,53 @@ def test_monic_quotient_matches_the_long_division():
         wrong = [x + (rng.random() < 0.2) for x in w]
         for a in (w + [0] * rng.randint(0, 2), wrong):
             dense = {e: x for e, x in enumerate(a) if x}
-            ref = _exact_quotient(dense, {e: x for e, x in enumerate(d) if x}) if dense else {}
-            found = _monic_quotient(a, d)
+            ref = _dict_quotient(dense, {e: x for e, x in enumerate(d) if x}) if dense else {}
+            found = _exact_quotient(a, d)
             if ref is None:
                 assert found is None
             else:
                 assert {e: x for e, x in enumerate(found) if x} == ref
 
 
+def test_exact_quotient_matches_the_dict_long_division():
+    # non-monic and negative leads, a lead that does not divide a step, a
+    # nonzero remainder below the divisor's degree, zero top digits,
+    # divisors of degree 0 and dividends shorter than the divisor
+    rng = random.Random(44)
+    seen = set()
+    for _ in range(400):
+        lead = rng.choice((-1, 2, -3, 5, 12, -60))
+        d = [rng.randint(-6, 6) for _ in range(rng.randint(0, 6))] + [lead]
+        h = [rng.randint(-10 ** 20, 10 ** 20) for _ in range(rng.randint(1, 12))] + [rng.randint(1, 9)]
+        w = [0] * (len(h) + len(d) - 1)
+        for i, x in enumerate(h):
+            for j, y in enumerate(d):
+                w[i + j] += x * y
+        cases = {"exact": w, "top zeros": w + [0] * rng.randint(1, 3), "short": w[:len(d) - 1],
+                 "lead": w[:-1] + [w[-1] + 1]}
+        if len(d) > 1:
+            low = w[:]
+            low[rng.randrange(len(d) - 1)] += rng.choice((-1, 1))
+            cases["remainder"] = low
+        for kind, a in cases.items():
+            dense = {e: x for e, x in enumerate(a) if x}
+            ref = _dict_quotient(dense, {e: x for e, x in enumerate(d) if x}) if dense else {}
+            found = _exact_quotient(a, d)
+            if ref is None:
+                assert found is None, (kind, a, d)
+            else:
+                assert found is not None and _sparse(found) == ref, (kind, a, d)
+                assert len(found) == max(len(a) - len(d) + 1, 0)
+            seen.add((kind, ref is None, len(d) == 1, abs(lead) == 1))
+    for kind in ("exact", "top zeros"):
+        assert (kind, False, True, False) in seen and (kind, False, False, False) in seen
+    assert ("lead", True, False, False) in seen and ("remainder", True, False, False) in seen
+    assert ("short", True, False, False) in seen and ("remainder", True, False, True) in seen
+
+
 def _unpack_by_slices(v, b):
     """Balanced digits of v at xi = 2^(8b), one int.from_bytes per digit
-    of v + xi/2 (1 + xi + xi^2 + ...): the referee of ring._unpack."""
+    of v + xi/2 (1 + xi + xi^2 + ...): the referee of ring._digits."""
     n = v.bit_length() // (8 * b) + 2
     half = 1 << (8 * b - 1)
     raw = (v + int.from_bytes((b"\x00" * (b - 1) + b"\x80") * n, "little")).to_bytes(
@@ -625,10 +703,41 @@ def test_unpack_matches_the_slice_by_slice_decoder():
                       for _ in range(rng.randint(0, 14))]
             v = sum(d * xi ** e for e, d in enumerate(digits))
             expected = {e: d for e, d in enumerate(digits) if d}
-            assert _unpack(v, b) == _unpack_by_slices(v, b) == expected, (b, digits)
+            found = _digits(v, b)
+            assert _sparse(found) == _unpack_by_slices(v, b) == expected, (b, digits)
+            assert not found or found[-1]
             lo, step = rng.randint(-20, 20), rng.choice((1, 4))
-            assert _unpack(v, b, lo, step) == {lo + step * e: d for e, d in expected.items()}
-        assert _unpack(0, b) == {}
+            assert _from_dense(lo, 1, found, step).coeffs == {lo + step * e: d for e, d in expected.items()}
+        assert _digits(0, b) == ()
+
+
+def test_dense_forms_read_and_write_laurent_polynomials():
+    # the reader at step s inverts the writer, refuses an exponent off
+    # lo + s Z, and _common_forms takes the largest common step: normal
+    # forms of polynomials in A^4, as brackets are, match the referee
+    rng = random.Random(45)
+    for _ in range(200):
+        step = rng.choice((1, 2, 4, 6))
+        digits = [rng.randint(-5, 5) for _ in range(rng.randint(0, 8))]
+        digits = (rng.choice((-3, 1, 7)), *digits, rng.choice((-1, 2)))
+        lo = rng.randint(-12, 12)
+        v = _from_dense(lo, 1, digits, step)
+        assert _to_dense(v, step) == (lo, digits)
+        assert _from_dense(lo, -1, digits, step) == -v
+        if step > 1:
+            with pytest.raises(ValueError, match=f"one class mod {step}"):
+                _to_dense(v + LaurentPoly.monomial(lo + 1), step)
+    with pytest.raises(ValueError, match="one class mod 4"):
+        _to_dense(LaurentPoly({0: 1, 2: 1}), 4)
+    assert _common_forms([A ** 3, LaurentPoly.monomial(-2, 5)]) == (1, [(3, (1,)), (-2, (5,))])
+    assert _common_forms([A ** 9 + A, A ** 6 - LaurentPoly.monomial(-2)])[0] == 8
+    assert _common_forms([A ** 9 + A, A ** 3 - A])[0] == 2
+    for t in ((2, 1, 3), (-4, 2), (1, 1, 1, 1)):
+        v = bracket_vector(RationalTangle.from_entries(*t))
+        den = v.beta * (A ** 4 + 1)
+        assert _common_forms([den, v.alpha])[0] == 4
+        r = RatFunc.normalized(v.alpha * (A ** 4 - A ** 8 + 1), den * (A ** 4 - A ** 8 + 1))
+        assert (r.num.coeffs, r.den.coeffs) == _ref_normalized(v.alpha, den)
 
 
 def test_heuristic_gcd_matches_euclid_and_the_prs():
@@ -637,10 +746,10 @@ def test_heuristic_gcd_matches_euclid_and_the_prs():
         f = _non_monic(rng, rng.randint(20, 80))
         polys = [_times(f, _non_monic(rng, rng.randint(1, 30)))
                  for _ in range(rng.randint(2, 5))]
-        found = _heuristic_gcd(polys)
+        found = _heuristic_gcd([_dense(p) for p in polys])
         assert found is not None
-        g, quotients = found
-        assert g == _prs_gcd(polys)
+        g, quotients = _sparse(found[0]), [_sparse(q) for q in found[1]]
+        assert g == _prs_gcd([_dense(p) for p in polys])
         ref = {}
         for p in polys:
             ref = _ref_gcd(ref, p)
@@ -672,20 +781,20 @@ def test_heuristic_gcd_picks_its_point_from_the_least_norm(monkeypatch):
         cases.append([{0: 3, 1: 10 ** 9, 2: 7}, {0: 1, 1: least}, {0: least, 2: -1}])
     for polys in cases:
         points.clear()
-        g, _ = _heuristic_gcd(polys)
-        assert g == _prs_gcd(polys)
+        g, _ = _heuristic_gcd([_dense(p) for p in polys])
+        assert _sparse(g) == _prs_gcd([_dense(p) for p in polys])
         least = min(max(abs(c) for c in p.values()) for p in polys)
         assert points and all((1 << (8 * b)) >= 2 * least + 2 for b in points)
 
 
 def test_heuristic_gcd_returns_coprime_inputs_themselves():
-    # gcd 1 in A^4: the inputs come back as they are, not mapped back from
-    # the polynomials in A^4
-    polys = [{0: 1, 4: -2, 12: 3}, {0: 5, 8: 1}, {4: 1, 16: 7}]
+    # gcd 1: the inputs come back as they are, also polynomials in A^4
+    # (the reduction to A^4 is _common_forms', outside the gcd)
+    polys = [_dense(p) for p in ({0: 1, 4: -2, 12: 3}, {0: 5, 8: 1}, {4: 1, 16: 7})]
     g, quotients = _heuristic_gcd(polys)
-    assert g == {0: 1} and all(q is p for q, p in zip(quotients, polys))
-    g, quotients = _heuristic_gcd([{0: 1, 1: 1}, {0: 2, 1: 1}])
-    assert g == {0: 1} and quotients[0] == {0: 1, 1: 1}
+    assert _sparse(g) == {0: 1} and all(q is p for q, p in zip(quotients, polys))
+    g, quotients = _heuristic_gcd([[1, 1], [2, 1]])
+    assert _sparse(g) == {0: 1} and _sparse(quotients[0]) == {0: 1, 1: 1}
 
 
 def _colored_ratio_inputs(rng):
@@ -713,12 +822,13 @@ def _colored_ratio_inputs(rng):
 
 def test_heuristic_gcd_equals_the_prs_on_colored_ratio_inputs():
     pairs = _colored_ratio_inputs(random.Random(43))
-    assert len(pairs) > 40 and any(_prs_gcd(p) != {0: 1} for p in pairs)
+    assert len(pairs) > 40 and any(_prs_gcd([_dense(x) for x in p]) != {0: 1} for p in pairs)
     for polys in pairs:
-        polys = [_primitive(p) for p in polys]
+        polys = [_primitive(_dense(p)) for p in polys]
         g, quotients = _heuristic_gcd(polys)
+        g = _sparse(g)
         assert g == _prs_gcd(polys)
-        assert [_times(g, q) for q in quotients] == polys
+        assert [_times(g, _sparse(q)) for q in quotients] == [_sparse(p) for p in polys]
         if g == {0: 1}:
             assert all(q is p for q, p in zip(quotients, polys))
 
@@ -726,12 +836,12 @@ def test_heuristic_gcd_equals_the_prs_on_colored_ratio_inputs():
 def test_a_candidate_that_does_not_divide_is_refused(monkeypatch):
     # a candidate read off wrongly must fail the division certificate,
     # and after three refused points the PRS answers
-    monkeypatch.setattr(ring, "_unpack", lambda v, b: {0: 1, 1: 1})
+    monkeypatch.setattr(ring, "_digits", lambda v, b: (1, 1))
     f = {0: 2, 1: -1, 2: 3}
-    polys = [_times(f, {0: 1, 1: 0, 2: 1}), _times(f, {0: 5, 1: 2})]
+    polys = [_dense(_times(f, {0: 1, 1: 0, 2: 1})), _dense(_times(f, {0: 5, 1: 2}))]
     assert _heuristic_gcd(polys) is None
     g, quotients = _gcd_cofactors(polys)
-    assert g == f and quotients == [{0: 1, 2: 1}, {0: 5, 1: 2}]
+    assert _sparse(g) == f and [_sparse(q) for q in quotients] == [{0: 1, 2: 1}, {0: 5, 1: 2}]
 
 
 def _normal_forms(rng, primitive):
