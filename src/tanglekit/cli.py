@@ -22,6 +22,14 @@ A single-tangle subcommand reads either one tangle argument or, with
 Lines are evaluated in this process, in input order, one output line
 each, and a bad line prints its error line and sets exit code 2 without
 stopping the batch.
+
+Every command and option is declared once, in the table ``_COMMANDS``.
+A well-formed line is read straight off it: after the command, only
+exact option strings of that command, their values and its positionals,
+no option given twice and no value starting with ``-``.  Any other line
+(``-h``, an abbreviation, ``--n=2``, ``--``, an argument error) goes to
+argparse, whose parser is built from the same table; it renders the
+help and the error line.  Both readings give the same Namespace.
 """
 
 import argparse
@@ -394,13 +402,65 @@ def _cmd_oracle_check(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _format_flags(sp, default):
-    group = sp.add_mutually_exclusive_group()
-    group.add_argument("--json", dest="fmt", action="store_const", const="json",
-                       help="compact JSON output")
-    group.add_argument("--text", dest="fmt", action="store_const", const="text",
-                       help="plain text output")
-    sp.set_defaults(fmt=default)
+# The command-line grammar.  A positional or option is (name or flag,
+# add_argument keywords); every option names its dest.  _FORMAT, the
+# --json/--text pair, is one mutually exclusive group.
+_TANGLE = ("tangle", {"nargs": "?",
+                      "help": "tangle in bracket notation, e.g. '[3 2 -3]' or '[inf]'"})
+_PAIR = (("left", {}), ("right", {}))
+_BATCH = ("--batch", {"dest": "batch", "metavar": "FILE",
+                      "help": "read one tangle per line from FILE ('-' for stdin)"})
+_FORMAT = (
+    ("--json", {"dest": "fmt", "action": "store_const", "const": "json",
+                "help": "compact JSON output"}),
+    ("--text", {"dest": "fmt", "action": "store_const", "const": "text",
+                "help": "plain text output"}),
+)
+_WIDTH = ("--n", {"dest": "n", "type": int, "default": 1,
+                  "help": f"cable width (1..{MAX_TWIST_WIDTH})"})
+_BASIS = ("--basis", {"dest": "basis", "choices": ("z", "chebyshev"),
+                      "help": "restrict output to one basis"})
+
+#: name -> (help, positionals, options, default format, handler), in the
+#: order of the help text.  The one declaration of every command and
+#: option: _build_parser and _parse_line both read it.
+_COMMANDS = {
+    "fraction": ("continued fraction p/q of a tangle, with parity",
+                 (_TANGLE,), (_BATCH, _FORMAT), "json", _cmd_single),
+    "canonical": ("canonical odd-length uniform-sign twist vector",
+                  (_TANGLE,), (_BATCH, _FORMAT), "json", _cmd_single),
+    "parity": ("parity class of the tangle fraction",
+               (_TANGLE,), (_BATCH, _FORMAT), "json", _cmd_single),
+    "schubert": ("Schubert equivalence of two tangle fractions (exit 0/1)",
+                 _PAIR, (_FORMAT,), "json", _cmd_schubert),
+    "bracket": ("bracket coordinates alpha, beta with ratio and fraction invariants",
+                (_TANGLE,), (_BATCH, _FORMAT), "json", _cmd_single),
+    "invariant": ("tangle fraction recovered from the bracket coordinates",
+                  (_TANGLE,), (_BATCH, _FORMAT), "json", _cmd_single),
+    "closure": ("solid-torus closure in the z and Chebyshev bases",
+                (_TANGLE,), (_BATCH, _FORMAT, _BASIS), "json", _cmd_single),
+    "equiv": ("isotopy equivalence of two solid-torus closures (exit 0/1)",
+              _PAIR, (_FORMAT,), "json", _cmd_equiv),
+    "classify": ("fraction, parity, and homotopy type of the closure",
+                 (_TANGLE,), (_BATCH, _FORMAT), "json", _cmd_single),
+    "colored": ("colored coordinates gamma_i and their ratios",
+                (_TANGLE,), (_BATCH, _FORMAT, _WIDTH), "json", _cmd_single),
+    "colored-closure": ("colored solid-torus closure in the z and Chebyshev bases",
+                        (_TANGLE,), (_BATCH, _FORMAT, _WIDTH, _BASIS), "json", _cmd_single),
+    "oracle-check": (
+        "verify the fast bracket, closure and colored paths against the state-sum oracle",
+        (),
+        (("--max-crossings", {"dest": "max_crossings", "type": int, "default": 10,
+                              "help": f"crossing budget per diagram (1..{MAX_ORACLE_CROSSINGS})"}),
+         ("--count", {"dest": "count", "type": int, "default": 25,
+                      "help": f"number of random diagrams to check (1..{MAX_ORACLE_COUNT})"}),
+         ("--seed", {"dest": "seed", "type": int, "default": 2026,
+                     "help": "seed for the diagram sampler"}),
+         _FORMAT),
+        "json", _cmd_oracle_check),
+    "render-ascii": ("coarse text picture of the twist regions",
+                     (_TANGLE,), (_FORMAT,), "text", _cmd_single),
+}
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -419,76 +479,86 @@ def _build_parser() -> argparse.ArgumentParser:
                     "solid-torus closures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def tangle_command(name, help_text, fmt="json", batch=True):
+    for name, (help_text, positionals, options, fmt, handler) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("tangle", nargs="?",
-                        help="tangle in bracket notation, e.g. '[3 2 -3]' or '[inf]'")
-        if batch:
-            sp.add_argument("--batch", metavar="FILE",
-                            help="read one tangle per line from FILE ('-' for stdin)")
-        _format_flags(sp, fmt)
-        sp.set_defaults(handler=_cmd_single)
-        return sp
-
-    tangle_command("fraction", "continued fraction p/q of a tangle, with parity")
-    tangle_command("canonical", "canonical odd-length uniform-sign twist vector")
-    tangle_command("parity", "parity class of the tangle fraction")
-
-    sp = sub.add_parser("schubert",
-                        help="Schubert equivalence of two tangle fractions (exit 0/1)")
-    sp.add_argument("left")
-    sp.add_argument("right")
-    _format_flags(sp, "json")
-    sp.set_defaults(handler=_cmd_schubert)
-
-    tangle_command("bracket",
-                   "bracket coordinates alpha, beta with ratio and fraction invariants")
-    tangle_command("invariant", "tangle fraction recovered from the bracket coordinates")
-
-    sp = tangle_command("closure", "solid-torus closure in the z and Chebyshev bases")
-    sp.add_argument("--basis", choices=("z", "chebyshev"),
-                    help="restrict output to one basis")
-
-    sp = sub.add_parser("equiv",
-                        help="isotopy equivalence of two solid-torus closures (exit 0/1)")
-    sp.add_argument("left")
-    sp.add_argument("right")
-    _format_flags(sp, "json")
-    sp.set_defaults(handler=_cmd_equiv)
-
-    tangle_command("classify", "fraction, parity, and homotopy type of the closure")
-
-    sp = tangle_command("colored", "colored coordinates gamma_i and their ratios")
-    sp.add_argument("--n", type=int, default=1,
-                    help=f"cable width (1..{MAX_TWIST_WIDTH})")
-
-    sp = tangle_command("colored-closure",
-                        "colored solid-torus closure in the z and Chebyshev bases")
-    sp.add_argument("--n", type=int, default=1,
-                    help=f"cable width (1..{MAX_TWIST_WIDTH})")
-    sp.add_argument("--basis", choices=("z", "chebyshev"),
-                    help="restrict output to one basis")
-
-    sp = sub.add_parser("oracle-check",
-                        help="verify the fast bracket, closure and colored paths "
-                             "against the state-sum oracle")
-    sp.add_argument("--max-crossings", type=int, default=10,
-                    help=f"crossing budget per diagram (1..{MAX_ORACLE_CROSSINGS})")
-    sp.add_argument("--count", type=int, default=25,
-                    help=f"number of random diagrams to check (1..{MAX_ORACLE_COUNT})")
-    sp.add_argument("--seed", type=int, default=2026,
-                    help="seed for the diagram sampler")
-    _format_flags(sp, "json")
-    sp.set_defaults(handler=_cmd_oracle_check)
-
-    tangle_command("render-ascii", "coarse text picture of the twist regions",
-                   fmt="text", batch=False)
-
+        for pname, kwargs in positionals:
+            sp.add_argument(pname, **kwargs)
+        for option in options:
+            if option is _FORMAT:
+                group = sp.add_mutually_exclusive_group()
+                for flag, kwargs in option:
+                    group.add_argument(flag, **kwargs)
+            else:
+                sp.add_argument(option[0], **option[1])
+        sp.set_defaults(fmt=fmt, handler=handler)
     return parser
 
 
 _PARSER = _build_parser()
+
+
+def _line_grammar():
+    """command -> (positional names, how many are required, flag ->
+    add_argument keywords, the Namespace values before any token)."""
+    grammar = {}
+    for name, (_, positionals, options, fmt, handler) in _COMMANDS.items():
+        flags = {}
+        for option in options:
+            flags.update(option if option is _FORMAT else (option,))
+        empty = {kwargs["dest"]: kwargs.get("default") for kwargs in flags.values()}
+        empty.update({pname: None for pname, _ in positionals})
+        empty.update(command=name, fmt=fmt, handler=handler)
+        required = sum(kwargs.get("nargs") != "?" for _, kwargs in positionals)
+        grammar[name] = ([pname for pname, _ in positionals], required, flags, empty)
+    return grammar
+
+
+_LINE_GRAMMAR = _line_grammar()
+
+
+def _parse_line(argv):
+    """The Namespace of a well-formed command line, equal to the one
+    _PARSER gives, or None for any other line, which _PARSER then
+    parses, renders help for or rejects.  Well-formed: after the
+    command, each token is an exact option string of that command, the
+    value of the option before it, or the next positional; no dest is
+    given twice, no value starts with '-', int values convert and
+    choices hold."""
+    if not argv or argv[0] not in _LINE_GRAMMAR:
+        return None
+    positionals, required, flags, values = _LINE_GRAMMAR[argv[0]]
+    values = dict(values)
+    seen = set()
+    given = 0
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            if given == len(positionals):
+                return None
+            values[positionals[given]] = token
+            given += 1
+            continue
+        kwargs = flags.get(token)
+        if kwargs is None or kwargs["dest"] in seen:
+            return None
+        seen.add(kwargs["dest"])
+        if "const" in kwargs:
+            values[kwargs["dest"]] = kwargs["const"]
+            continue
+        value = next(tokens, None)
+        if value is None or value[:1] == "-":
+            return None
+        if kwargs.get("type") is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[kwargs["dest"]] = value
+    if given < required:
+        return None
+    return argparse.Namespace(**values)
 
 
 def _discard_stdout():
@@ -512,7 +582,9 @@ def main(argv=None) -> int:
     closes stdout, the run stops at once and exits 2 without writing
     anything more to either stream."""
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_line(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            args = _PARSER.parse_args(argv)
         code = args.handler(args)
         sys.stdout.flush()
         return code

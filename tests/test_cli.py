@@ -742,6 +742,93 @@ def test_twist_word_commands_load_no_threaded_closure():
 
 
 # ---------------------------------------------------------------------------
+# The command table against argparse
+# ---------------------------------------------------------------------------
+
+_ARGV_COMMANDS = ("fraction", "canonical", "parity", "schubert", "bracket", "invariant",
+                  "closure", "equiv", "classify", "colored", "colored-closure",
+                  "oracle-check", "render-ascii")
+_ARGV_VALUES = {
+    "--batch": ("{batch}", "missing.txt", "-", "", "--json"),
+    "--n": ("1", "2", "3", "0", "9", "abc", "-1", " 2", "+2", "2.0", ""),
+    "--basis": ("z", "chebyshev", "x", "Z", "chebyshev "),
+    "--max-crossings": ("3", "4", "99", "x"),
+    "--count": ("1", "2", "0", "-5", "x"),
+    "--seed": ("7", "-3", "s", "007"),
+}
+_ARGV_ODD = ("--", "-h", "--help", "--n=2", "--batch={batch}", "--ba", "--te", "--js",
+             "--basis=z", "--max", "-x", "--nope", "-", "extra", "--count=1", "-n")
+_ARGV_TANGLES = ("[1]", "[3 2]", "[-2 3 2]", "[inf]", "[0]", "[2 1 1]", "3 2", "[3 x]",
+                 "", "[1 0 1]", "-[1]")
+
+
+def _argv_corpus(seed, count, batch):
+    """count random command lines over every command, from the seed: the
+    command (now and then a bad or abbreviated one, or none) and up to
+    four items in random order, each a tangle, a flag, an option with a
+    good or bad value or none, or an odd token such as '--', '--n=2',
+    '-h' or an abbreviation.  '{batch}' stands for the path batch."""
+    rng = random.Random(seed)
+    corpus = []
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.02:
+            argv = []
+        elif roll < 0.05:
+            argv = [rng.choice(("colo", "frobnicate", "-h", "--help", "Bracket", "--n"))]
+        else:
+            argv = [rng.choice(_ARGV_COMMANDS)]
+        items = []
+        for _ in range(rng.randint(0, 4)):
+            roll = rng.random()
+            if roll < 0.35:
+                items.append([rng.choice(_ARGV_TANGLES)])
+            elif roll < 0.55:
+                items.append([rng.choice(("--json", "--text"))])
+            elif roll < 0.92:
+                flag = rng.choice(list(_ARGV_VALUES))
+                values = _ARGV_VALUES[flag]
+                items.append([flag] + ([rng.choice(values)] if rng.random() < 0.95 else []))
+            else:
+                items.append([rng.choice(_ARGV_ODD)])
+        rng.shuffle(items)
+        argv += [token.replace("{batch}", batch) for item in items for token in item]
+        corpus.append(argv)
+    return corpus
+
+
+def test_table_lines_get_the_namespace_argparse_gives():
+    accepted = set()
+    for argv in _argv_corpus(2027, 6000, "lines.txt"):
+        args = cli._parse_line(argv)
+        if args is not None:
+            assert vars(args) == vars(cli._PARSER.parse_args(argv)), argv
+            accepted.add(argv[0])
+    # every command has lines the table reads, not only the tangle ones
+    assert accepted == set(_ARGV_COMMANDS)
+
+
+def test_hot_command_lines_never_reach_argparse(tmp_path, monkeypatch):
+    batch = tmp_path / "lines.txt"
+    batch.write_text("[3 2]\n[1 1 1]\n")
+    monkeypatch.setattr(cli._PARSER, "parse_args",
+                        lambda *args: pytest.fail("the line went to argparse"))
+    for argv in (
+        ("colored", "[3 2]", "--n", "2"),
+        ("colored", "--n", "2", "[3 2]"),
+        ("colored-closure", "[3 2]", "--n", "2"),
+        ("colored-closure", "--n", "2", "[3 2]"),
+        ("bracket", "[3 2]"),
+        ("invariant", "[3 2]"),
+        ("closure", "[3 2]"),
+        ("closure", "--basis", "z", "--text", "[3 2]"),
+        ("colored", "--batch", str(batch), "--n", "1"),
+    ):
+        code, out = run_cli(*argv)
+        assert code == 0 and "error" not in out, argv
+
+
+# ---------------------------------------------------------------------------
 # Error contract under random input
 # ---------------------------------------------------------------------------
 
@@ -836,11 +923,12 @@ def test_oracle_check_reports_clean_run():
 def _oracle_failures(monkeypatch, name, skew, diagrams):
     """The failed checks of oracle-check on four diagrams of at most three
     crossings, with cli.<name> skewed by skew on diagrams (diagrams true)
-    or on twist words, as (check, width) pairs."""
+    or on twist words, as (check, width) pairs; the bracket and closure
+    checks have no width, given as None."""
     real = getattr(cli, name)
 
-    def skewed(t, n):
-        value = real(t, n)
+    def skewed(t, *args):
+        value = real(t, *args)
         return skew(value) if isinstance(t, PlanarTangleDiagram) == diagrams else value
 
     monkeypatch.setattr(cli, name, skewed)
@@ -849,7 +937,17 @@ def _oracle_failures(monkeypatch, name, skew, diagrams):
     )
     payload = json.loads(out)
     assert code == 1 and payload["checked"] == 4
-    return [(f["check"], f["n"]) for f in payload["failures"]]
+    return [(f["check"], f.get("n")) for f in payload["failures"]]
+
+
+def test_oracle_check_reports_a_bracket_mismatch(monkeypatch):
+    failures = _oracle_failures(monkeypatch, "bracket_of_diagram", lambda ab: ab[::-1], True)
+    assert failures == [("bracket", None)] * 4
+
+
+def test_oracle_check_reports_a_closure_mismatch(monkeypatch):
+    failures = _oracle_failures(monkeypatch, "closure_bracket", lambda e: e.scale(2), True)
+    assert failures == [("closure", None)] * 4
 
 
 def test_oracle_check_reports_a_colored_mismatch(monkeypatch):
