@@ -15,7 +15,12 @@ A^4 is then a shift by one b-byte digit, and a run costs a few shifts,
 adds and at most one exact division of big integers.  The digit width b
 comes from a bound on the coefficients proven in one pass over the
 runs, and each coordinate is read back once, at the end, with
-ring._digits and ring._from_dense.
+ring._digits into the dense form (lo, digits) of _replay.
+
+The width-1 payloads of the command line read that form directly:
+ring._dense_str writes each coordinate from its digits, and
+_dense_c_invariant evaluates them at the root; bracket_vector is the
+dense form written into LaurentPoly with ring._from_dense.
 """
 
 from __future__ import annotations
@@ -73,7 +78,28 @@ def _digit_bytes(word: TwistWord) -> int:
 
 
 def bracket_vector(t) -> BracketVec2:
-    """Bracket coordinates of a rational tangle (or a raw twist word).
+    """Bracket coordinates of a rational tangle (or a raw twist word): the
+    dense forms of _replay written into LaurentPoly."""
+    (lo_a, da), (lo_b, db) = _replay(t)
+    return BracketVec2(_from_dense(lo_a, 1, da, 4), _from_dense(lo_b, 1, db, 4))
+
+
+def _trimmed(lo: int, p: int, b: int) -> tuple:
+    """The dense form (lo', digits) of A^lo P(A^4), P(xi) = p at
+    xi = 2^(8b), with its zero low digits dropped: p's trailing zero bits
+    hold whole zero digits, and each one taken off raises lo by 4."""
+    if p:
+        k = ((p & -p).bit_length() - 1) // (8 * b)
+        p >>= 8 * b * k
+        lo += 4 * k
+    return lo, _digits(p, b)
+
+
+def _replay(t) -> tuple:
+    """((lo_alpha, digits_alpha), (lo_beta, digits_beta)): the bracket
+    coordinates of a rational tangle (or a raw twist word) as
+    A^lo P(A^4), digits the coefficients of P, lowest first, with no zero
+    at either end (no digits for a zero coordinate).
 
     A raw twist word of more than MAX_TWIST_TOTAL half twists is refused
     with ValueError before any work, as to_twist_word refuses a vector.
@@ -149,8 +175,7 @@ def bracket_vector(t) -> BracketVec2:
         lo_b -= e * k
         if kind == "B":
             lo_a, pa, lo_b, pb = lo_b, pb, lo_a, pa
-    return BracketVec2(_from_dense(lo_a, 1, _digits(pa, b), 4),
-                       _from_dense(lo_b, 1, _digits(pb, b), 4))
+    return _trimmed(lo_a, pa, b), _trimmed(lo_b, pb, b)
 
 
 def mirror_transport(v: BracketVec2, op: str) -> BracketVec2:
@@ -217,18 +242,26 @@ def _root_coords(p: LaurentPoly) -> tuple:
     return tuple(coords)
 
 
-def c_invariant(v: BracketVec2) -> ExtRational:
-    """Fraction of the tangle recovered from its bracket coordinates.
+def _dense_root_coords(lo: int, digits) -> tuple:
+    """_root_coords of A^lo P(A^4) from the digits of P: since
+    zeta^4 = -1 it is zeta^lo P(-1), one alternating digit sum."""
+    s = sum(digits[::2]) - sum(digits[1::2])
+    lo %= 8
+    coords = [0, 0, 0, 0]
+    coords[lo % 4] = s if lo < 4 else -s
+    return tuple(coords)
 
-    The fraction is -zeta^2 alpha(zeta) / beta(zeta) at a primitive
-    eighth root of unity zeta, a rational number or infinity.  With
-    u = -zeta^2 alpha(zeta), a rotation of the coordinates of
-    alpha(zeta), and v = beta(zeta), it is u_k / v_k at the first
-    nonzero v_k, provided u is that multiple of v in every coordinate.
+
+def _root_fraction(a: tuple, w: tuple) -> ExtRational:
+    """The fraction -zeta^2 alpha(zeta) / beta(zeta) from the root
+    coordinates a of alpha(zeta) and w of beta(zeta).
+
+    With u = -zeta^2 alpha(zeta), a rotation of a, it is u_k / w_k at the
+    first nonzero w_k, provided u is that multiple of w in every
+    coordinate.
     """
-    a0, a1, a2, a3 = _root_coords(v.alpha)
+    a0, a1, a2, a3 = a
     u = (a2, a3, -a0, -a1)
-    w = _root_coords(v.beta)
     k = next((i for i in range(4) if w[i]), None)
     if k is None:
         if any(u):
@@ -237,3 +270,20 @@ def c_invariant(v: BracketVec2) -> ExtRational:
     if any(uj * w[k] != u[k] * wj for uj, wj in zip(u, w)):
         raise ArithmeticError("bracket ratio is not rational at the root")
     return ExtRational(u[k], w[k])
+
+
+def c_invariant(v: BracketVec2) -> ExtRational:
+    """Fraction of the tangle recovered from its bracket coordinates.
+
+    The fraction is -zeta^2 alpha(zeta) / beta(zeta) at a primitive
+    eighth root of unity zeta, a rational number or infinity
+    (_root_fraction).
+    """
+    return _root_fraction(_root_coords(v.alpha), _root_coords(v.beta))
+
+
+def _dense_c_invariant(forms) -> ExtRational:
+    """c_invariant of the bracket coordinates in the dense forms of
+    _replay, read with no LaurentPoly."""
+    (lo_a, da), (lo_b, db) = forms
+    return _root_fraction(_dense_root_coords(lo_a, da), _dense_root_coords(lo_b, db))

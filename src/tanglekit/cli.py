@@ -41,7 +41,8 @@ import sys
 from itertools import islice
 
 from .annulus import (
-    closure_bases,
+    _closure_forms,
+    _z_text,
     closure_bracket,
     colored_closure,
     colored_closure_bases,
@@ -50,9 +51,10 @@ from .annulus import (
     links_equivalent,
     solid_torus_closure,
 )
-from .bracket import bracket_vector, c_invariant, coprime_ratio
+from .bracket import _dense_c_invariant, _replay, bracket_vector
 from .oracle import MAX_ORACLE_COUNT, MAX_ORACLE_CROSSINGS, bracket_of_diagram
 from .rationals import TwistVector, canonical_form, parity, schubert_equivalent
+from .ring import _dense_str
 from .tangles import (
     RationalTangle,
     build_rational,
@@ -65,6 +67,7 @@ from .tl import (
     check_cable_width,
     colored_expand,
     colored_invariants,
+    colored_twist_word,
 )
 
 
@@ -96,15 +99,32 @@ INFINITY_TANGLE = RationalTangle.infinity()
 #: A token: an integer (group 1) or any other run of non-space text.
 _TOKEN = re.compile(r"([+-]?[0-9]+)(?!\S)|\S+")
 
+#: A well-formed line of integer entries, group 1 between the brackets.
+_ENTRIES = re.compile(r"\s*\[(\s*[+-]?[0-9]+(?:\s+[+-]?[0-9]+)*\s*)\]\s*")
+
 
 def parse_tangle_notation(s: str):
     """Parse bracket notation into a TwistVector, or INFINITY_TANGLE.
 
     The grammar is ``'['`` followed by one or more whitespace-separated
     integers and a closing ``']'``; the single token ``inf`` denotes the
-    infinity tangle.  Interior zero entries are rejected.  Tokens are
-    converted as they are matched and only the integers are kept; a
-    column is taken from a match only for an error.
+    infinity tangle.  Interior zero entries are rejected.  A line of
+    integer entries with no interior zero is read with one match; any
+    other line goes to _parse_tokens.
+    """
+    m = _ENTRIES.fullmatch(s)
+    if m:
+        entries = list(map(int, m[1].split()))
+        if 0 not in entries[1:-1]:
+            return TwistVector(entries)
+    return _parse_tokens(s)
+
+
+def _parse_tokens(s: str):
+    """parse_tangle_notation token by token: the reading of ``inf`` and of
+    every error line, with its column.  Tokens are converted as they are
+    matched and only the integers are kept; a column is taken from a
+    match only for an error.
     """
     def fail(msg, col):
         raise TangleNotationError(f"parse error: {msg} (column {col})")
@@ -150,30 +170,77 @@ def _parse_tangle_arg(s: str) -> RationalTangle:
 # Rendering helpers
 # ---------------------------------------------------------------------------
 
-def _dump(payload) -> str:
-    return json.dumps(payload, separators=(",", ":"))
+#: Compact JSON of a payload; json.dumps would build a new encoder for
+#: its non-default separators on every call.
+_dump = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _chebyshev_text(coords) -> str:
+    """The text of the Chebyshev coordinates given as strings."""
     parts = []
     for k in range(len(coords) - 1, -1, -1):
-        if not coords[k].is_zero:
+        if coords[k] != "0":
             parts.append(f"({coords[k]})*S_{k}")
     return " + ".join(parts) if parts else "0"
 
 
-def _closure_payload(e, cheb, opts):
-    """JSON payload of an annulus element e with Chebyshev coordinates
-    cheb in the requested basis (both when opts["basis"] is None), and
-    its text form, built only under --text (None otherwise)."""
+def _basis_payload(z, cheb, opts):
+    """JSON payload of a closure in the requested basis (both when
+    opts["basis"] is None), from the strings of its z coefficients, a dict
+    str(k) -> text in increasing k, and of its Chebyshev coordinates; and
+    its text form, built only under --text (None otherwise).  Only the
+    strings of the requested basis need be given."""
     basis, payload, text = opts.get("basis"), {}, None
     if basis != "chebyshev":
-        payload["z"] = {str(k): str(e.coefficient(k)) for k in sorted(e.coeffs)}
+        payload["z"] = z
     if basis != "z":
-        payload["chebyshev"] = [str(c) for c in cheb]
+        payload["chebyshev"] = cheb
     if opts.get("fmt") == "text":
-        text = _chebyshev_text(cheb) if basis == "chebyshev" else str(e)
+        if basis == "chebyshev":
+            text = _chebyshev_text(cheb)
+        else:
+            text = _z_text((int(k), c) for k, c in reversed(z.items()))
     return payload, text
+
+
+def _closure_payload(e, cheb, opts):
+    """_basis_payload of an annulus element e with Chebyshev coordinates
+    cheb."""
+    basis, z, coords = opts.get("basis"), None, None
+    if basis != "chebyshev":
+        z = {str(k): str(e.coefficient(k)) for k in sorted(e.coeffs)}
+    if basis != "z":
+        coords = [str(c) for c in cheb]
+    return _basis_payload(z, coords, opts)
+
+
+def _dense_closure_payload(forms, opts):
+    """_closure_payload of closure_bases(t), written from the dense forms
+    (alpha delta, beta, alpha delta + beta) of annulus._closure_forms(t)."""
+    alpha_delta, beta, s_0 = forms
+    z = {str(k): _dense_str(*f, 4) for k, f in ((0, alpha_delta), (2, beta)) if f[2]}
+    cheb = None
+    if opts.get("basis") != "z":
+        # (alpha delta + beta) S_0 + beta S_2, or alpha delta S_0 alone
+        cheb = [_dense_str(*s_0, 4), "0", z["2"]] if beta[2] else list(z.values())
+    return _basis_payload(z, cheb, opts)
+
+
+def _ratio_text(forms) -> str:
+    """str(coprime_ratio) of the bracket coordinates in the dense forms of
+    bracket._replay, "inf" when beta = 0: the numerator and denominator
+    are shifted by -lo_beta and take the sign of beta's lowest digit, and
+    a beta of +-A^lo_beta leaves no denominator (RatFunc.__str__)."""
+    (lo_a, da), (lo_b, db) = forms
+    if not db:
+        return "inf"
+    if not da:
+        return "0"
+    sign = 1 if db[0] > 0 else -1
+    num = _dense_str(lo_a - lo_b, sign, da, 4)
+    if db == (sign,):
+        return num
+    return f"({num})/({_dense_str(0, sign, db, 4)})"
 
 
 # ---------------------------------------------------------------------------
@@ -197,24 +264,24 @@ def _parity_payload(notation, opts):
 
 
 def _bracket_payload(notation, opts):
-    vec = bracket_vector(_parse_tangle_arg(notation))
-    ratio = coprime_ratio(vec)
+    forms = _replay(_parse_tangle_arg(notation))
+    (lo_a, da), (lo_b, db) = forms
     payload = {
-        "alpha": str(vec.alpha),
-        "beta": str(vec.beta),
-        "R": "inf" if ratio is None else str(ratio),
-        "C": str(c_invariant(vec)),
+        "alpha": _dense_str(lo_a, 1, da, 4),
+        "beta": _dense_str(lo_b, 1, db, 4),
+        "R": _ratio_text(forms),
+        "C": str(_dense_c_invariant(forms)),
     }
     return payload, "\n".join(f"{k} = {v}" for k, v in payload.items())
 
 
 def _invariant_payload(notation, opts):
-    c = c_invariant(bracket_vector(_parse_tangle_arg(notation)))
+    c = _dense_c_invariant(_replay(_parse_tangle_arg(notation)))
     return {"C": str(c), "p": c.p, "q": c.q}, str(c)
 
 
 def _closure_cmd_payload(notation, opts):
-    return _closure_payload(*closure_bases(_parse_tangle_arg(notation)), opts)
+    return _dense_closure_payload(_closure_forms(_parse_tangle_arg(notation)), opts)
 
 
 def _classify_payload(notation, opts):
@@ -246,7 +313,12 @@ def _colored_payload(notation, opts):
 
 def _colored_closure_payload(notation, opts):
     n = opts["n"]
-    payload, text = _closure_payload(*colored_closure_bases(_parse_tangle_arg(notation), n), opts)
+    t = _parse_tangle_arg(notation)
+    if n == 1:
+        # the cable is the tangle itself (colored_closure_bases)
+        payload, text = _dense_closure_payload(_closure_forms(colored_twist_word(t, 1)), opts)
+    else:
+        payload, text = _closure_payload(*colored_closure_bases(t, n), opts)
     return {"n": n, **payload}, text
 
 

@@ -18,6 +18,11 @@ Every coefficient is an ``int``.  A rational number enters only as a
 ``Fraction`` scalar of ``RatFunc``, which stores p/q as the constant
 polynomials p over q.
 
+The text of a Laurent polynomial is written in one place, the term writer
+``_write_terms``: ``LaurentPoly.__str__`` feeds it the sorted items, and
+``_dense_str`` the digits of a dense form, so that the packed bracket
+replay's coordinates print with no dict built.
+
 Gcds and divisions run on ordinary polynomials held dense, as the
 sequence of their coefficients (``_to_dense`` reads a Laurent
 polynomial into that form, ``_from_dense`` writes it back).  A
@@ -36,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from math import gcd
 from operator import index, mul, neg, sub
 from struct import pack, unpack
@@ -201,28 +206,37 @@ class LaurentPoly:
     # -- rendering ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        # Each term carries its sign in its separator, " + " or " - "; the
-        # first term's separator is cut to "" or "-" at the end.
-        out = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            if c < 0:
-                sep, c = " - ", -c
-            else:
-                sep = " + "
-            if e == 0:
-                out.append(f"{sep}{c}")
-            elif e == 1:
-                out.append(f"{sep}A" if c == 1 else f"{sep}{c}*A")
-            else:
-                out.append(f"{sep}A^{e}" if c == 1 else f"{sep}{c}*A^{e}")
-        s = "".join(out)
-        return s[3:] if s[1] == "+" else "-" + s[3:]
+        return _write_terms(sorted(self.coeffs.items(), reverse=True))
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
+
+
+def _write_terms(terms) -> str:
+    """The text of the sum of c*A^e over the pairs (e, c) of terms, each
+    c nonzero, taken from the top exponent down; no term gives "0".
+
+    The one term writer: LaurentPoly.__str__ feeds it the sorted items
+    and _dense_str the nonzero digits of a dense form.  Each term carries
+    its sign in its separator, " + " or " - "; the first term's separator
+    is cut to "" or "-" at the end.
+    """
+    out = []
+    for e, c in terms:
+        if c < 0:
+            sep, c = " - ", -c
+        else:
+            sep = " + "
+        if e == 0:
+            out.append(f"{sep}{c}")
+        elif e == 1:
+            out.append(f"{sep}A" if c == 1 else f"{sep}{c}*A")
+        else:
+            out.append(f"{sep}A^{e}" if c == 1 else f"{sep}{c}*A^{e}")
+    if not out:
+        return "0"
+    s = "".join(out)
+    return s[3:] if s[1] == "+" else "-" + s[3:]
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +267,15 @@ def _from_dense(lo: int, sign: int, digits, step: int) -> LaurentPoly:
     if sign < 0:
         digits = map(neg, digits)
     return LaurentPoly._of({e: c for e, c in zip(exponents, digits) if c})
+
+
+def _dense_str(lo: int, sign: int, digits, step: int) -> str:
+    """str(_from_dense(lo, sign, digits, step)), written from the digits
+    with no dict: the top digit first, zeros skipped."""
+    top = digits[::-1]
+    exponents = range(lo + step * (len(top) - 1), lo - 1, -step)
+    terms = zip(exponents, top if sign > 0 else map(neg, top))
+    return _write_terms(compress(terms, top))
 
 
 def _common_forms(polys: list):

@@ -9,7 +9,10 @@ import pytest
 from tanglekit import tl
 from tanglekit.bracket import (
     BracketVec2,
+    _dense_c_invariant,
+    _dense_root_coords,
     _digit_bytes,
+    _replay,
     _root_coords,
     bracket_vector,
     c_invariant,
@@ -19,7 +22,7 @@ from tanglekit.bracket import (
 )
 from tanglekit.oracle import bracket_of_diagram
 from tanglekit.rationals import ExtRational
-from tanglekit.ring import LaurentPoly, RatFunc
+from tanglekit.ring import LaurentPoly, RatFunc, _from_dense, _to_dense
 from tanglekit.tangles import (
     MAX_TWIST_TOTAL,
     RationalTangle,
@@ -150,6 +153,15 @@ def test_twist_runs_match_the_per_move_replay():
         assert vec(t) == per_move_bracket(word), f"mismatch for {t}"
         if isinstance(t, RationalTangle):
             assert word.fraction() == t.fraction, f"mismatch for {t}"
+
+
+def test_replay_forms_are_the_dense_forms_of_the_bracket():
+    # no zero digit at either end, none at all for a zero coordinate,
+    # although a lo may lie below the lowest exponent during the replay
+    for t in _run_test_tangles():
+        v = vec(t)
+        for (lo, digits), p in zip(_replay(t), (v.alpha, v.beta)):
+            assert (lo, digits) == _to_dense(p, 4) if p else digits == (), t
 
 
 def test_test_corpus_reaches_every_digit_width_edge():
@@ -352,3 +364,16 @@ def test_homomorphism_random():
         sums = tuple(a + b for a, b in zip(_root_coords(p), _root_coords(q)))
         assert _root_coords(p + q) == sums
         assert _root_coords(p * q) == _root_product(_root_coords(p), _root_coords(q))
+
+
+def test_dense_root_reading_matches_root_coords():
+    rng = random.Random(2828)
+    for _ in range(300):
+        lo = rng.randint(-20, 20)
+        digits = tuple(rng.choice((0, 1, -1, rng.randint(-10 ** 30, 10 ** 30)))
+                       for _ in range(rng.randint(0, 9)))
+        assert _dense_root_coords(lo, digits) == _root_coords(_from_dense(lo, 1, digits, 4))
+    for t in _run_test_tangles():
+        v, forms = vec(t), _replay(t)
+        assert [_dense_root_coords(*f) for f in forms] == [_root_coords(v.alpha), _root_coords(v.beta)]
+        assert _dense_c_invariant(forms) == c_invariant(v), t

@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 
 from tanglekit import cli, ring, threaded, tl
+from tanglekit.annulus import AnnulusElement, chebyshev_convert, closure_bases
+from tanglekit.bracket import bracket_vector, c_invariant, coprime_ratio
 from tanglekit.cli import (
     INFINITY_TANGLE,
     TangleNotationError,
@@ -320,9 +322,10 @@ def test_colored_closure_matches_bracket_closure_at_width_one():
 
 
 def test_twist_word_closures_make_no_product_and_no_reduction(monkeypatch):
-    # alpha*delta is two shifts, and the Chebyshev form of alpha*delta +
-    # beta*z^2 is one integer multiple and one sum; the width-1 colored
-    # coordinates and their ratio are shifts and sums of alpha and beta
+    # alpha*delta and alpha*delta + beta are sums of the replay's digits,
+    # and the Chebyshev form of alpha*delta + beta*z^2 follows in closed
+    # form; the width-1 colored coordinates and their ratio are shifts
+    # and sums of alpha and beta
     counts = {"products": 0, "normalized": 0, "normalize_over": 0}
     mul, normalized, normalize_over = (ring.LaurentPoly.__mul__, ring.RatFunc.normalized,
                                        ring.normalize_over)
@@ -884,6 +887,74 @@ def test_random_notation_keeps_the_error_contract():
                 assert "error" not in payload, (command, notation)
             else:
                 assert code == 2 and list(payload) == ["error"], (command, notation)
+
+
+def _parse_outcome(parse, notation):
+    try:
+        return "ok", parse(notation)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_notation_reads_as_the_tokenizer_reads_it():
+    # a line read with one match must give what the tokenizer gives, and
+    # every other line its error line, column included
+    notations = ["[3-2]", "[3,2]", "[3]]", "[3", "[\u0663]", "[1_0]", "[+3 -0]", "[007 2]",
+                 "[1 0 2]", "[-0 0 0 5]", "[0 0]", "[ 2\u3000-3\u00a0]", "\u2003[1\x1c2]\t",
+                 "[1\u200b2]", "[\uff11]", "[inf]", " [ inf ] ", "[inf 1]", "[]", "[+-3]"]
+    rng = random.Random(2028)
+    notations += [_fuzz_notation(rng) for _ in range(600)]
+    for notation in notations:
+        expected = _parse_outcome(cli._parse_tokens, notation)
+        assert _parse_outcome(parse_tangle_notation, notation) == expected, notation
+
+
+def _dump(payload):
+    return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+def test_width_one_payloads_are_the_strings_of_the_library_objects():
+    # bracket, invariant, closure and colored-closure --n 1 write from the
+    # replay's digits; each line must be the one the library objects give
+    rng = random.Random(2029)
+    notations = ["[0]", "[inf]", "[2 0]", "[0 5]", "[1]", "[-3]", "[2 1 -2]", "[1 1 1 1 1 1]"]
+    notations += ["[" + " ".join(str(rng.choice((1, -1)) * rng.randint(1, 9))
+                                 for _ in range(rng.randint(1, 5))) + "]" for _ in range(60)]
+    seen = set()
+    for notation in notations:
+        t = cli._parse_tangle_arg(notation)
+        v = bracket_vector(t)
+        ratio, c = coprime_ratio(v), c_invariant(v)
+        payload = {"alpha": str(v.alpha), "beta": str(v.beta),
+                   "R": "inf" if ratio is None else str(ratio), "C": str(c)}
+        assert run_cli("bracket", notation) == (0, _dump(payload))
+        assert run_cli("bracket", notation, "--text") == (
+            0, "".join(f"{k} = {x}\n" for k, x in payload.items()))
+        assert run_cli("invariant", notation) == (0, _dump({"C": str(c), "p": c.p, "q": c.q}))
+        assert run_cli("invariant", notation, "--text") == (0, f"{c}\n")
+        # the closure alpha delta + beta z^2 and its back-substituted
+        # coordinates, made apart from the digits of the replay
+        e = AnnulusElement({0: v.alpha * ring.DELTA, 2: v.beta})
+        cheb = chebyshev_convert(e)
+        assert closure_bases(t) == (e, cheb)
+        z = {str(k): str(e.coefficient(k)) for k in sorted(e.coeffs)}
+        coords = [str(x) for x in cheb]
+        cheb_text = " + ".join(f"({x})*S_{k}" for k, x in reversed(list(enumerate(coords)))
+                               if x != "0") or "0"
+        for basis, fields, text in ((None, {"z": z, "chebyshev": coords}, str(e)),
+                                    ("z", {"z": z}, str(e)),
+                                    ("chebyshev", {"chebyshev": coords}, cheb_text)):
+            option = ("--basis", basis) if basis else ()
+            for command, head in ((("closure",), {}), (("colored-closure", "--n", "1"), {"n": 1})):
+                assert run_cli(*command, notation, *option) == (0, _dump({**head, **fields}))
+                assert run_cli(*command, notation, *option, "--text") == (0, text + "\n")
+        if v.alpha and v.beta:
+            low = v.beta.coeffs[v.beta.min_exp()]
+            seen.add("monomial beta" if len(v.beta.coeffs) == 1 else
+                     "negative beta" if low < 0 else "positive beta")
+        seen.add(f"{len(coords)} Chebyshev coordinates")
+    assert seen == {"monomial beta", "negative beta", "positive beta",
+                    "1 Chebyshev coordinates", "3 Chebyshev coordinates"}
 
 
 def test_random_notation_pairs_keep_the_error_contract():

@@ -13,6 +13,7 @@ from tanglekit.ring import (
     LaurentPoly,
     RatFunc,
     _common_forms,
+    _dense_str,
     _digits,
     _exact_quotient,
     _from_dense,
@@ -94,6 +95,22 @@ def test_str_matches_the_two_pass_renderer():
         }))
     for p in polys:
         assert str(p) == _two_pass_str(p)
+
+
+def test_dense_str_is_the_string_of_the_written_polynomial():
+    # inner and end zeros, both signs, exponents crossing 0 and 1, and
+    # coefficients +-1 against the str of the LaurentPoly written out
+    pins = {(-1, -1, (1, 0, -1), 1): "A - A^-1", (-3, -1, (0, -1, 5), 4): "-5*A^5 + A",
+            (0, 1, (), 4): "0", (2, -1, (0, 0), 4): "0", (0, 1, (-1, 1), 1): "A - 1"}
+    for args, text in pins.items():
+        assert _dense_str(*args) == str(_from_dense(*args)) == text
+    rng = random.Random(46)
+    for _ in range(600):
+        step = rng.choice((1, 2, 4))
+        digits = tuple(rng.choice((0, 0, 1, -1, rng.randint(-10 ** 6, 10 ** 6)))
+                       for _ in range(rng.randint(0, 8)))
+        args = (rng.randint(-6, 2), rng.choice((1, -1)), digits, step)
+        assert _dense_str(*args) == str(_from_dense(*args)), args
 
 
 def test_pow_and_shift():
