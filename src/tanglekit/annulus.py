@@ -13,10 +13,10 @@ denominator, the canonical form of ring.RatCombination that TL elements
 share.  The closures build that form directly.  The Chebyshev
 coordinates of a diagram's closure come from integer back-substitution
 on the numerators, with one reduction per coordinate
-(chebyshev_convert); those of a twist word's closure come in closed
-form, from alpha and beta at width 1 and from the replay coordinates
-kappa_i from width 2 on (closure_bases, colored_closure_bases), with
-chebyshev_convert as their referee.
+(chebyshev_convert).  A twist word's closure and its coordinates
+kappa_i come, at every cable width, from one producer of digit forms
+(_closure_forms), which the objects and the command line both read;
+chebyshev_convert is its referee.
 """
 
 from __future__ import annotations
@@ -155,10 +155,9 @@ def chebyshev_convert(e: AnnulusElement) -> list:
     of polynomials, the conversion is exact and round-trips, and each
     coordinate is reduced once at the end (not at all when the
     denominator is 1).  It serves diagram closures; on the closures of
-    twist words, which closure_bases and colored_closure_bases read off
-    in closed form, it is the referee, and on the colored closure of a
-    twist word it returns the replay coordinates kappa_i of
-    tl.transfer_vector.
+    twist words, whose coordinates _closure_forms gives at every width,
+    it is the referee, and on the colored closure of a twist word it
+    returns the replay coordinates kappa_i of tl.transfer_vector.
     """
     if e.is_zero:
         return []
@@ -232,50 +231,79 @@ def closure_bracket(t) -> AnnulusElement:
     return closure_bases(t)[0]
 
 
-def _closure_forms(t) -> tuple:
-    """(alpha delta, beta, alpha delta + beta) for a rational tangle or
-    twist word, each as a dense form (lo, sign, digits) at step 4, the
-    digits of alpha delta and beta with no zero at either end.
+def _closure_forms(t, n: int) -> tuple:
+    """The closure of a rational tangle or twist word at cable width n,
+    the sum of kappa_i S_2i(z), as (zs, kappas): the pairs (k, form) of
+    the nonzero z^k coefficients in increasing k, and the forms of kappa_0
+    to kappa_top (None for zero), each (lo, sign, digits) at step 4 with
+    zeros allowed at either end.  S_2i is monic, so the top z coefficient
+    is the form of kappa_top.  The closure is never zero.  A list and a
+    dict in place of the tuples cost about 1 us per width-1 call.
 
-    With alpha = A^lo P(u), u = A^4, and delta = -A^2 - A^-2,
-    alpha delta = -A^(lo - 2) (1 + u) P(u): one add of the digits of P to
-    themselves shifted by one.  lo_beta = lo_alpha - 2 (mod 4) (the class
-    argument of bracket._replay), so alpha delta and beta share the class
-    of lo_beta and their sum is one subtraction of aligned digits.  The
-    class argument holds for the lo of a zero coordinate too.  The new
-    digits are built in lists: built as tuples, they raised the peak RSS
-    of 400 rounds of batch-small files by about 2 MB, and lists by none.
+    Width 1 is alpha delta + beta z^2 = (alpha delta + beta) S_0 + beta S_2
+    off bracket._replay: with alpha = A^lo P(u), u = A^4, alpha delta =
+    -A^(lo - 2) (1 + u) P(u), one add of P's digits to themselves shifted
+    by one; lo_beta = lo_alpha - 2 (mod 4), zero coordinates included, so
+    the sum is one subtraction of aligned digits.  Digits are lists: as
+    tuples they raised the peak RSS of 400 batch-small rounds by 2 MB.
+    From width 2 on the kappa_i of tl._replay lie in one class mod 4, so
+    each z^k coefficient sums integer multiples of aligned digits.
     """
-    (lo_a, pa), (lo_b, pb) = bracket._replay(t)
-    q = [*pa, 0] if pa else []
-    q[1:] = map(add, q[1:], pa)
-    lo_q = lo_a - 2
-    lo = min(lo_q, lo_b)
-    i, j = (lo_b - lo) // 4, (lo_q - lo) // 4
-    s_0 = [0] * max(i + len(pb), j + len(q))
-    s_0[i:i + len(pb)] = pb
-    s_0[j:j + len(q)] = map(sub, s_0[j:j + len(q)], q)
-    return (lo_q, -1, q), (lo_b, 1, pb), (lo, 1, s_0)
+    if n == 1:
+        (lo_a, pa), (lo_b, pb) = bracket._replay(t)
+        q = [*pa, 0] if pa else []
+        q[1:] = map(add, q[1:], pa)
+        lo_q = lo_a - 2
+        if not pb:
+            alpha_delta = lo_q, -1, q
+            return ((0, alpha_delta),), (alpha_delta,)
+        lo = min(lo_q, lo_b)
+        i, j = (lo_b - lo) // 4, (lo_q - lo) // 4
+        s_0 = [0] * max(i + len(pb), j + len(q))
+        s_0[i:i + len(pb)] = pb
+        s_0[j:j + len(q)] = map(sub, s_0[j:j + len(q)], q)
+        beta = lo_b, 1, pb
+        zs = ((0, (lo_q, -1, q)), (2, beta)) if pa else ((2, beta),)
+        return zs, ((lo, 1, s_0), beta)
+    replay = tl._replay(t, n)
+    top = max(replay)
+    lo = min(f[0] for f in replay.values())
+    size = max((f[0] - lo) // 4 + len(f[2]) for f in replay.values())
+    zs = []
+    for k in range(0, 2 * top, 2):
+        acc = [0] * size
+        for i, (lo_i, sign, digits) in replay.items():
+            if 2 * i >= k:
+                j, s = (lo_i - lo) // 4, sign * _chebyshev_coeffs(2 * i)[k]
+                acc[j:j + len(digits)] = [a + s * d for a, d in zip(acc[j:], digits)]
+        if any(acc):
+            zs.append((k, (lo, 1, acc)))
+    zs.append((2 * top, replay[top]))
+    return tuple(zs), tuple(map(replay.get, range(top + 1)))
+
+
+def _closure_objects(forms) -> tuple:
+    """(closure, Chebyshev coordinates) from the forms of _closure_forms,
+    over the denominator 1 and canonical as built, with no reduction."""
+    zs, kappas = forms
+    e = AnnulusElement._of({k: _from_dense(*f, 4) for k, f in zs}, _ONE)
+    coords = [RatFunc.zero()] * (2 * len(kappas) - 1)
+    for i, f in enumerate(kappas):
+        if f:
+            coords[2 * i] = RatFunc.from_laurent(_from_dense(*f, 4))
+    return e, coords
 
 
 def closure_bases(t) -> tuple:
     """(closure_bracket(t), chebyshev_convert of it).
 
-    For a rational tangle or twist word both are built from the dense
-    forms of _closure_forms, over the denominator 1: z^2 = S_2 + S_0, so
-    the coordinates are (alpha delta + beta) S_0 + beta S_2, or
-    alpha delta alone when beta = 0, in closed form.
+    For a rational tangle or twist word both are built from the forms
+    of _closure_forms at width 1, in closed form.
     """
     if isinstance(t, PlanarTangleDiagram):
         e = closure_bracket(t)
         return e, chebyshev_convert(e)
-    alpha_delta, beta, s_0 = _closure_forms(t)
-    nums = {k: _from_dense(*f, 4) for k, f in ((0, alpha_delta), (2, beta)) if f[2]}
-    e = AnnulusElement._of(nums, _ONE)
-    if not beta[2]:
-        return e, [RatFunc.from_laurent(e.nums[0])] if alpha_delta[2] else []
-    return e, [RatFunc.from_laurent(_from_dense(*s_0, 4)), RatFunc.zero(),
-               RatFunc.from_laurent(e.nums[2])]
+    return _closure_objects(_closure_forms(t, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +382,10 @@ def colored_closure(t, n: int) -> AnnulusElement:
     tl.transfer_vector are the Chebyshev coordinates of the closure: the
     fusion basis element b'_i closes to S_2i(z).  So the coefficient of
     z^k is the sum of kappa_i times the integer coefficient of z^k in
-    S_2i, formed with no polynomial product and no reduction.  At width
-    1, where the cable is the tangle itself, it is closure_bracket.  A
-    diagram goes through threaded.threaded_closure, at the same widths.
+    S_2i, summed on the digits with no polynomial product and no
+    reduction (_closure_forms).  At width 1, where the cable is the
+    tangle itself, it is closure_bracket.  A diagram goes through
+    threaded.threaded_closure, at the same widths.
     """
     if isinstance(t, PlanarTangleDiagram):
         from . import threaded  # loaded on first use, see its docstring
@@ -368,24 +397,14 @@ def colored_closure(t, n: int) -> AnnulusElement:
 def colored_closure_bases(t, n: int) -> tuple:
     """(colored_closure(t, n), chebyshev_convert of it).
 
-    For a rational tangle or twist word at width 2 or more both come from
-    one replay: the Chebyshev coordinates are kappa_i at S_2i and zero at
-    the odd indices, with no back-substitution.  At width 1 they are
-    those of closure_bases.
+    For a rational tangle or twist word both are built from the forms of
+    _closure_forms: the Chebyshev coordinates are kappa_i at S_2i and
+    zero at the odd indices, with no back-substitution.
     """
     if isinstance(t, PlanarTangleDiagram):
         e = colored_closure(t, n)
         return e, chebyshev_convert(e)
-    word = tl.colored_twist_word(t, n)
-    if n == 1:
-        return closure_bases(word)
-    kappas = tl.transfer_vector(word, n)
-    coords = [RatFunc.zero()] * (2 * max(kappas, default=-1) + 1)
-    for i, kappa in kappas.items():
-        coords[2 * i] = RatFunc.from_laurent(kappa)
-    e = _integer_sum((s, k, kappa) for i, kappa in kappas.items()
-                     for k, s in _chebyshev_coeffs(2 * i).items())
-    return e, coords
+    return _closure_objects(_closure_forms(tl.colored_twist_word(t, n), n))
 
 
 def gamma_ratio_invariants(e: AnnulusElement) -> list:

@@ -45,7 +45,6 @@ from .annulus import (
     _z_text,
     closure_bracket,
     colored_closure,
-    colored_closure_bases,
     homotopy_type,
     link_fraction,
     links_equivalent,
@@ -184,46 +183,29 @@ def _chebyshev_text(coords) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _basis_payload(z, cheb, opts):
-    """JSON payload of a closure in the requested basis (both when
-    opts["basis"] is None), from the strings of its z coefficients, a dict
-    str(k) -> text in increasing k, and of its Chebyshev coordinates; and
-    its text form, built only under --text (None otherwise).  Only the
-    strings of the requested basis need be given."""
-    basis, payload, text = opts.get("basis"), {}, None
+def _closure_payload(forms, opts, payload):
+    """The one writer of closure and colored-closure lines at every width:
+    payload, filled in the requested basis (both when opts["basis"] is
+    None) from the forms (zs, kappas) of annulus._closure_forms, and the
+    text form, built only under --text (None otherwise).  The top z
+    coefficient is the form of kappa_top, written once."""
+    zs, kappas = forms
+    basis, text = opts.get("basis"), None
+    k_top, f_top = zs[-1]
+    top = _dense_str(*f_top, 4)
     if basis != "chebyshev":
-        payload["z"] = z
+        z = payload["z"] = {str(k): top if f is f_top else _dense_str(*f, 4) for k, f in zs}
     if basis != "z":
-        payload["chebyshev"] = cheb
+        cheb = payload["chebyshev"] = ["0"] * (k_top + 1)
+        for i, f in enumerate(kappas):
+            if f:
+                cheb[2 * i] = top if f is f_top else _dense_str(*f, 4)
     if opts.get("fmt") == "text":
         if basis == "chebyshev":
             text = _chebyshev_text(cheb)
         else:
             text = _z_text((int(k), c) for k, c in reversed(z.items()))
     return payload, text
-
-
-def _closure_payload(e, cheb, opts):
-    """_basis_payload of an annulus element e with Chebyshev coordinates
-    cheb."""
-    basis, z, coords = opts.get("basis"), None, None
-    if basis != "chebyshev":
-        z = {str(k): str(e.coefficient(k)) for k in sorted(e.coeffs)}
-    if basis != "z":
-        coords = [str(c) for c in cheb]
-    return _basis_payload(z, coords, opts)
-
-
-def _dense_closure_payload(forms, opts):
-    """_closure_payload of closure_bases(t), written from the dense forms
-    (alpha delta, beta, alpha delta + beta) of annulus._closure_forms(t)."""
-    alpha_delta, beta, s_0 = forms
-    z = {str(k): _dense_str(*f, 4) for k, f in ((0, alpha_delta), (2, beta)) if f[2]}
-    cheb = None
-    if opts.get("basis") != "z":
-        # (alpha delta + beta) S_0 + beta S_2, or alpha delta S_0 alone
-        cheb = [_dense_str(*s_0, 4), "0", z["2"]] if beta[2] else list(z.values())
-    return _basis_payload(z, cheb, opts)
 
 
 def _ratio_text(forms) -> str:
@@ -281,7 +263,7 @@ def _invariant_payload(notation, opts):
 
 
 def _closure_cmd_payload(notation, opts):
-    return _dense_closure_payload(_closure_forms(_parse_tangle_arg(notation)), opts)
+    return _closure_payload(_closure_forms(_parse_tangle_arg(notation), 1), opts, {})
 
 
 def _classify_payload(notation, opts):
@@ -313,13 +295,8 @@ def _colored_payload(notation, opts):
 
 def _colored_closure_payload(notation, opts):
     n = opts["n"]
-    t = _parse_tangle_arg(notation)
-    if n == 1:
-        # the cable is the tangle itself (colored_closure_bases)
-        payload, text = _dense_closure_payload(_closure_forms(colored_twist_word(t, 1)), opts)
-    else:
-        payload, text = _closure_payload(*colored_closure_bases(t, n), opts)
-    return {"n": n, **payload}, text
+    word = colored_twist_word(_parse_tangle_arg(notation), n)
+    return _closure_payload(_closure_forms(word, n), opts, {"n": n})
 
 
 def _render_payload(notation, opts):

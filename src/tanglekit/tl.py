@@ -669,8 +669,11 @@ def check_cable_width(n: int, bound: int = MAX_PROJECTOR_STRANDS // 2) -> int:
     colored_element, a basis element or a crossing tile needs a
     projector on 2n strands, so by default n runs from 1 to
     MAX_PROJECTOR_STRANDS // 2; colored_expand and colored_closure,
-    which build no projector, pass MAX_TWIST_WIDTH.
+    which build no projector, pass MAX_TWIST_WIDTH.  A width that is not
+    an int (a bool included) is refused before any comparison.
     """
+    if type(n) is not int:
+        raise ValueError(f"cable width must be an int, got {n!r}")
     if not 1 <= n <= bound:
         raise ValueError(f"cable width must be between 1 and {bound}, got {n}")
     return n
@@ -1147,7 +1150,7 @@ def colored_expand(t, n: int) -> list:
     gamma = (alpha, 0).
     """
     if n == 1 and not isinstance(t, PlanarTangleDiagram):
-        vec = bracket_vector(colored_twist_word(t, 1))
+        vec = bracket_vector(colored_twist_word(t, n))  # n, not 1: a bool or float is refused
         alpha, beta = vec.alpha, vec.beta
         if beta.is_zero:
             return [RatFunc.from_laurent(alpha), RatFunc.zero()]
@@ -1169,7 +1172,7 @@ def colored_invariants(t, n: int) -> tuple:
     (_width_one_ratios).
     """
     if n == 1 and not isinstance(t, PlanarTangleDiagram):
-        gammas = colored_expand(t, 1)
+        gammas = colored_expand(t, n)
         return gammas, _width_one_ratios(gammas)
     from . import cyclotomic  # loaded on first use, see its docstring
 

@@ -24,7 +24,7 @@ from tanglekit.annulus import (
     solid_torus_closure,
 )
 from tanglekit.rationals import ExtRational, canonical_form
-from tanglekit.ring import LaurentPoly, RatFunc
+from tanglekit.ring import LaurentPoly, RatFunc, _from_dense
 from tanglekit.tangles import (
     PlanarTangleDiagram,
     RationalTangle,
@@ -505,6 +505,44 @@ def test_counterexample_report():
     assert report.tangles_distinguished
     assert report.closures_equal
     assert not report.closure_single.is_zero
+
+
+@pytest.mark.parametrize("n", range(1, tl.MAX_TWIST_WIDTH + 1))
+def test_closure_forms_are_the_replay_and_the_sum_of_its_chebyshev_terms(n):
+    # _closure_forms writes every closure line and builds every closure
+    # object of a twist word.  Its kappa forms must be the coordinates of
+    # transfer_vector (at width 1 the general replay referees the bracket
+    # digits: alpha delta + beta cancels at the low digit of [1] and at the
+    # top digit of [-4], and leaves zero low digits where alpha = 0), and
+    # its z forms the coefficients of the sum of kappa_i S_2i, formed apart
+    # by AnnulusElement.from_chebyshev
+    rng = random.Random(290 + n)
+    words = [RationalTangle.from_entries(*e) for e in
+             ((1,), (-4,), (1, -1), (-1, 1, 5, -1, 1), (2, 0), (0,), (1,) * 12)]
+    words += [INF] + [build_rational(random_twist_vector(rng, *((4, 3) if n <= 4 else (3, 2))))
+                      for _ in range(12)]
+    seen = set()
+    for t in words:
+        word = tl.colored_twist_word(t, n)
+        zs, kappas = annulus._closure_forms(word, n)
+        replay = tl.transfer_vector(word, n)
+        assert len(kappas) == max(replay) + 1, t
+        for i, f in enumerate(kappas):
+            assert (_from_dense(*f, 4) if f else None) == replay.get(i), (t, i)
+        e = AnnulusElement.from_chebyshev(
+            [RatFunc.from_laurent(replay[k // 2]) if k % 2 == 0 and k // 2 in replay else ZERO
+             for k in range(2 * len(kappas) - 1)])
+        assert [k for k, _ in zs] == sorted(e.coeffs), t
+        for k, f in zs:
+            assert RatFunc.from_laurent(_from_dense(*f, 4)) == e.coefficient(k), (t, k)
+        assert zs[-1][1] is kappas[-1]
+        for _, _, digits in filter(None, kappas):
+            if digits[0] == 0:
+                seen.add("zero low digit")
+            if digits[-1] == 0:
+                seen.add("zero top digit")
+    if n == 1:
+        assert seen == {"zero low digit", "zero top digit"}
 
 
 @pytest.mark.parametrize("n", range(1, tl.MAX_TWIST_WIDTH + 1))

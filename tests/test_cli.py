@@ -15,7 +15,12 @@ from pathlib import Path
 import pytest
 
 from tanglekit import cli, ring, threaded, tl
-from tanglekit.annulus import AnnulusElement, chebyshev_convert, closure_bases
+from tanglekit.annulus import (
+    AnnulusElement,
+    chebyshev_convert,
+    closure_bases,
+    colored_closure_bases,
+)
 from tanglekit.bracket import bracket_vector, c_invariant, coprime_ratio
 from tanglekit.cli import (
     INFINITY_TANGLE,
@@ -913,15 +918,24 @@ def _dump(payload):
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
-def test_width_one_payloads_are_the_strings_of_the_library_objects():
-    # bracket, invariant, closure and colored-closure --n 1 write from the
-    # replay's digits; each line must be the one the library objects give
+def _seeded_notations():
     rng = random.Random(2029)
     notations = ["[0]", "[inf]", "[2 0]", "[0 5]", "[1]", "[-3]", "[2 1 -2]", "[1 1 1 1 1 1]"]
     notations += ["[" + " ".join(str(rng.choice((1, -1)) * rng.randint(1, 9))
                                  for _ in range(rng.randint(1, 5))) + "]" for _ in range(60)]
+    return notations
+
+
+def _chebyshev_line(coords):
+    return " + ".join(f"({x})*S_{k}" for k, x in reversed(list(enumerate(coords)))
+                      if x != "0") or "0"
+
+
+def test_width_one_payloads_are_the_strings_of_the_library_objects():
+    # bracket, invariant, closure and colored-closure --n 1 write from the
+    # replay's digits; each line must be the one the library objects give
     seen = set()
-    for notation in notations:
+    for notation in _seeded_notations():
         t = cli._parse_tangle_arg(notation)
         v = bracket_vector(t)
         ratio, c = coprime_ratio(v), c_invariant(v)
@@ -939,11 +953,9 @@ def test_width_one_payloads_are_the_strings_of_the_library_objects():
         assert closure_bases(t) == (e, cheb)
         z = {str(k): str(e.coefficient(k)) for k in sorted(e.coeffs)}
         coords = [str(x) for x in cheb]
-        cheb_text = " + ".join(f"({x})*S_{k}" for k, x in reversed(list(enumerate(coords)))
-                               if x != "0") or "0"
         for basis, fields, text in ((None, {"z": z, "chebyshev": coords}, str(e)),
                                     ("z", {"z": z}, str(e)),
-                                    ("chebyshev", {"chebyshev": coords}, cheb_text)):
+                                    ("chebyshev", {"chebyshev": coords}, _chebyshev_line(coords))):
             option = ("--basis", basis) if basis else ()
             for command, head in ((("closure",), {}), (("colored-closure", "--n", "1"), {"n": 1})):
                 assert run_cli(*command, notation, *option) == (0, _dump({**head, **fields}))
@@ -955,6 +967,46 @@ def test_width_one_payloads_are_the_strings_of_the_library_objects():
         seen.add(f"{len(coords)} Chebyshev coordinates")
     assert seen == {"monomial beta", "negative beta", "positive beta",
                     "1 Chebyshev coordinates", "3 Chebyshev coordinates"}
+
+
+def test_closure_lines_are_the_strings_of_the_library_objects_at_every_width():
+    # one writer serves closure and colored-closure at every width; each
+    # line must be the strings of colored_closure_bases, or its error line
+    # past the width's twist bound.  [1 -1] and [-1 1 5 -1 1] have
+    # alpha = 0, [2 0] and [inf] beta = 0 at width 1.  A bottom run costs
+    # about 10 ms at width 8, so from width 5 on only the fixed words are
+    # written out in full.
+    notations = _seeded_notations()
+    fixed = set(notations[:8]) | {"[1 -1]", "[-1 1 5 -1 1]"}
+    options = [(), ("--basis", "z"), ("--basis", "chebyshev")]
+    for notation in notations + ["[1 -1]", "[-1 1 5 -1 1]"]:
+        t = cli._parse_tangle_arg(notation)
+        for n in range(1, tl.MAX_TWIST_WIDTH + 1):
+            command = ("colored-closure", "--n", str(n), notation)
+            try:
+                tl.colored_twist_word(t, n)
+            except ValueError as exc:
+                for option in options:
+                    for fmt in ((), ("--text",)):
+                        assert run_cli(*command, *option, *fmt) == (
+                            2, _dump({"error": str(exc)})), (command, option)
+                continue
+            if n > 4 and notation not in fixed:
+                continue
+            e, cheb = colored_closure_bases(t, n)
+            z = {str(k): str(e.coefficient(k)) for k in sorted(e.coeffs)}
+            coords = [str(x) for x in cheb]
+            for option, fields, text in (((), {"z": z, "chebyshev": coords}, str(e)),
+                                         (options[1], {"z": z}, str(e)),
+                                         (options[2], {"chebyshev": coords},
+                                          _chebyshev_line(coords))):
+                assert run_cli(*command, *option) == (0, _dump({"n": n, **fields})), command
+                assert run_cli(*command, *option, "--text") == (0, text + "\n"), command
+        for option in options:
+            code, out = run_cli("colored-closure", "--n", "1", notation, *option)
+            payload = json.loads(out)
+            del payload["n"]
+            assert run_cli("closure", notation, *option) == (code, _dump(payload)), notation
 
 
 def test_random_notation_pairs_keep_the_error_contract():

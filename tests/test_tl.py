@@ -939,6 +939,34 @@ def test_twist_word_cable_width_bound():
                 call(t, n)
 
 
+_WIDTH_CALLS = {
+    "colored_expand": tl.colored_expand,
+    "colored_invariants": tl.colored_invariants,
+    "colored_closure": colored_closure,
+    "colored_closure_bases": colored_closure_bases,
+    "transfer_vector": tl.transfer_vector,
+    "colored_element": tl.colored_element,
+    "bni_basis": lambda t, n: tl.bni_basis(n),
+}
+
+
+@pytest.mark.parametrize("name", list(_WIDTH_CALLS))
+@pytest.mark.parametrize("kind", ["word", "diagram"])
+def test_a_width_that_is_not_an_int_is_refused(name, kind):
+    # a width that only compares with ints (a float, a bool, a string) is
+    # refused before any work, as a width out of range is; the reply to an
+    # int out of range is unchanged
+    t = RationalTangle.from_entries(2, 1)
+    if kind == "diagram":
+        t = rational_to_diagram(t)
+    call = _WIDTH_CALLS[name]
+    for n in (1.0, 1.5, 2.0, True, False, "2", None):
+        with pytest.raises(ValueError, match=f"cable width must be an int, got {n!r}"):
+            call(t, n)
+    with pytest.raises(ValueError, match="cable width must be between 1 and"):
+        call(t, 0)
+
+
 def test_twist_word_entry_points_refuse_other_types():
     # a diagram or a bare twist vector is neither a tangle nor a word
     tv = TwistVector((2, 1))
