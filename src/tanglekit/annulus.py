@@ -35,6 +35,7 @@ from .tangles import (
     clasp_double,
     clasp_single,
     left_linking_number,
+    to_twist_word,
 )
 
 __all__ = [
@@ -127,7 +128,10 @@ _chebyshev_cache = [{0: 1}, {1: 1}]
 
 
 def _chebyshev_coeffs(k: int) -> dict:
-    """Integer z-coefficients of S_k via S_{k+1} = z*S_k - S_{k-1}."""
+    """Integer z-coefficients of S_k via S_{k+1} = z*S_k - S_{k-1}; a
+    negative k is refused."""
+    if k < 0:
+        raise ValueError(f"Chebyshev index must be nonnegative, got {k}")
     while len(_chebyshev_cache) <= k:
         prev, last = _chebyshev_cache[-2], _chebyshev_cache[-1]
         nxt = {e + 1: c for e, c in last.items()}
@@ -231,8 +235,9 @@ def closure_bracket(t) -> AnnulusElement:
     return closure_bases(t)[0]
 
 
-def _closure_forms(t, n: int) -> tuple:
-    """The closure of a rational tangle or twist word at cable width n,
+def _closure_forms(word, n: int) -> tuple:
+    """The closure of a twist word at cable width n, checked by the
+    caller (to_twist_word, or tl.colored_twist_word at width n),
     the sum of kappa_i S_2i(z), as (zs, kappas): the pairs (k, form) of
     the nonzero z^k coefficients in increasing k, and the forms of kappa_0
     to kappa_top (None for zero), each (lo, sign, digits) at step 4 with
@@ -250,7 +255,7 @@ def _closure_forms(t, n: int) -> tuple:
     each z^k coefficient sums integer multiples of aligned digits.
     """
     if n == 1:
-        (lo_a, pa), (lo_b, pb) = bracket._replay(t)
+        (lo_a, pa), (lo_b, pb) = bracket._replay(word)
         q = [*pa, 0] if pa else []
         q[1:] = map(add, q[1:], pa)
         lo_q = lo_a - 2
@@ -265,7 +270,7 @@ def _closure_forms(t, n: int) -> tuple:
         beta = lo_b, 1, pb
         zs = ((0, (lo_q, -1, q)), (2, beta)) if pa else ((2, beta),)
         return zs, ((lo, 1, s_0), beta)
-    replay = tl._replay(t, n)
+    replay = tl._replay(word, n)
     top = max(replay)
     lo = min(f[0] for f in replay.values())
     size = max((f[0] - lo) // 4 + len(f[2]) for f in replay.values())
@@ -303,7 +308,7 @@ def closure_bases(t) -> tuple:
     if isinstance(t, PlanarTangleDiagram):
         e = closure_bracket(t)
         return e, chebyshev_convert(e)
-    return _closure_objects(_closure_forms(t, 1))
+    return _closure_objects(_closure_forms(to_twist_word(t), 1))
 
 
 # ---------------------------------------------------------------------------

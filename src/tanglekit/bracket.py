@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .rationals import ExtRational
 from .ring import LaurentPoly, RatFunc, _digit_width, _digits, _from_dense
-from .tangles import TwistWord, check_twist_total, to_twist_word
+from .tangles import TwistWord, to_twist_word
 
 __all__ = [
     "BracketVec2",
@@ -80,7 +80,7 @@ def _digit_bytes(word: TwistWord) -> int:
 def bracket_vector(t) -> BracketVec2:
     """Bracket coordinates of a rational tangle (or a raw twist word): the
     dense forms of _replay written into LaurentPoly."""
-    (lo_a, da), (lo_b, db) = _replay(t)
+    (lo_a, da), (lo_b, db) = _replay(to_twist_word(t))
     return BracketVec2(_from_dense(lo_a, 1, da, 4), _from_dense(lo_b, 1, db, 4))
 
 
@@ -97,12 +97,13 @@ def _trimmed(lo: int, p: int, b: int) -> tuple:
 
 def _replay(t) -> tuple:
     """((lo_alpha, digits_alpha), (lo_beta, digits_beta)): the bracket
-    coordinates of a rational tangle (or a raw twist word) as
-    A^lo P(A^4), digits the coefficients of P, lowest first, with no zero
-    at either end (no digits for a zero coordinate).
+    coordinates of a rational tangle (or a twist word) as A^lo P(A^4),
+    digits the coefficients of P, lowest first, with no zero at either
+    end (no digits for a zero coordinate).
 
-    A raw twist word of more than MAX_TWIST_TOTAL half twists is refused
-    with ValueError before any work, as to_twist_word refuses a vector.
+    A twist word is taken as checked against its bound by the caller,
+    which has it from to_twist_word or tl.colored_twist_word; a tangle
+    goes through to_twist_word here.
 
     One run.  One right half twist of sign e maps (alpha, beta) by the
     triangular matrix [[x, A^e], [0, d]] with x = -A^(3e) and d = A^(-e);
@@ -142,11 +143,7 @@ def _replay(t) -> tuple:
     xi, so every P(xi) is exact whatever its digits; only the decoding at
     the end needs the bound of _digit_bytes.
     """
-    if isinstance(t, TwistWord):
-        check_twist_total(sum(abs(a) for _, a in t.runs))
-        word = t
-    else:
-        word = to_twist_word(t)
+    word = t if isinstance(t, TwistWord) else to_twist_word(t)
     b = _digit_bytes(word)
     bits = 8 * b
     one_xi = (1 << bits) + 1

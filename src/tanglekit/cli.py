@@ -38,6 +38,7 @@ import os
 import random
 import re
 import sys
+from functools import partial
 from itertools import islice
 
 from .annulus import (
@@ -315,20 +316,6 @@ def _render_payload(notation, opts):
     return {"ascii": art}, art
 
 
-_PAYLOAD_FNS = {
-    "fraction": _fraction_payload,
-    "canonical": _canonical_payload,
-    "parity": _parity_payload,
-    "bracket": _bracket_payload,
-    "invariant": _invariant_payload,
-    "closure": _closure_cmd_payload,
-    "classify": _classify_payload,
-    "colored": _colored_payload,
-    "colored-closure": _colored_closure_payload,
-    "render-ascii": _render_payload,
-}
-
-
 # ---------------------------------------------------------------------------
 # Command handlers
 # ---------------------------------------------------------------------------
@@ -337,11 +324,12 @@ def _emit(args, payload, text):
     print(text if args.fmt == "text" else _dump(payload))
 
 
-def _evaluate(command, notation, opts, fmt):
-    """Exit code and output line for one tangle.  Any failure becomes the
-    JSON error line, so one bad line cannot stop a batch."""
+def _evaluate(build, notation, opts, fmt):
+    """Exit code and output line for one tangle, from the payload builder
+    build.  Any failure becomes the JSON error line, so one bad line
+    cannot stop a batch."""
     try:
-        payload, text = _PAYLOAD_FNS[command](notation, opts)
+        payload, text = build(notation, opts)
     except Exception as exc:
         return 2, _dump({"error": str(exc)})
     return 0, text if fmt == "text" else _dump(payload)
@@ -359,7 +347,9 @@ def _read_batch(path):
     return [line.strip() for line in text.splitlines() if line.strip()]
 
 
-def _cmd_single(args) -> int:
+def _cmd_single(build, args) -> int:
+    """Run a single-tangle command, whose table entry binds its payload
+    builder build, on its tangle or on each line of its batch."""
     batch = getattr(args, "batch", None)
     if batch is not None:
         if args.tangle is not None:
@@ -373,7 +363,7 @@ def _cmd_single(args) -> int:
             "basis": getattr(args, "basis", None), "fmt": args.fmt}
     code = 0
     for line in lines:
-        rc, out = _evaluate(args.command, line, opts, args.fmt)
+        rc, out = _evaluate(build, line, opts, args.fmt)
         print(out)
         code = max(code, rc)
     return code
@@ -472,30 +462,34 @@ _BASIS = ("--basis", {"dest": "basis", "choices": ("z", "chebyshev"),
 
 #: name -> (help, positionals, options, default format, handler), in the
 #: order of the help text.  The one declaration of every command and
-#: option: _build_parser and _parse_line both read it.
+#: option: _build_parser and _parse_line both read it.  The handler of a
+#: single-tangle command is _cmd_single bound to its payload builder.
 _COMMANDS = {
     "fraction": ("continued fraction p/q of a tangle, with parity",
-                 (_TANGLE,), (_BATCH, _FORMAT), "json", _cmd_single),
+                 (_TANGLE,), (_BATCH, _FORMAT), "json", partial(_cmd_single, _fraction_payload)),
     "canonical": ("canonical odd-length uniform-sign twist vector",
-                  (_TANGLE,), (_BATCH, _FORMAT), "json", _cmd_single),
+                  (_TANGLE,), (_BATCH, _FORMAT), "json", partial(_cmd_single, _canonical_payload)),
     "parity": ("parity class of the tangle fraction",
-               (_TANGLE,), (_BATCH, _FORMAT), "json", _cmd_single),
+               (_TANGLE,), (_BATCH, _FORMAT), "json", partial(_cmd_single, _parity_payload)),
     "schubert": ("Schubert equivalence of two tangle fractions (exit 0/1)",
                  _PAIR, (_FORMAT,), "json", _cmd_schubert),
     "bracket": ("bracket coordinates alpha, beta with ratio and fraction invariants",
-                (_TANGLE,), (_BATCH, _FORMAT), "json", _cmd_single),
+                (_TANGLE,), (_BATCH, _FORMAT), "json", partial(_cmd_single, _bracket_payload)),
     "invariant": ("tangle fraction recovered from the bracket coordinates",
-                  (_TANGLE,), (_BATCH, _FORMAT), "json", _cmd_single),
+                  (_TANGLE,), (_BATCH, _FORMAT), "json", partial(_cmd_single, _invariant_payload)),
     "closure": ("solid-torus closure in the z and Chebyshev bases",
-                (_TANGLE,), (_BATCH, _FORMAT, _BASIS), "json", _cmd_single),
+                (_TANGLE,), (_BATCH, _FORMAT, _BASIS), "json",
+                partial(_cmd_single, _closure_cmd_payload)),
     "equiv": ("isotopy equivalence of two solid-torus closures (exit 0/1)",
               _PAIR, (_FORMAT,), "json", _cmd_equiv),
     "classify": ("fraction, parity, and homotopy type of the closure",
-                 (_TANGLE,), (_BATCH, _FORMAT), "json", _cmd_single),
+                 (_TANGLE,), (_BATCH, _FORMAT), "json", partial(_cmd_single, _classify_payload)),
     "colored": ("colored coordinates gamma_i and their ratios",
-                (_TANGLE,), (_BATCH, _FORMAT, _WIDTH), "json", _cmd_single),
+                (_TANGLE,), (_BATCH, _FORMAT, _WIDTH), "json",
+                partial(_cmd_single, _colored_payload)),
     "colored-closure": ("colored solid-torus closure in the z and Chebyshev bases",
-                        (_TANGLE,), (_BATCH, _FORMAT, _WIDTH, _BASIS), "json", _cmd_single),
+                        (_TANGLE,), (_BATCH, _FORMAT, _WIDTH, _BASIS), "json",
+                        partial(_cmd_single, _colored_closure_payload)),
     "oracle-check": (
         "verify the fast bracket, closure and colored paths against the state-sum oracle",
         (),
@@ -508,7 +502,7 @@ _COMMANDS = {
          _FORMAT),
         "json", _cmd_oracle_check),
     "render-ascii": ("coarse text picture of the twist regions",
-                     (_TANGLE,), (_FORMAT,), "text", _cmd_single),
+                     (_TANGLE,), (_FORMAT,), "text", partial(_cmd_single, _render_payload)),
 }
 
 

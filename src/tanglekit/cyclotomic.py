@@ -4,11 +4,11 @@
 d > 1, of Phi_d(A^4), so each bubble ratio c_i = theta(n,n,2i) /
 Delta_2i, a quotient of quantum integers, is a unit +-A^k times a
 quotient of products of the Phi_d(A^4), all known when the tables are
-built (bubble_factors, cached in tl._transfer_cache next to
-tl._transfer_data).  The colored coordinates gamma_i = kappa_i / c_i and
-their ratios are then reduced from the replay coordinates kappa_i with no
-general normalization (reduced_gammas, reduced_ratios): a coordinate
-takes no gcd, and a ratio one.  The polynomials here are in u = A^4, as
+built (bubble_factors, cached per width as tl._transfer_data is).  The
+colored coordinates gamma_i = kappa_i / c_i and their ratios are then
+reduced from the replay coordinates kappa_i with no general
+normalization (reduced_gammas, reduced_ratios): a coordinate takes no
+gcd, and a ratio one.  The polynomials here are in u = A^4, as
 dense coefficient sequences, lowest first.
 
 tl imports this module at the first colored coordinates of width 2 or
@@ -17,6 +17,7 @@ more, or of a diagram, so commands needing neither skip it.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import cycle, repeat
 from operator import add, mul
 
@@ -32,28 +33,24 @@ __all__ = ["bubble_factors", "ratio_factors", "reduced_gammas", "reduced_ratios"
 #: which _cyclotomic checks.
 _TEST_PRIME = 2305843009633603441
 
-_cyclotomic_cache = {}
-
-
+@cache
 def _cyclotomic(d: int):
     """(Phi_d(u) as a dense tuple, powers): powers are w^0, ..., w^(d-1)
     mod _TEST_PRIME for w = 19^((l-1)/d), with Phi_d(w) = 0 mod
     _TEST_PRIME checked here.  Phi_d is u^d - 1 divided by Phi_e for
     every e < d dividing d.
     """
-    if d not in _cyclotomic_cache:
-        phi = [-1] + [0] * (d - 1) + [1]
-        for e in range(1, d):
-            if d % e == 0:
-                phi = _exact_quotient(phi, _cyclotomic(e)[0])
-        ell = _TEST_PRIME
-        w, value = pow(19, (ell - 1) // d, ell), 0
-        for c in reversed(phi):
-            value = (value * w + c) % ell
-        if value or (ell - 1) % d:
-            raise ValueError(f"no root of Phi_{d} modulo the test prime")
-        _cyclotomic_cache[d] = tuple(phi), tuple(pow(w, k, ell) for k in range(d))
-    return _cyclotomic_cache[d]
+    phi = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            phi = _exact_quotient(phi, _cyclotomic(e)[0])
+    ell = _TEST_PRIME
+    w, value = pow(19, (ell - 1) // d, ell), 0
+    for c in reversed(phi):
+        value = (value * w + c) % ell
+    if value or (ell - 1) % d:
+        raise ValueError(f"no root of Phi_{d} modulo the test prime")
+    return tuple(phi), tuple(pow(w, k, ell) for k in range(d))
 
 
 def _dense_mul(a, b):
@@ -70,19 +67,19 @@ def _dense_mul(a, b):
     return out
 
 
-_product_cache = {}
-
-
 def _cyclotomic_product(factors: dict) -> tuple:
     """The product of Phi_d(u)^m over factors, a dict d -> m, dense."""
-    key = tuple(sorted(factors.items()))
-    if key not in _product_cache:
-        out = (1,)
-        for d, m in key:
-            for _ in range(m):
-                out = _dense_mul(_cyclotomic(d)[0], out)
-        _product_cache[key] = tuple(out)
-    return _product_cache[key]
+    return _product(*sorted(factors.items()))
+
+
+@cache
+def _product(*factors) -> tuple:
+    """_cyclotomic_product of the pairs (d, m), sorted, cached."""
+    out = (1,)
+    for d, m in factors:
+        for _ in range(m):
+            out = _dense_mul(_cyclotomic(d)[0], out)
+    return tuple(out)
 
 
 class _Factored:
@@ -103,9 +100,10 @@ class _Factored:
         self.num_poly = _from_dense(0, 1, self.num_u, 4)
 
 
+@cache
 def bubble_factors(n: int) -> list:
     """The bubble ratios c_i of tl._transfer_data(n), each as a _Factored,
-    cached in tl._transfer_cache next to them.
+    cached per width.
 
     They come from recoupling.bubble_counts, the exponent of each quantum
     integer [m] in c_i, with [m] = A^(2-2m) prod over d | m, d > 1, of
@@ -113,40 +111,34 @@ def bubble_factors(n: int) -> list:
     the c_i of tl._transfer_data: with no d in both N and D, N / D is in
     canonical form, so it must equal c_i term for term.
     """
-    key = ("bubbles", n)
-    if key not in tl._transfer_cache:
-        bubbles = tl._transfer_data(n)[3]
-        factors = []
-        for i, c in enumerate(bubbles):
-            sign, counts = recoupling.bubble_counts(n, i)
-            exponents, shift = {}, 0
-            for m, e in counts.items():
-                shift += e * (2 - 2 * m)
-                for d in range(2, m + 1):
-                    if m % d == 0:
-                        exponents[d] = exponents.get(d, 0) + e
-            f = _Factored(sign, shift, exponents)
-            if (f.num_poly.shift(f.shift) * f.sign != c.num
-                    or _from_dense(0, 1, f.den_u, 4) != c.den):
-                raise ValueError(f"colored coordinates at cable width {n}: the cyclotomic "
-                                 f"factors of c_{i} do not multiply back to its bubble ratio")
-            factors.append(f)
-        tl._transfer_cache[key] = factors
-    return tl._transfer_cache[key]
+    factors = []
+    for i, c in enumerate(tl._transfer_data(n)[3]):
+        sign, counts = recoupling.bubble_counts(n, i)
+        exponents, shift = {}, 0
+        for m, e in counts.items():
+            shift += e * (2 - 2 * m)
+            for d in range(2, m + 1):
+                if m % d == 0:
+                    exponents[d] = exponents.get(d, 0) + e
+        f = _Factored(sign, shift, exponents)
+        if (f.num_poly.shift(f.shift) * f.sign != c.num
+                or _from_dense(0, 1, f.den_u, 4) != c.den):
+            raise ValueError(f"colored coordinates at cable width {n}: the cyclotomic "
+                             f"factors of c_{i} do not multiply back to its bubble ratio")
+        factors.append(f)
+    return factors
 
 
+@cache
 def ratio_factors(n: int, i: int, k: int) -> _Factored:
-    """c_k / c_i at width n as a _Factored, cached in tl._transfer_cache."""
-    key = ("ratio", n, i, k)
-    if key not in tl._transfer_cache:
-        fi, fk = bubble_factors(n)[i], bubble_factors(n)[k]
-        exponents = {}
-        for f, s in ((fk, 1), (fi, -1)):
-            for side, t in ((f.num, s), (f.den, -s)):
-                for d, m in side.items():
-                    exponents[d] = exponents.get(d, 0) + t * m
-        tl._transfer_cache[key] = _Factored(fi.sign * fk.sign, fk.shift - fi.shift, exponents)
-    return tl._transfer_cache[key]
+    """c_k / c_i at width n as a _Factored, cached per (n, i, k)."""
+    fi, fk = bubble_factors(n)[i], bubble_factors(n)[k]
+    exponents = {}
+    for f, s in ((fk, 1), (fi, -1)):
+        for side, t in ((f.num, s), (f.den, -s)):
+            for d, m in side.items():
+                exponents[d] = exponents.get(d, 0) + t * m
+    return _Factored(fi.sign * fk.sign, fk.shift - fi.shift, exponents)
 
 
 def _strip(p, factors: dict):

@@ -925,7 +925,10 @@ _delta_powers = [LaurentPoly.one()]
 
 
 def delta_power(k: int) -> LaurentPoly:
-    """DELTA^k, cached: the value of k disjoint contractible loops."""
+    """DELTA^k, cached: the value of k disjoint contractible loops; a
+    negative k is refused."""
+    if k < 0:
+        raise ValueError(f"loop count must be nonnegative, got {k}")
     while len(_delta_powers) <= k:
         _delta_powers.append(_delta_powers[-1] * DELTA)
     return _delta_powers[k]

@@ -204,10 +204,12 @@ def to_twist_word(t) -> TwistWord:
     vector length and [inf] for even length, which keeps the replayed
     fraction equal to the continued fraction of the vector.  Vectors
     whose entries total more than MAX_TWIST_TOTAL half twists are
-    refused with ValueError.  A twist word is returned as it is; any
-    other input is refused with TypeError.
+    refused with ValueError, and so is a twist word of more than
+    MAX_TWIST_TOTAL half twists; a shorter one is returned as it is.
+    Any other input is refused with TypeError.
     """
     if isinstance(t, TwistWord):
+        check_twist_total(sum(abs(a) for _, a in t.runs))
         return t
     if not isinstance(t, RationalTangle):
         raise TypeError(f"expected a RationalTangle or a TwistWord, got {type(t).__name__}")

@@ -27,11 +27,12 @@ referee at widths up to 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 from typing import NamedTuple
 
-from . import oracle
-from .bracket import BracketVec2, bracket_vector, coprime_ratio
+from . import bracket, oracle
+from .bracket import BracketVec2, coprime_ratio
 from .ring import (
     LaurentPoly,
     RatCombination,
@@ -519,32 +520,38 @@ def state_sum(d: PlanarTangleDiagram) -> TLElement:
     return TLElement(len(top_labels), len(bottom_labels), raw)
 
 
-_tile_cache = {}
+def _unit_sign(sign: int) -> int:
+    """1 for a positive crossing sign, -1 for a negative one; 0 is refused."""
+    if not sign:
+        raise ValueError("crossing sign must be nonzero, got 0")
+    return 1 if sign > 0 else -1
 
 
 def tile_element(n: int, sign: int) -> TLElement:
     """Two n-cables crossing once, as an element of TL_2n.
 
     The cabled state sum of the one-crossing tangle [sign], computed
-    once per key and cached.
+    once per width and sign and cached (_tile).
     """
-    key = (n, 1 if sign > 0 else -1)
-    if key not in _tile_cache:
-        one_crossing = rational_to_diagram(RationalTangle.from_entries(key[1]))
-        _tile_cache[key] = state_sum(cable_diagram(one_crossing, n))
-    return _tile_cache[key]
+    return _tile(n, _unit_sign(sign))
 
 
-_kink_cache = {}
+@cache
+def _tile(n: int, sign: int) -> TLElement:
+    one_crossing = rational_to_diagram(RationalTangle.from_entries(sign))
+    return state_sum(cable_diagram(one_crossing, n))
 
 
 def kink_element(n: int, sign: int) -> TLElement:
     """An n-cable making one kink, as an element of TL_n: the cabled
-    state sum of curl_diagram(sign), its NW points on top."""
-    key = (n, 1 if sign > 0 else -1)
-    if key not in _kink_cache:
-        _kink_cache[key] = state_sum(cable_diagram(curl_diagram(key[1]), n))
-    return _kink_cache[key]
+    state sum of curl_diagram(sign), its NW points on top, cached
+    (_kink)."""
+    return _kink(n, _unit_sign(sign))
+
+
+@cache
+def _kink(n: int, sign: int) -> TLElement:
+    return state_sum(cable_diagram(curl_diagram(sign), n))
 
 
 # ---------------------------------------------------------------------------
@@ -567,27 +574,20 @@ def _delta_poly(k: int) -> LaurentPoly:
     return -q if k % 2 else q
 
 
-_jw_cache = {}
-
-
+@cache
 def _projector(n: int) -> TLElement:
     if n > MAX_PROJECTOR_STRANDS:
         raise ValueError(
             f"projector on {n} strands exceeds the bound {MAX_PROJECTOR_STRANDS}"
         )
-    if n not in _jw_cache:
-        if n == 0:
-            result = TLElement(0, 0, {(): RatFunc.one()})
-        elif n == 1:
-            result = identity_element(1)
-        else:
-            prev = _projector(n - 1)
-            wide = tensor(prev, identity_element(1))
-            hook = e_generator(n, n - 1)
-            ratio = RatFunc.normalized(_delta_poly(n - 2), _delta_poly(n - 1))
-            result = wide - compose(compose(wide, hook), wide).scale(ratio)
-        _jw_cache[n] = result
-    return _jw_cache[n]
+    if n == 0:
+        return TLElement(0, 0, {(): RatFunc.one()})
+    if n == 1:
+        return identity_element(1)
+    wide = tensor(_projector(n - 1), identity_element(1))
+    hook = e_generator(n, n - 1)
+    ratio = RatFunc.normalized(_delta_poly(n - 2), _delta_poly(n - 1))
+    return wide - compose(compose(wide, hook), wide).scale(ratio)
 
 
 def jones_wenzl(n: int) -> JonesWenzl:
@@ -597,14 +597,10 @@ def jones_wenzl(n: int) -> JonesWenzl:
     return JonesWenzl(n, _projector(n))
 
 
-_frame_cache = {}
-
-
+@cache
 def projector_frame(n: int) -> TLElement:
-    """Two side-by-side n-strand projectors in TL_2n."""
-    if n not in _frame_cache:
-        _frame_cache[n] = tensor(_projector(n), _projector(n))
-    return _frame_cache[n]
+    """Two side-by-side n-strand projectors in TL_2n, cached."""
+    return tensor(_projector(n), _projector(n))
 
 
 # ---------------------------------------------------------------------------
@@ -660,9 +656,6 @@ def quantum_coeffs(n: int, i: int) -> QuantumCoeffs:
 # The four-cluster basis
 # ---------------------------------------------------------------------------
 
-_bni_cache = {}
-
-
 def check_cable_width(n: int, bound: int = MAX_PROJECTOR_STRANDS // 2) -> int:
     """Return n if it is a usable cable width, else raise ValueError.
 
@@ -687,23 +680,26 @@ def bni_basis(n: int) -> list:
     pinches them together across a horizontal 2i-strand bridge wearing
     its own projector; i runs from 0 (cables joined left and right,
     nothing across) to n (full bridge).  Built upright and then turned
-    a quarter turn so the bridge runs horizontally.  The cache also
-    keeps the pinch matching p_i of each element, its narrow and widen
-    wires joined with no projector and turned the same way: p_i has
-    coefficient 1 in b_i and 0 in every b_j with j < i.
+    a quarter turn so the bridge runs horizontally (_bni).
     """
-    check_cable_width(n)
-    if n not in _bni_cache:
-        frame = projector_frame(n)
-        basis, pinches = [], []
-        for i in range(n + 1):
-            narrow, widen = _pinch_wires(n, i)
-            core = compose(compose(narrow, _projector(2 * i)), widen)
-            basis.append(rotate_cw(compose(compose(frame, core), frame)))
-            (pinch,) = rotate_cw(compose(narrow, widen)).nums
-            pinches.append(pinch)
-        _bni_cache[n] = basis, pinches
-    return _bni_cache[n][0]
+    return _bni(check_cable_width(n))[0]
+
+
+@cache
+def _bni(n: int) -> tuple:
+    """(bni_basis(n), pinches), with pinches[i] the pinch matching p_i of
+    b_i: its narrow and widen wires joined with no projector and turned
+    the same way.  p_i has coefficient 1 in b_i and 0 in every b_j with
+    j < i."""
+    frame = projector_frame(n)
+    basis, pinches = [], []
+    for i in range(n + 1):
+        narrow, widen = _pinch_wires(n, i)
+        core = compose(compose(narrow, _projector(2 * i)), widen)
+        basis.append(rotate_cw(compose(compose(frame, core), frame)))
+        (pinch,) = rotate_cw(compose(narrow, widen)).nums
+        pinches.append(pinch)
+    return basis, pinches
 
 
 # ---------------------------------------------------------------------------
@@ -793,8 +789,7 @@ def _read_coordinates(x: TLElement, n: int) -> list:
     of gamma_j b_j[p_i] over j > i.  Then the sum of gamma_j b_j, formed
     as a TLElement, must equal x.
     """
-    basis = bni_basis(n)
-    pinches = _bni_cache[n][1]
+    basis, pinches = _bni(check_cable_width(n))
     zero = LaurentPoly.zero()
     gammas = [None] * (n + 1)
     for i in range(n, -1, -1):
@@ -809,9 +804,7 @@ def _read_coordinates(x: TLElement, n: int) -> list:
     return gammas
 
 
-_transfer_cache = {}
-
-
+@cache
 def _transfer_data(n: int):
     """Start vectors, quarter-turn matrix and bubble ratios of the replay
     at width n, in the fusion basis b'_i = b_i / c_i.
@@ -826,18 +819,16 @@ def _transfer_data(n: int):
     of recoupling.py, cached per n; no projector, basis element or
     crossing tile is built.
     """
-    if n not in _transfer_cache:
-        from . import recoupling  # loaded on first use, see its docstring
+    from . import recoupling  # loaded on first use, see its docstring
 
-        bubbles = [recoupling.bubble_ratio(n, i) for i in range(n + 1)]
-        starts = {"0": dict.fromkeys(range(n + 1), LaurentPoly.one()),
-                  "inf": {0: bubbles[0].as_laurent()}}
-        entries = {(i, j): recoupling.quarter_turn_entry(n, i, j)
-                   for i in range(n + 1) for j in range(n + 1)}
-        q_nums, q_den = normalize_over(*common_denominator(entries))
-        q = [[q_nums.get((i, j)) for j in range(n + 1)] for i in range(n + 1)]
-        _transfer_cache[n] = starts, q, q_den, bubbles
-    return _transfer_cache[n]
+    bubbles = [recoupling.bubble_ratio(n, i) for i in range(n + 1)]
+    starts = {"0": dict.fromkeys(range(n + 1), LaurentPoly.one()),
+              "inf": {0: bubbles[0].as_laurent()}}
+    entries = {(i, j): recoupling.quarter_turn_entry(n, i, j)
+               for i in range(n + 1) for j in range(n + 1)}
+    q_nums, q_den = normalize_over(*common_denominator(entries))
+    q = [[q_nums.get((i, j)) for j in range(n + 1)] for i in range(n + 1)]
+    return starts, q, q_den, bubbles
 
 
 #: Widest digit, in bytes, at which a quarter turn multiplies by an entry
@@ -879,56 +870,52 @@ class _ReplayTables(NamedTuple):
     starts: dict
 
 
+@cache
 def _replay_tables(n: int) -> _ReplayTables:
-    """The _ReplayTables of width n, cached in _transfer_cache next to
-    _transfer_data(n).
+    """The _ReplayTables of width n, built from _transfer_data(n) and
+    cached per n.
 
     Checked here, through ring._to_dense at step 4, else ValueError: every
     exponent of every entry of q lies in one class mod 4, as does every
     exponent of each start vector, and q_den^2 is monic, with every
     exponent a multiple of 4 and a nonzero constant term.
     """
-    key = ("replay", n)
-    if key not in _transfer_cache:
-        starts, q, q_den, _ = _transfer_data(n)
-        try:
-            forms = [[None if v is None else _to_dense(v, 4) for v in row] for row in q]
-            d_lo, d = _to_dense(q_den * q_den, 4)
-            vectors = {kind: [_to_dense(s[i], 4) if i in s else (0, None) for i in range(n + 1)]
-                       for kind, s in starts.items()}
-            entries = [f for row in forms for f in row if f]
-            groups = [entries] + [[f for f in vs if f[1]] for vs in vectors.values()]
-            if any(len({lo % 4 for lo, _ in fs}) != 1 for fs in groups) or d_lo or d[-1] != 1:
-                raise ValueError("the replay data do not lie in one class mod 4 each, "
-                                 "or q_den^2 is not monic")
-        except ValueError as err:
-            raise ValueError(f"colored replay at cable width {n}: {err}") from None
-        lo_q = min(lo for lo, _ in entries)
-        rows = [[None if f is None else tuple((((f[0] - lo_q) >> 2) + k, c)
-                                              for k, c in enumerate(f[1]) if c)
-                 for f in row] for row in forms]
-        r = max(sum(sum(map(abs, f[1])) for f in row if f) for row in forms)
-        eigen = [n * n + 2 * n - 2 * i * i - 2 * i for i in range(n + 1)]
-        _transfer_cache[key] = _ReplayTables(lo_q, rows, r, eigen, d, sum(map(abs, d)), vectors)
-    return _transfer_cache[key]
+    starts, q, q_den, _ = _transfer_data(n)
+    try:
+        forms = [[None if v is None else _to_dense(v, 4) for v in row] for row in q]
+        d_lo, d = _to_dense(q_den * q_den, 4)
+        vectors = {kind: [_to_dense(s[i], 4) if i in s else (0, None) for i in range(n + 1)]
+                   for kind, s in starts.items()}
+        entries = [f for row in forms for f in row if f]
+        groups = [entries] + [[f for f in vs if f[1]] for vs in vectors.values()]
+        if any(len({lo % 4 for lo, _ in fs}) != 1 for fs in groups) or d_lo or d[-1] != 1:
+            raise ValueError("the replay data do not lie in one class mod 4 each, "
+                             "or q_den^2 is not monic")
+    except ValueError as err:
+        raise ValueError(f"colored replay at cable width {n}: {err}") from None
+    lo_q = min(lo for lo, _ in entries)
+    rows = [[None if f is None else tuple((((f[0] - lo_q) >> 2) + k, c)
+                                          for k, c in enumerate(f[1]) if c)
+             for f in row] for row in forms]
+    r = max(sum(sum(map(abs, f[1])) for f in row if f) for row in forms)
+    eigen = [n * n + 2 * n - 2 * i * i - 2 * i for i in range(n + 1)]
+    return _ReplayTables(lo_q, rows, r, eigen, d, sum(map(abs, d)), vectors)
 
 
+@cache
 def _packed_tables(n: int, b: int):
-    """(qp, d_xi, starts) at width n and digit width b, cached in
-    _transfer_cache, with xi = 2^(8b): qp[i][j] = q'_ij(xi) of
-    _replay_tables (None where zero; qp itself is None past
-    _PRODUCT_BYTES), d_xi = d(xi), and starts maps "0" and "inf" to the
-    P_i(xi) of the start vectors (None where zero)."""
-    key = (n, b)
-    if key not in _transfer_cache:
-        tables = _replay_tables(n)
-        qp = None
-        if b <= _PRODUCT_BYTES:
-            qp = [[None if terms is None else sum(c << 8 * b * k for k, c in terms)
-                   for terms in row] for row in tables.rows]
-        vectors = {kind: [g and _pack(g, b) for _, g in s] for kind, s in tables.starts.items()}
-        _transfer_cache[key] = qp, _pack(tables.d, b), vectors
-    return _transfer_cache[key]
+    """(qp, d_xi, starts) at width n and digit width b, cached per (n, b),
+    with xi = 2^(8b): qp[i][j] = q'_ij(xi) of _replay_tables (None where
+    zero; qp itself is None past _PRODUCT_BYTES), d_xi = d(xi), and
+    starts maps "0" and "inf" to the P_i(xi) of the start vectors (None
+    where zero)."""
+    tables = _replay_tables(n)
+    qp = None
+    if b <= _PRODUCT_BYTES:
+        qp = [[None if terms is None else sum(c << 8 * b * k for k, c in terms)
+               for terms in row] for row in tables.rows]
+    vectors = {kind: [g and _pack(g, b) for _, g in s] for kind, s in tables.starts.items()}
+    return qp, _pack(tables.d, b), vectors
 
 
 def _turn(vec: dict, rows, qp, bits: int) -> dict:
@@ -1049,14 +1036,15 @@ def transfer_vector(t, n: int) -> dict:
     than MAX_COLORED_TWISTS[n] are refused before any precompute.  The
     dict returned is the caller's own, also for a word with no runs.
     """
-    return {i: _from_dense(lo, s, g, 4) for i, (lo, s, g) in _replay(t, n).items()}
+    return {i: _from_dense(lo, s, g, 4)
+            for i, (lo, s, g) in _replay(colored_twist_word(t, n), n).items()}
 
 
-def _replay(t, n: int) -> dict:
-    """The replay of transfer_vector, with each nonzero kappa_i as
-    (lo, sign, digits): kappa_i = sign A^lo P(A^4), digits the
-    coefficients of P, lowest first, the lowest and the top nonzero."""
-    word = colored_twist_word(t, n)
+def _replay(word: TwistWord, n: int) -> dict:
+    """The replay of transfer_vector on a word that colored_twist_word
+    has checked, with each nonzero kappa_i as (lo, sign, digits):
+    kappa_i = sign A^lo P(A^4), digits the coefficients of P, lowest
+    first, the lowest and the top nonzero."""
     lo_q, rows, r, eigen, _, d_norm, starts = _replay_tables(n)
     los, digits = map(list, zip(*starts[word.start]))
     signs = [1] * (n + 1)
@@ -1121,7 +1109,7 @@ def _closure_kappas(t, n: int) -> dict:
     (in a closure, changing one smoothing moves a state's exponent by a
     multiple of 4), else ValueError."""
     if not isinstance(t, PlanarTangleDiagram):
-        return _replay(t, n)
+        return _replay(colored_twist_word(t, n), n)
     from . import annulus  # annulus imports this module
 
     coords = annulus.chebyshev_convert(annulus.colored_closure(t, n))
@@ -1150,8 +1138,8 @@ def colored_expand(t, n: int) -> list:
     gamma = (alpha, 0).
     """
     if n == 1 and not isinstance(t, PlanarTangleDiagram):
-        vec = bracket_vector(colored_twist_word(t, n))  # n, not 1: a bool or float is refused
-        alpha, beta = vec.alpha, vec.beta
+        forms = bracket._replay(colored_twist_word(t, n))  # n, not 1: a bool or float is refused
+        alpha, beta = (_from_dense(lo, 1, g, 4) for lo, g in forms)
         if beta.is_zero:
             return [RatFunc.from_laurent(alpha), RatFunc.zero()]
         gamma_0 = RatFunc(alpha + alpha.shift(4) - beta.shift(2), _X)

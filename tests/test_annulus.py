@@ -135,6 +135,15 @@ def test_chebyshev_small_polynomials():
     assert chebyshev_polynomial(3) == AnnulusElement({3: ONE, 1: RatFunc.from_scalar(-2)})
 
 
+def test_a_negative_chebyshev_index_is_refused():
+    # the recurrence list is indexed by k: a negative k read back the last
+    # entries built, z in a fresh process and S_5 after S_5
+    chebyshev_polynomial(5)
+    for k in (-1, -2):
+        with pytest.raises(ValueError, match="Chebyshev index must be nonnegative, got"):
+            chebyshev_polynomial(k)
+
+
 def test_chebyshev_conversion_pins():
     z2 = AnnulusElement({2: ONE})
     assert chebyshev_convert(z2) == [ONE, ZERO, ONE]

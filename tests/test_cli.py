@@ -19,6 +19,7 @@ from tanglekit.annulus import (
     AnnulusElement,
     chebyshev_convert,
     closure_bases,
+    colored_closure,
     colored_closure_bases,
 )
 from tanglekit.bracket import bracket_vector, c_invariant, coprime_ratio
@@ -29,7 +30,13 @@ from tanglekit.cli import (
     parse_tangle_notation,
 )
 from tanglekit.rationals import MAX_FRACTION_DIGITS, ExtRational, TwistVector, canonical_form
-from tanglekit.tangles import MAX_TWIST_TOTAL, PlanarTangleDiagram, RationalTangle, build_rational
+from tanglekit.tangles import (
+    MAX_TWIST_TOTAL,
+    PlanarTangleDiagram,
+    RationalTangle,
+    build_rational,
+    to_twist_word,
+)
 from tanglekit.tl import colored_expand
 
 
@@ -385,11 +392,10 @@ def test_colored_closures_add_no_rational_functions(monkeypatch):
     assert len(calls) == 0
 
 
-def test_replay_reports_inexact_data_as_an_error(monkeypatch):
+def test_replay_reports_inexact_data_as_an_error(fresh_caches):
     # the replay coordinates are integral, so a bottom run that does not
     # divide exactly means the data are wrong: one corrupted entry of Q
     # ends as one JSON error line, not as a wrong gamma
-    monkeypatch.setattr(tl, "_transfer_cache", {})
     q = tl._transfer_data(2)[1]
     q[0][0] = q[0][0] + ring.LaurentPoly.one()
     code, out = run_cli("colored", "--n", "2", "[2 1 2]")
@@ -398,11 +404,10 @@ def test_replay_reports_inexact_data_as_an_error(monkeypatch):
     assert "colored replay at cable width 2" in json.loads(out)["error"]
 
 
-def test_replay_result_is_the_callers_own(monkeypatch):
+def test_replay_result_is_the_callers_own(fresh_caches):
     # a word with no runs must not hand out the cached start vector: a
     # caller that changes its result would change every later result at
     # that width
-    monkeypatch.setattr(tl, "_transfer_cache", {})
     for t in (RationalTangle.from_entries(0), RationalTangle.infinity()):
         kappas = tl.transfer_vector(t, 2)
         kappas[1] = ring.LaurentPoly.one() * 2
@@ -525,6 +530,54 @@ def test_colored_twist_bound_accepts_words_at_the_bound(monkeypatch, n, bound,
         code, out = run_cli(command, "--n", str(n), refused)
         assert code == 2
         assert f"bound {bound} at cable width {n}" in json.loads(out)["error"]
+
+
+def _count_word_checks(monkeypatch) -> list:
+    """The list of the names of tl.colored_twist_word, which sums the runs
+    of a word, and of tangles.check_twist_total, which sums the entries
+    of a vector or the runs of a raw word, appended at each call through
+    any module that holds either."""
+    from tanglekit import annulus, bracket, tangles
+
+    calls = []
+    for fn in (tl.colored_twist_word, tangles.check_twist_total):
+        def counted(*args, fn=fn):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        for module in (annulus, bracket, cli, tangles, tl):
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_each_line_and_library_call_checks_its_word_once(monkeypatch):
+    # a colored line checks the entries of its vector in to_twist_word and
+    # the runs of its word in colored_twist_word, once each, also when the
+    # line ends in an error; a raw word skips the vector's check
+    calls = _count_word_checks(monkeypatch)
+    once = ["colored_twist_word", "check_twist_total"]
+    for n in range(1, tl.MAX_TWIST_WIDTH + 1):
+        for command in ("colored", "colored-closure"):
+            for notation in ("[3 2 -1]", f"[{tl.MAX_COLORED_TWISTS[n] + 1}]", "[1000 1000]"):
+                calls.clear()
+                run_cli(command, "--n", str(n), notation)
+                assert calls == once, (command, n, notation)
+    t = RationalTangle.from_entries(3, 2, -1)
+    word = to_twist_word(t)
+    for n in (1, 2, 3):
+        for f in (tl.transfer_vector, tl.colored_expand, tl.colored_invariants,
+                  colored_closure, colored_closure_bases):
+            for arg, expected in ((t, once), (word, once[:1])):
+                calls.clear()
+                f(arg, n)
+                assert calls == expected, (f.__name__, n, arg)
+    for f in (bracket_vector, closure_bases):
+        for arg in (t, word):
+            calls.clear()
+            f(arg)
+            assert calls == ["check_twist_total"], (f.__name__, arg)
 
 
 def _ones(count):

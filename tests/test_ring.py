@@ -51,6 +51,15 @@ def test_loop_value_square():
     assert str(DELTA * DELTA) == "A^4 + 2 + A^-4"
 
 
+def test_delta_powers_and_a_negative_loop_count():
+    # the powers are a list indexed by k: a negative k read back the last
+    # power built, 1 in a fresh process and DELTA^4 after DELTA^4
+    assert ring.delta_power(4) == DELTA ** 4 and ring.delta_power(0) == LaurentPoly.one()
+    for k in (-1, -2):
+        with pytest.raises(ValueError, match="loop count must be nonnegative, got"):
+            ring.delta_power(k)
+
+
 def test_str_formatting():
     assert str(LaurentPoly.zero()) == "0"
     assert str(LaurentPoly.one()) == "1"

@@ -265,6 +265,14 @@ def test_crossing_tile_is_skein_combination():
     assert tl.tile_element(1, -1) == ident.scale(AINV) + hook.scale(A)
 
 
+def test_a_zero_crossing_sign_is_refused():
+    # sign 0 was read as -1, and cached as the negative tile or kink
+    for build in (tl.tile_element, tl.kink_element):
+        build(1, -1)
+        with pytest.raises(ValueError, match="crossing sign must be nonzero"):
+            build(1, 0)
+
+
 def test_opposite_tiles_cancel():
     # Reidemeister II at the cabled-tile level
     for n in (1, 2, 3):
@@ -457,7 +465,7 @@ def test_pinch_matchings_are_unit_triangular():
     # what lets colored_expand read coordinates off by back-substitution
     for n in (1, 2, 3):
         basis = tl.bni_basis(n)
-        pinches = tl._bni_cache[n][1]
+        pinches = tl._bni(n)[1]
         assert len(set(pinches)) == n + 1
         for i, p in enumerate(pinches):
             narrow, widen = tl._pinch_wires(n, i)
@@ -751,12 +759,12 @@ def _replay_cases(rng):
 
 
 @pytest.mark.parametrize("product_bytes, divmod_bytes", [(None, None), (0, 0), (10 ** 6, 10 ** 6)])
-def test_packed_replay_equals_the_dict_replay(monkeypatch, product_bytes, divmod_bytes):
+def test_packed_replay_equals_the_dict_replay(monkeypatch, fresh_caches, product_bytes,
+                                              divmod_bytes):
     # the packed replay against the dict replay, at the default crossovers
     # and with every product as shifts and every division digit by digit,
     # or every product packed and every division one divmod
     if product_bytes is not None:
-        monkeypatch.setattr(tl, "_transfer_cache", {})
         monkeypatch.setattr(tl, "_PRODUCT_BYTES", product_bytes)
         monkeypatch.setattr(tl, "_DIVMOD_BYTES", divmod_bytes)
     widths = set()
@@ -787,10 +795,9 @@ def test_a_short_digit_width_widens_and_stays_exact(monkeypatch):
     assert len(set(failures)) >= 3, failures
 
 
-def test_replay_data_outside_one_class_are_refused(monkeypatch):
+def test_replay_data_outside_one_class_are_refused(fresh_caches):
     # a term A^1 added to one entry of Q breaks the classes mod 4 that the
     # packed form rests on: the tables refuse the data
-    monkeypatch.setattr(tl, "_transfer_cache", {})
     q = tl._transfer_data(2)[1]
     q[0][1] = q[0][1] + LaurentPoly.variable()
     with pytest.raises(ValueError, match="colored replay at cable width 2: .* one class mod 4"):
@@ -871,40 +878,43 @@ def test_width_one_eigenvalues_are_the_bracket_step():
     }
 
 
-ENGINE_CACHES = ("_jw_cache", "_frame_cache", "_bni_cache", "_tile_cache")
+#: The engine's builders of projectors, frames, basis, tiles and kinks,
+#: and the replay tables with their cyclotomic factors, per width.
+ENGINE_CACHES = (tl._projector, tl.projector_frame, tl._bni, tl._tile, tl._kink)
+TRANSFER_CACHES = (tl._transfer_data, tl._replay_tables, tl._packed_tables,
+                   cyclotomic.bubble_factors, cyclotomic.ratio_factors)
 
 
-def test_transfer_replay_builds_no_crossing_tile(monkeypatch):
-    for cache in ENGINE_CACHES + ("_transfer_cache",):
-        monkeypatch.setattr(tl, cache, {})
+def _empty(caches) -> bool:
+    return all(f.cache_info().currsize == 0 for f in caches)
+
+
+def test_transfer_replay_builds_no_crossing_tile(fresh_caches):
     # a word over the bound is refused before any precompute
     too_long = RationalTangle.from_entries(tl.MAX_COLORED_TWISTS[3] + 1)
     with pytest.raises(ValueError, match="at cable width 3"):
         tl.colored_expand(too_long, 3)
-    assert tl._bni_cache == {} and tl._transfer_cache == {}
+    assert _empty((tl._bni,) + TRANSFER_CACHES)
     # the closed forms build no projector, frame, basis or crossing tile
     t = RationalTangle.from_entries(2, -1)
     for n in (3, tl.MAX_TWIST_WIDTH):
         tl.colored_expand(t, n)
         colored_closure(t, n)
-        assert all(getattr(tl, cache) == {} for cache in ENGINE_CACHES)
+        assert _empty(ENGINE_CACHES)
 
 
-def test_diagrams_build_no_projector(monkeypatch):
+def test_diagrams_build_no_projector(fresh_caches):
     # a diagram's colored coordinates and closure come from its threaded
     # closure: no projector, frame, basis element or crossing tile, also
     # past the projectors' bound
-    for cache in ENGINE_CACHES:
-        monkeypatch.setattr(tl, cache, {})
     for d, n in ((clasp_around_right(), 3), (rational_to_diagram(RationalTangle.from_entries(1)), 5)):
         tl.colored_expand(d, n)
         colored_closure(d, n)
-        assert all(getattr(tl, cache) == {} for cache in ENGINE_CACHES)
+        assert _empty(ENGINE_CACHES)
 
 
-def test_width_three_set_up_is_quick(monkeypatch):
+def test_width_three_set_up_is_quick(fresh_caches):
     # through the projectors on 6 strands this took about 0.5 s
-    monkeypatch.setattr(tl, "_transfer_cache", {})
     t = RationalTangle.from_entries(3, 2, -3)
     start = time.perf_counter()
     tl.colored_expand(t, 3)
@@ -1186,7 +1196,7 @@ def test_bubble_factors_multiply_back_to_the_bubble_ratios(n):
     assert recoupling.bubble_ratio(n, n) == ONE
 
 
-def test_corrupted_bubble_data_are_refused(monkeypatch):
+def test_corrupted_bubble_data_are_refused(monkeypatch, fresh_caches):
     # bubble ratios that the factor tables do not reproduce, here c_1 of
     # width 3 with one copy of Phi_3(A^4) fewer, are refused with the width
     from tanglekit import recoupling
@@ -1197,17 +1207,14 @@ def test_corrupted_bubble_data_are_refused(monkeypatch):
         c = bubble_ratio(n, i)
         return c * RatFunc.from_laurent(_phi4(3)) if (n, i) == (3, 1) else c
 
-    monkeypatch.setattr(tl, "_transfer_cache", {})
     monkeypatch.setattr(recoupling, "bubble_ratio", corrupted)
     tl.colored_invariants(RationalTangle.from_entries(3, 2), 2)
     with pytest.raises(ValueError, match="colored coordinates at cable width 3: .* c_1"):
         tl.colored_invariants(RationalTangle.from_entries(3, 2), 3)
 
 
-def test_reduction_tables_build_no_projector(monkeypatch):
+def test_reduction_tables_build_no_projector(fresh_caches):
     # the factor tables come from the recoupling counts alone, quickly
-    for cache in ENGINE_CACHES + ("_transfer_cache",):
-        monkeypatch.setattr(tl, cache, {})
     for n in range(1, tl.MAX_TWIST_WIDTH + 1):
         tl._transfer_data(n)
         start = time.perf_counter()
@@ -1215,7 +1222,7 @@ def test_reduction_tables_build_no_projector(monkeypatch):
         for i in range(n):
             cyclotomic.ratio_factors(n, i, n)
         assert time.perf_counter() - start < 0.05, n
-    assert all(getattr(tl, cache) == {} for cache in ENGINE_CACHES)
+    assert _empty(ENGINE_CACHES)
 
 
 def test_a_coordinate_outside_one_class_is_refused():
