@@ -17,10 +17,10 @@ comes from a bound on the coefficients proven in one pass over the
 runs, and each coordinate is read back once, at the end, with
 ring._digits into the dense form (lo, digits) of _replay.
 
-The width-1 payloads of the command line read that form directly:
-ring._dense_str writes each coordinate from its digits, and
-_dense_c_invariant evaluates them at the root; bracket_vector is the
-dense form written into LaurentPoly with ring._from_dense.
+The width-1 payloads of the command line, colored --n 1 included
+(through tl._colored_forms), read that form directly: ring._dense_str
+writes from its digits and _dense_c_invariant evaluates them at the
+root; bracket_vector writes it into LaurentPoly with ring._from_dense.
 """
 
 from __future__ import annotations
@@ -213,8 +213,8 @@ def coprime_ratio(v: BracketVec2):
     Z[A^+-1], an integer included, would divide the start vector: they
     are coprime.  The canonical form only moves the power of A onto the
     numerator and makes the constant term of beta positive, which holds
-    for any coprime pair (tl._width_one_ratios passes the width-1 colored
-    ratio).  ratio_invariant is the referee.
+    for any coprime pair (as the width-1 colored ratio of
+    tl._width_one_forms).  ratio_invariant is the referee.
     """
     if v.alpha.is_zero or v.beta.is_zero:
         return ratio_invariant(v)

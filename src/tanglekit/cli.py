@@ -64,9 +64,9 @@ from .tangles import (
 )
 from .tl import (
     MAX_TWIST_WIDTH,
+    _colored_forms,
     check_cable_width,
     colored_expand,
-    colored_invariants,
     colored_twist_word,
 )
 
@@ -209,6 +209,14 @@ def _closure_payload(forms, opts, payload):
     return payload, text
 
 
+def _form_text(form) -> str:
+    """str of the RatFunc of a form (lo, sign, num, den) of
+    tl._colored_forms, from its digits: a denominator of 1 is left out."""
+    lo, sign, num, den = form
+    text = _dense_str(lo, sign, num, 4)
+    return text if len(den) == 1 == den[0] else f"({text})/({_dense_str(0, 1, den, 4)})"
+
+
 def _ratio_text(forms) -> str:
     """str(coprime_ratio) of the bracket coordinates in the dense forms of
     bracket._replay, "inf" when beta = 0: the numerator and denominator
@@ -280,11 +288,11 @@ def _colored_payload(notation, opts):
     # A vanishing top coordinate shows as fewer than n ratios, reported
     # in the payload: they then divide by gamma_k, k = len(ratios), the
     # last nonzero coordinate.
-    gammas, ratios = colored_invariants(_parse_tangle_arg(notation), n)
+    gammas, ratios = _colored_forms(_parse_tangle_arg(notation), n, True)
     payload = {
         "n": n,
-        "gamma": [str(g) for g in gammas],
-        "ratios": [str(r) for r in ratios],
+        "gamma": list(map(_form_text, gammas)),
+        "ratios": list(map(_form_text, ratios)),
     }
     text = "gamma:  " + ", ".join(payload["gamma"])
     text += "\nratios: " + ", ".join(payload["ratios"])

@@ -9,7 +9,8 @@ colored coordinates gamma_i = kappa_i / c_i and their ratios are then
 reduced from the replay coordinates kappa_i with no general
 normalization (reduced_gammas, reduced_ratios): a coordinate takes no
 gcd, and a ratio one.  The polynomials here are in u = A^4, as
-dense coefficient sequences, lowest first.
+dense coefficient sequences, lowest first, and so are the results, the
+forms of tl._colored_forms that the command line writes from digits.
 
 tl imports this module at the first colored coordinates of width 2 or
 more, or of a diagram, so commands needing neither skip it.
@@ -22,7 +23,7 @@ from itertools import cycle, repeat
 from operator import add, mul
 
 from . import recoupling, tl
-from .ring import RatFunc, _exact_quotient, _from_dense, _gcd_cofactors
+from .ring import _exact_quotient, _from_dense, _gcd_cofactors
 
 __all__ = ["bubble_factors", "ratio_factors", "reduced_gammas", "reduced_ratios"]
 
@@ -85,11 +86,11 @@ def _product(*factors) -> tuple:
 class _Factored:
     """sign A^shift N(A^4) / D(A^4), N and D products of Phi_d(A^4) over
     d >= 2 with no d in both, from exponents, a dict d -> e: num and den
-    map each d to its multiplicity in N and in D, num_u and den_u are N(u)
-    and D(u), and num_poly is N(A^4).  (A plain class: a NamedTuple took
-    a third of a millisecond to create at import.)"""
+    map each d to its multiplicity in N and in D, and num_u and den_u are
+    N(u) and D(u).  (A plain class: a NamedTuple took a third of a
+    millisecond to create at import.)"""
 
-    __slots__ = ("sign", "shift", "num", "den", "num_u", "den_u", "num_poly")
+    __slots__ = ("sign", "shift", "num", "den", "num_u", "den_u")
 
     def __init__(self, sign: int, shift: int, exponents: dict):
         self.sign, self.shift = sign, shift
@@ -97,7 +98,6 @@ class _Factored:
         self.den = {d: -e for d, e in exponents.items() if e < 0}
         self.num_u = _cyclotomic_product(self.num)
         self.den_u = _cyclotomic_product(self.den)
-        self.num_poly = _from_dense(0, 1, self.num_u, 4)
 
 
 @cache
@@ -121,7 +121,7 @@ def bubble_factors(n: int) -> list:
                 if m % d == 0:
                     exponents[d] = exponents.get(d, 0) + e
         f = _Factored(sign, shift, exponents)
-        if (f.num_poly.shift(f.shift) * f.sign != c.num
+        if (_from_dense(f.shift, f.sign, f.num_u, 4) != c.num
                 or _from_dense(0, 1, f.den_u, 4) != c.den):
             raise ValueError(f"colored coordinates at cable width {n}: the cyclotomic "
                              f"factors of c_{i} do not multiply back to its bubble ratio")
@@ -169,8 +169,8 @@ def _strip(p, factors: dict):
 
 
 def reduced_gammas(quarters: dict, n: int) -> list:
-    """gamma_i = kappa_i / c_i in canonical form, for the kappa_i of
-    tl._closure_kappas, with no gcd.
+    """gamma_i = kappa_i / c_i in canonical form, as the forms of
+    tl._colored_forms, for the kappa_i of tl._closure_kappas, with no gcd.
 
     With c_i = s A^k N / D (bubble_factors), gamma_i = s A^-k kappa_i D / N.
     Each Phi_d(A^4) of N is taken out of kappa_i at most as often as it
@@ -189,19 +189,20 @@ def reduced_gammas(quarters: dict, n: int) -> list:
     out = []
     for i, f in enumerate(bubble_factors(n)):
         if i not in quarters:
-            out.append(RatFunc.zero())
+            out.append((0, 1, (), (1,)))
             continue
         lo, sign, p = quarters[i]
         p, rest = _strip(p, f.num)
-        den = f.num_poly if rest == f.num else _from_dense(0, 1, _cyclotomic_product(rest), 4)
-        out.append(RatFunc(_from_dense(lo - f.shift, sign * f.sign, _dense_mul(p, f.den_u), 4), den))
+        den = f.num_u if rest == f.num else _cyclotomic_product(rest)
+        out.append((lo - f.shift, sign * f.sign, _dense_mul(p, f.den_u), den))
     return out
 
 
 def reduced_ratios(quarters: dict, n: int) -> list:
     """The ratios gamma_i / gamma_k of colored_ratios, k the last nonzero
-    coordinate, for the kappa_i of tl._closure_kappas, with one gcd
-    per ratio and no warning (k < n shows as fewer than n ratios).
+    coordinate, as the forms of tl._colored_forms, for the kappa_i of
+    tl._closure_kappas, with one gcd per ratio and no warning (k < n
+    shows as fewer than n ratios).
 
     gamma_i / gamma_k = (kappa_i / kappa_k) (c_k / c_i).  One
     ring._gcd_cofactors gives kappa_i = g a and kappa_k = g b, up to
@@ -227,7 +228,7 @@ def reduced_ratios(quarters: dict, n: int) -> list:
     out = []
     for i in range(k):
         if i not in quarters:
-            out.append(RatFunc.zero())
+            out.append((0, 1, (), (1,)))
             continue
         lo_i, sign_i, p = quarters[i]
         f = ratio_factors(n, i, k)
@@ -237,6 +238,6 @@ def reduced_ratios(quarters: dict, n: int) -> list:
         num = _dense_mul(a, f.num_u if rest_num == f.num else _cyclotomic_product(rest_num))
         den = _dense_mul(b, f.den_u if rest_den == f.den else _cyclotomic_product(rest_den))
         s = 1 if den[0] > 0 else -1
-        out.append(RatFunc(_from_dense(lo_i - lo_k + f.shift, s * sign_i * sign_k * f.sign, num, 4),
-                           _from_dense(0, s, den, 4)))
+        out.append((lo_i - lo_k + f.shift, s * sign_i * sign_k * f.sign, num,
+                    den if s > 0 else [-c for c in den]))
     return out

@@ -29,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import comb
+from operator import add
 from typing import NamedTuple
 
-from . import bracket, oracle
-from .bracket import BracketVec2, coprime_ratio
+from . import oracle
 from .ring import (
     LaurentPoly,
     RatCombination,
@@ -576,9 +576,9 @@ def _delta_poly(k: int) -> LaurentPoly:
 
 @cache
 def _projector(n: int) -> TLElement:
-    if n > MAX_PROJECTOR_STRANDS:
+    if not 0 <= n <= MAX_PROJECTOR_STRANDS:  # n = 0: a bubble's through-color 0
         raise ValueError(
-            f"projector on {n} strands exceeds the bound {MAX_PROJECTOR_STRANDS}"
+            f"projector on {n} strands is outside the range 0 to {MAX_PROJECTOR_STRANDS}"
         )
     if n == 0:
         return TLElement(0, 0, {(): RatFunc.one()})
@@ -1096,10 +1096,6 @@ def _replay(word: TwistWord, n: int) -> dict:
     return {i: (lo, s, g) for i, (lo, s, g) in enumerate(zip(los, signs, digits)) if g}
 
 
-# X = A^4 + 1, so delta = -A^2 - A^-2 = -X / A^2
-_X = LaurentPoly({0: 1, 4: 1})
-
-
 def _closure_kappas(t, n: int) -> dict:
     """The nonzero coordinates kappa_i of S_2i in the colored closure, in
     the form i -> (lo, sign, digits) of _replay: for a rational tangle or
@@ -1123,49 +1119,66 @@ def _closure_kappas(t, n: int) -> dict:
     return quarters
 
 
-def colored_expand(t, n: int) -> list:
-    """Coordinates of the n-cabled, projector-dressed tangle over bni_basis.
+def _width_one_forms(word: TwistWord) -> tuple:
+    """_colored_forms of a twist word at width 1, checked by the caller,
+    off its closure forms: gamma_i = kappa_i / c_i, c_1 = 1 and c_0 =
+    delta = -A^-2 X, X = A^4 + 1 = Phi_8 (irreducible, content 1).  So
+    gamma_1 = beta and gamma_0 = -A^2 kappa_0 / X, canonical with no gcd:
+    X could cancel only by dividing beta, only if beta(zeta_8) = 0, that
+    is, at fraction infinity, where beta = 0 and gamma = (alpha, 0), with
+    no ratio.  The ratio -A^2 kappa_0 / (X beta) takes no gcd either (alpha
+    and beta are coprime, bracket.coprime_ratio): its canonical form shifts
+    by -lo_beta and takes the sign of beta's lowest digit."""
+    from . import annulus  # annulus imports this module
 
-    gamma_i = kappa_i / c_i, with kappa_i the coordinate of S_2i in the
-    colored closure (_closure_kappas), reduced with no gcd by the known
-    cyclotomic factors of c_i (cyclotomic.reduced_gammas).  A twist word
-    at width 1 is read off the bracket instead, since the cable is the
-    tangle itself: over (b_0, b_1), gamma = (alpha + beta / delta, beta)
-    = ((alpha X - beta A^2) / X, beta).  Both are canonical as built, with
-    no gcd: X = Phi_8 is irreducible with content 1, so it could cancel
-    only by dividing beta, that is, only if beta(zeta_8) = 0.  That
-    happens only at fraction infinity, where beta = 0 and
-    gamma = (alpha, 0).
-    """
+    kappas = annulus._closure_forms(word, 1)[1]
+    if len(kappas) == 1:
+        lo, _, q = kappas[0]
+        return [(lo + 2, 1, _exact_quotient(q, (1, 1)), (1,)), (0, 1, (), (1,))], []
+    (lo, _, num), (lo_b, _, pb) = kappas
+    s = 1 if pb[0] > 0 else -1
+    den = [s * c for c in map(add, (*pb, 0), (0, *pb))]
+    return [(lo + 2, -1, num, (1, 1)), (lo_b, 1, pb, (1,))], [(lo + 2 - lo_b, -s, num, den)]
+
+
+def _colored_forms(t, n: int, ratios: bool) -> tuple:
+    """(gammas, ratios) of colored_invariants, ratios None unless asked
+    for, as forms (lo, sign, num, den): the canonical sign A^lo N(A^4) /
+    D(A^4), num and den the coefficients of N and D, lowest first, zeros
+    allowed at either end of num; zero is (0, 1, (), (1,)).  The one
+    producer: a twist word at width 1 goes through _width_one_forms, all
+    else through cyclotomic.reduced_gammas and reduced_ratios."""
     if n == 1 and not isinstance(t, PlanarTangleDiagram):
-        forms = bracket._replay(colored_twist_word(t, n))  # n, not 1: a bool or float is refused
-        alpha, beta = (_from_dense(lo, 1, g, 4) for lo, g in forms)
-        if beta.is_zero:
-            return [RatFunc.from_laurent(alpha), RatFunc.zero()]
-        gamma_0 = RatFunc(alpha + alpha.shift(4) - beta.shift(2), _X)
-        return [gamma_0, RatFunc.from_laurent(beta)]
+        return _width_one_forms(colored_twist_word(t, n))  # n, not 1: a bool or float is refused
     from . import cyclotomic  # loaded on first use, see its docstring
 
-    return cyclotomic.reduced_gammas(_closure_kappas(t, n), n)
+    quarters = _closure_kappas(t, n)
+    gammas = cyclotomic.reduced_gammas(quarters, n)
+    return gammas, cyclotomic.reduced_ratios(quarters, n) if ratios else None
+
+
+def _ratfunc(form) -> RatFunc:
+    lo, sign, num, den = form
+    return RatFunc(_from_dense(lo, sign, num, 4), _from_dense(0, 1, den, 4))
+
+
+def colored_expand(t, n: int) -> list:
+    """Coordinates of the n-cabled, projector-dressed tangle over
+    bni_basis, gamma_i = kappa_i / c_i with kappa_i the coordinate of S_2i
+    in the colored closure: the forms of _colored_forms as RatFunc."""
+    return list(map(_ratfunc, _colored_forms(t, n, False)[0]))
 
 
 def colored_invariants(t, n: int) -> tuple:
     """(colored_expand(t, n), ratios), the ratios those of
     colored_ratios, gamma_i / gamma_k for k the last nonzero coordinate,
     without its warning: when the top coordinate vanishes there are
-    fewer than n of them.
-
-    Both come from one replay: each ratio takes one gcd, of kappa_i and
-    kappa_k (cyclotomic.reduced_ratios), and a twist word at width 1 none
-    (_width_one_ratios).
+    fewer than n of them.  Both come from one replay, written into
+    RatFunc from the forms of _colored_forms: each ratio takes one gcd,
+    of kappa_i and kappa_k, and a twist word at width 1 none.
     """
-    if n == 1 and not isinstance(t, PlanarTangleDiagram):
-        gammas = colored_expand(t, n)
-        return gammas, _width_one_ratios(gammas)
-    from . import cyclotomic  # loaded on first use, see its docstring
-
-    quarters = _closure_kappas(t, n)
-    return cyclotomic.reduced_gammas(quarters, n), cyclotomic.reduced_ratios(quarters, n)
+    gammas, ratios = _colored_forms(t, n, True)
+    return list(map(_ratfunc, gammas)), list(map(_ratfunc, ratios))
 
 
 def colored_ratios(gammas: list) -> list:
@@ -1189,26 +1202,3 @@ def colored_ratios(gammas: list) -> list:
         )
     top = gammas[k]
     return [g / top for g in gammas[:k]]
-
-
-def _width_one_ratios(gammas: list) -> list:
-    """colored_ratios(gammas) for gammas = colored_expand(t, 1) of a
-    rational tangle or twist word t, with no gcd; colored_ratios is the
-    referee.
-
-    gamma_0 / gamma_1 = (alpha X - beta A^2) / (X beta), with
-    X = A^4 + 1.  alpha and beta are coprime (bracket.coprime_ratio), and
-    X is irreducible and does not divide beta (colored_expand), so the
-    two sides are coprime, and the ratio is gamma_0.num over X beta, a
-    sum of two shifts, up to the sign and the power of A that
-    coprime_ratio moves.  A vanishing coordinate needs no gcd either:
-    gamma_1 = 0 leaves no ratio (gamma_0 normalizes, as in
-    colored_ratios, but with no warning) and gamma_0 = 0 the ratio 0.
-    """
-    g0, g1 = gammas
-    if g1.is_zero:
-        return []
-    if g0.is_zero:
-        return [RatFunc.zero()]
-    beta = g1.num
-    return [coprime_ratio(BracketVec2(g0.num, beta + beta.shift(4)))]

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -1060,6 +1061,48 @@ def test_closure_lines_are_the_strings_of_the_library_objects_at_every_width():
             payload = json.loads(out)
             del payload["n"]
             assert run_cli("closure", notation, *option) == (code, _dump(payload)), notation
+
+
+def _colored_line(gammas, ratios, n):
+    """The colored payload and text line of the library objects."""
+    payload = {"n": n, "gamma": [str(g) for g in gammas], "ratios": [str(r) for r in ratios]}
+    text = "gamma:  " + ", ".join(payload["gamma"]) + "\nratios: " + ", ".join(payload["ratios"])
+    if len(ratios) < n:
+        payload["normalized_by"] = len(ratios)
+        text += f"\nnormalized by gamma_{len(ratios)} (top coordinate vanishes)"
+    return payload, text
+
+
+def test_colored_lines_are_the_strings_of_the_library_objects():
+    # colored writes its lines from the digit forms of tl._colored_forms;
+    # each line must be the strings of tl.colored_invariants, whose ratios
+    # colored_ratios referees, or its error line past the width's twist
+    # bound.  [inf], [0], [0 0], [1 -1] (beta, alpha or gamma_k = 0 at
+    # some width) and one word over the bound run at every width, the
+    # seeded words up to width 4, and from width 5 on a few short words (a
+    # bottom run costs about 10 ms at width 8)
+    short = ["[1]", "[-1]", "[3 2 -3]", "[2 -1 1]"]
+    seen = set()
+    for n in range(1, tl.MAX_TWIST_WIDTH + 1):
+        fixed = ["[inf]", "[0]", "[0 0]", "[1 -1]", f"[{tl.MAX_COLORED_TWISTS[n] + 1}]"]
+        for notation in fixed + (_seeded_notations() if n <= 4 else short):
+            t = cli._parse_tangle_arg(notation)
+            command = ("colored", "--n", str(n), notation)
+            try:
+                gammas, ratios = tl.colored_invariants(t, n)
+            except ValueError as exc:
+                for fmt in ((), ("--text",)):
+                    assert run_cli(*command, *fmt) == (2, _dump({"error": str(exc)})), command
+                seen.add("error")
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert ratios == tl.colored_ratios(gammas), command
+            payload, text = _colored_line(gammas, ratios, n)
+            assert run_cli(*command) == (0, _dump(payload)), command
+            assert run_cli(*command, "--text") == (0, text + "\n"), command
+            seen.add("normalized_by" if len(ratios) < n else "full")
+    assert seen == {"error", "normalized_by", "full"}
 
 
 def test_random_notation_pairs_keep_the_error_contract():

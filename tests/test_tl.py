@@ -23,6 +23,7 @@ from tanglekit.rationals import TwistVector
 from tanglekit.ring import (
     LaurentPoly,
     RatFunc,
+    _from_dense,
     _poly_gcd,
     _to_dense,
     common_denominator,
@@ -351,6 +352,13 @@ def test_projector_identity_coefficient_is_one():
 def test_projector_bound_enforced():
     with pytest.raises(ValueError):
         tl.jones_wenzl(tl.MAX_PROJECTOR_STRANDS + 1)
+    # a negative strand count is refused, not recursed on to the limit;
+    # zero strands stay the empty projector of a bubble's through-color 0
+    for n in (-1, -2):
+        for build in (tl.jones_wenzl, tl.projector_frame, tl._projector):
+            with pytest.raises(ValueError):
+                build(n)
+    assert tl._projector(0) == tl.projector_frame(0)
 
 
 # ---------------------------------------------------------------------------
@@ -1015,15 +1023,16 @@ def test_ratio_invariants_agree_for_equal_fractions():
 
 
 def test_width_one_ratios_match_colored_ratios():
-    # the gcd-free width-1 ratio of the CLI against the generic division
+    # the gcd-free width-1 ratio of the forms against the generic division
     rng = random.Random(45)
     words = [RationalTangle.from_entries(*[1] * 500)]
     words += [build_rational(random_twist_vector(rng, 6, 9)) for _ in range(200)]
     for t in words:
-        gammas = tl.colored_expand(t, 1)
+        gammas, ratios = tl.colored_invariants(t, 1)
+        assert gammas == tl.colored_expand(t, 1), t
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            assert tl._width_one_ratios(gammas) == tl.colored_ratios(gammas), t
+            assert ratios == tl.colored_ratios(gammas), t
 
 
 def test_ratio_invariants_differ_for_different_fractions():
@@ -1118,10 +1127,11 @@ def test_reduction_takes_each_factor_at_most_as_often_as_it_occurs(n):
             if not scaled:
                 continue
             quarters = _quarter_forms(scaled)
-            gammas = cyclotomic.reduced_gammas(quarters, n)
-            ratios = cyclotomic.reduced_ratios(quarters, n)
+            gammas = list(map(tl._ratfunc, cyclotomic.reduced_gammas(quarters, n)))
+            ratios = list(map(tl._ratfunc, cyclotomic.reduced_ratios(quarters, n)))
             assert (gammas, ratios) == _referee(scaled, n), (t, n, scaled)
-            stripped += sum(g.den != factors[i].num_poly for i, g in enumerate(gammas) if g)
+            stripped += sum(g.den != _from_dense(0, 1, factors[i].num_u, 4)
+                            for i, g in enumerate(gammas) if g)
     assert stripped > 10
 
 
@@ -1135,7 +1145,8 @@ def test_width_three_multiplicities_are_exercised():
     for e in range(4):
         kappas = {1: p * _phi4(3) ** e, 3: LaurentPoly({8: 1, 0: -3})}
         quarters = _quarter_forms(kappas)
-        assert cyclotomic.reduced_ratios(quarters, 3) == _referee(kappas, 3)[1], e
+        ratios = list(map(tl._ratfunc, cyclotomic.reduced_ratios(quarters, 3)))
+        assert ratios == _referee(kappas, 3)[1], e
 
 
 @pytest.mark.parametrize("n", (2, 3))
