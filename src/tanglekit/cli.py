@@ -54,7 +54,7 @@ from .annulus import (
 from .bracket import _dense_c_invariant, _replay, bracket_vector
 from .oracle import MAX_ORACLE_COUNT, MAX_ORACLE_CROSSINGS, bracket_of_diagram
 from .rationals import TwistVector, canonical_form, parity, schubert_equivalent
-from .ring import _dense_str
+from .ring import _dense_str, _quotient_str
 from .tangles import (
     RationalTangle,
     build_rational,
@@ -209,31 +209,6 @@ def _closure_payload(forms, opts, payload):
     return payload, text
 
 
-def _form_text(form) -> str:
-    """str of the RatFunc of a form (lo, sign, num, den) of
-    tl._colored_forms, from its digits: a denominator of 1 is left out."""
-    lo, sign, num, den = form
-    text = _dense_str(lo, sign, num, 4)
-    return text if len(den) == 1 == den[0] else f"({text})/({_dense_str(0, 1, den, 4)})"
-
-
-def _ratio_text(forms) -> str:
-    """str(coprime_ratio) of the bracket coordinates in the dense forms of
-    bracket._replay, "inf" when beta = 0: the numerator and denominator
-    are shifted by -lo_beta and take the sign of beta's lowest digit, and
-    a beta of +-A^lo_beta leaves no denominator (RatFunc.__str__)."""
-    (lo_a, da), (lo_b, db) = forms
-    if not db:
-        return "inf"
-    if not da:
-        return "0"
-    sign = 1 if db[0] > 0 else -1
-    num = _dense_str(lo_a - lo_b, sign, da, 4)
-    if db == (sign,):
-        return num
-    return f"({num})/({_dense_str(0, sign, db, 4)})"
-
-
 # ---------------------------------------------------------------------------
 # Per-tangle payload builders (shared by single and batch modes)
 # ---------------------------------------------------------------------------
@@ -260,7 +235,8 @@ def _bracket_payload(notation, opts):
     payload = {
         "alpha": _dense_str(lo_a, 1, da, 4),
         "beta": _dense_str(lo_b, 1, db, 4),
-        "R": _ratio_text(forms),
+        # alpha and beta are coprime: the quotient takes no gcd (coprime_ratio)
+        "R": _quotient_str((lo_a - lo_b, 1, da, db)) if db else "inf",
         "C": str(_dense_c_invariant(forms)),
     }
     return payload, "\n".join(f"{k} = {v}" for k, v in payload.items())
@@ -291,8 +267,8 @@ def _colored_payload(notation, opts):
     gammas, ratios = _colored_forms(_parse_tangle_arg(notation), n, True)
     payload = {
         "n": n,
-        "gamma": list(map(_form_text, gammas)),
-        "ratios": list(map(_form_text, ratios)),
+        "gamma": list(map(_quotient_str, gammas)),
+        "ratios": list(map(_quotient_str, ratios)),
     }
     text = "gamma:  " + ", ".join(payload["gamma"])
     text += "\nratios: " + ", ".join(payload["ratios"])

@@ -10,7 +10,7 @@ reduced from the replay coordinates kappa_i with no general
 normalization (reduced_gammas, reduced_ratios): a coordinate takes no
 gcd, and a ratio one.  The polynomials here are in u = A^4, as
 dense coefficient sequences, lowest first, and so are the results, the
-forms of tl._colored_forms that the command line writes from digits.
+quotient forms of tl._colored_forms.
 
 tl imports this module at the first colored coordinates of width 2 or
 more, or of a diagram, so commands needing neither skip it.
@@ -209,9 +209,9 @@ def reduced_ratios(quarters: dict, n: int) -> list:
     units, with a and b coprime in Z[A], contents included.  With
     c_k / c_i = s A^j M / M' (ratio_factors), the Phi_d(A^4) of M' are
     stripped from a and those of M from b (_strip), leaving a', b', and
-    M_1, M'_1 of M and M'; the ratio is s A^j a' M_1 / (b' M'_1), with
-    the sign of b' moved so that the constant term is positive.  It is
-    canonical as built: for x, y coprime and z, w coprime,
+    M_1, M'_1 of M and M'; the ratio is s A^j a' M_1 / (b' M'_1),
+    canonical as built up to the sign of b' (the sign the forms leave to
+    their reader and writer): for x, y coprime and z, w coprime,
     gcd(x z, y w) = gcd(x, w) gcd(z, y) (compare multiplicities prime by
     prime).  a' and b' divide the coprime a and b; M_1 and M'_1 have no
     d in common; and gcd(a', M'_1) = gcd(M_1, b') = 1 as in
@@ -237,7 +237,5 @@ def reduced_ratios(quarters: dict, n: int) -> list:
         b, rest_num = _strip(b, f.num)
         num = _dense_mul(a, f.num_u if rest_num == f.num else _cyclotomic_product(rest_num))
         den = _dense_mul(b, f.den_u if rest_den == f.den else _cyclotomic_product(rest_den))
-        s = 1 if den[0] > 0 else -1
-        out.append((lo_i - lo_k + f.shift, s * sign_i * sign_k * f.sign, num,
-                    den if s > 0 else [-c for c in den]))
+        out.append((lo_i - lo_k + f.shift, sign_i * sign_k * f.sign, num, den))
     return out

@@ -23,6 +23,13 @@ The text of a Laurent polynomial is written in one place, the term writer
 ``_dense_str`` the digits of a dense form, so that the packed bracket
 replay's coordinates print with no dict built.
 
+This module is the one writer and reader of the replays' digit forms.
+``_pack`` and ``_digits`` pack and unpack a dense polynomial at
+xi = 2^(8b) (Kronecker substitution).  A quotient form (lo, sign, num,
+den), sign A^lo N(A^4) / D(A^4) canonical up to the sign of D, is written
+by ``_quotient_str`` and read by ``_from_quotient``, each moving D's sign
+onto the numerator.
+
 Gcds and divisions run on ordinary polynomials held dense, as the
 sequence of their coefficients (``_to_dense`` reads a Laurent
 polynomial into that form, ``_from_dense`` writes it back).  A
@@ -278,6 +285,16 @@ def _dense_str(lo: int, sign: int, digits, step: int) -> str:
     return _write_terms(compress(terms, top))
 
 
+def _quotient_str(form) -> str:
+    """str(_from_quotient(form)) for a quotient form (lo, sign, num, den),
+    written from its digits: the sign of D's constant term goes to both
+    _dense_str calls, and a denominator of +-1 is left out."""
+    lo, sign, num, den = form
+    s = 1 if den[0] > 0 else -1
+    text = _dense_str(lo, s * sign, num, 4)
+    return text if len(den) == 1 == s * den[0] else f"({text})/({_dense_str(0, s, den, 4)})"
+
+
 def _common_forms(polys: list):
     """(s, [_to_dense(p, s) for p in polys]) for nonzero Laurent
     polynomials, s the largest step at which each p lies in one class
@@ -377,34 +394,41 @@ def _exact_quotient(w, d):
     return found[top:][::-1]
 
 
-#: Degree below which _pack evaluates by Horner's rule.  Timed on
-#: polynomials of 8- to 200-bit coefficients, Horner's rule was 1.6 to 4
-#: times as fast up to degree 32 and lost past degree 48 on 200-bit ones.
+#: Length up to which _pack evaluates by Horner's rule, set against the
+#: struct path: on balanced digits at b = 1, 2, 4 and 8 Horner's rule won
+#: up to 32 digits and lost from 48 (2-vCPU x86 host, CPython 3.11).
 _HORNER_DEGREE = 32
 
 
 def _pack(p, b: int) -> int:
-    """p(xi) at xi = 2^(8b), for an ordinary integer polynomial p.
+    """p(xi) at xi = 2^(8b) for an ordinary integer polynomial p, zeros
+    allowed anywhere: the one packer, the inverse of _digits.
 
-    Below degree _HORNER_DEGREE by Horner's rule.  Above it, each
-    coefficient plus the offset H = xi^w / 2, with w digits enough for
-    every |c| < H, is written as w little-endian b-byte digits; digit t of
-    every coefficient is joined into one byte string and read with
-    int.from_bytes.  Subtracting H (1 + xi + ... + xi^deg) leaves p(xi),
-    in time linear in the size of p (Horner's rule is quadratic on big
-    integers).
+    Up to _HORNER_DEGREE coefficients by Horner's rule, which is
+    quadratic; past it in linear time.  When every coefficient is a
+    balanced digit, their two's complement bytes (one struct call at
+    b = 1, 2, 4 or 8, one int.to_bytes per digit else) read as one
+    integer y give p(xi) = (y ^ H) - H, H as in _digits.  Otherwise each
+    coefficient plus xi^w / 2, with w digits enough for every |c|, is
+    written as w b-byte digits, and digit t of every coefficient is
+    joined into one byte string read with int.from_bytes.
     """
-    bits = 8 * b
-    if len(p) <= _HORNER_DEGREE:
+    bits, n = 8 * b, len(p)
+    if n <= _HORNER_DEGREE:
         v = 0
         for c in reversed(p):
             v = (v << bits) + c
         return v
-    w = max(max(p), -min(p)).bit_length() // bits + 1
-    half = 1 << (bits * w - 1)
-    rows = [(c + half).to_bytes(b * w, "little") for c in p]
-    ones = int.from_bytes(b"\x01".ljust(b, b"\x00") * len(rows), "little")
-    value = -(ones << (bits * w - 1))
+    low, high = min(p), max(p)
+    if -(1 << (bits - 1)) <= low and high < 1 << (bits - 1):
+        fmt = _DIGIT_FORMATS.get(b)
+        raw = (pack(f"<{n}{fmt}", *p) if fmt
+               else b"".join(c.to_bytes(b, "little", signed=True) for c in p))
+        half = _half_digits(b, n)
+        return (int.from_bytes(raw, "little") ^ half) - half
+    w = max(high, -low).bit_length() // bits + 1
+    rows = [(c + (1 << (bits * w - 1))).to_bytes(b * w, "little") for c in p]
+    value = -(_half_digits(b, n) << bits * (w - 1))
     for t in range(0, b * w, b):
         value += int.from_bytes(b"".join(r[t:t + b] for r in rows), "little") << (8 * t)
     return value
@@ -412,8 +436,9 @@ def _pack(p, b: int) -> int:
 
 def _digit_width(bound: int) -> int:
     """The least digit width b, in bytes, with bound < xi/2, xi = 2^(8b),
-    rounded up to 1, 2, 4 or 8 bytes where it fits: the widths that
-    _digits and _from_digits convert with one struct call."""
+    rounded up to 1, 2, 4 or 8 bytes where it fits: the widths at which
+    _digits reads, and _pack past _HORNER_DEGREE writes, balanced digits
+    with one struct call."""
     b = (bound.bit_length() + 8) // 8
     return next((w for w in (1, 2, 4, 8) if b <= w), b)
 
@@ -449,20 +474,6 @@ def _digits(v: int, b: int) -> tuple:
     while n and not digits[n - 1]:
         n -= 1
     return digits[:n]
-
-
-def _from_digits(digits, b: int) -> int:
-    """h(xi) at xi = 2^(8b) for the coefficients h_e = digits[e], each in
-    [-xi/2, xi/2): the inverse of _digits.  The digits' two's complement
-    bytes read as one integer y give h(xi) = (y ^ H) - H."""
-    n = len(digits)
-    fmt = _DIGIT_FORMATS.get(b)
-    if fmt:
-        raw = pack(f"<{n}{fmt}", *digits)
-    else:
-        raw = b"".join(d.to_bytes(b, "little", signed=True) for d in digits)
-    half = _half_digits(b, n)
-    return (int.from_bytes(raw, "little") ^ half) - half
 
 
 def _heuristic_gcd(polys: list):
@@ -790,6 +801,15 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self})"
+
+
+def _from_quotient(form) -> RatFunc:
+    """The RatFunc of a quotient form (lo, sign, num, den), num and den
+    the digits of N and D lowest first, zeros allowed at either end of
+    num; D's sign moves onto the numerator, and zero is (0, 1, (), (1,))."""
+    lo, sign, num, den = form
+    s = 1 if den[0] > 0 else -1
+    return RatFunc(_from_dense(lo, s * sign, num, 4), _from_dense(0, s, den, 4))
 
 
 def as_ratfunc(c) -> RatFunc:

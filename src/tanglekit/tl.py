@@ -41,7 +41,7 @@ from .ring import (
     _digits,
     _exact_quotient,
     _from_dense,
-    _from_digits,
+    _from_quotient,
     _pack,
     _to_dense,
     as_ratfunc,
@@ -520,9 +520,17 @@ def state_sum(d: PlanarTangleDiagram) -> TLElement:
     return TLElement(len(top_labels), len(bottom_labels), raw)
 
 
+def _check_int(x, what: str) -> int:
+    """x if it is an int, else ValueError: refused before any comparison,
+    and before a cached builder could take True for 1 or 2.0 for 2."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an int, got {x!r}")
+    return x
+
+
 def _unit_sign(sign: int) -> int:
     """1 for a positive crossing sign, -1 for a negative one; 0 is refused."""
-    if not sign:
+    if not _check_int(sign, "crossing sign"):
         raise ValueError("crossing sign must be nonzero, got 0")
     return 1 if sign > 0 else -1
 
@@ -533,7 +541,7 @@ def tile_element(n: int, sign: int) -> TLElement:
     The cabled state sum of the one-crossing tangle [sign], computed
     once per width and sign and cached (_tile).
     """
-    return _tile(n, _unit_sign(sign))
+    return _tile(_check_int(n, "cable width"), _unit_sign(sign))
 
 
 @cache
@@ -546,7 +554,7 @@ def kink_element(n: int, sign: int) -> TLElement:
     """An n-cable making one kink, as an element of TL_n: the cabled
     state sum of curl_diagram(sign), its NW points on top, cached
     (_kink)."""
-    return _kink(n, _unit_sign(sign))
+    return _kink(_check_int(n, "cable width"), _unit_sign(sign))
 
 
 @cache
@@ -592,14 +600,18 @@ def _projector(n: int) -> TLElement:
 
 def jones_wenzl(n: int) -> JonesWenzl:
     """Projector on n strands, built by peeling one strand at a time."""
-    if n < 1:
+    if _check_int(n, "strand count") < 1:
         raise ValueError("projector needs at least one strand")
     return JonesWenzl(n, _projector(n))
 
 
-@cache
 def projector_frame(n: int) -> TLElement:
-    """Two side-by-side n-strand projectors in TL_2n, cached."""
+    """Two side-by-side n-strand projectors in TL_2n, cached (_frame)."""
+    return _frame(_check_int(n, "strand count"))
+
+
+@cache
+def _frame(n: int) -> TLElement:
     return tensor(_projector(n), _projector(n))
 
 
@@ -642,7 +654,8 @@ def _pinch_wires(n: int, i: int):
 
 def quantum_coeffs(n: int, i: int) -> QuantumCoeffs:
     """Loop, bubble, and kink coefficients for colors (n, 2i)."""
-    if not 0 <= i <= n:
+    _check_int(n, "strand count")
+    if not 0 <= _check_int(i, "edge color index") <= n:
         raise ValueError(f"edge color index {i} outside 0..{n}")
     delta = trace_close(_projector(n))
     narrow, widen = _pinch_wires(n, i)
@@ -665,9 +678,7 @@ def check_cable_width(n: int, bound: int = MAX_PROJECTOR_STRANDS // 2) -> int:
     which build no projector, pass MAX_TWIST_WIDTH.  A width that is not
     an int (a bool included) is refused before any comparison.
     """
-    if type(n) is not int:
-        raise ValueError(f"cable width must be an int, got {n!r}")
-    if not 1 <= n <= bound:
+    if not 1 <= _check_int(n, "cable width") <= bound:
         raise ValueError(f"cable width must be between 1 and {bound}, got {n}")
     return n
 
@@ -1065,7 +1076,7 @@ def _replay(word: TwistWord, n: int) -> dict:
             qp, _, packed_starts = _packed_tables(n, b)
             if vals is None:
                 vals = (packed_starts[word.start] if fresh
-                        else [g and _from_digits(g, b) for g in digits])
+                        else [g and _pack(g, b) for g in digits])
             live = [j for j in range(n + 1) if digits[j]]
             low = min(los[j] for j in live)
             vec = {}
@@ -1127,8 +1138,8 @@ def _width_one_forms(word: TwistWord) -> tuple:
     X could cancel only by dividing beta, only if beta(zeta_8) = 0, that
     is, at fraction infinity, where beta = 0 and gamma = (alpha, 0), with
     no ratio.  The ratio -A^2 kappa_0 / (X beta) takes no gcd either (alpha
-    and beta are coprime, bracket.coprime_ratio): its canonical form shifts
-    by -lo_beta and takes the sign of beta's lowest digit."""
+    and beta are coprime, bracket.coprime_ratio): its form shifts by
+    -lo_beta, and keeps the sign of beta's lowest digit in D."""
     from . import annulus  # annulus imports this module
 
     kappas = annulus._closure_forms(word, 1)[1]
@@ -1136,18 +1147,17 @@ def _width_one_forms(word: TwistWord) -> tuple:
         lo, _, q = kappas[0]
         return [(lo + 2, 1, _exact_quotient(q, (1, 1)), (1,)), (0, 1, (), (1,))], []
     (lo, _, num), (lo_b, _, pb) = kappas
-    s = 1 if pb[0] > 0 else -1
-    den = [s * c for c in map(add, (*pb, 0), (0, *pb))]
-    return [(lo + 2, -1, num, (1, 1)), (lo_b, 1, pb, (1,))], [(lo + 2 - lo_b, -s, num, den)]
+    den = list(map(add, (*pb, 0), (0, *pb)))
+    return [(lo + 2, -1, num, (1, 1)), (lo_b, 1, pb, (1,))], [(lo + 2 - lo_b, -1, num, den)]
 
 
 def _colored_forms(t, n: int, ratios: bool) -> tuple:
     """(gammas, ratios) of colored_invariants, ratios None unless asked
-    for, as forms (lo, sign, num, den): the canonical sign A^lo N(A^4) /
-    D(A^4), num and den the coefficients of N and D, lowest first, zeros
-    allowed at either end of num; zero is (0, 1, (), (1,)).  The one
-    producer: a twist word at width 1 goes through _width_one_forms, all
-    else through cyclotomic.reduced_gammas and reduced_ratios."""
+    for, as quotient forms (lo, sign, num, den), sign A^lo N(A^4) /
+    D(A^4), canonical up to the sign of D: ring._quotient_str writes them
+    and ring._from_quotient reads them.  The one producer: a twist word
+    at width 1 goes through _width_one_forms, all else through
+    cyclotomic.reduced_gammas and reduced_ratios."""
     if n == 1 and not isinstance(t, PlanarTangleDiagram):
         return _width_one_forms(colored_twist_word(t, n))  # n, not 1: a bool or float is refused
     from . import cyclotomic  # loaded on first use, see its docstring
@@ -1157,16 +1167,11 @@ def _colored_forms(t, n: int, ratios: bool) -> tuple:
     return gammas, cyclotomic.reduced_ratios(quarters, n) if ratios else None
 
 
-def _ratfunc(form) -> RatFunc:
-    lo, sign, num, den = form
-    return RatFunc(_from_dense(lo, sign, num, 4), _from_dense(0, 1, den, 4))
-
-
 def colored_expand(t, n: int) -> list:
     """Coordinates of the n-cabled, projector-dressed tangle over
     bni_basis, gamma_i = kappa_i / c_i with kappa_i the coordinate of S_2i
     in the colored closure: the forms of _colored_forms as RatFunc."""
-    return list(map(_ratfunc, _colored_forms(t, n, False)[0]))
+    return list(map(_from_quotient, _colored_forms(t, n, False)[0]))
 
 
 def colored_invariants(t, n: int) -> tuple:
@@ -1178,7 +1183,7 @@ def colored_invariants(t, n: int) -> tuple:
     of kappa_i and kappa_k, and a twist word at width 1 none.
     """
     gammas, ratios = _colored_forms(t, n, True)
-    return list(map(_ratfunc, gammas)), list(map(_ratfunc, ratios))
+    return list(map(_from_quotient, gammas)), list(map(_from_quotient, ratios))
 
 
 def colored_ratios(gammas: list) -> list:

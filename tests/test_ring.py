@@ -17,7 +17,6 @@ from tanglekit.ring import (
     _digits,
     _exact_quotient,
     _from_dense,
-    _from_digits,
     _gcd_cofactors,
     _heuristic_gcd,
     _pack,
@@ -603,20 +602,30 @@ def test_pack_on_both_sides_of_the_horner_cutoff():
                 assert _pack(_dense(p), b) == sum(c * xi ** e for e, c in p.items()), (b, top, size)
 
 
-def test_digits_and_from_digits_invert_each_other():
+def test_digits_and_pack_invert_each_other():
     # balanced digits at struct widths and at others, with the edges of
-    # the digit range and zeros on top
+    # the digit range (-xi/2 included, which _digits returns), zeros on
+    # top, and lengths on both sides of ring._HORNER_DEGREE: Horner's
+    # rule, and past it one struct call or one to_bytes per digit
     rng = random.Random(41)
-    for b in (1, 2, 3, 4, 7, 8, 9, 16):
+    cut = ring._HORNER_DEGREE
+    lengths = (1, 2, cut - 1, cut, cut + 1, cut + 2, 3 * cut)
+    for b in (*range(1, 10), 16):
         xi = 1 << (8 * b)
         edges = (-xi // 2, xi // 2 - 1, -1, 0, 1)
-        for _ in range(30):
-            digits = tuple(rng.choice(edges) if rng.random() < 0.4 else rng.randrange(-xi // 2, xi // 2)
-                           for _ in range(rng.randint(1, 12))) + (0,) * rng.randint(0, 2)
-            v = _from_digits(digits, b)
-            assert v == sum(d * xi ** e for e, d in enumerate(digits))
-            found = _digits(v, b)
-            assert found[:len(digits)] == digits[:len(found)] and not any(found[len(digits):])
+        for size in lengths:
+            for _ in range(6):
+                digits = tuple(rng.choice(edges) if rng.random() < 0.4 else rng.randrange(-xi // 2, xi // 2)
+                               for _ in range(size)) + (0,) * rng.randint(0, 2)
+                v = _pack(digits, b)
+                assert v == sum(d * xi ** e for e, d in enumerate(digits)), (b, size)
+                found = _digits(v, b)
+                assert found[:len(digits)] == digits[:len(found)] and not any(found[len(digits):])
+        # every digit -xi/2, the least balanced digit
+        for size in lengths:
+            digits = (-xi // 2,) * size
+            assert _pack(digits, b) == -(xi // 2) * sum(xi ** e for e in range(size))
+            assert _digits(_pack(digits, b), b) == digits
 
 
 def _dict_quotient(a: dict, b: dict):

@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from tanglekit import cyclotomic, tl
+from tanglekit import bracket, cyclotomic, tl
 from tanglekit.annulus import (
     chebyshev_convert,
     closure_bases,
@@ -24,7 +24,9 @@ from tanglekit.ring import (
     LaurentPoly,
     RatFunc,
     _from_dense,
+    _from_quotient,
     _poly_gcd,
+    _quotient_str,
     _to_dense,
     common_denominator,
     normalize_over,
@@ -888,7 +890,7 @@ def test_width_one_eigenvalues_are_the_bracket_step():
 
 #: The engine's builders of projectors, frames, basis, tiles and kinks,
 #: and the replay tables with their cyclotomic factors, per width.
-ENGINE_CACHES = (tl._projector, tl.projector_frame, tl._bni, tl._tile, tl._kink)
+ENGINE_CACHES = (tl._projector, tl._frame, tl._bni, tl._tile, tl._kink)
 TRANSFER_CACHES = (tl._transfer_data, tl._replay_tables, tl._packed_tables,
                    cyclotomic.bubble_factors, cyclotomic.ratio_factors)
 
@@ -983,6 +985,29 @@ def test_a_width_that_is_not_an_int_is_refused(name, kind):
             call(t, n)
     with pytest.raises(ValueError, match="cable width must be between 1 and"):
         call(t, 0)
+
+
+_INT_ARGUMENT_CALLS = {
+    "jones_wenzl": (tl.jones_wenzl, "strand count"),
+    "projector_frame": (tl.projector_frame, "strand count"),
+    "quantum_coeffs strands": (lambda x: tl.quantum_coeffs(x, 1), "strand count"),
+    "quantum_coeffs color": (lambda x: tl.quantum_coeffs(2, x), "edge color index"),
+    "tile_element width": (lambda x: tl.tile_element(x, 1), "cable width"),
+    "tile_element sign": (lambda x: tl.tile_element(1, x), "crossing sign"),
+    "kink_element width": (lambda x: tl.kink_element(x, 1), "cable width"),
+    "kink_element sign": (lambda x: tl.kink_element(1, x), "crossing sign"),
+}
+
+
+@pytest.mark.parametrize("name", list(_INT_ARGUMENT_CALLS))
+def test_a_count_index_or_sign_that_is_not_an_int_is_refused(name, fresh_caches):
+    # a float, a bool or a string is refused before any cached builder
+    # could take True for 1 or 2.0 for 2, as a cable width is
+    call, what = _INT_ARGUMENT_CALLS[name]
+    for x in (1.0, 1.5, 2.0, 0.5, True, False, "2", None):
+        with pytest.raises(ValueError, match=f"{what} must be an int, got {x!r}"):
+            call(x)
+    assert _empty(ENGINE_CACHES)
 
 
 def test_twist_word_entry_points_refuse_other_types():
@@ -1127,8 +1152,8 @@ def test_reduction_takes_each_factor_at_most_as_often_as_it_occurs(n):
             if not scaled:
                 continue
             quarters = _quarter_forms(scaled)
-            gammas = list(map(tl._ratfunc, cyclotomic.reduced_gammas(quarters, n)))
-            ratios = list(map(tl._ratfunc, cyclotomic.reduced_ratios(quarters, n)))
+            gammas = list(map(_from_quotient, cyclotomic.reduced_gammas(quarters, n)))
+            ratios = list(map(_from_quotient, cyclotomic.reduced_ratios(quarters, n)))
             assert (gammas, ratios) == _referee(scaled, n), (t, n, scaled)
             stripped += sum(g.den != _from_dense(0, 1, factors[i].num_u, 4)
                             for i, g in enumerate(gammas) if g)
@@ -1145,8 +1170,35 @@ def test_width_three_multiplicities_are_exercised():
     for e in range(4):
         kappas = {1: p * _phi4(3) ** e, 3: LaurentPoly({8: 1, 0: -3})}
         quarters = _quarter_forms(kappas)
-        ratios = list(map(tl._ratfunc, cyclotomic.reduced_ratios(quarters, 3)))
+        ratios = list(map(_from_quotient, cyclotomic.reduced_ratios(quarters, 3)))
         assert ratios == _referee(kappas, 3)[1], e
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_quotient_forms_read_and_write_as_their_normalized_quotient(n):
+    # the colored forms at width n, and at width 1 the bracket ratio's
+    # form alpha / beta off bracket._replay, through the ring's writer and
+    # reader: the text is str of the RatFunc read, and that RatFunc is the
+    # canonical form of the same quotient, on denominators whose constant
+    # term is negative (its sign moves onto the numerator) and positive
+    rng = random.Random(320 + n)
+    signs = {"colored": set(), "bracket": set()}
+    for t in _colored_words(rng, n):
+        gammas, ratios = tl._colored_forms(t, n, True)
+        forms = [("colored", f) for f in gammas + ratios]
+        if n == 1:
+            (lo_a, da), (lo_b, db) = bracket._replay(t)
+            if db:
+                forms.append(("bracket", (lo_a - lo_b, 1, da, db)))
+        for kind, form in forms:
+            lo, sign, num, den = form
+            signs[kind].add(den[0] > 0)
+            q = _from_quotient(form)
+            assert _quotient_str(form) == str(q), (t, form)
+            assert q == RatFunc.normalized(_from_dense(lo, sign, num, 4),
+                                           _from_dense(0, 1, den, 4)), (t, form)
+    assert signs["colored"] == {True, False}
+    assert signs["bracket"] == ({True, False} if n == 1 else set())
 
 
 @pytest.mark.parametrize("n", (2, 3))
