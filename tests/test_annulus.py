@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from tanglekit import annulus, threaded, tl
+from tanglekit import annulus, engine, threaded, tl
 from tanglekit.bracket import bracket_vector
 from tanglekit.annulus import (
     AnnulusElement,
@@ -433,7 +433,7 @@ def _engine_cases():
 def _check_threaded_against_the_engine():
     for d, n in _engine_cases():
         x = tl.colored_element(d, n)
-        assert tl.colored_expand(d, n) == tl._read_coordinates(x, n), (d.crossings, n)
+        assert tl.colored_expand(d, n) == engine._read_coordinates(x, n), (d.crossings, n)
         assert colored_closure(d, n) == element_closure(x), (d.crossings, n)
 
 

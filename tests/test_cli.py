@@ -1,6 +1,7 @@
 """Command-line interface: notation parsing, golden outputs, exit codes,
 batch mode, argument errors, and the user-invocable oracle suite."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -787,6 +788,36 @@ def test_bracket_commands_load_no_recoupling():
     ]
 
 
+def test_command_lines_load_no_engine_or_diagram_builders():
+    # the commands that run the closed forms compile neither the TL
+    # engine nor the diagram builders, nor build the argparse parser;
+    # oracle-check builds diagrams, but no projector, and the first engine
+    # name asked of tl loads the engine
+    probe = ("import contextlib, io, sys\n"
+             "from tanglekit import cli\n"
+             "def loaded():\n"
+             "    return [m for m in ('engine', 'diagrams') if 'tanglekit.' + m in sys.modules]\n"
+             "for argv in (['fraction', '[3 2]'], ['classify', '[3 2]'], ['bracket', '[3 2]'],\n"
+             "             ['invariant', '[3 2]'], ['closure', '[3 2]'],\n"
+             "             ['colored', '--n', '1', '[3 2]'], ['colored', '--n', '2', '[3 2]'],\n"
+             "             ['colored', '--n', '3', '[3 2]'],\n"
+             "             ['colored-closure', '--n', '2', '[3 2]'],\n"
+             "             ['oracle-check', '--count', '3', '--max-crossings', '3']):\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        code = cli.main(argv)\n"
+             "    print(argv[0], code, *loaded())\n"
+             "print(cli._build_parser.cache_info().misses)\n"
+             "from tanglekit import tl\n"
+             "tl.jones_wenzl\n"
+             "print(*loaded())\n")
+    run = subprocess.run([sys.executable, "-c", probe], env=source_env(),
+                         capture_output=True, text=True, check=True)
+    hot = ("fraction", "classify", "bracket", "invariant", "closure", "colored", "colored",
+           "colored", "colored-closure")
+    assert run.stdout.split("\n")[:-1] == [f"{command} 0" for command in hot] + [
+        "oracle-check 0 diagrams", "0", "engine diagrams"]
+
+
 def test_twist_word_commands_load_no_threaded_closure():
     # only a diagram's colored invariants need the threaded closure, so a
     # process that never asks for one does not compile it
@@ -864,7 +895,7 @@ def test_table_lines_get_the_namespace_argparse_gives():
     for argv in _argv_corpus(2027, 6000, "lines.txt"):
         args = cli._parse_line(argv)
         if args is not None:
-            assert vars(args) == vars(cli._PARSER.parse_args(argv)), argv
+            assert vars(args) == vars(cli._build_parser().parse_args(argv)), argv
             accepted.add(argv[0])
     # every command has lines the table reads, not only the tangle ones
     assert accepted == set(_ARGV_COMMANDS)
@@ -873,8 +904,9 @@ def test_table_lines_get_the_namespace_argparse_gives():
 def test_hot_command_lines_never_reach_argparse(tmp_path, monkeypatch):
     batch = tmp_path / "lines.txt"
     batch.write_text("[3 2]\n[1 1 1]\n")
-    monkeypatch.setattr(cli._PARSER, "parse_args",
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
                         lambda *args: pytest.fail("the line went to argparse"))
+    cli._build_parser.cache_clear()
     for argv in (
         ("colored", "[3 2]", "--n", "2"),
         ("colored", "--n", "2", "[3 2]"),
@@ -888,6 +920,8 @@ def test_hot_command_lines_never_reach_argparse(tmp_path, monkeypatch):
     ):
         code, out = run_cli(*argv)
         assert code == 0 and "error" not in out, argv
+    # nor is the parser built for them
+    assert cli._build_parser.cache_info().misses == 0
 
 
 # ---------------------------------------------------------------------------

@@ -588,13 +588,14 @@ def test_pack_evaluates_and_unpack_reads_balanced_digits():
 
 
 def test_pack_on_both_sides_of_the_horner_cutoff():
-    # Horner's rule below ring._HORNER_DEGREE, the digit rows above it, on
-    # gaps, negative and multi-digit coefficients
+    # Horner's rule below ring._HORNER_DEGREE, the pairwise path above it
+    # (odd counts pad a zero, at every round), on gaps, negative and
+    # multi-digit coefficients
     rng = random.Random(40)
     cut = ring._HORNER_DEGREE
     for b in (1, 2, 3, 8, 9):
         xi = 1 << (8 * b)
-        for top in (0, 1, cut - 2, cut - 1, cut, cut + 1, 3 * cut):
+        for top in (0, 1, cut - 2, cut - 1, cut, cut + 1, 3 * cut, 4 * cut, 4 * cut + 1, 200):
             for size in (2, xi // 2, xi ** 3):
                 p = {e: rng.randint(-size, size) for e in range(top) if rng.random() < 0.6}
                 p = {e: c for e, c in p.items() if c}
@@ -606,10 +607,12 @@ def test_digits_and_pack_invert_each_other():
     # balanced digits at struct widths and at others, with the edges of
     # the digit range (-xi/2 included, which _digits returns), zeros on
     # top, and lengths on both sides of ring._HORNER_DEGREE: Horner's
-    # rule, and past it one struct call or one to_bytes per digit
+    # rule, and past it one struct call or the pairwise path; then across
+    # the gate of the struct path, one coefficient just outside the digit
+    # range sends the same digits down the pairwise path
     rng = random.Random(41)
     cut = ring._HORNER_DEGREE
-    lengths = (1, 2, cut - 1, cut, cut + 1, cut + 2, 3 * cut)
+    lengths = (1, 2, cut - 1, cut, cut + 1, cut + 2, 3 * cut, 4 * cut + 1, 200)
     for b in (*range(1, 10), 16):
         xi = 1 << (8 * b)
         edges = (-xi // 2, xi // 2 - 1, -1, 0, 1)
@@ -621,6 +624,10 @@ def test_digits_and_pack_invert_each_other():
                 assert v == sum(d * xi ** e for e, d in enumerate(digits)), (b, size)
                 found = _digits(v, b)
                 assert found[:len(digits)] == digits[:len(found)] and not any(found[len(digits):])
+                for outside in (xi // 2, -xi // 2 - 1):
+                    k = rng.randrange(len(digits))
+                    wide = digits[:k] + (outside,) + digits[k + 1:]
+                    assert _pack(wide, b) == v + (outside - digits[k]) * xi ** k, (b, size, outside)
         # every digit -xi/2, the least balanced digit
         for size in lengths:
             digits = (-xi // 2,) * size

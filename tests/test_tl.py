@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from tanglekit import bracket, cyclotomic, tl
+from tanglekit import bracket, cyclotomic, engine, tl
 from tanglekit.annulus import (
     chebyshev_convert,
     closure_bases,
@@ -302,10 +302,10 @@ def test_tile_is_the_skein_expanded_cable_braid(n, s):
 @pytest.mark.parametrize("s", [1, -1])
 def test_kink_is_the_tile_closed_on_its_right(n, s):
     # NE point k joins SE point k by nested arcs around the right side
-    cup = tl._wire(n, 3 * n, [(i, n + i) for i in range(n)]
-                   + [(2 * n + j, 4 * n - 1 - j) for j in range(n)])
-    cap = tl._wire(3 * n, n, [(i, 3 * n + i) for i in range(n)]
-                   + [(n + j, 3 * n - 1 - j) for j in range(n)])
+    cup = engine._wire(n, 3 * n, [(i, n + i) for i in range(n)]
+                       + [(2 * n + j, 4 * n - 1 - j) for j in range(n)])
+    cap = engine._wire(3 * n, n, [(i, 3 * n + i) for i in range(n)]
+                       + [(n + j, 3 * n - 1 - j) for j in range(n)])
     widened = tl.tensor(tl.tile_element(n, -s), tl.identity_element(n))
     assert tl.kink_element(n, s) == tl.compose(tl.compose(cup, widened), cap)
 
@@ -316,7 +316,7 @@ def test_word_replay_matches_state_sum():
     rng = random.Random(37)
     for _ in range(10):
         t = build_rational(random_twist_vector(rng, 4, 3))
-        referee = tl._read_coordinates(tl.state_sum(rational_to_diagram(t)), 1)
+        referee = engine._read_coordinates(tl.state_sum(rational_to_diagram(t)), 1)
         assert _coords(1, tl.transfer_vector(t, 1), LaurentPoly.one()) == referee, t
 
 
@@ -357,10 +357,10 @@ def test_projector_bound_enforced():
     # a negative strand count is refused, not recursed on to the limit;
     # zero strands stay the empty projector of a bubble's through-color 0
     for n in (-1, -2):
-        for build in (tl.jones_wenzl, tl.projector_frame, tl._projector):
+        for build in (tl.jones_wenzl, tl.projector_frame, engine._projector):
             with pytest.raises(ValueError):
                 build(n)
-    assert tl._projector(0) == tl.projector_frame(0)
+    assert engine._projector(0) == tl.projector_frame(0)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +465,7 @@ def test_basis_is_linearly_independent():
     for n in (1, 2, 3):
         basis = tl.bni_basis(n)
         for i, b in enumerate(basis):
-            coords = tl._read_coordinates(b, n)
+            coords = engine._read_coordinates(b, n)
             for j, c in enumerate(coords):
                 assert c == (ONE if j == i else RatFunc.zero())
 
@@ -475,10 +475,10 @@ def test_pinch_matchings_are_unit_triangular():
     # what lets colored_expand read coordinates off by back-substitution
     for n in (1, 2, 3):
         basis = tl.bni_basis(n)
-        pinches = tl._bni(n)[1]
+        pinches = engine._bni(n)[1]
         assert len(set(pinches)) == n + 1
         for i, p in enumerate(pinches):
-            narrow, widen = tl._pinch_wires(n, i)
+            narrow, widen = engine._pinch_wires(n, i)
             assert tl.rotate_cw(tl.compose(narrow, widen)) == tl.TLElement(
                 2 * n, 2 * n, {p: ONE}
             )
@@ -492,7 +492,7 @@ def test_element_outside_the_span_is_refused():
     for x in (tl.unit_element(2, "0"), tl.unit_element(2, "inf"),
               tl.tile_element(2, 1)):
         with pytest.raises(ValueError, match="element outside the basis span"):
-            tl._read_coordinates(x, 2)
+            engine._read_coordinates(x, 2)
 
 
 def test_basis_gram_matrix_diagonal():
@@ -595,7 +595,7 @@ def test_colored_element_replay_matches_cabled_state_sum():
     for t in cases:
         direct = tl.colored_element(rational_to_diagram(t), 2)
         assert tl.colored_element(t, 2) == direct
-        assert tl.colored_expand(t, 2) == tl._read_coordinates(direct, 2)
+        assert tl.colored_expand(t, 2) == engine._read_coordinates(direct, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -678,11 +678,11 @@ def _engine_transfer_data(n):
     starts = {}
     for kind in ("0", "inf"):
         x = tl.compose(frame, tl.compose(tl.unit_element(n, kind), frame))
-        kappas = {i: c * g for i, (c, g) in enumerate(zip(bubbles, tl._read_coordinates(x, n)))}
+        kappas = {i: c * g for i, (c, g) in enumerate(zip(bubbles, engine._read_coordinates(x, n)))}
         starts[kind] = {i: k.as_laurent() for i, k in kappas.items() if not k.is_zero}
     entries = {}
     for j, b in enumerate(basis):
-        for i, c in enumerate(tl._read_coordinates(tl.rotate_cw(b), n)):
+        for i, c in enumerate(engine._read_coordinates(tl.rotate_cw(b), n)):
             entries[i, j] = bubbles[i] * c / bubbles[j]
     q_nums, q_den = normalize_over(*common_denominator(entries))
     q = [[q_nums.get((i, j)) for j in range(n + 1)] for i in range(n + 1)]
@@ -871,11 +871,11 @@ def test_half_twists_act_on_basis_coordinates(n):
         for s in (1, -1):
             right = _twist_diagonal({i: one}, n, s)
             twisted = tl.rotate_ccw(tl.compose(tl.rotate_cw(b), tl.tile_element(n, -s)))
-            assert tl._read_coordinates(twisted, n) == _coords(n, right, one)
+            assert engine._read_coordinates(twisted, n) == _coords(n, right, one)
             if n < 3:
                 turned = _twist_diagonal(_quarter_turn(q, {i: one}), n, -s)
                 bottom = _quarter_turn(q, turned)
-                assert tl._read_coordinates(tl.compose(b, tl.tile_element(n, s)), n) == _coords(
+                assert engine._read_coordinates(tl.compose(b, tl.tile_element(n, s)), n) == _coords(
                     n, bottom, q_den * q_den
                 )
 
@@ -890,7 +890,7 @@ def test_width_one_eigenvalues_are_the_bracket_step():
 
 #: The engine's builders of projectors, frames, basis, tiles and kinks,
 #: and the replay tables with their cyclotomic factors, per width.
-ENGINE_CACHES = (tl._projector, tl._frame, tl._bni, tl._tile, tl._kink)
+ENGINE_CACHES = (engine._projector, engine._frame, engine._bni, engine._tile, engine._kink)
 TRANSFER_CACHES = (tl._transfer_data, tl._replay_tables, tl._packed_tables,
                    cyclotomic.bubble_factors, cyclotomic.ratio_factors)
 
@@ -904,7 +904,7 @@ def test_transfer_replay_builds_no_crossing_tile(fresh_caches):
     too_long = RationalTangle.from_entries(tl.MAX_COLORED_TWISTS[3] + 1)
     with pytest.raises(ValueError, match="at cable width 3"):
         tl.colored_expand(too_long, 3)
-    assert _empty((tl._bni,) + TRANSFER_CACHES)
+    assert _empty((engine._bni,) + TRANSFER_CACHES)
     # the closed forms build no projector, frame, basis or crossing tile
     t = RationalTangle.from_entries(2, -1)
     for n in (3, tl.MAX_TWIST_WIDTH):
