@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import add, sub
+from operator import add, index, sub
 
 from . import bracket, oracle, tl
 from .bracket import BracketVec2, c_invariant
@@ -71,9 +71,10 @@ class AnnulusElement(RatCombination):
     __slots__ = ()
 
     def _check_key(self, k):
+        k = index(k)
         if k < 0:
             raise ValueError("negative power of the core curve")
-        return int(k)
+        return k
 
     # -- constructors -------------------------------------------------
 

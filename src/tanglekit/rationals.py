@@ -39,13 +39,15 @@ _FRACTION_BOUND = 10 ** MAX_FRACTION_DIGITS
 
 @dataclass(frozen=True)
 class ExtRational:
-    """A reduced fraction p/q with q >= 0; infinity is 1/0, zero is 0/1."""
+    """A reduced fraction p/q with q >= 0; infinity is 1/0, zero is 0/1.
+    p and q are taken through operator.index: a bool is stored as its
+    int, and a float raises TypeError."""
 
     p: int
     q: int = 1
 
     def __post_init__(self):
-        p, q = self.p, self.q
+        p, q = index(self.p), index(self.q)
         if q == 0:
             if p == 0:
                 raise ZeroDivisionError("0/0 is not an extended rational")

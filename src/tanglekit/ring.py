@@ -73,8 +73,8 @@ __all__ = [
 class LaurentPoly:
     """A sparse Laurent polynomial over Z: dict {exponent: nonzero int}.
 
-    The constructor takes each coefficient through operator.index, so a
-    Fraction or a float raises TypeError.
+    The constructor takes each exponent and coefficient through
+    operator.index, so a Fraction, a float or a string raises TypeError.
     """
 
     __slots__ = ("coeffs",)
@@ -85,7 +85,7 @@ class LaurentPoly:
             for e, c in coeffs.items():
                 c = index(c)
                 if c:
-                    clean[int(e)] = c
+                    clean[index(e)] = c
         self.coeffs = clean
 
     # -- constructors -------------------------------------------------------

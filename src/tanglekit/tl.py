@@ -183,17 +183,16 @@ def check_cable_width(n: int, bound: int = MAX_PROJECTOR_STRANDS // 2) -> int:
 # threaded closure instead.
 #
 # The gamma_i and their ratios are reduced from kappa with no general
-# normalization (cyclotomic.py).  Each c_i is a unit times a quotient of
-# products of the cyclotomic polynomials Phi_d(A^4), as every quantum
-# integer is, and its unit and factor multisets are tabled next to the
-# replay data.  gamma_i strips from kappa_i only the numerator factors of
-# c_i, each at most as often as it occurs and only after an exact
-# divisibility test; a ratio gamma_i / gamma_k takes one gcd, of kappa_i
-# and kappa_k, and strips the factors of c_k / c_i from the two coprime
-# cofactors.  Both are canonical as built: kappa lies in A^lo Z[A^4],
-# where a factor of Phi_d(A^4) divides only along with all of
-# Phi_d(A^4).  RatFunc.normalized and colored_ratios referee them in the
-# tests.
+# normalization (cyclotomic.py).  Each c_i = A^lo N(A^4) / D(A^4) is
+# read once per width into dense digits, N and D primitive with nonzero
+# constant terms, and each c_k / c_i into M / M' by one gcd.  gamma_i
+# cancels kappa_i against N only; a ratio gamma_i / gamma_k takes one
+# gcd, of kappa_i and kappa_k, and cancels the two coprime cofactors
+# against M' and M.  A cancellation first compares values at one point,
+# which shows most pairs coprime, and takes a gcd otherwise.  Both are
+# canonical as built (for x, y coprime and z, w coprime,
+# gcd(x z, y w) = gcd(x, w) gcd(z, y)).  RatFunc.normalized and
+# colored_ratios referee them in the tests.
 #
 # colored_expand and colored_closure therefore reach every
 # width up to MAX_TWIST_WIDTH without building a projector, a basis

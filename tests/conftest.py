@@ -4,11 +4,11 @@ import pytest
 
 from tanglekit import cyclotomic, engine, tl
 
-#: Every functools.cache of the TL engine, the replay tables and their
-#: cyclotomic factors, taken at import, before any test patches a module
-#: attribute: the projectors, frames, basis, tiles and kinks (engine),
-#: and the tables built per cable width (and digit width, or pair of
-#: indices).
+#: Every functools.cache of the TL engine, the replay tables and the
+#: reduction's bubble ratio tables, taken at import, before any test
+#: patches a module attribute: the projectors, frames, basis, tiles and
+#: kinks (engine), and the tables built per cable width (and digit
+#: width, or pair of indices).
 CACHED_BUILDERS = tuple(f for module in (engine, tl, cyclotomic) for f in vars(module).values()
                         if hasattr(f, "cache_clear"))
 

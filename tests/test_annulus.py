@@ -85,6 +85,15 @@ def test_element_rejects_negative_powers():
         AnnulusElement({-1: ONE})
 
 
+def test_element_keys_are_integers():
+    # keys go through operator.index, as coefficients do: nothing is
+    # truncated or parsed, and a bool is its int
+    for k in (1.5, 1.0, "3"):
+        with pytest.raises(TypeError):
+            AnnulusElement({k: ONE})
+    assert AnnulusElement({True: ONE}) == AnnulusElement({1: ONE})
+
+
 def test_element_arithmetic():
     x = AnnulusElement({0: ONE, 2: A})
     y = AnnulusElement({2: -A, 3: ONE})

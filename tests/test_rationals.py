@@ -33,6 +33,17 @@ def test_reduction_and_sign():
         ExtRational(0, 0)
 
 
+def test_numerator_and_denominator_are_integers():
+    # p and q go through operator.index: a bool is stored as its int, and
+    # a float or a string is refused
+    r = ExtRational(True, 2)
+    assert (type(r.p), r.p, str(r)) == (int, 1, "1/2")
+    assert type(ExtRational(4, True).q) is int
+    for p, q in ((1.5, 2), (1, 2.0), ("1", 2)):
+        with pytest.raises(TypeError):
+            ExtRational(p, q)
+
+
 def test_extended_arithmetic():
     inf = ExtRational.infinity()
     assert inf + 7 == inf

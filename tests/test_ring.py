@@ -153,6 +153,11 @@ def test_coefficients_are_integers():
     with pytest.raises(TypeError):
         LaurentPoly.from_scalar(Fraction(1, 2))
     assert LaurentPoly({0: True, 1: -3}).coeffs == {0: 1, 1: -3}
+    # exponents follow the same rule: nothing is truncated or parsed
+    for e in (1.5, 1.0, "3", Fraction(2, 1)):
+        with pytest.raises(TypeError):
+            LaurentPoly({e: 2})
+    assert LaurentPoly({True: 2}).coeffs == {1: 2}
 
 
 # ---------------------------------------------------------------------------

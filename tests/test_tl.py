@@ -889,10 +889,10 @@ def test_width_one_eigenvalues_are_the_bracket_step():
 
 
 #: The engine's builders of projectors, frames, basis, tiles and kinks,
-#: and the replay tables with their cyclotomic factors, per width.
+#: and the replay tables with the reduction's bubble ratio tables, per width.
 ENGINE_CACHES = (engine._projector, engine._frame, engine._bni, engine._tile, engine._kink)
 TRANSFER_CACHES = (tl._transfer_data, tl._replay_tables, tl._packed_tables,
-                   cyclotomic.bubble_factors, cyclotomic.ratio_factors)
+                   cyclotomic._bubbles, cyclotomic._ratio)
 
 
 def _empty(caches) -> bool:
@@ -1067,17 +1067,44 @@ def test_ratio_invariants_differ_for_different_fractions():
 
 
 # ---------------------------------------------------------------------------
-# Colored coordinates read off kappa: cyclotomic bookkeeping
+# Colored coordinates read off kappa: reduction against the bubble ratios
 # ---------------------------------------------------------------------------
 
 def _phi4(d):
     """Phi_d(A^4) as a Laurent polynomial: A^(4d) - 1 divided by every
-    Phi_e(A^4) with e < d dividing d, apart from cyclotomic.py."""
+    Phi_e(A^4) with e < d dividing d (the library computes no Phi_d)."""
     u_d = LaurentPoly({4 * d: 1, 0: -1})
     for e in range(1, d):
         if d % e == 0:
             u_d = poly_exact_div(u_d, _phi4(e))
     return u_d
+
+
+def _bubble_factors(n, i):
+    """(sign, shift, exponents) with c_i = sign A^shift times the product
+    of Phi_d(A^4)^exponents[d], read off recoupling.bubble_counts, the
+    exponent of each quantum integer [m] in c_i, with [m] = A^(2-2m)
+    times the product of Phi_d(A^4) over d | m, d > 1."""
+    from tanglekit import recoupling
+
+    sign, counts = recoupling.bubble_counts(n, i)
+    exponents, shift = {}, 0
+    for m, e in counts.items():
+        shift += e * (2 - 2 * m)
+        for d in range(2, m + 1):
+            if m % d == 0:
+                exponents[d] = exponents.get(d, 0) + e
+    return sign, shift, {d: e for d, e in exponents.items() if e}
+
+
+def _phi_product(exponents, sign=1):
+    """The product of Phi_d(A^4)^(sign e) over the d -> e of exponents
+    with sign e > 0."""
+    out = LaurentPoly.one()
+    for d, e in exponents.items():
+        if sign * e > 0:
+            out = out * _phi4(d) ** (sign * e)
+    return out
 
 
 def _quarter_forms(kappas):
@@ -1136,8 +1163,8 @@ def test_reduction_takes_each_factor_at_most_as_often_as_it_occurs(n):
     # ratios left), against the referee: every factor is stripped up to
     # its multiplicity and no further, and a stripped factor stays out
     rng = random.Random(260 + n)
-    factors = cyclotomic.bubble_factors(n)
-    orders = sorted({d for f in factors for d in list(f.num) + list(f.den)})
+    factors = [_bubble_factors(n, i)[2] for i in range(n + 1)]
+    orders = sorted({d for f in factors for d in f})
     stripped = 0
     for t in _colored_words(rng, n)[:12]:
         kappas = tl.transfer_vector(t, n)
@@ -1155,17 +1182,19 @@ def test_reduction_takes_each_factor_at_most_as_often_as_it_occurs(n):
             gammas = list(map(_from_quotient, cyclotomic.reduced_gammas(quarters, n)))
             ratios = list(map(_from_quotient, cyclotomic.reduced_ratios(quarters, n)))
             assert (gammas, ratios) == _referee(scaled, n), (t, n, scaled)
-            stripped += sum(g.den != _from_dense(0, 1, factors[i].num_u, 4)
-                            for i, g in enumerate(gammas) if g)
+            stripped += sum(g.den != _phi_product(factors[i]) for i, g in enumerate(gammas) if g)
     assert stripped > 10
 
 
 def test_width_three_multiplicities_are_exercised():
     # at width 3, c_1 = Phi_4 Phi_5 / Phi_3^2 (in A^4): a ratio divides by
-    # c_1 and so strips up to two copies of Phi_3(A^4)
-    f = cyclotomic.bubble_factors(3)[1]
-    assert (f.num, f.den) == ({4: 1, 5: 1}, {3: 2})
-    assert cyclotomic.ratio_factors(3, 1, 3).num == {3: 2}
+    # c_1 and so cancels up to two copies of Phi_3(A^4)
+    sign, shift, exponents = _bubble_factors(3, 1)
+    assert exponents == {3: -2, 4: 1, 5: 1}
+    c_1 = RatFunc(LaurentPoly.monomial(shift, sign) * _phi4(4) * _phi4(5), _phi4(3) ** 2)
+    assert tl._transfer_data(3)[3][1] == c_1
+    lo, (m, *_), (m_den, *_) = cyclotomic._ratio(3, 1, 3)
+    assert (_from_dense(0, 1, m, 4), _from_dense(-lo, 1, m_den, 4)) == (c_1.den, c_1.num)
     p = LaurentPoly({4: 1, 0: 2})
     for e in range(4):
         kappas = {1: p * _phi4(3) ** e, 3: LaurentPoly({8: 1, 0: -3})}
@@ -1224,8 +1253,10 @@ def test_colored_invariants_take_no_normalization(monkeypatch):
     cases = [(t, n) for n in (1, 2, 3, 5) for t in _colored_words(rng, n)[:10]]
     for n in (1, 2, 3, 5):
         tl.colored_invariants(RationalTangle.from_entries(2), n)
-        for i in range(n):
-            cyclotomic.ratio_factors(n, i, n)
+    # the reduction's tables are rebuilt under the patch: they normalize
+    # nothing either
+    cyclotomic._bubbles.cache_clear()
+    cyclotomic._ratio.cache_clear()
 
     def refuse(*args):
         raise AssertionError("normalization called")
@@ -1242,50 +1273,84 @@ def test_colored_invariants_take_no_normalization(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, tl.MAX_TWIST_WIDTH + 1))
 def test_bubble_factors_multiply_back_to_the_bubble_ratios(n):
-    # the unit and the multisets of Phi_d(A^4) of each c_i give back
-    # recoupling.bubble_ratio(n, i), and c_n = 1
+    # the unit and the Phi_d(A^4) of each c_i, read off the quantum-integer
+    # exponents of recoupling.bubble_counts, give back
+    # recoupling.bubble_ratio(n, i), the c_i of the replay, and c_n = 1
     from tanglekit import recoupling
 
-    for i, f in enumerate(cyclotomic.bubble_factors(n)):
-        num, den = LaurentPoly.monomial(f.shift, f.sign), LaurentPoly.one()
-        for d, m in f.num.items():
-            num = num * _phi4(d) ** m
-        for d, m in f.den.items():
-            den = den * _phi4(d) ** m
-        assert not set(f.num) & set(f.den)
-        assert RatFunc(num, den) == recoupling.bubble_ratio(n, i), (n, i)
-    top = cyclotomic.bubble_factors(n)[n]
-    assert (top.sign, top.shift, top.num, top.den) == (1, 0, {}, {})
+    for i in range(n + 1):
+        sign, shift, exponents = _bubble_factors(n, i)
+        num = LaurentPoly.monomial(shift, sign) * _phi_product(exponents)
+        c = RatFunc(num, _phi_product(exponents, -1))
+        assert c == recoupling.bubble_ratio(n, i) == tl._transfer_data(n)[3][i], (n, i)
+    assert _bubble_factors(n, n) == (1, 0, {})
     assert recoupling.bubble_ratio(n, n) == ONE
 
 
 def test_corrupted_bubble_data_are_refused(monkeypatch, fresh_caches):
-    # bubble ratios that the factor tables do not reproduce, here c_1 of
-    # width 3 with one copy of Phi_3(A^4) fewer, are refused with the width
+    # bubble ratios that break the premises of the reduction, here c_1 of
+    # width 3 with a numerator of content 2 or a denominator with no
+    # constant term, are refused with the width
     from tanglekit import recoupling
 
     bubble_ratio = recoupling.bubble_ratio
-
-    def corrupted(n, i):
-        c = bubble_ratio(n, i)
-        return c * RatFunc.from_laurent(_phi4(3)) if (n, i) == (3, 1) else c
-
-    monkeypatch.setattr(recoupling, "bubble_ratio", corrupted)
-    tl.colored_invariants(RationalTangle.from_entries(3, 2), 2)
-    with pytest.raises(ValueError, match="colored coordinates at cable width 3: .* c_1"):
-        tl.colored_invariants(RationalTangle.from_entries(3, 2), 3)
+    t = RationalTangle.from_entries(3, 2)
+    for corrupt, what in ((lambda c: RatFunc(c.num * 2, c.den), "numerator"),
+                          (lambda c: RatFunc(c.num, c.den * LaurentPoly.monomial(4)), "denominator")):
+        monkeypatch.setattr(recoupling, "bubble_ratio",
+                            lambda n, i: corrupt(bubble_ratio(n, i)) if (n, i) == (3, 1)
+                            else bubble_ratio(n, i))
+        tl.colored_invariants(t, 2)
+        with pytest.raises(ValueError, match=f"colored coordinates at cable width 3: .*{what} of c_1"):
+            tl.colored_invariants(t, 3)
+        tl._transfer_data.cache_clear()
+        cyclotomic._bubbles.cache_clear()
 
 
 def test_reduction_tables_build_no_projector(fresh_caches):
-    # the factor tables come from the recoupling counts alone, quickly
+    # the reduction's tables come from the bubble ratios alone, quickly
     for n in range(1, tl.MAX_TWIST_WIDTH + 1):
         tl._transfer_data(n)
         start = time.perf_counter()
-        cyclotomic.bubble_factors(n)
+        cyclotomic._bubbles(n)
         for i in range(n):
-            cyclotomic.ratio_factors(n, i, n)
+            cyclotomic._ratio(n, i, n)
         assert time.perf_counter() - start < 0.05, n
     assert _empty(ENGINE_CACHES)
+
+
+def test_cancel_agrees_with_the_gcd_cofactors(monkeypatch):
+    # products f of Phi_d(u), d <= 17, against p with and without their
+    # factors, with coefficients of the sizes long words give: _cancel
+    # returns the cofactors of ring._gcd_cofactors, through both its
+    # coprime exit and the gcd
+    from tanglekit.ring import _gcd_cofactors
+
+    rng = random.Random(280)
+    phi = {d: list(_to_dense(_phi4(d), 4)[1]) for d in range(1, 18)}
+    calls = []
+
+    def counted(polys):
+        calls.append(1)
+        return _gcd_cofactors(polys)
+
+    monkeypatch.setattr(cyclotomic, "_gcd_cofactors", counted)
+    exits = 0
+    for _ in range(120):
+        f = [1]
+        for d in rng.sample(sorted(phi), rng.randint(1, 4)):
+            for _ in range(rng.randint(1, 2)):
+                f = cyclotomic._dense_mul(phi[d], f)
+        bits = rng.choice((8, 60, 300))
+        p = [rng.randint(-(1 << bits), 1 << bits) for _ in range(rng.randint(1, 40))]
+        p[-1] = p[-1] or 1
+        for d in rng.sample(sorted(phi), rng.randint(0, 3)):
+            p = cyclotomic._dense_mul(p, phi[d])
+        before = len(calls)
+        got = cyclotomic._cancel(p, cyclotomic._entry(0, "test polynomial", f))
+        exits += len(calls) == before
+        assert list(map(list, got)) == list(map(list, _gcd_cofactors([p, f])[1])), (p, f)
+    assert exits > 10 and len(calls) > 10
 
 
 def test_a_coordinate_outside_one_class_is_refused():
