@@ -102,14 +102,15 @@ _HOMES = {
         "to_twist_word",
     ), "tangles"),
     **dict.fromkeys((
-        "MAX_PROJECTOR_STRANDS",
         "colored_expand",
         "colored_invariants",
         "colored_ratios",
-    ), "tl"),
+    ), "replay"),
+    **dict.fromkeys(("MAX_PROJECTOR_STRANDS",), "tl"),
     **{name: name for name in (
         "annulus", "bracket", "cli", "cyclotomic", "diagrams", "engine", "kernel",
-        "oracle", "rationals", "recoupling", "ring", "tangles", "threaded", "tl",
+        "oracle", "rationals", "records", "recoupling", "replay", "ring", "tangles",
+        "threaded", "tl",
     )},
 }
 

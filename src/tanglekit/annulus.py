@@ -21,13 +21,13 @@ chebyshev_convert is its referee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from operator import add, index, sub
 
 from . import bracket, oracle, tl
 from .bracket import BracketVec2, c_invariant
 from .rationals import ExtRational, parity
+from .records import Record
 from .ring import DELTA, LaurentPoly, RatCombination, RatFunc, _from_dense
 from .tangles import PlanarTangleDiagram, RationalTangle, to_twist_word
 
@@ -155,7 +155,7 @@ def chebyshev_convert(e: AnnulusElement) -> list:
     denominator is 1).  It serves diagram closures; on the closures of
     twist words, whose coordinates _closure_forms gives at every width,
     it is the referee, and on the colored closure of a twist word it
-    returns the replay coordinates kappa_i of tl.transfer_vector.
+    returns the replay coordinates kappa_i of replay.transfer_vector.
     """
     if e.is_zero:
         return []
@@ -233,7 +233,7 @@ def closure_bracket(t) -> AnnulusElement:
 
 def _closure_forms(word, n: int) -> tuple:
     """The closure of a twist word at cable width n, checked by the
-    caller (to_twist_word, or tl.colored_twist_word at width n),
+    caller (to_twist_word, or replay.colored_twist_word at width n),
     the sum of kappa_i S_2i(z), as (zs, kappas): the pairs (k, form) of
     the nonzero z^k coefficients in increasing k, and the forms of kappa_0
     to kappa_top (None for zero), each (lo, sign, digits) at step 4 with
@@ -247,7 +247,7 @@ def _closure_forms(word, n: int) -> tuple:
     by one; lo_beta = lo_alpha - 2 (mod 4), zero coordinates included, so
     the sum is one subtraction of aligned digits.  Digits are lists: as
     tuples they raised the peak RSS of 400 batch-small rounds by 2 MB.
-    From width 2 on the kappa_i of tl._replay lie in one class mod 4, so
+    From width 2 on the kappa_i of replay._replay lie in one class mod 4, so
     each z^k coefficient sums integer multiples of aligned digits.
     """
     if n == 1:
@@ -266,21 +266,23 @@ def _closure_forms(word, n: int) -> tuple:
         beta = lo_b, 1, pb
         zs = ((0, (lo_q, -1, q)), (2, beta)) if pa else ((2, beta),)
         return zs, ((lo, 1, s_0), beta)
-    replay = tl._replay(word, n)
-    top = max(replay)
-    lo = min(f[0] for f in replay.values())
-    size = max((f[0] - lo) // 4 + len(f[2]) for f in replay.values())
+    from . import replay  # loaded on first use, see its docstring
+
+    forms = replay._replay(word, n)
+    top = max(forms)
+    lo = min(f[0] for f in forms.values())
+    size = max((f[0] - lo) // 4 + len(f[2]) for f in forms.values())
     zs = []
     for k in range(0, 2 * top, 2):
         acc = [0] * size
-        for i, (lo_i, sign, digits) in replay.items():
+        for i, (lo_i, sign, digits) in forms.items():
             if 2 * i >= k:
                 j, s = (lo_i - lo) // 4, sign * _chebyshev_coeffs(2 * i)[k]
                 acc[j:j + len(digits)] = [a + s * d for a, d in zip(acc[j:], digits)]
         if any(acc):
             zs.append((k, (lo, 1, acc)))
-    zs.append((2 * top, replay[top]))
-    return tuple(zs), tuple(map(replay.get, range(top + 1)))
+    zs.append((2 * top, forms[top]))
+    return tuple(zs), tuple(map(forms.get, range(top + 1)))
 
 
 def _closure_objects(forms) -> tuple:
@@ -380,7 +382,7 @@ def colored_closure(t, n: int) -> AnnulusElement:
     """Closure of the n-cabled, projector-dressed tangle.
 
     For a rational tangle or twist word the replay coordinates kappa_i of
-    tl.transfer_vector are the Chebyshev coordinates of the closure: the
+    replay.transfer_vector are the Chebyshev coordinates of the closure: the
     fusion basis element b'_i closes to S_2i(z).  So the coefficient of
     z^k is the sum of kappa_i times the integer coefficient of z^k in
     S_2i, summed on the digits with no polynomial product and no
@@ -405,7 +407,9 @@ def colored_closure_bases(t, n: int) -> tuple:
     if isinstance(t, PlanarTangleDiagram):
         e = colored_closure(t, n)
         return e, chebyshev_convert(e)
-    return _closure_objects(_closure_forms(tl.colored_twist_word(t, n), n))
+    from . import replay  # loaded on first use, see its docstring
+
+    return _closure_objects(_closure_forms(replay.colored_twist_word(t, n), n))
 
 
 def gamma_ratio_invariants(e: AnnulusElement) -> list:
@@ -414,25 +418,47 @@ def gamma_ratio_invariants(e: AnnulusElement) -> list:
     The quotients are invariant under the framing unit a kink
     multiplies the closure by.
     """
-    return tl.colored_ratios(chebyshev_convert(e))
+    from . import replay  # loaded on first use, see its docstring
+
+    return replay.colored_ratios(chebyshev_convert(e))
 
 
 # ---------------------------------------------------------------------------
 # The non-rational counterexample
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CounterexampleReport:
+_set = object.__setattr__
+
+
+class CounterexampleReport(Record):
     """Evidence that fraction-style closure invariants cannot classify
     general 2-tangles: two clasp tangles with different left linking
     numbers whose closures are equal in the annulus skein."""
 
-    llk_single: int
-    llk_double: int
-    tangles_distinguished: bool
-    closure_single: AnnulusElement
-    closure_double: AnnulusElement
-    closures_equal: bool
+    __slots__ = _fields = ("llk_single", "llk_double", "tangles_distinguished",
+                           "closure_single", "closure_double", "closures_equal")
+
+    def __init__(self, llk_single: int, llk_double: int, tangles_distinguished: bool,
+                 closure_single: AnnulusElement, closure_double: AnnulusElement,
+                 closures_equal: bool):
+        _set(self, "llk_single", llk_single)
+        _set(self, "llk_double", llk_double)
+        _set(self, "tangles_distinguished", tangles_distinguished)
+        _set(self, "closure_single", closure_single)
+        _set(self, "closure_double", closure_double)
+        _set(self, "closures_equal", closures_equal)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.llk_single, self.llk_double, self.tangles_distinguished,
+                 self.closure_single, self.closure_double, self.closures_equal)
+                == (other.llk_single, other.llk_double, other.tangles_distinguished,
+                    other.closure_single, other.closure_double, other.closures_equal))
+
+    def __hash__(self) -> int:
+        return hash((self.llk_single, self.llk_double, self.tangles_distinguished,
+                     self.closure_single, self.closure_double, self.closures_equal))
 
 
 def counterexample_check() -> CounterexampleReport:

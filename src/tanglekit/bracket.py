@@ -18,16 +18,15 @@ runs, and each coordinate is read back once, at the end, with
 ring._digits into the dense form (lo, digits) of _replay.
 
 The width-1 payloads of the command line, colored --n 1 included
-(through tl._colored_forms), read that form directly: ring._dense_str
+(through replay._colored_forms), read that form directly: ring._dense_str
 writes from its digits and _dense_c_invariant evaluates them at the
 root; bracket_vector writes it into LaurentPoly with ring._from_dense.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .rationals import ExtRational
+from .records import Record
 from .ring import LaurentPoly, RatFunc, _digit_width, _digits, _from_dense
 from .tangles import TwistWord, to_twist_word
 
@@ -41,13 +40,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BracketVec2:
+_set = object.__setattr__
+
+
+class BracketVec2(Record):
     """Bracket coordinates (alpha, beta) of a 2-tangle: alpha multiplies
     the vertical-strands tangle, beta the horizontal-strands tangle."""
 
-    alpha: LaurentPoly
-    beta: LaurentPoly
+    __slots__ = _fields = ("alpha", "beta")
+
+    def __init__(self, alpha: LaurentPoly, beta: LaurentPoly):
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alpha, self.beta) == (other.alpha, other.beta)
+
+    def __hash__(self) -> int:
+        return hash((self.alpha, self.beta))
 
     def __str__(self) -> str:
         return f"alpha = {self.alpha}; beta = {self.beta}"
@@ -102,7 +114,7 @@ def _replay(t) -> tuple:
     end (no digits for a zero coordinate).
 
     A twist word is taken as checked against its bound by the caller,
-    which has it from to_twist_word or tl.colored_twist_word; a tangle
+    which has it from to_twist_word or replay.colored_twist_word; a tangle
     goes through to_twist_word here.
 
     One run.  One right half twist of sign e maps (alpha, beta) by the
@@ -214,7 +226,7 @@ def coprime_ratio(v: BracketVec2):
     are coprime.  The canonical form only moves the power of A onto the
     numerator and makes the constant term of beta positive, which holds
     for any coprime pair (as the width-1 colored ratio of
-    tl._width_one_forms).  ratio_invariant is the referee.
+    replay._width_one_forms).  ratio_invariant is the referee.
     """
     if v.alpha.is_zero or v.beta.is_zero:
         return ratio_invariant(v)

@@ -28,23 +28,26 @@ A well-formed line is read straight off it: after the command, only
 exact option strings of that command, their values and its positionals,
 no option given twice and no value starting with ``-``.  Any other line
 (``-h``, an abbreviation, ``--n=2``, ``--``, an argument error) goes to
-argparse, whose parser is built from the same table on the first such
-line; it renders the help and the error line.  Both readings give the
-same Namespace.
+argparse, which is imported and built from the same table on the first
+such line; it renders the help and the error line.  Both readings give
+namespaces with the same attributes.
 
-Only the modules the command uses are compiled: the TL engine and the
-diagram builders load on first use (see tl.py and tangles.py), and
-oracle-check imports the builders itself.
+Only the modules the command uses are compiled: the colored replay, the
+TL engine and the diagram builders load on first use (see replay.py,
+tl.py and tangles.py).  colored and colored-closure import the replay
+themselves, and oracle-check imports the builders, the replay and the
+random module.  A width-1 line of bracket, closure or classify imports
+neither argparse, fractions, random nor typing, and no dataclass is
+built (see records.py).
 """
 
-import argparse
 import json
 import os
-import random
 import re
 import sys
 from functools import cache, partial
 from itertools import islice
+from types import SimpleNamespace
 
 from .annulus import (
     _closure_forms,
@@ -58,16 +61,16 @@ from .annulus import (
 )
 from .bracket import _dense_c_invariant, _replay, bracket_vector
 from .oracle import MAX_ORACLE_COUNT, MAX_ORACLE_CROSSINGS, bracket_of_diagram
-from .rationals import TwistVector, canonical_form, parity, schubert_equivalent
+from .rationals import (
+    MAX_FRACTION_DIGITS,
+    TwistVector,
+    canonical_form,
+    parity,
+    schubert_equivalent,
+)
 from .ring import _dense_str, _quotient_str
 from .tangles import RationalTangle, build_rational, to_twist_word
-from .tl import (
-    MAX_TWIST_WIDTH,
-    _colored_forms,
-    check_cable_width,
-    colored_expand,
-    colored_twist_word,
-)
+from .tl import MAX_TWIST_WIDTH, check_cable_width
 
 
 #: Largest --batch input read, in bytes; longer input is refused whole.
@@ -107,15 +110,21 @@ def parse_tangle_notation(s: str):
 
     The grammar is ``'['`` followed by one or more whitespace-separated
     integers and a closing ``']'``; the single token ``inf`` denotes the
-    infinity tangle.  Interior zero entries are rejected.  A line of
-    integer entries with no interior zero is read with one match; any
-    other line goes to _parse_tokens.
+    infinity tangle.  Interior zero entries are rejected, and so is an
+    entry of more than MAX_FRACTION_DIGITS digits, sign excluded, before
+    int() reads it: CPython's default limit on integer strings refuses
+    such an entry in its own words, and another limit would read it, so
+    the line's answer would hang on the interpreter's settings.  A line
+    of integer entries with no interior zero and none too long is read
+    with one match; any other line goes to _parse_tokens.
     """
     m = _ENTRIES.fullmatch(s)
     if m:
-        entries = list(map(int, m[1].split()))
-        if 0 not in entries[1:-1]:
-            return TwistVector(entries)
+        tokens = m[1].split()
+        if max(map(len, tokens)) <= MAX_FRACTION_DIGITS:
+            entries = list(map(int, tokens))
+            if 0 not in entries[1:-1]:
+                return TwistVector(entries)
     return _parse_tokens(s)
 
 
@@ -147,6 +156,8 @@ def _parse_tokens(s: str):
             if entries or _TOKEN.search(s, m.end(), close):
                 fail("'inf' cannot combine with twist entries", m.start() + 1)
             return INFINITY_TANGLE
+        if len(text) - (text[0] in "+-") > MAX_FRACTION_DIGITS:
+            fail(f"entry longer than {MAX_FRACTION_DIGITS} digits", m.start() + 1)
         entries.append(int(text))
     if not entries:
         fail("no entries between the brackets", close + 1)
@@ -263,7 +274,9 @@ def _colored_payload(notation, opts):
     # A vanishing top coordinate shows as fewer than n ratios, reported
     # in the payload: they then divide by gamma_k, k = len(ratios), the
     # last nonzero coordinate.
-    gammas, ratios = _colored_forms(_parse_tangle_arg(notation), n, True)
+    from . import replay  # loaded on first use, see its docstring
+
+    gammas, ratios = replay._colored_forms(_parse_tangle_arg(notation), n, True)
     payload = {
         "n": n,
         "gamma": list(map(_quotient_str, gammas)),
@@ -278,8 +291,10 @@ def _colored_payload(notation, opts):
 
 
 def _colored_closure_payload(notation, opts):
+    from . import replay  # loaded on first use, see its docstring
+
     n = opts["n"]
-    word = colored_twist_word(_parse_tangle_arg(notation), n)
+    word = replay.colored_twist_word(_parse_tangle_arg(notation), n)
     return _closure_payload(_closure_forms(word, n), opts, {"n": n})
 
 
@@ -372,8 +387,11 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    # loaded on first use, see its docstring
+    # loaded on first use, see their docstrings
+    import random
+
     from .diagrams import random_twist_vector, rational_to_diagram
+    from .replay import colored_expand
 
     budget = args.max_crossings
     if not 1 <= budget <= MAX_ORACLE_CROSSINGS:
@@ -492,21 +510,23 @@ _COMMANDS = {
 }
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Raises usage errors as ValueError, so that main reports them as one
-    JSON error line instead of usage text on stderr.  Subparsers inherit
-    the class."""
-
-    def error(self, message):
-        raise ValueError(f"{self.prog}: {message}")
-
-
 @cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argparse parser of _COMMANDS, built on the first line that the
-    table does not read (help, abbreviations, argument errors) and kept.
-    The first build in a process took about 4 ms (2-vCPU x86 host,
-    CPython 3.11), which a well-formed command line never pays."""
+def _build_parser():
+    """The argparse parser of _COMMANDS, imported and built on the first
+    line that the table does not read (help, abbreviations, argument
+    errors) and kept.  The first build in a process took about 4 ms
+    (2-vCPU x86 host, CPython 3.11), and the import of argparse about
+    2 ms more, which a well-formed command line never pays."""
+    import argparse
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        """Raises usage errors as ValueError, so that main reports them as
+        one JSON error line instead of usage text on stderr.  Subparsers
+        inherit the class."""
+
+        def error(self, message):
+            raise ValueError(f"{self.prog}: {message}")
+
     parser = _ArgumentParser(
         prog="tanglekit",
         description="Exact invariants of rational 2-tangles and their "
@@ -530,7 +550,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _line_grammar():
     """command -> (positional names, how many are required, flag ->
-    add_argument keywords, the Namespace values before any token)."""
+    add_argument keywords, the namespace values before any token)."""
     grammar = {}
     for name, (_, positionals, options, fmt, handler) in _COMMANDS.items():
         flags = {}
@@ -548,9 +568,9 @@ _LINE_GRAMMAR = _line_grammar()
 
 
 def _parse_line(argv):
-    """The Namespace of a well-formed command line, equal to the one
-    argparse gives, or None for any other line, which the parser of
-    _build_parser then parses, renders help for or rejects.
+    """The namespace of a well-formed command line, with the attributes
+    of the one argparse gives, or None for any other line, which the
+    parser of _build_parser then parses, renders help for or rejects.
     Well-formed: after the command, each token is an exact option string
     of that command, the value of the option before it, or the next
     positional; no dest is given twice, no value starts with '-', int
@@ -589,7 +609,7 @@ def _parse_line(argv):
         values[kwargs["dest"]] = value
     if given < required:
         return None
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
 
 
 def _discard_stdout():

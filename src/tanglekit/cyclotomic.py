@@ -5,14 +5,14 @@ reduced from the replay coordinates kappa_i with no general
 normalization (reduced_gammas, reduced_ratios): a coordinate takes no
 gcd of its own, and a ratio one.  What is left to cancel lies between a
 cofactor and the bubble ratios c_i = theta(n,n,2i) / Delta_2i of
-tl._transfer_data, read once per width into dense digits (_bubbles) and
+replay._transfer_data, read once per width into dense digits (_bubbles) and
 once per pair of indices into c_k / c_i (_ratio), and is cancelled
 against those short, primitive table polynomials (_cancel).  Every c_i
 is a unit times a quotient of products of the cyclotomic polynomials
 Phi_d(A^4), as every quantum integer is, whence the module's name; the
 reduction needs no factor of them.  The polynomials here are in u = A^4,
 as dense coefficient sequences, lowest first, and so are the results,
-the quotient forms of tl._colored_forms.
+the quotient forms of replay._colored_forms.
 
 Two facts carry the proofs.  Polynomials P(u) and Q(u) coprime in Z[u]
 give P(A^4) and Q(A^4) coprime in Z[A]: substituting u = A^4 in a
@@ -20,7 +20,7 @@ Bezout identity over Q leaves one, and the contents are unchanged.  And
 for x, y coprime and z, w coprime, gcd(x z, y w) = gcd(x, w) gcd(z, y)
 (compare multiplicities prime by prime).
 
-tl imports this module at the first colored coordinates of width 2 or
+replay imports this module at the first colored coordinates of width 2 or
 more, or of a diagram, so commands needing neither skip it.
 """
 
@@ -31,7 +31,7 @@ from itertools import repeat
 from math import gcd
 from operator import add, mul
 
-from . import tl
+from . import replay
 from .ring import _gcd_cofactors, _pack, _to_dense
 
 __all__ = ["reduced_gammas", "reduced_ratios"]
@@ -70,10 +70,10 @@ def _entry(n: int, what: str, p, lo: int = 0) -> tuple:
 
 @cache
 def _bubbles(n: int) -> list:
-    """The bubble ratios c_i = A^lo N(A^4) / D(A^4) of tl._transfer_data(n)
+    """The bubble ratios c_i = A^lo N(A^4) / D(A^4) of replay._transfer_data(n)
     as (lo, N, D), N and D entries of _entry, cached per width."""
     out = []
-    for i, c in enumerate(tl._transfer_data(n)[3]):
+    for i, c in enumerate(replay._transfer_data(n)[3]):
         lo, num = _to_dense(c.num, 4)
         lo_den, den = _to_dense(c.den, 4)
         out.append((lo, _entry(n, f"numerator of c_{i}", num),
@@ -102,10 +102,11 @@ def _cancel(p, entry):
     the certificate of ring._heuristic_gcd with f as its first input,
     since xi >= 2 |f| + 2, and f is primitive, so no content is shared
     either.  Most pairs end there, at the cost of packing p; otherwise
-    ring._gcd_cofactors decides.
+    ring._gcd_cofactors decides.  A constant f is +-1, being primitive,
+    so it returns at once, with nothing packed: the numerator of c_n is 1.
     """
     f, b, value = entry
-    if gcd(_pack(p, b), value).bit_length() < 8 * b:
+    if len(f) == 1 or gcd(_pack(p, b), value).bit_length() < 8 * b:
         return p, f
     _, (p, f) = _gcd_cofactors([p, f])
     return p, f
@@ -113,8 +114,8 @@ def _cancel(p, entry):
 
 def reduced_gammas(quarters: dict, n: int) -> list:
     """gamma_i = kappa_i / c_i in canonical form, as the forms of
-    tl._colored_forms, for the kappa_i of tl._closure_kappas, with no gcd
-    of their own.
+    replay._colored_forms, for the kappa_i of replay._closure_kappas, with
+    no gcd of their own.
 
     With c_i = A^lo N / D (_bubbles), gamma_i = A^-lo kappa_i D / N.  With
     g = gcd(kappa_i, N) (_cancel), it is A^-lo (kappa_i / g) D / (N / g),
@@ -140,8 +141,8 @@ def reduced_gammas(quarters: dict, n: int) -> list:
 
 def reduced_ratios(quarters: dict, n: int) -> list:
     """The ratios gamma_i / gamma_k of colored_ratios, k the last nonzero
-    coordinate, as the forms of tl._colored_forms, for the kappa_i of
-    tl._closure_kappas, with one gcd per ratio and no warning (k < n
+    coordinate, as the forms of replay._colored_forms, for the kappa_i of
+    replay._closure_kappas, with one gcd per ratio and no warning (k < n
     shows as fewer than n ratios).
 
     gamma_i / gamma_k = (kappa_i / kappa_k) (c_k / c_i).  One

@@ -12,7 +12,7 @@ four-cluster subspace used for cabled 2-tangles, and colored_element,
 the cabled state sum between two projector frames.
 
 No command line builds a projector: the colored invariants come from
-the replay of tl.py, and this module is their referee
+the replay of replay.py, and this module is their referee
 (colored_element and _read_coordinates, at widths up to 3) and the
 ground of acceptance criteria 5, 6, 7 and 11.  It is loaded on first
 use, through the module __getattr__ of tl (every name here keeps its

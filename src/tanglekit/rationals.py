@@ -13,9 +13,10 @@ vector (a1, ..., am) evaluates as am + 1/(a_{m-1} + ... + 1/a1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import index
+
+from .records import Record
 
 __all__ = [
     "MAX_FRACTION_DIGITS",
@@ -32,22 +33,22 @@ __all__ = [
 MAX_FRACTION_DIGITS = 4300
 _FRACTION_BOUND = 10 ** MAX_FRACTION_DIGITS
 
+_set = object.__setattr__
+
 
 # ---------------------------------------------------------------------------
 # Extended rationals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExtRational:
+class ExtRational(Record):
     """A reduced fraction p/q with q >= 0; infinity is 1/0, zero is 0/1.
     p and q are taken through operator.index: a bool is stored as its
     int, and a float raises TypeError."""
 
-    p: int
-    q: int = 1
+    __slots__ = _fields = ("p", "q")
 
-    def __post_init__(self):
-        p, q = index(self.p), index(self.q)
+    def __init__(self, p: int, q: int = 1):
+        p, q = index(p), index(q)
         if q == 0:
             if p == 0:
                 raise ZeroDivisionError("0/0 is not an extended rational")
@@ -58,8 +59,16 @@ class ExtRational:
             g = gcd(abs(p), q)
             if g > 1:
                 p, q = p // g, q // g
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        _set(self, "p", p)
+        _set(self, "q", q)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p and self.q == other.q
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q))
 
     # -- constructors -------------------------------------------------------
 
@@ -136,17 +145,16 @@ class ExtRational:
 # Twist vectors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TwistVector:
+class TwistVector(Record):
     """Integer entries, innermost twist first; interior entries nonzero."""
 
-    entries: tuple
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self):
+    def __init__(self, entries: tuple):
         try:
-            entries = tuple(map(index, self.entries))
+            entries = tuple(map(index, entries))
         except TypeError:
-            for a in self.entries:
+            for a in entries:
                 try:
                     index(a)
                 except TypeError:
@@ -156,7 +164,15 @@ class TwistVector:
             raise ValueError("twist vector needs at least one entry")
         if 0 in entries[1:-1]:
             raise ValueError("interior zero entry in twist vector")
-        object.__setattr__(self, "entries", entries)
+        _set(self, "entries", entries)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
 
     def __len__(self) -> int:
         return len(self.entries)

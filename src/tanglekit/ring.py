@@ -40,19 +40,19 @@ integer gcd at one evaluation point, certified by exact division
 takes the rare inputs the heuristic gives up on.  ``_exact_quotient`` is
 the one long division; ``_prem`` is its pseudo-division for the
 remainder sequence.  The packed replays divide by evaluating it:
-bracket's division by 1 + xi and tl._divide's divmod by q_den^2(xi) are
+bracket's division by 1 + xi and replay._divide's divmod by q_den^2(xi) are
 that division read at xi = 2^(8b).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd
 from operator import index, mul, neg, sub
 from struct import pack, unpack
 from types import MappingProxyType
+
+from .records import Record
 
 __all__ = [
     "DELTA",
@@ -622,6 +622,8 @@ def _is_poly_one(p: LaurentPoly) -> bool:
 _ZERO_POLY = LaurentPoly.zero()
 _ONE_POLY = LaurentPoly.one()
 
+_set = object.__setattr__
+
 
 def normalize_over(nums: dict, den: LaurentPoly):
     """Reduce a dict of numerators over one shared denominator.
@@ -670,8 +672,7 @@ def common_denominator(fracs: dict):
     return nums, den
 
 
-@dataclass(frozen=True)
-class RatFunc:
+class RatFunc(Record):
     """A quotient of Laurent polynomials over Z in canonical form.
 
     Canonical representative: the denominator is an ordinary polynomial
@@ -681,8 +682,19 @@ class RatFunc:
     numerator.  A rational scalar p/q is the constant p over q.
     """
 
-    num: LaurentPoly
-    den: LaurentPoly
+    __slots__ = _fields = ("num", "den")
+
+    def __init__(self, num: LaurentPoly, den: LaurentPoly):
+        _set(self, "num", num)
+        _set(self, "den", den)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.num, self.den) == (other.num, other.den)
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
 
     @staticmethod
     def normalized(num: LaurentPoly, den: LaurentPoly) -> "RatFunc":
@@ -706,9 +718,12 @@ class RatFunc:
     @classmethod
     def from_scalar(cls, c) -> "RatFunc":
         """An int, or a Fraction p/q as p over q (canonical as it is)."""
-        if isinstance(c, Fraction):
-            return cls(LaurentPoly.from_scalar(c.numerator),
-                       LaurentPoly.from_scalar(c.denominator))
+        if not isinstance(c, int):
+            from fractions import Fraction  # loaded only for a non-int
+
+            if isinstance(c, Fraction):
+                return cls(LaurentPoly.from_scalar(c.numerator),
+                           LaurentPoly.from_scalar(c.denominator))
         return cls(LaurentPoly.from_scalar(c), LaurentPoly.one())
 
     # -- structure ----------------------------------------------------------
@@ -734,7 +749,11 @@ class RatFunc:
             return x
         if isinstance(x, LaurentPoly):
             return RatFunc.from_laurent(x)
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, int):
+            return RatFunc.from_scalar(x)
+        from fractions import Fraction  # loaded only for a non-int
+
+        if isinstance(x, Fraction):
             return RatFunc.from_scalar(x)
         return NotImplemented
 

@@ -33,10 +33,10 @@ counterclockwise step after the overstrand exits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .rationals import ExtRational, TwistVector, continued_fraction
+from .records import Record
 
 #: The names of diagrams.py that tangles answers for, loading the
 #: builders on the first access to one of them; any other missing name,
@@ -89,6 +89,8 @@ def __dir__() -> list:
 
 CORNERS = ("NW", "NE", "SW", "SE")
 
+_set = object.__setattr__
+
 #: Largest total |entry| of a twist vector turned into a twist word, and
 #: of a raw twist word given to bracket.bracket_vector.  The bracket
 #: applies each run in closed form; the bound keeps output size in check.
@@ -101,12 +103,24 @@ MAX_TWIST_TOTAL = 2000
 # Rational tangles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RationalTangle:
+class RationalTangle(Record):
     """A rational tangle presented by a twist vector; tv None means the
-    infinity tangle (two vertical strands)."""
+    infinity tangle (two vertical strands).  The instance __dict__ holds
+    the cached fraction."""
 
-    tv: TwistVector | None
+    __slots__ = ("tv", "__dict__")
+    _fields = ("tv",)
+
+    def __init__(self, tv: TwistVector | None):
+        _set(self, "tv", tv)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.tv,) == (other.tv,)
+
+    def __hash__(self) -> int:
+        return hash((self.tv,))
 
     @classmethod
     def infinity(cls) -> "RationalTangle":
@@ -180,8 +194,7 @@ def tangle_invert(t: RationalTangle) -> RationalTangle:
 # Twist words
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TwistWord:
+class TwistWord(Record):
     """Runs of half twists applied to a start tangle.
 
     start is "0" or "inf"; each run is ("R", a) for a half twists added
@@ -190,16 +203,25 @@ class TwistWord:
     Anything else is refused with ValueError.
     """
 
-    start: str
-    runs: tuple
+    __slots__ = _fields = ("start", "runs")
 
-    def __post_init__(self):
-        if self.start not in ("0", "inf"):
-            raise ValueError(f"twist word start must be '0' or 'inf', got {self.start!r}")
-        for run in self.runs:
+    def __init__(self, start: str, runs: tuple):
+        if start not in ("0", "inf"):
+            raise ValueError(f"twist word start must be '0' or 'inf', got {start!r}")
+        for run in runs:
             if not (type(run) is tuple and len(run) == 2 and run[0] in ("R", "B")
                     and type(run[1]) is int and run[1]):
                 raise ValueError(f"twist word run must be ('R' or 'B', a nonzero int), got {run!r}")
+        _set(self, "start", start)
+        _set(self, "runs", runs)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.start == other.start and self.runs == other.runs
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.runs))
 
     @property
     def moves(self) -> tuple:

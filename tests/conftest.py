@@ -2,14 +2,14 @@
 
 import pytest
 
-from tanglekit import cyclotomic, engine, tl
+from tanglekit import cyclotomic, engine, replay
 
 #: Every functools.cache of the TL engine, the replay tables and the
 #: reduction's bubble ratio tables, taken at import, before any test
 #: patches a module attribute: the projectors, frames, basis, tiles and
 #: kinks (engine), and the tables built per cable width (and digit
-#: width, or pair of indices).
-CACHED_BUILDERS = tuple(f for module in (engine, tl, cyclotomic) for f in vars(module).values()
+#: width, or pair of indices) by the replay and the reduction.
+CACHED_BUILDERS = tuple(f for module in (engine, replay, cyclotomic) for f in vars(module).values()
                         if hasattr(f, "cache_clear"))
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from tanglekit import cli, ring, threaded, tl
+from tanglekit import cli, replay, ring, threaded, tl
 from tanglekit.annulus import (
     AnnulusElement,
     chebyshev_convert,
@@ -360,7 +360,7 @@ def test_twist_word_closures_make_no_product_and_no_reduction(monkeypatch):
     monkeypatch.setattr(ring.LaurentPoly, "__mul__", counting_mul)
     monkeypatch.setattr(ring.LaurentPoly, "__rmul__", counting_mul)
     monkeypatch.setattr(ring.RatFunc, "normalized", staticmethod(counting_normalized))
-    for module in (ring, tl):
+    for module in (ring, replay):
         monkeypatch.setattr(module, "normalize_over", counting_normalize_over)
     longest = f"[{MAX_TWIST_TOTAL // 2} {MAX_TWIST_TOTAL - MAX_TWIST_TOTAL // 2}]"
     for word in ("[3 -2 4 1]", longest):
@@ -535,19 +535,19 @@ def test_colored_twist_bound_accepts_words_at_the_bound(monkeypatch, n, bound,
 
 
 def _count_word_checks(monkeypatch) -> list:
-    """The list of the names of tl.colored_twist_word, which sums the runs
+    """The list of the names of replay.colored_twist_word, which sums the runs
     of a word, and of tangles.check_twist_total, which sums the entries
     of a vector or the runs of a raw word, appended at each call through
     any module that holds either."""
     from tanglekit import annulus, bracket, tangles
 
     calls = []
-    for fn in (tl.colored_twist_word, tangles.check_twist_total):
+    for fn in (replay.colored_twist_word, tangles.check_twist_total):
         def counted(*args, fn=fn):
             calls.append(fn.__name__)
             return fn(*args)
 
-        for module in (annulus, bracket, cli, tangles, tl):
+        for module in (annulus, bracket, cli, replay, tangles, tl):
             for key, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, key, counted)
@@ -622,6 +622,30 @@ def test_fraction_digit_bound_refuses_long_vectors_at_once(command):
     assert (code, err) == (2, "")
     [line] = out.splitlines()
     assert f"bound of {MAX_FRACTION_DIGITS} digits" in json.loads(line)["error"]
+
+
+@pytest.mark.parametrize("int_digits", [None, "0"], ids=["default limit", "no limit"])
+def test_overlong_entries_get_the_programs_own_error(int_digits):
+    # an entry of more than MAX_FRACTION_DIGITS digits, sign excluded, is
+    # refused before int() reads it, on the one-match path and token by
+    # token, with the program's message, whatever the interpreter's limit
+    # on integer strings (CPython's default refuses 4,301 digits with its
+    # own text, and no limit would read them); an entry at the bound
+    # stays valid
+    nines, long = "9" * MAX_FRACTION_DIGITS, "1" * (MAX_FRACTION_DIGITS + 1)
+    lines = [f"[{nines}]", f"[1 -{nines}]", f"[{long}]", f"[1 -{long}]", f"[ 2 +{long} x]"]
+    env = source_env()
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    if int_digits is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = int_digits
+    run = subprocess.run([sys.executable, "-m", "tanglekit.cli", "fraction", "--batch", "-"],
+                         input="\n".join(lines), env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (2, "")
+    out = [json.loads(line) for line in run.stdout.splitlines()]
+    assert (out[0]["p"], out[0]["q"]) == (int(nines), 1)
+    assert (out[1]["p"], out[1]["q"]) == (1 - int(nines), 1)
+    error = f"parse error: entry longer than {MAX_FRACTION_DIGITS} digits (column {{}})"
+    assert out[2:] == [{"error": error.format(col)} for col in (2, 4, 5)]
 
 
 # ---------------------------------------------------------------------------
@@ -816,6 +840,26 @@ def test_command_lines_load_no_engine_or_diagram_builders():
            "colored", "colored-closure")
     assert run.stdout.split("\n")[:-1] == [f"{command} 0" for command in hot] + [
         "oracle-check 0 diagrams", "0", "engine diagrams"]
+
+
+def test_command_lines_import_only_what_they_run():
+    # in a fresh interpreter without site: bracket, closure and classify
+    # lines import no dataclasses, typing, fractions, argparse or random,
+    # and do not compile the colored replay; a colored line at width 2
+    # loads the replay, and still neither typing nor dataclasses; a
+    # malformed line loads argparse to reject it
+    watched = ("dataclasses", "typing", "fractions", "argparse", "random", "tanglekit.replay")
+    probe = ("import sys\n"
+             "from tanglekit import cli\n"
+             f"watched = {watched!r}\n"
+             "for argvs in ((['bracket', '[3 2 -3]'], ['closure', '[3 2]'], ['classify', '[2 1 2]']),\n"
+             "              (['colored', '--n', '2', '[3 2]'],), (['colored', '--n', 'x', '[3 2]'],)):\n"
+             "    codes = [cli.main(argv) for argv in argvs]\n"
+             "    print(*codes, *[m for m in watched if m in sys.modules], file=sys.stderr)\n")
+    run = subprocess.run([sys.executable, "-S", "-c", probe], env=source_env(),
+                         capture_output=True, text=True, check=True)
+    assert run.stderr.splitlines() == ["0 0 0", "0 tanglekit.replay",
+                                       "2 argparse tanglekit.replay"]
 
 
 def test_twist_word_commands_load_no_threaded_closure():
@@ -1173,18 +1217,18 @@ def test_oracle_check_reports_clean_run():
     assert payload["failures"] == []
 
 
-def _oracle_failures(monkeypatch, name, skew, diagrams):
+def _oracle_failures(monkeypatch, name, skew, diagrams, module=cli):
     """The failed checks of oracle-check on four diagrams of at most three
-    crossings, with cli.<name> skewed by skew on diagrams (diagrams true)
-    or on twist words, as (check, width) pairs; the bracket and closure
-    checks have no width, given as None."""
-    real = getattr(cli, name)
+    crossings, with module.<name> (cli's by default) skewed by skew on
+    diagrams (diagrams true) or on twist words, as (check, width) pairs;
+    the bracket and closure checks have no width, given as None."""
+    real = getattr(module, name)
 
     def skewed(t, *args):
         value = real(t, *args)
         return skew(value) if isinstance(t, PlanarTangleDiagram) == diagrams else value
 
-    monkeypatch.setattr(cli, name, skewed)
+    monkeypatch.setattr(module, name, skewed)
     code, out = run_cli(
         "oracle-check", "--count", "4", "--max-crossings", "3", "--seed", "7"
     )
@@ -1206,14 +1250,14 @@ def test_oracle_check_reports_a_closure_mismatch(monkeypatch):
 def test_oracle_check_reports_a_colored_mismatch(monkeypatch):
     # coordinates of the transfer replay that disagree with the threaded
     # closure surface in the colored check at both widths
-    failures = _oracle_failures(monkeypatch, "colored_expand", lambda g: g + g, False)
+    failures = _oracle_failures(monkeypatch, "colored_expand", lambda g: g + g, False, replay)
     assert failures == [("colored", 2), ("colored", 3)] * 4
 
 
 def test_oracle_check_reports_a_threaded_mismatch(monkeypatch):
     # the threaded closure of the diagram is the referee of the colored
     # check: a wrong referee fails it the same way
-    failures = _oracle_failures(monkeypatch, "colored_expand", lambda g: g + g, True)
+    failures = _oracle_failures(monkeypatch, "colored_expand", lambda g: g + g, True, replay)
     assert failures == [("colored", 2), ("colored", 3)] * 4
 
 

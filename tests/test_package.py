@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 import tanglekit
-from tanglekit import diagrams, engine, tangles, tl
+from tanglekit import diagrams, engine, replay, tangles, tl
 
 
 def test_every_public_name_is_exported():
@@ -33,22 +33,26 @@ def test_every_module_all_entry_resolves():
 
 def test_every_name_resolves_to_the_object_in_its_home():
     # the package, tl and tangles answer for names defined elsewhere: each
-    # is the object of the module that defines it
+    # is the object of the module that defines it (tl for the engine's and
+    # the replay's)
     for name in tanglekit.__all__:
         home = tanglekit._HOMES.get(name)
         if home is not None:
             module = importlib.import_module(f"tanglekit.{home}")
             assert getattr(tanglekit, name) is getattr(module, name), name
             assert name in vars(module), name
-    for module, home, lazy in ((tl, engine, tl._ENGINE_NAMES),
-                               (tangles, diagrams, tangles._DIAGRAM_NAMES)):
-        assert set(home.__all__) <= lazy
-        for name in lazy:
-            assert name not in vars(module) and name in vars(home), name
-            assert getattr(module, name) is getattr(home, name), name
+    for module, homes in ((tl, ((engine, tl._ENGINE_NAMES), (replay, tl._REPLAY_NAMES))),
+                          (tangles, ((diagrams, tangles._DIAGRAM_NAMES),))):
+        lazy = set()
+        for home, names in homes:
+            assert set(home.__all__) <= names
+            for name in names:
+                assert name not in vars(module) and name in vars(home), name
+                assert getattr(module, name) is getattr(home, name), name
+            lazy |= names
         assert lazy | set(vars(module)) >= set(module.__all__)
         assert set(dir(module)) >= lazy | set(module.__all__)
-    for name in ("engine", "diagrams", "tl", "cli"):
+    for name in ("engine", "diagrams", "replay", "tl", "cli"):
         assert getattr(tanglekit, name) is importlib.import_module(f"tanglekit.{name}")
 
 
@@ -76,4 +80,4 @@ def test_unknown_and_dunder_names_raise_and_load_nothing():
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True)
     assert run.stdout == str(["tanglekit", *(f"tanglekit.{m}" for m in (
-        "rationals", "ring", "tangles", "tl"))]) + "\n"
+        "rationals", "records", "ring", "tangles", "tl"))]) + "\n"

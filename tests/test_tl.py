@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from tanglekit import bracket, cyclotomic, engine, tl
+from tanglekit import bracket, cyclotomic, engine, replay, tl
 from tanglekit.annulus import (
     chebyshev_convert,
     closure_bases,
@@ -750,8 +750,8 @@ def test_transfer_replay_takes_no_gcd(monkeypatch):
     for n in (2, 3, 4, 5):
         tl._transfer_data(n)  # the cached set-up reduces Q once
     calls = []
-    normalize_over = tl.normalize_over
-    monkeypatch.setattr(tl, "normalize_over", lambda *args: calls.append(args) or normalize_over(*args))
+    normalize_over = replay.normalize_over
+    monkeypatch.setattr(replay, "normalize_over", lambda *args: calls.append(args) or normalize_over(*args))
     for t, n in cases:
         tl.transfer_vector(t, n)
     assert len(calls) == 0
@@ -775,11 +775,11 @@ def test_packed_replay_equals_the_dict_replay(monkeypatch, fresh_caches, product
     # and with every product as shifts and every division digit by digit,
     # or every product packed and every division one divmod
     if product_bytes is not None:
-        monkeypatch.setattr(tl, "_PRODUCT_BYTES", product_bytes)
-        monkeypatch.setattr(tl, "_DIVMOD_BYTES", divmod_bytes)
+        monkeypatch.setattr(replay, "_PRODUCT_BYTES", product_bytes)
+        monkeypatch.setattr(replay, "_DIVMOD_BYTES", divmod_bytes)
     widths = set()
-    packed_tables = tl._packed_tables
-    monkeypatch.setattr(tl, "_packed_tables", lambda n, b: widths.add(b) or packed_tables(n, b))
+    packed_tables = replay._packed_tables
+    monkeypatch.setattr(replay, "_packed_tables", lambda n, b: widths.add(b) or packed_tables(n, b))
     for t, n in _replay_cases(random.Random(24)):
         assert tl.transfer_vector(t, n) == _dict_replay(t, n), (t, n)
     assert {1, 2, 4, 8} <= widths and max(widths) > 8
@@ -789,7 +789,7 @@ def test_a_short_digit_width_widens_and_stays_exact(monkeypatch):
     # with every width one byte short of the chosen one, the certificate
     # fails at several widths; each such run is redone at twice the width,
     # from its input
-    digit_width, divide = tl._digit_width, tl._divide
+    digit_width, divide = replay._digit_width, replay._divide
     failures = []
 
     def spy(nums, n, b, m):
@@ -798,8 +798,8 @@ def test_a_short_digit_width_widens_and_stays_exact(monkeypatch):
             failures.append(b)
         return found
 
-    monkeypatch.setattr(tl, "_digit_width", lambda bound: max(1, digit_width(bound) - 1))
-    monkeypatch.setattr(tl, "_divide", spy)
+    monkeypatch.setattr(replay, "_digit_width", lambda bound: max(1, digit_width(bound) - 1))
+    monkeypatch.setattr(replay, "_divide", spy)
     for t, n in _replay_cases(random.Random(25)):
         assert tl.transfer_vector(t, n) == _dict_replay(t, n), (t, n)
     assert len(set(failures)) >= 3, failures
@@ -891,7 +891,7 @@ def test_width_one_eigenvalues_are_the_bracket_step():
 #: The engine's builders of projectors, frames, basis, tiles and kinks,
 #: and the replay tables with the reduction's bubble ratio tables, per width.
 ENGINE_CACHES = (engine._projector, engine._frame, engine._bni, engine._tile, engine._kink)
-TRANSFER_CACHES = (tl._transfer_data, tl._replay_tables, tl._packed_tables,
+TRANSFER_CACHES = (replay._transfer_data, replay._replay_tables, replay._packed_tables,
                    cyclotomic._bubbles, cyclotomic._ratio)
 
 
@@ -1262,7 +1262,7 @@ def test_colored_invariants_take_no_normalization(monkeypatch):
         raise AssertionError("normalization called")
 
     monkeypatch.setattr(RatFunc, "normalized", staticmethod(refuse))
-    monkeypatch.setattr(tl, "normalize_over", refuse)
+    monkeypatch.setattr(replay, "normalize_over", refuse)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for t, n in cases:
@@ -1303,7 +1303,7 @@ def test_corrupted_bubble_data_are_refused(monkeypatch, fresh_caches):
         tl.colored_invariants(t, 2)
         with pytest.raises(ValueError, match=f"colored coordinates at cable width 3: .*{what} of c_1"):
             tl.colored_invariants(t, 3)
-        tl._transfer_data.cache_clear()
+        replay._transfer_data.cache_clear()
         cyclotomic._bubbles.cache_clear()
 
 
@@ -1351,6 +1351,35 @@ def test_cancel_agrees_with_the_gcd_cofactors(monkeypatch):
         exits += len(calls) == before
         assert list(map(list, got)) == list(map(list, _gcd_cofactors([p, f])[1])), (p, f)
     assert exits > 10 and len(calls) > 10
+
+
+@pytest.mark.parametrize("n", range(2, tl.MAX_TWIST_WIDTH + 1))
+def test_cancel_against_a_constant_packs_nothing(monkeypatch, n):
+    # c_n has the numerator 1, a primitive constant: _cancel returns p and
+    # f at once, with no pack, so reduced_gammas packs a coordinate only
+    # against a numerator of degree 1 or more, and its forms equal the
+    # referee's
+    packed = []
+    pack = cyclotomic._pack
+
+    def spy(p, b):
+        packed.append(tuple(p))
+        return pack(p, b)
+
+    bubbles = cyclotomic._bubbles(n)
+    assert tuple(bubbles[n][1][0]) == (1,)
+    monkeypatch.setattr(cyclotomic, "_pack", spy)
+    p = [3, -1, 4]
+    assert cyclotomic._cancel(p, bubbles[n][1]) == (p, bubbles[n][1][0]) and packed == []
+    rng = random.Random(290 + n)
+    for t in _colored_words(rng, n)[:8]:
+        kappas = tl.transfer_vector(t, n)
+        quarters = _quarter_forms(kappas)
+        packed.clear()
+        gammas = list(map(_from_quotient, cyclotomic.reduced_gammas(quarters, n)))
+        assert gammas == _referee(kappas, n)[0], (t, n)
+        assert packed == [tuple(quarters[i][2]) for i in sorted(quarters)
+                          if len(bubbles[i][1][0]) > 1], (t, n)
 
 
 def test_a_coordinate_outside_one_class_is_refused():
